@@ -29,7 +29,7 @@ def normalize_edge(u: int, v: int) -> tuple[int, int]:
 class Graph:
     vertex_count: int
     edges: frozenset[tuple[int, int]]
-    coords: dict[int, tuple[int, int]] | None = field(default=None)
+    coords: dict[int, tuple[int, int]] | None = field(default=None, hash=False)
 
     @property
     def edge_count(self) -> int:

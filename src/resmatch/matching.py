@@ -228,8 +228,8 @@ def validate_matching(g: Graph, m: Matching) -> MatchingFlags:
         return MatchingFlags(False, False, False, False)
     cov = m.covered()
     maximal = all(u in cov or v in cov for u, v in g.edges)
-    maximum = len(m) == nu(g)
     perfect = 2 * len(m) == g.vertex_count
+    maximum = perfect or len(m) == nu(g)
     return MatchingFlags(valid, maximal, maximum, perfect)
 
 

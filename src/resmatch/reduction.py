@@ -30,7 +30,7 @@ from fractions import Fraction
 
 from .graph import Graph, build_graph, bipartition, degree_profile, delete_edges, is_connected
 from .matching import Matching, matching_from_pairs, max_matching, nu, validate_matching
-from .spectrum import enumerate_maximum_matchings
+from .spectrum import CappedStream
 
 VARIANTS = ("L", "ell")
 
@@ -613,18 +613,15 @@ def verify_artifact(
                     f" decode_ok={decode_ok}"
                 )
         pure_expected = 2**art.cnf.num_vars
-        enum = enumerate_maximum_matchings(g, cap=max(256, 8 * pure_expected))
+        stream = CappedStream(g, cap=max(256, 8 * pure_expected))
         pure = 0
-        hybrid = 0
         residuals_ok = True
         residuals: list[int] = []
-        for f in enum.matchings:
-            r = nu(delete_edges(g, f.edges))
+        for f, r in stream:
             residuals.append(r)
             try:
                 alpha = decode_matching(art, f)
             except StructuralDecodeError:
-                hybrid += 1
                 continue
             pure += 1
             if r != expected_residual(art, alpha):
@@ -632,10 +629,10 @@ def verify_artifact(
         encoded = [rc.actual for rc in residual_checks]
         census = MatchingCensus(
             pure_expected=pure_expected,
-            count=len(enum.matchings),
-            truncated=enum.truncated,
+            count=stream.count,
+            truncated=stream.truncated,
             pure_count=pure,
-            hybrid_count=hybrid,
+            hybrid_count=stream.count - pure,
             residual_min=min(residuals),
             residual_max=max(residuals),
             encoded_min=min(encoded),

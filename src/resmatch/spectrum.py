@@ -3,14 +3,16 @@
 For a maximum matching F of G, deleting the edges of F (keeping all
 vertices) leaves a residual graph G - F.  The spectrum of G is the set of
 residual matching numbers nu(G - F) over every maximum matching F; its
-minimum and maximum are written ell(G) and L(G).  Everything here
-enumerates maximum matchings by branch and bound, so results are exact
-whenever the enumeration finishes under its cap.
+minimum and maximum are written ell(G) and L(G).  Everything here reads
+one (maximum matching, residual) stream from a branch-and-bound enumerator
+in a single pass, so results are exact whenever the enumeration finishes
+under its positive cap; witnesses are first occurrences in that order.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -74,43 +76,56 @@ class EnumerationResult:
 
 
 def _iter_maximum_matchings(g: Graph):
-    """Yield every maximum matching of g exactly once, in the deterministic
-    order induced by branching lowest edge in/out."""
+    """Yield (F, nu(g - F)) for every maximum matching F of g exactly once.
+
+    Branch on the lowest remaining edge, taking it before dropping it, and
+    prune a node when a maximum matching of its remaining edges cannot reach
+    nu(g).  Pending branches wait on an explicit stack, not the call stack.
+    """
     target = nu(g)
     n = g.vertex_count
-    edges = g.sorted_edges()
-    chosen: list[tuple[int, int]] = []
-
-    def rec(avail: list[tuple[int, int]]):
+    stack = [((), g.sorted_edges())]
+    while stack:
+        chosen, avail = stack.pop()
         if len(chosen) == target:
-            yield Matching(frozenset(chosen), n)
-            return
+            m = Matching(frozenset(chosen), n)
+            yield m, nu(delete_edges(g, m.edges))
+            continue
         if len(chosen) + len(avail) < target:
-            return
+            continue
         if len(chosen) + nu(Graph(n, frozenset(avail))) < target:
-            return
-        e = avail[0]
-        u, v = e
-        chosen.append(e)
-        yield from rec([f for f in avail[1:] if u not in f and v not in f])
-        chosen.pop()
-        yield from rec(avail[1:])
+            continue
+        (u, v), rest = avail[0], avail[1:]
+        stack.append((chosen, rest))
+        stack.append((chosen + ((u, v),), [f for f in rest if u not in f and v not in f]))
 
-    yield from rec(edges)
+
+class CappedStream:
+    """The (matching, residual) stream of g, cut after cap items.  Once
+    iterated, count is the number yielded and truncated says whether the
+    stream held more."""
+
+    def __init__(self, g: Graph, cap: int):
+        if cap < 1:
+            raise ValueError("cap must be positive")
+        self.g = g
+        self.cap = cap
+        self.count = 0
+        self.truncated = False
+
+    def __iter__(self):
+        for item in _iter_maximum_matchings(self.g):
+            if self.count == self.cap:
+                self.truncated = True
+                return
+            self.count += 1
+            yield item
 
 
 def enumerate_maximum_matchings(g: Graph, cap: int = 10**6) -> EnumerationResult:
     """All maximum matchings of g, stopping (and flagging) after cap of them."""
-    if cap < 1:
-        raise ValueError("cap must be positive")
-    out: list[Matching] = []
-    truncated = False
-    for m in _iter_maximum_matchings(g):
-        if len(out) == cap:
-            truncated = True
-            break
-        out.append(m)
-    return EnumerationResult(tuple(out), truncated)
+    stream = CappedStream(g, cap)
+    return EnumerationResult(tuple(m for m, _ in stream), stream.truncated)
 
 
 @dataclass(frozen=True)
@@ -123,6 +138,9 @@ class SpectrumReport:
     witness_max: Matching
     enumerated: int
     truncated: bool
+    # (residual, 1-based position, matching) at the first occurrence of each
+    # residual, in enumeration order
+    first_seen: tuple[tuple[int, int, Matching], ...]
 
     def to_json_dict(self) -> dict:
         return {
@@ -140,30 +158,26 @@ class SpectrumReport:
 def spectrum(g: Graph, cap: int = 10**6) -> SpectrumReport:
     """Residual matching numbers over all maximum matchings of g.
 
-    When truncated, the reported values cover only the enumerated prefix and
-    are upper/lower estimates rather than exact extremes.
+    One pass over the enumeration; each witness is the first matching that
+    reaches its value.  When truncated, the reported values cover only the
+    enumerated prefix and are upper/lower estimates rather than exact
+    extremes.
     """
-    result = enumerate_maximum_matchings(g, cap)
-    best_min: tuple[int, Matching] | None = None
-    best_max: tuple[int, Matching] | None = None
-    achieved: set[int] = set()
-    for m in result.matchings:
-        r = nu(delete_edges(g, m.edges))
-        achieved.add(r)
-        if best_min is None or r < best_min[0]:
-            best_min = (r, m)
-        if best_max is None or r > best_max[0]:
-            best_max = (r, m)
-    assert best_min is not None and best_max is not None
+    stream = CappedStream(g, cap)
+    first: dict[int, tuple[int, Matching]] = {}
+    for m, r in stream:
+        first.setdefault(r, (stream.count, m))
+    ell, big_l = min(first), max(first)
     return SpectrumReport(
-        nu=nu(g),
-        ell=best_min[0],
-        big_l=best_max[0],
-        achieved=frozenset(achieved),
-        witness_min=best_min[1],
-        witness_max=best_max[1],
-        enumerated=len(result.matchings),
-        truncated=result.truncated,
+        nu=len(first[ell][1]),
+        ell=ell,
+        big_l=big_l,
+        achieved=frozenset(first),
+        witness_min=first[ell][1],
+        witness_max=first[big_l][1],
+        enumerated=stream.count,
+        truncated=stream.truncated,
+        first_seen=tuple((r, pos, m) for r, (pos, m) in first.items()),
     )
 
 
@@ -175,31 +189,38 @@ class Problem1Result:
     truncated: bool
 
 
-def decide_problem1(
-    g: Graph, k: int, f: ToleranceFunction, cap: int = 10**6
+def answer_problem1(
+    g: Graph, k: int, f: ToleranceFunction, report: Callable[[], SpectrumReport]
 ) -> Problem1Result:
-    """Does some maximum matching F of g satisfy |nu(g - F) - k| <= f(|V|)?
+    """Problem 1 for g on the spectrum that report() returns.
 
-    'unknown' is only returned when the enumeration was truncated before a
-    witness appeared.  f(x) = x short-circuits to yes: nu(g - F) and k both
-    lie in [0, |V|/2], so the bound always holds.
+    The witness is the first enumerated matching whose residual lies within
+    f(|V|) of k, and enumerated is its position; without one the answer is
+    'no', or 'unknown' if the spectrum was truncated.  f(x) = x is yes
+    without calling report(): nu(g - F) and k both lie in [0, |V|/2].
     """
     if not 0 <= k <= g.vertex_count // 2:
         raise ValueError(f"k must lie in 0..{g.vertex_count // 2}, got {k}")
     if f.kind == "identity":
         return Problem1Result("yes", max_matching(g), 0, False)
     bound = f.evaluate(g.vertex_count)
-    count = 0
-    truncated = False
-    for m in _iter_maximum_matchings(g):
-        if count == cap:
-            truncated = True
-            break
-        count += 1
-        r = nu(delete_edges(g, m.edges))
+    rep = report()
+    for r, pos, m in rep.first_seen:
         if abs(r - k) <= bound:
-            return Problem1Result("yes", m, count, False)
-    return Problem1Result("unknown" if truncated else "no", None, count, truncated)
+            return Problem1Result("yes", m, pos, False)
+    answer = "unknown" if rep.truncated else "no"
+    return Problem1Result(answer, None, rep.enumerated, rep.truncated)
+
+
+def decide_problem1(
+    g: Graph, k: int, f: ToleranceFunction, cap: int = 10**6
+) -> Problem1Result:
+    """Does some maximum matching F of g satisfy |nu(g - F) - k| <= f(|V|)?
+
+    answer_problem1 on spectrum(g, cap): the enumeration runs to the end or
+    to the cap (which must be positive), not only to the first witness.
+    """
+    return answer_problem1(g, k, f, lambda: spectrum(g, cap))
 
 
 @dataclass(frozen=True)
@@ -242,10 +263,12 @@ class ApproxTrialRow:
     residual: int
     ratio_to_ell: Fraction | None
     ratio_to_big_l: Fraction | None
+    ok: bool
 
 
 @dataclass(frozen=True)
 class ApproxTrialReport:
+    nu: int
     ell: int
     big_l: int
     rows: tuple[ApproxTrialRow, ...]
@@ -260,27 +283,23 @@ class ApproxTrialReport:
 def approx_trial(g: Graph, seeds, cap: int = 10**6) -> ApproxTrialReport:
     """Residuals of seeded maximum matchings against the exact spectrum.
 
-    Every seeded residual must land in [ell, L]; the ratios r/ell in [1, 2]
-    and r/L in [1/2, 1] whenever ell >= 1 (otherwise ratios are reported as
-    undefined rather than computed).
+    The spectrum must pass check_bounds (which raises TruncatedSpectrumError
+    on a truncated one) and every seeded residual r must land in [ell, L]; a
+    row is ok when both hold.  Together they give r/ell in [1, 2] and r/L in
+    [1/2, 1].  Ratios are reported when ell >= 1 and are None otherwise.
     """
-    report = spectrum(g, cap)
-    if report.truncated:
-        raise TruncatedSpectrumError("spectrum truncated; trial needs exact extremes")
-    ell, big_l = report.ell, report.big_l
+    bounds = check_bounds(g, cap)
+    ell, big_l = bounds.ell, bounds.big_l
     defined = ell >= 1
+    violations = list(bounds.violations)
     rows = []
-    violations = []
     for seed in seeds:
         f = max_matching(g, seed)
         r = nu(delete_edges(g, f.edges))
-        if not ell <= r <= big_l:
+        in_range = ell <= r <= big_l
+        if not in_range:
             violations.append(f"seed {seed}: residual {r} outside [{ell}, {big_l}]")
         r_ell = Fraction(r, ell) if defined else None
         r_big_l = Fraction(r, big_l) if defined else None
-        if r_ell is not None and not 1 <= r_ell <= 2:
-            violations.append(f"seed {seed}: r/ell = {r_ell} outside [1, 2]")
-        if r_big_l is not None and not Fraction(1, 2) <= r_big_l <= 1:
-            violations.append(f"seed {seed}: r/L = {r_big_l} outside [1/2, 1]")
-        rows.append(ApproxTrialRow(seed, r, r_ell, r_big_l))
-    return ApproxTrialReport(ell, big_l, tuple(rows), defined, tuple(violations))
+        rows.append(ApproxTrialRow(seed, r, r_ell, r_big_l, bounds.ok and in_range))
+    return ApproxTrialReport(bounds.nu, ell, big_l, tuple(rows), defined, tuple(violations))

@@ -1,9 +1,11 @@
 import json
 import os
+from fractions import Fraction
 
 import pytest
 
 from resmatch.cli import main
+from resmatch.spectrum import ApproxTrialReport, ApproxTrialRow
 
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
 P5 = os.path.join(FIXTURES, "p5.mg")
@@ -196,6 +198,20 @@ def test_bench_is_deterministic(capsys, tmp_path):
     run(capsys, "bench", "random:n=7,count=10,p=1/2", "--seed", "9", "--output", str(a))
     run(capsys, "bench", "random:n=7,count=10,p=1/2", "--seed", "9", "--output", str(b))
     assert a.read_text() == b.read_text()
+
+
+def test_bench_counts_each_bad_row_once(capsys, monkeypatch):
+    bad = ApproxTrialRow(1, 3, Fraction(3), Fraction(3), ok=False)
+    good = ApproxTrialRow(2, 1, Fraction(1), Fraction(1), ok=True)
+    report = ApproxTrialReport(
+        nu=1, ell=1, big_l=1, rows=(bad, good), ratios_defined=True,
+        violations=("seed 1: residual 3 outside [1, 1]", "seed 1: r/ell = 3 outside [1, 2]"),
+    )
+    monkeypatch.setattr("resmatch.cli.approx_trial", lambda g, seeds, cap: report)
+    code, out, err = run(capsys, "bench", "path:2", "--trials", "2")
+    assert code == 1
+    assert "bench: 1 violation(s)" in err
+    assert [row.split(",")[-1] for row in out.splitlines()[1:]] == ["False", "True"]
 
 
 def test_bench_rejects_bad_family(capsys):

@@ -3,6 +3,7 @@ import pytest
 from resmatch.graph import (
     Bipartition,
     DuplicateEdgeWarning,
+    Graph,
     GraphFormatError,
     bipartition,
     build_graph,
@@ -14,6 +15,7 @@ from resmatch.graph import (
     normalize_edge,
     parse_graph_file,
 )
+from resmatch.reduction import build_artifact, parse_dimacs
 
 
 def test_normalize_edge_orders_endpoints():
@@ -114,6 +116,16 @@ def test_delete_edges_keeps_vertices():
     assert h.sorted_edges() == [(1, 2), (3, 4)]
     with pytest.raises(ValueError, match=r"edge \(1, 4\) is not in the graph"):
         delete_edges(g, [(1, 4)])
+
+
+def test_graph_with_coords_is_hashable():
+    cnf = parse_dimacs("p cnf 3 1\n1 2 3 0\n")
+    a = build_artifact(cnf, "L").graph
+    b = build_artifact(cnf, "L").graph
+    assert a == b and a is not b
+    assert hash(a) == hash(b)
+    moved = Graph(a.vertex_count, a.edges, {v: (x + 1, y) for v, (x, y) in a.coords.items()})
+    assert moved != a
 
 
 def test_delete_edges_preserves_coords():

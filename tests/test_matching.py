@@ -162,6 +162,16 @@ def test_validate_matching_perfect():
     assert flags.valid and flags.maximal and flags.maximum and flags.perfect
 
 
+def test_validate_perfect_matching_needs_no_nu(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a perfect matching is maximum without computing nu")
+
+    monkeypatch.setattr("resmatch.matching.nu", refuse)
+    m = matching_from_pairs([(2, 3), (4, 5), (6, 1)], 6)
+    flags = validate_matching(cycle(6), m)
+    assert flags.valid and flags.maximum and flags.perfect
+
+
 def test_bruteforce_cap():
     g = complete(8)  # 28 edges
     with pytest.raises(CapExceededError):

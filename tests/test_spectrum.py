@@ -1,4 +1,6 @@
+import inspect
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -100,6 +102,10 @@ def test_enumerate_respects_cap():
     assert len(res.matchings) == 2
     with pytest.raises(ValueError, match="positive"):
         enumerate_maximum_matchings(path(5), cap=0)
+    with pytest.raises(ValueError, match="positive"):
+        spectrum(path(5), cap=0)
+    with pytest.raises(ValueError, match="positive"):
+        decide_problem1(path(5), 0, parse_tolerance("const:0"), cap=0)
 
 
 def test_enumerate_counts_match_oracle():
@@ -161,6 +167,17 @@ def test_spectrum_matches_double_bruteforce():
         assert rep.big_l == residuals[-1]
 
 
+def test_spectrum_depth_does_not_grow_with_edge_count():
+    g = build_graph(300, [(2 * i - 1, 2 * i) for i in range(1, 151)])
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 100)
+    try:
+        rep = spectrum(g, cap=10)
+    finally:
+        sys.setrecursionlimit(old)
+    assert (rep.nu, rep.ell, rep.big_l, rep.enumerated) == (150, 0, 0, 1)
+
+
 def test_spectrum_json_shape():
     d = spectrum(path(5), cap=100).to_json_dict()
     assert d["nu"] == 2 and d["ell"] == 1 and d["L"] == 2
@@ -198,6 +215,29 @@ def test_problem1_witness_is_checkable():
     assert res.answer == "yes"
     r = nu(delete_edges(g, res.witness.edges))
     assert abs(r - 1) <= 0
+
+
+def test_problem1_witness_is_first_hit_in_enumeration_order():
+    rng = random.Random(2024)
+    for _ in range(60):
+        g = random_graph(rng.randint(2, 9), rng.choice([0.3, 0.5]), rng)
+        order = enumerate_maximum_matchings(g, cap=10**5).matchings
+        residuals = [nu(delete_edges(g, m.edges)) for m in order]
+        for spec in ("const:0", "const:1", "log"):
+            f = parse_tolerance(spec)
+            bound = f.evaluate(g.vertex_count)
+            for k in range(g.vertex_count // 2 + 1):
+                for cap in (1, 2, 10**5):
+                    res = decide_problem1(g, k, f, cap=cap)
+                    hits = [i for i, r in enumerate(residuals[:cap]) if abs(r - k) <= bound]
+                    if hits:
+                        assert (res.answer, res.witness, res.enumerated) == (
+                            "yes", order[hits[0]], hits[0] + 1)
+                    else:
+                        seen = min(cap, len(order))
+                        answer = "unknown" if len(order) > cap else "no"
+                        assert (res.answer, res.witness, res.enumerated) == (answer, None, seen)
+                    assert res.truncated == (res.answer == "unknown")
 
 
 def test_problem1_tolerance_monotone():
