@@ -1,20 +1,21 @@
 """Largest subgraphs that split into k disjoint matchings.
 
-For bipartite hosts the k = 2 case reduces to a degree-constrained subgraph:
-cap every vertex at two incident chosen edges and maximize the edge count via
-max flow.  In a bipartite graph any subgraph with maximum degree two is a
-disjoint union of paths and even cycles, so it always splits into two
-matchings.  A branch-and-bound color assigner serves as the independent
-exhaustive oracle for small graphs and arbitrary k.
+For bipartite hosts the k = 2 case is a degree-constrained subgraph: cap
+every vertex at two incident chosen edges and maximize the edge count.  In a
+bipartite graph any subgraph with maximum degree two is a disjoint union of
+paths and even cycles, so it always splits into two matchings.  Tutte's
+gadget ("A short proof of the factor theorem for finite graphs", 1954) turns
+the degree caps into one ordinary maximum matching, which the blossom engine
+of `resmatch.matching` computes.  A branch-and-bound color assigner serves as
+the independent exhaustive oracle for small graphs and arbitrary k.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .graph import Bipartition, Graph, bipartition, is_valid_bipartition
-from .matching import CapExceededError, nu
+from .matching import CapExceededError, _blossom, nu
 
 
 @dataclass(frozen=True)
@@ -22,52 +23,6 @@ class ColorableResult:
     k: int
     size: int
     classes: tuple[frozenset[tuple[int, int]], ...]
-
-
-class _Dinic:
-    def __init__(self, n: int):
-        self.adj: list[list[list[int]]] = [[] for _ in range(n)]
-
-    def add(self, u: int, v: int, cap: int) -> tuple[int, int]:
-        self.adj[u].append([v, cap, len(self.adj[v])])
-        self.adj[v].append([u, 0, len(self.adj[u]) - 1])
-        return (u, len(self.adj[u]) - 1)
-
-    def max_flow(self, s: int, t: int) -> int:
-        flow = 0
-        while True:
-            level = [-1] * len(self.adj)
-            level[s] = 0
-            queue = deque([s])
-            while queue:
-                u = queue.popleft()
-                for v, cap, _ in self.adj[u]:
-                    if cap > 0 and level[v] < 0:
-                        level[v] = level[u] + 1
-                        queue.append(v)
-            if level[t] < 0:
-                return flow
-            it = [0] * len(self.adj)
-
-            def dfs(u: int, pushed: int) -> int:
-                if u == t:
-                    return pushed
-                while it[u] < len(self.adj[u]):
-                    v, cap, rev = self.adj[u][it[u]]
-                    if cap > 0 and level[v] == level[u] + 1:
-                        got = dfs(v, min(pushed, cap))
-                        if got:
-                            self.adj[u][it[u]][1] -= got
-                            self.adj[v][rev][1] += got
-                            return got
-                    it[u] += 1
-                return 0
-
-            while True:
-                pushed = dfs(s, 1 << 30)
-                if not pushed:
-                    break
-                flow += pushed
 
 
 def _two_color(g: Graph, chosen: set[tuple[int, int]]) -> tuple[frozenset, frozenset]:
@@ -111,10 +66,14 @@ def _two_color(g: Graph, chosen: set[tuple[int, int]]) -> tuple[frozenset, froze
 def nu2_bipartite(g: Graph, b: Bipartition | None = None) -> ColorableResult:
     """Largest union of two disjoint matchings in a bipartite graph.
 
-    Flow network: source -> side0 vertices and side1 vertices -> sink with
-    capacity two, one unit arc per edge.  The integral max flow selects a
-    subgraph of maximum degree two whose edge count is the answer; the
-    witness splits it into two matchings.
+    One maximum matching of Tutte's degree-constraint gadget: vertex u gets
+    copies u and n+u, and edge k = (u, v) becomes the path
+    copies(u) - a - b - copies(v) with a = 2n+2k+1 and b = a+1.  An edge path
+    holds two matching edges when a and b are both matched to copies and one
+    otherwise, so the gadget's maximum matching has |E| + nu2 edges.  An edge
+    is chosen when its a and b are both matched, not to each other (a matched
+    with b free is not chosen); the chosen edges have maximum degree two and
+    the witness splits them into two matchings.
     """
     if b is None:
         b = bipartition(g)
@@ -123,18 +82,20 @@ def nu2_bipartite(g: Graph, b: Bipartition | None = None) -> ColorableResult:
     elif not is_valid_bipartition(g, b):
         raise ValueError("invalid bipartition for this graph")
     n = g.vertex_count
-    net = _Dinic(n + 2)
-    source, sink = 0, n + 1
-    for u in sorted(b.side0):
-        net.add(source, u, 2)
-    for v in sorted(b.side1):
-        net.add(v, sink, 2)
-    edge_arcs: list[tuple[tuple[int, int], tuple[int, int]]] = []
-    for u, v in g.sorted_edges():
-        a, c = (u, v) if u in b.side0 else (v, u)
-        edge_arcs.append(((u, v), net.add(a, c, 1)))
-    size = net.max_flow(source, sink)
-    chosen = {e for e, (node, idx) in edge_arcs if net.adj[node][idx][1] == 0}
+    edges = g.sorted_edges()
+    gadget: list[list[int]] = [[] for _ in range(2 * n + 2 * len(edges) + 1)]
+    for k, (u, v) in enumerate(edges):
+        a = 2 * n + 2 * k + 1
+        for x, y in ((u, a), (n + u, a), (v, a + 1), (n + v, a + 1), (a, a + 1)):
+            gadget[x].append(y)
+            gadget[y].append(x)
+    mate = _blossom(len(gadget) - 1, gadget, range(1, len(gadget)))
+    size = sum(map(bool, mate)) // 2 - len(edges)
+    chosen = set()
+    for k, e in enumerate(edges):
+        a = 2 * n + 2 * k + 1
+        if mate[a] and mate[a + 1] and mate[a] != a + 1:
+            chosen.add(e)
     assert len(chosen) == size
     class0, class1 = _two_color(g, chosen)
     assert len(class0) + len(class1) == size

@@ -38,9 +38,10 @@ class Graph:
     def sorted_edges(self) -> list[tuple[int, int]]:
         return sorted(self.edges)
 
-    def adjacency(self) -> dict[int, list[int]]:
-        """Adjacency lists with neighbors in increasing order."""
-        adj: dict[int, list[int]] = {v: [] for v in range(1, self.vertex_count + 1)}
+    def adjacency(self) -> list[list[int]]:
+        """Neighbors of each vertex in increasing order, indexed by vertex
+        (slot 0 is empty)."""
+        adj: list[list[int]] = [[] for _ in range(self.vertex_count + 1)]
         for u, v in sorted(self.edges):
             adj[u].append(v)
             adj[v].append(u)

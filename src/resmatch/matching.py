@@ -1,16 +1,16 @@
 """Maximum matchings in general and bipartite graphs.
 
-General graphs are handled by augmenting-path search with odd-cycle (blossom)
-contraction; bipartite graphs by layered augmenting-path search.  A seed
-permutes the scan order, so different seeds may return different maximum
-matchings of the same size; results are deterministic for a fixed
-(graph, seed) pair.
+One engine, `_blossom`, finds every maximum matching here: augmenting-path
+search with odd-cycle (blossom) contraction.  `nu`, the bipartite entry and
+`resmatch.colorable.nu2_bipartite` run it in vertex order with sorted
+adjacency.  `max_matching` first lets a seed permute the scan order, so
+different seeds may return different maximum matchings of the same size;
+results are deterministic for a fixed (graph, seed) pair.
 """
 
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import dataclass
 
 from .graph import Bipartition, Graph, bipartition, is_valid_bipartition, normalize_edge
@@ -60,23 +60,16 @@ class MatchingFlags:
     perfect: bool
 
 
-def max_matching(g: Graph, seed: int = 0) -> Matching:
-    """Maximum matching of g via blossom contraction.
+def _blossom(n: int, adj: list[list[int]], order) -> list[int]:
+    """Mate of every vertex of a maximum matching (0 = unmatched; slot 0 unused).
 
-    The seed shuffles both the vertex processing order and each adjacency
-    list; remaining ties fall to the lowest vertex index.
+    A greedy pass over `order`, then one augmenting-path search from each
+    still-free root in `order`, contracting odd cycles (blossoms) as in
+    Edmonds' algorithm.  As in Gabow's implementation (JACM 1976) the search
+    arrays are allocated once per call; each search resets only the vertices
+    it reached, and lca walks mark with a stamp.  Ties fall to the order of
+    `order` and of each adjacency list.
     """
-    n = g.vertex_count
-    rng = random.Random(seed)
-    adj: list[list[int]] = [[] for _ in range(n + 1)]
-    for u, v in g.sorted_edges():
-        adj[u].append(v)
-        adj[v].append(u)
-    for lst in adj:
-        rng.shuffle(lst)
-    order = list(range(1, n + 1))
-    rng.shuffle(order)
-
     match = [0] * (n + 1)
     for v in order:
         if match[v] == 0:
@@ -85,133 +78,116 @@ def max_matching(g: Graph, seed: int = 0) -> Matching:
                     match[v] = to
                     match[to] = v
                     break
-
-    def lca(a: int, b: int, p: list[int], base: list[int]) -> int:
-        seen = [False] * (n + 1)
-        while True:
-            a = base[a]
-            seen[a] = True
-            if match[a] == 0:
-                break
-            a = p[match[a]]
-        while True:
-            b = base[b]
-            if seen[b]:
-                return b
-            b = p[match[b]]
-
-    def mark_path(v: int, b: int, child: int, flower: list[bool], p: list[int], base: list[int]):
-        while base[v] != b:
-            flower[base[v]] = True
-            flower[base[match[v]]] = True
-            p[v] = child
-            child = match[v]
-            v = p[match[v]]
-
-    def find_augmenting(root: int) -> tuple[int, list[int]]:
-        used = [False] * (n + 1)
-        p = [0] * (n + 1)
-        base = list(range(n + 1))
-        used[root] = True
-        queue = deque([root])
-        while queue:
-            v = queue.popleft()
+    even = [False] * (n + 1)  # outer vertices of the current search tree
+    p = [0] * (n + 1)  # tree parent of each inner vertex
+    base = list(range(n + 1))  # base of the blossom holding each vertex
+    mark = [0] * (n + 1)
+    stamp = 0
+    for root in order:
+        if match[root] != 0:
+            continue
+        even[root] = True
+        tree = [root]
+        queue = [root]
+        head = end = 0
+        while head < len(queue) and end == 0:
+            v = queue[head]
+            head += 1
             for to in adj[v]:
                 if base[v] == base[to] or match[v] == to:
                     continue
                 if to == root or (match[to] != 0 and p[match[to]] != 0):
-                    # odd cycle: contract the blossom down to its base
-                    curbase = lca(v, to, p, base)
-                    flower = [False] * (n + 1)
-                    mark_path(v, curbase, to, flower, p, base)
-                    mark_path(to, curbase, v, flower, p, base)
-                    for i in range(1, n + 1):
-                        if flower[base[i]]:
+                    # odd cycle: contract the blossom down to the lca of v and to
+                    stamp += 1
+                    a = v
+                    while True:
+                        a = base[a]
+                        mark[a] = stamp
+                        if match[a] == 0:
+                            break
+                        a = p[match[a]]
+                    curbase = base[to]
+                    while mark[curbase] != stamp:
+                        curbase = base[p[match[curbase]]]
+                    petals = set()
+                    for x, child in ((v, to), (to, v)):
+                        while base[x] != curbase:
+                            petals.update((base[x], base[match[x]]))
+                            p[x] = child
+                            child = match[x]
+                            x = p[child]
+                    grown = []
+                    for i in tree:
+                        if base[i] in petals:
                             base[i] = curbase
-                            if not used[i]:
-                                used[i] = True
-                                queue.append(i)
+                            if not even[i]:
+                                even[i] = True
+                                grown.append(i)
+                    # in vertex order: the queue order decides which matching is found
+                    grown.sort()
+                    queue += grown
                 elif p[to] == 0:
                     p[to] = v
+                    tree.append(to)
                     if match[to] == 0:
-                        return to, p
-                    used[match[to]] = True
+                        end = to
+                        break
+                    even[match[to]] = True
+                    tree.append(match[to])
                     queue.append(match[to])
-        return 0, p
-
-    for root in order:
-        if match[root] != 0:
-            continue
-        end, p = find_augmenting(root)
-        if end == 0:
-            continue
         while end != 0:
             pv = p[end]
             ppv = match[pv]
             match[end] = pv
             match[pv] = end
             end = ppv
+        for x in tree:
+            even[x] = False
+            p[x] = 0
+            base[x] = x
+    return match
 
-    edges = frozenset(normalize_edge(v, match[v]) for v in range(1, n + 1) if match[v] > v)
-    return Matching(edges, n)
+
+def _matching(mate: list[int]) -> Matching:
+    return Matching(frozenset((v, w) for v, w in enumerate(mate) if w > v), len(mate) - 1)
+
+
+def _unshuffled(g: Graph) -> list[int]:
+    return _blossom(g.vertex_count, g.adjacency(), range(1, g.vertex_count + 1))
+
+
+def max_matching(g: Graph, seed: int = 0) -> Matching:
+    """Maximum matching of g via blossom contraction.
+
+    The seed shuffles both the vertex processing order and each adjacency
+    list; it changes which maximum matching is returned, never its size.
+    """
+    rng = random.Random(seed)
+    adj = g.adjacency()
+    for lst in adj:
+        rng.shuffle(lst)
+    order = list(range(1, g.vertex_count + 1))
+    rng.shuffle(order)
+    return _matching(_blossom(g.vertex_count, adj, order))
 
 
 def max_matching_bipartite(g: Graph, b: Bipartition | None = None) -> Matching:
-    """Maximum matching of a bipartite graph by layered augmenting paths."""
+    """Maximum matching of a bipartite graph (the blossom engine, unshuffled).
+
+    Which maximum matching is returned is unspecified.
+    """
     if b is None:
         b = bipartition(g)
         if b is None:
             raise ValueError("graph is not bipartite")
     elif not is_valid_bipartition(g, b):
         raise ValueError("invalid bipartition for this graph")
-    inf = float("inf")
-    left = sorted(b.side0)
-    adj = g.adjacency()
-    pair_l: dict[int, int] = {u: 0 for u in left}
-    pair_r: dict[int, int] = {v: 0 for v in b.side1}
-    dist: dict[int, float] = {}
-
-    def bfs() -> bool:
-        queue = deque()
-        for u in left:
-            if pair_l[u] == 0:
-                dist[u] = 0
-                queue.append(u)
-            else:
-                dist[u] = inf
-        found = False
-        while queue:
-            u = queue.popleft()
-            for v in adj[u]:
-                w = pair_r[v]
-                if w == 0:
-                    found = True
-                elif dist[w] == inf:
-                    dist[w] = dist[u] + 1
-                    queue.append(w)
-        return found
-
-    def dfs(u: int) -> bool:
-        for v in adj[u]:
-            w = pair_r[v]
-            if w == 0 or (dist[w] == dist[u] + 1 and dfs(w)):
-                pair_l[u] = v
-                pair_r[v] = u
-                return True
-        dist[u] = inf
-        return False
-
-    while bfs():
-        for u in left:
-            if pair_l[u] == 0:
-                dfs(u)
-    edges = frozenset(normalize_edge(u, v) for u, v in pair_l.items() if v != 0)
-    return Matching(edges, g.vertex_count)
+    return _matching(_unshuffled(g))
 
 
-def nu(g: Graph, seed: int = 0) -> int:
-    """Maximum matching size."""
-    return len(max_matching(g, seed))
+def nu(g: Graph) -> int:
+    """Maximum matching size: the blossom engine in vertex order, no shuffles."""
+    return sum(map(bool, _unshuffled(g))) // 2
 
 
 def validate_matching(g: Graph, m: Matching) -> MatchingFlags:

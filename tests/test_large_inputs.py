@@ -1,0 +1,72 @@
+"""Matching, nu2 and the structural certificate far above brute-force sizes.
+
+Every search here is iterative, so path length does not meet Python's
+recursion limit.
+"""
+
+import random
+
+import pytest
+
+from resmatch.colorable import nu2_bipartite
+from resmatch.graph import build_graph
+from resmatch.matching import max_matching, max_matching_bipartite, nu, validate_matching
+from resmatch.reduction import build_artifact, parse_dimacs, verify_artifact
+
+
+def labelled_path(k: int):
+    """Path a_1 b_1 a_2 b_2 ... a_k b_k, labelled so that a vertex-order greedy
+    pass leaves a_1 and b_k free: the one augmenting path spans all 2k vertices.
+    Left vertices a_i = i-1 for i >= 2 and a_1 = k; right vertices b_i = k+i."""
+    a = [None, k] + list(range(1, k))
+    b = [None] + [k + i for i in range(1, k + 1)]
+    edges = [(a[i], b[i]) for i in range(1, k + 1)] + [(a[i], b[i - 1]) for i in range(2, k + 1)]
+    return build_graph(2 * k, edges)
+
+
+def ladder(rungs: int):
+    """2 x rungs grid: vertices i and rungs+i form rung i."""
+    edges = [(i, rungs + i) for i in range(1, rungs + 1)]
+    for i in range(1, rungs):
+        edges += [(i, i + 1), (rungs + i, rungs + i + 1)]
+    return build_graph(2 * rungs, edges)
+
+
+def test_labelled_path_of_3000_vertices():
+    g = labelled_path(1500)
+    m = max_matching_bipartite(g)
+    assert len(m) == 1500
+    assert validate_matching(g, m).perfect
+    assert nu(g) == 1500
+    assert nu2_bipartite(g).size == 2999
+
+
+def test_ladder_of_ten_thousand_vertices():
+    g = ladder(5000)
+    assert nu(g) == 5000
+    assert len(max_matching_bipartite(g)) == 5000
+    assert validate_matching(g, max_matching(g, 3)).perfect
+    result = nu2_bipartite(g)
+    assert result.size == 10000  # the boundary cycle is Hamiltonian
+    class0, class1 = result.classes
+    assert len(class0) == len(class1) == 5000
+
+
+def _random_cnf_text(seed: int, num_vars: int, m: int) -> str:
+    """Exact-3-SAT with every variable used."""
+    rng = random.Random(seed)
+    order = list(range(1, num_vars + 1))
+    rng.shuffle(order)
+    clauses = [order[at:at + 3] for at in range(0, num_vars - num_vars % 3, 3)]
+    while len(clauses) < m:
+        clauses.append(rng.sample(range(1, num_vars + 1), 3))
+    lines = [" ".join(str(v if rng.random() < 0.5 else -v) for v in cl) + " 0" for cl in clauses]
+    return f"p cnf {num_vars} {m}\n" + "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("variant", ["L", "ell"])
+def test_structural_certificate_at_800_clauses(variant):
+    cnf = parse_dimacs(_random_cnf_text(8, 201, 800))
+    art = build_artifact(cnf, variant)
+    assert art.graph.vertex_count > 10000
+    assert verify_artifact(art, exhaustive=False).ok

@@ -133,6 +133,23 @@ def test_hopcroft_karp_rejects_wrong_bipartition():
         max_matching_bipartite(g, Bipartition(frozenset({1, 2}), frozenset({3})))
 
 
+def test_nu_and_bipartite_entries_use_no_randomness(monkeypatch):
+    import inspect
+
+    from resmatch.colorable import nu2_bipartite
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("only a seeded matching may shuffle")
+
+    assert list(inspect.signature(nu).parameters) == ["g"]
+    monkeypatch.setattr("resmatch.matching.random.Random", refuse)
+    assert nu(PETERSEN) == 5
+    assert len(max_matching_bipartite(cycle(8))) == 4
+    assert nu2_bipartite(cycle(8)).size == 8
+    with pytest.raises(AssertionError, match="only a seeded matching"):
+        max_matching(PETERSEN, 3)
+
+
 def test_validate_matching_flags():
     # on P4 the middle edge is maximal but not maximum
     g4 = path(4)
