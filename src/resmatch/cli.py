@@ -22,7 +22,6 @@ from fractions import Fraction
 from .colorable import nu2_bipartite
 from .graph import (
     Graph,
-    GraphFormatError,
     bipartition,
     build_graph,
     degree_profile,
@@ -32,7 +31,6 @@ from .graph import (
 )
 from .matching import nu
 from .reduction import (
-    DimacsError,
     additive_threshold,
     build_artifact,
     calibration,
@@ -364,7 +362,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (GraphFormatError, DimacsError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

@@ -6,16 +6,15 @@ bipartite graph any subgraph with maximum degree two is a disjoint union of
 paths and even cycles, so it always splits into two matchings.  Tutte's
 gadget ("A short proof of the factor theorem for finite graphs", 1954) turns
 the degree caps into one ordinary maximum matching, which the blossom engine
-of `resmatch.matching` computes.  A branch-and-bound color assigner serves as
-the independent exhaustive oracle for small graphs and arbitrary k.
+of `resmatch.matching` computes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Bipartition, Graph, bipartition, is_valid_bipartition
-from .matching import CapExceededError, _blossom, nu
+from .graph import Bipartition, Graph, require_bipartite
+from .matching import _blossom, nu
 
 
 @dataclass(frozen=True)
@@ -75,12 +74,7 @@ def nu2_bipartite(g: Graph, b: Bipartition | None = None) -> ColorableResult:
     with b free is not chosen); the chosen edges have maximum degree two and
     the witness splits them into two matchings.
     """
-    if b is None:
-        b = bipartition(g)
-        if b is None:
-            raise ValueError("graph is not bipartite")
-    elif not is_valid_bipartition(g, b):
-        raise ValueError("invalid bipartition for this graph")
+    require_bipartite(g, b)
     n = g.vertex_count
     edges = g.sorted_edges()
     gadget: list[list[int]] = [[] for _ in range(2 * n + 2 * len(edges) + 1)]
@@ -100,45 +94,6 @@ def nu2_bipartite(g: Graph, b: Bipartition | None = None) -> ColorableResult:
     class0, class1 = _two_color(g, chosen)
     assert len(class0) + len(class1) == size
     return ColorableResult(2, size, (class0, class1))
-
-
-def nu_k_bruteforce(g: Graph, k: int, cap: int = 20) -> int:
-    """Exact max size of a k-edge-colorable subgraph by exhaustive search.
-
-    Tries every assignment of colors (or none) to edges, pruning on the
-    remaining-edge bound and breaking color symmetry.  Refuses hosts above
-    the edge cap.
-    """
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    if g.edge_count > cap:
-        raise CapExceededError(f"graph has {g.edge_count} edges, cap is {cap}")
-    if k == 0:
-        return 0
-    edges = g.sorted_edges()
-    total = len(edges)
-    mask = [0] * (g.vertex_count + 1)
-    best = 0
-
-    def rec(idx: int, size: int, used_colors: int):
-        nonlocal best
-        if size > best:
-            best = size
-        if idx == total or size + (total - idx) <= best:
-            return
-        u, v = edges[idx]
-        for c in range(min(k, used_colors + 1)):
-            bit = 1 << c
-            if not (mask[u] & bit) and not (mask[v] & bit):
-                mask[u] |= bit
-                mask[v] |= bit
-                rec(idx + 1, size + 1, max(used_colors, c + 1))
-                mask[u] ^= bit
-                mask[v] ^= bit
-        rec(idx + 1, size, used_colors)
-
-    rec(0, 0, 0)
-    return best
 
 
 def upper_bound_L(g: Graph, b: Bipartition | None = None) -> int:

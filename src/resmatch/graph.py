@@ -3,7 +3,7 @@
 Vertices are the integers 1..vertex_count.  Edges are unordered pairs stored
 as (u, v) tuples with u < v.  Optional integer lattice coordinates can be
 attached per vertex; they are metadata used for deterministic layouts and for
-parity-based bipartitions, never for adjacency.
+the artifact parity check, never for adjacency.
 """
 
 from __future__ import annotations
@@ -99,18 +99,11 @@ def build_graph(
 
 
 def bipartition(g: Graph) -> Bipartition | None:
-    """Two-color g, or return None when some component has an odd cycle.
+    """Two-color g by BFS, or return None when some component has an odd cycle.
 
-    When lattice coordinates are present and the parity classes of x+y form a
-    valid two-coloring, exactly those classes are returned (even parity on
-    side0).  Otherwise a BFS coloring is used: component roots are visited in
-    increasing vertex order and each root is placed on side0.
+    Component roots are visited in increasing vertex order and each root is
+    placed on side0.  Coordinates are ignored.
     """
-    if g.coords is not None:
-        even = frozenset(v for v, (x, y) in g.coords.items() if (x + y) % 2 == 0)
-        odd = frozenset(range(1, g.vertex_count + 1)) - even
-        if all((u in even) != (v in even) for u, v in g.edges):
-            return Bipartition(even, odd)
     color: dict[int, int] = {}
     adj = g.adjacency()
     for root in range(1, g.vertex_count + 1):
@@ -136,6 +129,15 @@ def is_valid_bipartition(g: Graph, b: Bipartition) -> bool:
     if b.side0 | b.side1 != verts or b.side0 & b.side1:
         return False
     return all((u in b.side0) != (v in b.side0) for u, v in g.edges)
+
+
+def require_bipartite(g: Graph, b: Bipartition | None = None) -> None:
+    """Raise ValueError unless g is bipartite and b, when given, two-colors it."""
+    if b is None:
+        if bipartition(g) is None:
+            raise ValueError("graph is not bipartite")
+    elif not is_valid_bipartition(g, b):
+        raise ValueError("invalid bipartition for this graph")
 
 
 def is_connected(g: Graph) -> bool:

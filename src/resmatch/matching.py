@@ -13,11 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .graph import Bipartition, Graph, bipartition, is_valid_bipartition, normalize_edge
-
-
-class CapExceededError(RuntimeError):
-    """An exhaustive oracle refused an input above its size cap."""
+from .graph import Bipartition, Graph, normalize_edge, require_bipartite
 
 
 @dataclass(frozen=True)
@@ -176,12 +172,7 @@ def max_matching_bipartite(g: Graph, b: Bipartition | None = None) -> Matching:
 
     Which maximum matching is returned is unspecified.
     """
-    if b is None:
-        b = bipartition(g)
-        if b is None:
-            raise ValueError("graph is not bipartite")
-    elif not is_valid_bipartition(g, b):
-        raise ValueError("invalid bipartition for this graph")
+    require_bipartite(g, b)
     return _matching(_unshuffled(g))
 
 
@@ -207,58 +198,3 @@ def validate_matching(g: Graph, m: Matching) -> MatchingFlags:
     perfect = 2 * len(m) == g.vertex_count
     maximum = perfect or len(m) == nu(g)
     return MatchingFlags(valid, maximal, maximum, perfect)
-
-
-def nu_bruteforce(g: Graph, cap: int = 24) -> int:
-    """Exhaustive maximum matching size; refuses graphs above the edge cap."""
-    if g.edge_count > cap:
-        raise CapExceededError(f"graph has {g.edge_count} edges, cap is {cap}")
-    edges = g.sorted_edges()
-    total = len(edges)
-    best = 0
-    used: set[int] = set()
-
-    def rec(idx: int, size: int):
-        nonlocal best
-        if size > best:
-            best = size
-        while idx < total and (edges[idx][0] in used or edges[idx][1] in used):
-            idx += 1
-        if idx == total or size + (total - idx) <= best:
-            return
-        u, v = edges[idx]
-        used.add(u)
-        used.add(v)
-        rec(idx + 1, size + 1)
-        used.discard(u)
-        used.discard(v)
-        rec(idx + 1, size)
-
-    rec(0, 0)
-    return best
-
-
-def iter_all_matchings(g: Graph):
-    """Yield every matching of g (including the empty one) as a frozenset.
-
-    Purely exhaustive; used as an independent oracle in tests and by the
-    exhaustive spectrum oracle.
-    """
-    edges = g.sorted_edges()
-    total = len(edges)
-    current: list[tuple[int, int]] = []
-    used: set[int] = set()
-
-    def rec(idx: int):
-        yield frozenset(current)
-        for i in range(idx, total):
-            u, v = edges[i]
-            if u in used or v in used:
-                continue
-            current.append(edges[i])
-            used.update((u, v))
-            yield from rec(i + 1)
-            current.pop()
-            used.difference_update((u, v))
-
-    yield from rec(0)

@@ -28,7 +28,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .graph import Graph, build_graph, bipartition, degree_profile, delete_edges, is_connected
+from .graph import Graph, build_graph, degree_profile, delete_edges, is_connected
 from .matching import Matching, matching_from_pairs, max_matching, nu, validate_matching
 from .spectrum import CappedStream
 
@@ -149,27 +149,17 @@ def parse_dimacs(text: str) -> CnfInstance:
 
 GADGET_ROLES = ("u11", "u12", "u21", "u22", "v11", "v12", "v21", "v22")
 
-# Anchor square below the ports: its feed edges run vertically into the
-# bottom port corners.
-_POSITIVE_EDGES = (
-    ("u11", "u12"),
-    ("u21", "u22"),
-    ("u12", "v21"),
-    ("u22", "v22"),
-    ("v21", "v22"),
-    ("v22", "v12"),
-    ("v11", "v12"),
-)
-# Anchor square left of the ports: feed edges run horizontally into the
-# left port corners.
-_NEGATIVE_EDGES = (
-    ("u11", "u12"),
-    ("u21", "u22"),
-    ("u12", "v21"),
-    ("u22", "v11"),
-    ("v21", "v22"),
-    ("v22", "v12"),
-    ("v11", "v12"),
+# (corner, corner, edge role) inside every gadget.  The one polarity-dependent
+# edge, the feed from u22, is added next to it: the anchor square sits below
+# the ports of a plain occurrence, so u22 feeds v22 vertically; it sits left
+# of the ports of a negated one, so u22 feeds v11 horizontally.
+_GADGET_EDGES = (
+    ("u11", "u12", "u"),
+    ("u21", "u22", "u"),
+    ("u12", "v21", "feed"),
+    ("v21", "v22", "port"),
+    ("v22", "v12", "port"),
+    ("v11", "v12", "port"),
 )
 
 
@@ -240,31 +230,32 @@ def build_artifact(cnf: CnfInstance, variant: str) -> ReductionArtifact:
     n = cnf.num_vars
 
     points: set[Point] = set()
-    edge_pts: set[tuple[Point, Point]] = set()
+    # every edge once, in insertion order, with its role
+    edge_roles: dict[tuple[Point, Point], str] = {}
 
     def add_point(p: Point):
         if p in points:
             raise ConstructionError(f"lattice collision at {p}")
         points.add(p)
 
-    def add_edge(a: Point, b: Point):
+    def add_edge(a: Point, b: Point, role: str):
         e = (a, b) if a < b else (b, a)
-        if e in edge_pts:
+        if e in edge_roles:
             raise ConstructionError(f"duplicate edge {e}")
         if ((a[0] + a[1]) - (b[0] + b[1])) % 2 == 0:
             raise ConstructionError(f"edge {e} does not cross the parity classes")
-        edge_pts.add(e)
+        edge_roles[e] = role
 
-    # spine path in column -1
+    # spine path in column -1; every other edge, from the first, is a path
+    # pair of the encoded matchings
     spine = [(-1, y) for y in range(1, 4 * m + 1)]
     for p in spine:
         add_point(p)
-    for a, b in zip(spine, spine[1:]):
-        add_edge(a, b)
+    for k, (a, b) in enumerate(zip(spine, spine[1:])):
+        add_edge(a, b, "spine" if k % 2 else "path")
 
     gadget_cells: dict[tuple[int, int], dict[str, Point]] = {}
     occurrences: dict[int, list[tuple[int, int]]] = {i: [] for i in range(1, n + 1)}
-    column_cells: dict[int, dict[str, Point]] = {}
 
     for j, clause in enumerate(cnf.clauses, start=1):
         for t, lit in enumerate(clause, start=1):
@@ -272,25 +263,20 @@ def build_artifact(cnf: CnfInstance, variant: str) -> ReductionArtifact:
             cells = _gadget_cells(i, j, lit > 0)
             for p in cells.values():
                 add_point(p)
-            for a, b in _POSITIVE_EDGES if lit > 0 else _NEGATIVE_EDGES:
-                add_edge(cells[a], cells[b])
+            for a, b, role in _GADGET_EDGES:
+                add_edge(cells[a], cells[b], role)
+            add_edge(cells["u22"], cells["v22" if lit > 0 else "v11"], "feed")
             gadget_cells[(j, t)] = cells
             occurrences[i].append((j, t))
         if variant == "L":
-            rail = {
-                "low0": (0, 4 * j - 3),
-                "low1": (0, 4 * j - 2),
-                "high0": (0, 4 * j - 1),
-                "high1": (0, 4 * j),
-            }
-            for p in rail.values():
+            low0, low1, high0, high1 = ((0, y) for y in range(4 * j - 3, 4 * j + 1))
+            for p in (low0, low1, high0, high1):
                 add_point(p)
-            add_edge(rail["low0"], rail["low1"])
-            add_edge(rail["high0"], rail["high1"])
+            add_edge(low0, low1, "column")
+            add_edge(high0, high1, "column")
             for t in (1, 2, 3):
-                add_edge(rail["low0"], gadget_cells[(j, t)]["v12"])
-                add_edge(rail["high0"], gadget_cells[(j, t)]["v12"])
-            column_cells[j] = rail
+                add_edge(low0, gadget_cells[(j, t)]["v12"], "rail")
+                add_edge(high0, gadget_cells[(j, t)]["v12"], "rail")
         else:
             # Port links chain the three port squares.  The in-corner must be
             # one the satisfied-side residual leaves free, which depends on
@@ -298,13 +284,13 @@ def build_artifact(cnf: CnfInstance, variant: str) -> ReductionArtifact:
             # for negated ones.
             for t in (1, 2):
                 dst_role = "v11" if clause[t] > 0 else "v22"
-                add_edge(gadget_cells[(j, t)]["v12"], gadget_cells[(j, t + 1)][dst_role])
+                add_edge(gadget_cells[(j, t)]["v12"], gadget_cells[(j, t + 1)][dst_role], "link")
 
     # one anchor edge per clause keeps the artifact connected; the spine end
     # it uses, (-1, 4j-2), is matched by a spine edge in every residual, so
     # anchors never enlarge a residual matching
     for j in range(1, m + 1):
-        add_edge((-1, 4 * j - 2), gadget_cells[(j, 1)]["u11"])
+        add_edge((-1, 4 * j - 2), gadget_cells[(j, 1)]["u11"], "anchor")
 
     # variable cycles: each port square contributes its three drawn edges;
     # consecutive occurrences (clause order, wrapping) are joined v11 -> v21
@@ -322,7 +308,7 @@ def build_artifact(cnf: CnfInstance, variant: str) -> ReductionArtifact:
             walk.append((cells["v22"], cells["v12"], "vertical"))
             walk.append((cells["v12"], cells["v11"], "horizontal"))
             walk.append((cells["v11"], nxt["v21"], "vertical"))
-            add_edge(cells["v11"], nxt["v21"])
+            add_edge(cells["v11"], nxt["v21"], "join")
         cycle_pts[i] = walk
 
     expected = expected_counts(m, variant)
@@ -330,17 +316,20 @@ def build_artifact(cnf: CnfInstance, variant: str) -> ReductionArtifact:
         raise ConstructionError(
             f"{len(points)} lattice points, expected {expected['vertices']}"
         )
-    if len(edge_pts) != expected["edges"]:
-        raise ConstructionError(f"{len(edge_pts)} edges, expected {expected['edges']}")
+    if len(edge_roles) != expected["edges"]:
+        raise ConstructionError(f"{len(edge_roles)} edges, expected {expected['edges']}")
 
+    # ids follow the lattice order, so a point-ordered edge is id-ordered too
     ids = {p: k for k, p in enumerate(sorted(points), start=1)}
     coords = {k: p for p, k in ids.items()}
-    edges = [(ids[a], ids[b]) for a, b in sorted(edge_pts)]
-    graph = build_graph(len(points), edges, coords)
+    graph = build_graph(len(points), [(ids[a], ids[b]) for a, b in edge_roles], coords)
 
     def pair(a: Point, b: Point) -> tuple[int, int]:
         x, y = ids[a], ids[b]
         return (x, y) if x < y else (y, x)
+
+    def role_edges(role: str) -> tuple[tuple[int, int], ...]:
+        return tuple((ids[a], ids[b]) for (a, b), r in edge_roles.items() if r == role)
 
     gadget_index = {
         key: {role: ids[p] for role, p in cells.items()}
@@ -350,39 +339,18 @@ def build_artifact(cnf: CnfInstance, variant: str) -> ReductionArtifact:
         i: tuple((pair(a, b), lab) for a, b, lab in walk)
         for i, walk in cycle_pts.items()
     }
-    path_vertices = tuple(ids[p] for p in spine)
-    path_pairs = tuple(pair(spine[2 * k], spine[2 * k + 1]) for k in range(2 * m))
-    u_edges = tuple(
-        pair(cells[a], cells[b])
-        for key, cells in sorted(gadget_cells.items())
-        for a, b in (("u11", "u12"), ("u21", "u22"))
-    )
-    column_edges = tuple(
-        pair(rail[a], rail[b])
-        for j, rail in sorted(column_cells.items())
-        for a, b in (("low0", "low1"), ("high0", "high1"))
-    )
-    anchor_edges = tuple(
-        pair((-1, 4 * j - 2), gadget_cells[(j, 1)]["u11"]) for j in range(1, m + 1)
-    )
-    link_edges = tuple(
-        pair(gadget_cells[(j, t)]["v12"], gadget_cells[(j, t + 1)]["v11" if cl[t] > 0 else "v22"])
-        for j, cl in enumerate(cnf.clauses, start=1)
-        for t in (1, 2)
-        if variant == "ell"
-    )
     return ReductionArtifact(
         graph=graph,
         cnf=cnf,
         variant=variant,
         gadget_index=gadget_index,
         cycle_index=cycle_index,
-        path_vertices=path_vertices,
-        path_pairs=path_pairs,
-        u_edges=u_edges,
-        column_edges=column_edges,
-        anchor_edges=anchor_edges,
-        link_edges=link_edges,
+        path_vertices=tuple(ids[p] for p in spine),
+        path_pairs=role_edges("path"),
+        u_edges=role_edges("u"),
+        column_edges=role_edges("column"),
+        anchor_edges=role_edges("anchor"),
+        link_edges=role_edges("link"),
         expected=expected,
     )
 
@@ -576,10 +544,8 @@ def verify_artifact(
     check("edges", exp["edges"], g.edge_count)
     prof = degree_profile(g)
     check("max_degree", exp["max_degree"], prof["max_degree"])
-    b = bipartition(g)
-    parity_ok = b is not None and b.side0 == frozenset(
-        v for v, (x, y) in g.coords.items() if (x + y) % 2 == 0
-    )
+    parity = {v: (x + y) % 2 for v, (x, y) in g.coords.items()}
+    parity_ok = all(parity[u] != parity[v] for u, v in g.edges)
     if not parity_ok:
         discrepancies.append("bipartite: parity classes do not two-color the artifact")
     connected = is_connected(g)
@@ -587,8 +553,6 @@ def verify_artifact(
         discrepancies.append("connected: artifact is disconnected")
     nu_value = nu(g)
     check("nu", exp["nu"], nu_value)
-    if 2 * exp["nu"] != exp["vertices"]:
-        discrepancies.append("nu: expectation is not |V|/2")
 
     residual_checks: list[ResidualCheck] = []
     census: MatchingCensus | None = None

@@ -1,0 +1,143 @@
+"""Exhaustive references and shared graph builders for the test suite.
+
+The oracles here are independent of the matching engine: they try every
+edge subset (with branch-and-bound pruning) and refuse inputs above an edge
+cap.  They recurse once per edge, which is why they live with the tests and
+not in the package.
+"""
+
+from __future__ import annotations
+
+from resmatch.graph import Graph, build_graph, delete_edges
+
+
+class CapExceededError(RuntimeError):
+    """An exhaustive oracle refused an input above its size cap."""
+
+
+def nu_bruteforce(g: Graph, cap: int = 24) -> int:
+    """Exhaustive maximum matching size; refuses graphs above the edge cap."""
+    if g.edge_count > cap:
+        raise CapExceededError(f"graph has {g.edge_count} edges, cap is {cap}")
+    edges = g.sorted_edges()
+    total = len(edges)
+    best = 0
+    used: set[int] = set()
+
+    def rec(idx: int, size: int):
+        nonlocal best
+        if size > best:
+            best = size
+        while idx < total and (edges[idx][0] in used or edges[idx][1] in used):
+            idx += 1
+        if idx == total or size + (total - idx) <= best:
+            return
+        u, v = edges[idx]
+        used.add(u)
+        used.add(v)
+        rec(idx + 1, size + 1)
+        used.discard(u)
+        used.discard(v)
+        rec(idx + 1, size)
+
+    rec(0, 0)
+    return best
+
+
+def iter_all_matchings(g: Graph):
+    """Yield every matching of g (including the empty one) as a frozenset."""
+    edges = g.sorted_edges()
+    total = len(edges)
+    current: list[tuple[int, int]] = []
+    used: set[int] = set()
+
+    def rec(idx: int):
+        yield frozenset(current)
+        for i in range(idx, total):
+            u, v = edges[i]
+            if u in used or v in used:
+                continue
+            current.append(edges[i])
+            used.update((u, v))
+            yield from rec(i + 1)
+            current.pop()
+            used.difference_update((u, v))
+
+    yield from rec(0)
+
+
+def nu_k_bruteforce(g: Graph, k: int, cap: int = 20) -> int:
+    """Exact max size of a k-edge-colorable subgraph by exhaustive search.
+
+    Tries every assignment of colors (or none) to edges, pruning on the
+    remaining-edge bound and breaking color symmetry.  Refuses hosts above
+    the edge cap.
+    """
+    if k < 0:
+        raise ValueError("k must be non-negative")
+    if g.edge_count > cap:
+        raise CapExceededError(f"graph has {g.edge_count} edges, cap is {cap}")
+    if k == 0:
+        return 0
+    edges = g.sorted_edges()
+    total = len(edges)
+    mask = [0] * (g.vertex_count + 1)
+    best = 0
+
+    def rec(idx: int, size: int, used_colors: int):
+        nonlocal best
+        if size > best:
+            best = size
+        if idx == total or size + (total - idx) <= best:
+            return
+        u, v = edges[idx]
+        for c in range(min(k, used_colors + 1)):
+            bit = 1 << c
+            if not (mask[u] & bit) and not (mask[v] & bit):
+                mask[u] |= bit
+                mask[v] |= bit
+                rec(idx + 1, size + 1, max(used_colors, c + 1))
+                mask[u] ^= bit
+                mask[v] ^= bit
+        rec(idx + 1, size, used_colors)
+
+    rec(0, 0, 0)
+    return best
+
+
+def spectrum_double_brute(g: Graph) -> tuple[int, list[int]]:
+    """nu and the sorted achieved residuals: enumerate every matching, keep
+    the maximum ones, and brute-force the residual matching number of each
+    deletion."""
+    matchings = list(iter_all_matchings(g))
+    best = max((len(m) for m in matchings), default=0)
+    residuals = sorted(
+        {nu_bruteforce(delete_edges(g, frozenset(m))) for m in matchings if len(m) == best}
+    )
+    return best, residuals
+
+
+def path(n):
+    return build_graph(n, [(i, i + 1) for i in range(1, n)])
+
+
+def cycle(n):
+    return build_graph(n, [(i, i + 1) for i in range(1, n)] + [(n, 1)])
+
+
+TWIN_SPIDER = build_graph(
+    10,
+    [(1, 2), (1, 3), (3, 4), (1, 5), (5, 6), (2, 7), (7, 8), (2, 9), (9, 10)],
+)
+
+
+def random_graph(n, p, rng):
+    edges = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1) if rng.random() < p]
+    return build_graph(n, edges)
+
+
+def random_bipartite(n, max_edges, rng):
+    half = (n + 1) // 2
+    pairs = [(u, v) for u in range(1, half + 1) for v in range(half + 1, n + 1)]
+    rng.shuffle(pairs)
+    return build_graph(n, pairs[: rng.randint(0, min(max_edges, len(pairs)))])

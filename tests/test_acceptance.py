@@ -11,10 +11,11 @@ import random
 import time
 from fractions import Fraction
 
+from oracles import nu_bruteforce, nu_k_bruteforce, random_bipartite, random_graph, spectrum_double_brute
 from resmatch.cli import main
-from resmatch.colorable import nu2_bipartite, nu_k_bruteforce
+from resmatch.colorable import nu2_bipartite
 from resmatch.graph import build_graph, delete_edges
-from resmatch.matching import iter_all_matchings, nu, nu_bruteforce, validate_matching
+from resmatch.matching import nu, validate_matching
 from resmatch.reduction import (
     additive_threshold,
     all_assignments,
@@ -31,31 +32,10 @@ from resmatch.spectrum import approx_trial, check_bounds, decide_problem1, parse
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
 
 
-def _random_graph(n, p, rng):
-    edges = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1) if rng.random() < p]
-    return build_graph(n, edges)
-
-
 def _random_graph_capped(n, max_edges, rng):
     pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
     rng.shuffle(pairs)
     return build_graph(n, pairs[: rng.randint(0, min(max_edges, len(pairs)))])
-
-
-def _random_bipartite(n, max_edges, rng):
-    half = (n + 1) // 2
-    pairs = [(u, v) for u in range(1, half + 1) for v in range(half + 1, n + 1)]
-    rng.shuffle(pairs)
-    return build_graph(n, pairs[: rng.randint(0, min(max_edges, len(pairs)))])
-
-
-def _spectrum_double_brute(g):
-    matchings = list(iter_all_matchings(g))
-    best = max((len(m) for m in matchings), default=0)
-    residuals = sorted(
-        {nu_bruteforce(delete_edges(g, frozenset(m))) for m in matchings if len(m) == best}
-    )
-    return best, residuals
 
 
 def test_criterion_1_p5_fixture(tmp_path, acceptance_report):
@@ -101,7 +81,7 @@ def test_criterion_3_oracle_equivalence(acceptance_report):
         pairs = list(itertools.combinations(range(1, n + 1), 2))
         for mask in range(1 << len(pairs)):
             g = build_graph(n, [e for i, e in enumerate(pairs) if mask >> i & 1])
-            best, residuals = _spectrum_double_brute(g)
+            best, residuals = spectrum_double_brute(g)
             rep = spectrum(g, cap=10**5)
             if nu(g) != nu_bruteforce(g) or rep.nu != best or sorted(rep.achieved) != residuals:
                 mismatches += 1
@@ -109,10 +89,10 @@ def test_criterion_3_oracle_equivalence(acceptance_report):
 
     # random coverage of graphs on up to 8 vertices
     for _ in range(10_000):
-        g = _random_graph(rng.randint(1, 8), rng.choice([0.2, 0.35, 0.5]), rng)
+        g = random_graph(rng.randint(1, 8), rng.choice([0.2, 0.35, 0.5]), rng)
         if nu(g) != nu_bruteforce(g):
             mismatches += 1
-        best, residuals = _spectrum_double_brute(g)
+        best, residuals = spectrum_double_brute(g)
         rep = spectrum(g, cap=10**5)
         if rep.nu != best or sorted(rep.achieved) != residuals:
             mismatches += 1
@@ -123,7 +103,7 @@ def test_criterion_3_oracle_equivalence(acceptance_report):
         g = _random_graph_capped(rng.randint(9, 14), 20, rng)
         if nu(g) != nu_bruteforce(g, cap=24):
             mismatches += 1
-        best, residuals = _spectrum_double_brute(g)
+        best, residuals = spectrum_double_brute(g)
         rep = spectrum(g, cap=10**6)
         if rep.nu != best or sorted(rep.achieved) != residuals:
             mismatches += 1
@@ -140,7 +120,7 @@ def test_criterion_4_flow_nu2_equivalence(acceptance_report):
     rng = random.Random(40404)
     mismatches = 0
     for _ in range(300):
-        g = _random_bipartite(rng.randint(2, 12), 18, rng)
+        g = random_bipartite(rng.randint(2, 12), 18, rng)
         if nu2_bipartite(g).size != nu_k_bruteforce(g, 2):
             mismatches += 1
     elapsed = time.monotonic() - t0
@@ -154,7 +134,7 @@ def test_criterion_5_bound_suite(acceptance_report):
     rng = random.Random(50505)
     violations = 0
     for _ in range(1000):
-        g = _random_graph(rng.randint(1, 12), rng.choice([0.2, 0.35, 0.5]), rng)
+        g = random_graph(rng.randint(1, 12), rng.choice([0.2, 0.35, 0.5]), rng)
         bounds = check_bounds(g, cap=10**6)
         if not bounds.ok:
             violations += 1
@@ -262,7 +242,7 @@ def test_criterion_9_identity_tolerance_trivial_yes(acceptance_report):
     identity = parse_tolerance("identity")
     failures = 0
     for _ in range(100):
-        g = _random_graph(rng.randint(1, 10), rng.choice([0.25, 0.5]), rng)
+        g = random_graph(rng.randint(1, 10), rng.choice([0.25, 0.5]), rng)
         k = rng.randint(0, g.vertex_count // 2)
         res = decide_problem1(g, k, identity, cap=10**6)
         witness_ok = res.witness is not None and validate_matching(g, res.witness).maximum

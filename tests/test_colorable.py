@@ -3,32 +3,12 @@ import random
 
 import pytest
 
+from oracles import TWIN_SPIDER, CapExceededError, cycle, nu_k_bruteforce, path, random_bipartite
 from resmatch.graph import Bipartition, build_graph
-from resmatch.matching import CapExceededError, matching_from_pairs, nu, validate_matching
-from resmatch.colorable import nu2_bipartite, nu_k_bruteforce, upper_bound_L
-
-
-def path(n):
-    return build_graph(n, [(i, i + 1) for i in range(1, n)])
-
-
-def cycle(n):
-    return build_graph(n, [(i, i + 1) for i in range(1, n)] + [(n, 1)])
-
-
-TWIN_SPIDER = build_graph(
-    10,
-    [(1, 2), (1, 3), (3, 4), (1, 5), (5, 6), (2, 7), (7, 8), (2, 9), (9, 10)],
-)
+from resmatch.matching import matching_from_pairs, nu, validate_matching
+from resmatch.colorable import nu2_bipartite, upper_bound_L
 
 K4 = build_graph(4, list(itertools.combinations(range(1, 5), 2)))
-
-
-def random_bipartite(n, max_edges, rng):
-    half = (n + 1) // 2
-    pairs = [(u, v) for u in range(1, half + 1) for v in range(half + 1, n + 1)]
-    rng.shuffle(pairs)
-    return build_graph(n, pairs[: rng.randint(0, min(max_edges, len(pairs)))])
 
 
 def test_nu2_twin_spider():

@@ -4,10 +4,13 @@ Every search here is iterative, so path length does not meet Python's
 recursion limit.
 """
 
+import ast
+import pathlib
 import random
 
 import pytest
 
+import resmatch
 from resmatch.colorable import nu2_bipartite
 from resmatch.graph import build_graph
 from resmatch.matching import max_matching, max_matching_bipartite, nu, validate_matching
@@ -70,3 +73,25 @@ def test_structural_certificate_at_800_clauses(variant):
     art = build_artifact(cnf, variant)
     assert art.graph.vertex_count > 10000
     assert verify_artifact(art, exhaustive=False).ok
+
+
+def test_no_function_in_the_package_calls_itself():
+    """Direct recursion (a function calling its own name, or self.<name> in a
+    method) would tie input size to the interpreter's recursion limit."""
+    offenders = []
+    for path in sorted(pathlib.Path(resmatch.__file__).parent.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(fn):
+                if not isinstance(node, ast.Call):
+                    continue
+                f = node.func
+                if (isinstance(f, ast.Name) and f.id == fn.name) or (
+                    isinstance(f, ast.Attribute)
+                    and f.attr == fn.name
+                    and isinstance(f.value, ast.Name)
+                    and f.value.id in ("self", "cls")
+                ):
+                    offenders.append(f"{path.name}:{node.lineno} {fn.name}")
+    assert offenders == []

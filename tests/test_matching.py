@@ -3,35 +3,20 @@ import random
 
 import pytest
 
+from oracles import CapExceededError, cycle, iter_all_matchings, nu_bruteforce, path, random_graph
 from resmatch.graph import Bipartition, build_graph
 from resmatch.matching import (
-    CapExceededError,
     Matching,
-    iter_all_matchings,
     matching_from_pairs,
     max_matching,
     max_matching_bipartite,
     nu,
-    nu_bruteforce,
     validate_matching,
 )
 
 
-def path(n):
-    return build_graph(n, [(i, i + 1) for i in range(1, n)])
-
-
-def cycle(n):
-    return build_graph(n, [(i, i + 1) for i in range(1, n)] + [(n, 1)])
-
-
 def complete(n):
     return build_graph(n, list(itertools.combinations(range(1, n + 1), 2)))
-
-
-def random_graph(n, p, rng):
-    edges = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1) if rng.random() < p]
-    return build_graph(n, edges)
 
 
 PETERSEN = build_graph(

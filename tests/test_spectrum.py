@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import TWIN_SPIDER, cycle, iter_all_matchings, path, random_graph, spectrum_double_brute
 from resmatch.graph import build_graph, delete_edges
-from resmatch.matching import iter_all_matchings, nu, nu_bruteforce, validate_matching
+from resmatch.matching import nu, validate_matching
 from resmatch.spectrum import (
     ToleranceFunction,
     TruncatedSpectrumError,
@@ -17,40 +18,6 @@ from resmatch.spectrum import (
     parse_tolerance,
     spectrum,
 )
-
-
-def path(n):
-    return build_graph(n, [(i, i + 1) for i in range(1, n)])
-
-
-def cycle(n):
-    return build_graph(n, [(i, i + 1) for i in range(1, n)] + [(n, 1)])
-
-
-TWIN_SPIDER = build_graph(
-    10,
-    [(1, 2), (1, 3), (3, 4), (1, 5), (5, 6), (2, 7), (7, 8), (2, 9), (9, 10)],
-)
-
-
-def random_graph(n, p, rng):
-    edges = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1) if rng.random() < p]
-    return build_graph(n, edges)
-
-
-def spectrum_double_brute(g):
-    """Independent oracle: enumerate every matching, keep the maximum ones,
-    and brute-force the residual matching number of each deletion."""
-    matchings = list(iter_all_matchings(g))
-    best = max((len(m) for m in matchings), default=0)
-    residuals = sorted(
-        {
-            nu_bruteforce(delete_edges(g, frozenset(m)))
-            for m in matchings
-            if len(m) == best
-        }
-    )
-    return best, residuals
 
 
 # --- tolerance functions ---
