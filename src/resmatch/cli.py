@@ -49,8 +49,6 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
 
-EXHAUSTIVE_VAR_LIMIT = 6
-
 
 def _rat(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
@@ -134,14 +132,8 @@ def cmd_reduce(args) -> int:
 
 def cmd_verify(args) -> int:
     loaded = parse_graph_file(_read(args.input))
-    cnf = parse_dimacs(_read(args.cnf))
-    if args.exhaustive and cnf.num_vars > EXHAUSTIVE_VAR_LIMIT:
-        raise ValueError(
-            f"exhaustive verification supports at most {EXHAUSTIVE_VAR_LIMIT}"
-            f" variables, instance has {cnf.num_vars}"
-        )
-    art = build_artifact(cnf, args.variant)
-    cert = verify_artifact(art, exhaustive=args.exhaustive, limit=EXHAUSTIVE_VAR_LIMIT)
+    art = build_artifact(parse_dimacs(_read(args.cnf)), args.variant)
+    cert = verify_artifact(art, exhaustive=args.exhaustive)
     out = cert.to_json_dict()
     mismatches = list(out["discrepancies"])
     if loaded.vertex_count != art.graph.vertex_count:
@@ -154,7 +146,7 @@ def cmd_verify(args) -> int:
             f"input graph has {loaded.edge_count} edges, artifact has"
             f" {art.graph.edge_count}"
         )
-    same_graph = emit_graph_file(loaded) == emit_graph_file(art.graph)
+    same_graph = loaded == art.graph
     if not same_graph:
         mismatches.append("input graph is not the compiled artifact")
     out["graph_matches_artifact"] = same_graph

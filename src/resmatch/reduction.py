@@ -28,11 +28,13 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .graph import Graph, build_graph, degree_profile, delete_edges, is_connected
-from .matching import Matching, matching_from_pairs, max_matching, nu, validate_matching
+from .graph import Graph, build_graph, degree_profile, is_connected
+from .matching import Matching, matching_from_pairs, nu, validate_matching
 from .spectrum import CappedStream
 
 VARIANTS = ("L", "ell")
+
+EXHAUSTIVE_VAR_LIMIT = 6  # variables; exhaustive verify enumerates 2^n matchings
 
 Point = tuple[int, int]
 
@@ -429,14 +431,15 @@ class ResidualCheck:
 
 @dataclass(frozen=True)
 class MatchingCensus:
-    """Census of all maximum matchings of an artifact.
+    """Census of all maximum matchings of an artifact, one decode each.
 
-    Encodings are exactly the matchings that decode (pure cycle
-    orientations), so pure_count must equal 2^n in both variants.  The L
-    variant admits no other maximum matchings at all.  The ell variant may
-    carry extra hybrid matchings that route through port links, but those
+    Pure matchings decode (perfect, pure cycle orientations); the rest are
+    hybrids.  Encodings are exactly the pure matchings, so pure_count must
+    equal 2^n in both variants, and the L variant admits no hybrids.  The
+    ell variant may carry hybrids that route through port links, but those
     must never push the residual minimum below the encoded minimum, or the
-    artifact would stop witnessing the spectrum floor.
+    artifact would stop witnessing the spectrum floor.  The encoded range
+    is None when no assignment has a matching.
     """
 
     pure_expected: int
@@ -446,8 +449,8 @@ class MatchingCensus:
     hybrid_count: int
     residual_min: int
     residual_max: int
-    encoded_min: int
-    encoded_max: int
+    encoded_min: int | None
+    encoded_max: int | None
     residuals_ok: bool
 
 
@@ -520,18 +523,22 @@ class Certificate:
         }
 
 
-def verify_artifact(
-    art: ReductionArtifact, exhaustive: bool = False, limit: int = 6
-) -> Certificate:
+def verify_artifact(art: ReductionArtifact, exhaustive: bool = False) -> Certificate:
     """Structural certificate, optionally with exhaustive semantic checks.
 
     Structural: vertex/edge census against the closed-form expectations,
     parity bipartiteness, connectivity, maximum degree, and nu = |V|/2 via
-    the matching engine.  Exhaustive (when the variable count is within
-    limit): encodes every assignment, checks the residual identity and
-    decode round-trip, and takes a full census of maximum matchings (there
-    must be exactly one per assignment).
+    the matching engine.  Exhaustive (ValueError above EXHAUSTIVE_VAR_LIMIT
+    variables): one census pass decodes every maximum matching; the ones
+    that decode must be the 2^n encodings, and each assignment's residual
+    check reads the residual of the matching that decodes to it.
     """
+    n = art.cnf.num_vars
+    if exhaustive and n > EXHAUSTIVE_VAR_LIMIT:
+        raise ValueError(
+            f"exhaustive verification supports at most {EXHAUSTIVE_VAR_LIMIT}"
+            f" variables, instance has {n}"
+        )
     g = art.graph
     exp = art.expected
     discrepancies: list[str] = []
@@ -556,19 +563,25 @@ def verify_artifact(
 
     residual_checks: list[ResidualCheck] = []
     census: MatchingCensus | None = None
-    if exhaustive and art.cnf.num_vars <= limit:
-        for alpha in all_assignments(art.cnf.num_vars):
-            f = encode_assignment(art, alpha)
-            flags = validate_matching(g, f)
-            if not (flags.valid and flags.perfect):
-                discrepancies.append(f"encode({alpha.bits()}): not a perfect matching")
-                continue
-            actual = nu(delete_edges(g, f.edges))
-            want = expected_residual(art, alpha)
+    if exhaustive:
+        pure_expected = 2**n
+        stream = CappedStream(g, cap=max(256, 8 * pure_expected))
+        residuals: list[int] = []
+        pure: list[tuple[Assignment, int, bool]] = []  # (alpha, residual, is encode(alpha))
+        for f, r in stream:
+            residuals.append(r)
             try:
-                decode_ok = decode_matching(art, f) == alpha
-            except (StructuralDecodeError, ValueError):
-                decode_ok = False
+                alpha = decode_matching(art, f)
+            except ValueError:  # not perfect, or not purely oriented: a hybrid
+                continue
+            pure.append((alpha, r, encode_assignment(art, alpha) == f))
+        decoded = {alpha: (r, is_encoding) for alpha, r, is_encoding in pure}
+        for alpha in all_assignments(n):
+            if alpha not in decoded:
+                discrepancies.append(f"residual({alpha.bits()}): no matching decodes to it")
+                continue
+            actual, decode_ok = decoded[alpha]
+            want = expected_residual(art, alpha)
             rc = ResidualCheck(alpha.bits(), sat_count(art.cnf, alpha), want, actual, decode_ok)
             residual_checks.append(rc)
             if not rc.ok:
@@ -576,32 +589,18 @@ def verify_artifact(
                     f"residual({alpha.bits()}): expected {want}, got {actual},"
                     f" decode_ok={decode_ok}"
                 )
-        pure_expected = 2**art.cnf.num_vars
-        stream = CappedStream(g, cap=max(256, 8 * pure_expected))
-        pure = 0
-        residuals_ok = True
-        residuals: list[int] = []
-        for f, r in stream:
-            residuals.append(r)
-            try:
-                alpha = decode_matching(art, f)
-            except StructuralDecodeError:
-                continue
-            pure += 1
-            if r != expected_residual(art, alpha):
-                residuals_ok = False
         encoded = [rc.actual for rc in residual_checks]
         census = MatchingCensus(
             pure_expected=pure_expected,
             count=stream.count,
             truncated=stream.truncated,
-            pure_count=pure,
-            hybrid_count=stream.count - pure,
+            pure_count=len(pure),
+            hybrid_count=stream.count - len(pure),
             residual_min=min(residuals),
             residual_max=max(residuals),
-            encoded_min=min(encoded),
-            encoded_max=max(encoded),
-            residuals_ok=residuals_ok,
+            encoded_min=min(encoded, default=None),
+            encoded_max=max(encoded, default=None),
+            residuals_ok=all(r == expected_residual(art, a) for a, r, _ in pure),
         )
         if census.truncated:
             discrepancies.append("census: enumeration truncated, cannot certify")

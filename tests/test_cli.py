@@ -154,6 +154,20 @@ def test_verify_wrong_variant_fails(tmp_path, capsys):
     assert not json.loads(out)["ok"]
 
 
+def test_verify_needs_the_artifact_coordinates(tmp_path, capsys):
+    graph_path = tmp_path / "art.mg"
+    run(capsys, "reduce", CNF1, "--variant", "L", "--output", str(graph_path))
+    lines = graph_path.read_text().splitlines()
+    assert any(l.startswith("v ") for l in lines)
+    graph_path.write_text("\n".join(l for l in lines if not l.startswith("v ")) + "\n")
+
+    code, out, _ = run(capsys, "verify", str(graph_path), CNF1, "--variant", "L")
+    assert code == 1
+    d = json.loads(out)
+    assert d["graph_matches_artifact"] is False
+    assert d["discrepancies"] == ["input graph is not the compiled artifact"]
+
+
 def test_verify_exhaustive_limit(tmp_path, capsys):
     cnf = tmp_path / "wide.cnf"
     cnf.write_text("p cnf 7 3\n1 2 3 0\n4 5 6 0\n7 1 2 0\n")

@@ -24,8 +24,16 @@ GOLDEN = os.path.join(HERE, "golden", "cli_outputs.json")
 # witness is not always the first matching enumerated.
 RANDOM_SEEDS = (3, 7, 16)
 
-# name -> argv, with {p5}, {twin}, {r<seed>}, {cnf1}, {art_L}, {art_ell}
-# standing for files.
+# A formula whose ell artifact has hybrid maximum matchings (10 in its
+# census, 2 of them hybrid).
+M2_MIXED = "p cnf 3 2\n1 -2 3 0\n2 -3 -1 0\n"
+
+# Formulas compiled for the verify cases: short name -> fixture file, or
+# DIMACS text written under the work directory.
+CNFS = {"m1": "example_m1.cnf", "m2": "example_m2.cnf", "mixed": M2_MIXED}
+
+# name -> argv, with {p5}, {twin}, {r<seed>}, {cnf_<name>} and
+# {art_<name>_<variant>} standing for files.
 CASES = {
     "p5": ["compute", "{p5}"],
     "twin": ["compute", "{twin}"],
@@ -44,8 +52,14 @@ CASES = {
     "r16-k1-log-yes": ["compute", "{r16}", "--k", "1", "--f", "log"],
     "r16-k0-linear-no": ["compute", "{r16}", "--k", "0", "--f", "linear:1/10"],
     "r16-k2-identity": ["compute", "{r16}", "--k", "2", "--f", "identity"],
-    "m1-L-exhaustive": ["verify", "{art_L}", "{cnf1}", "--variant", "L", "--exhaustive"],
-    "m1-ell-exhaustive": ["verify", "{art_ell}", "{cnf1}", "--variant", "ell", "--exhaustive"],
+    **{
+        f"{name}-{variant}-exhaustive": [
+            "verify", f"{{art_{name}_{variant}}}", f"{{cnf_{name}}}",
+            "--variant", variant, "--exhaustive",
+        ]
+        for name in CNFS
+        for variant in ("L", "ell")
+    },
 }
 
 
@@ -64,21 +78,29 @@ def _run(argv) -> tuple[int, str]:
 
 
 def _files(workdir: str) -> dict:
-    """Placeholder -> path: the fixtures, the random graphs and both
-    compiled artifacts of example_m1.cnf, written under workdir."""
+    """Placeholder -> path: the fixtures, the random graphs, the formulas
+    of CNFS and both compiled artifacts of each, written under workdir."""
     files = {
         "p5": os.path.join(FIXTURES, "p5.mg"),
         "twin": os.path.join(FIXTURES, "twin_spider.mg"),
-        "cnf1": os.path.join(FIXTURES, "example_m1.cnf"),
     }
     for seed in RANDOM_SEEDS:
         path = files[f"r{seed}"] = os.path.join(workdir, f"r{seed}.mg")
         with open(path, "w") as fh:
             fh.write(_random_graph_text(seed))
-    for variant in ("L", "ell"):
-        path = files[f"art_{variant}"] = os.path.join(workdir, f"art_{variant}.mg")
-        code, _ = _run(["reduce", files["cnf1"], "--variant", variant, "--output", path])
-        assert code == 0
+    for name, source in CNFS.items():
+        if source.endswith(".cnf"):
+            cnf = files[f"cnf_{name}"] = os.path.join(FIXTURES, source)
+        else:
+            cnf = files[f"cnf_{name}"] = os.path.join(workdir, f"{name}.cnf")
+            with open(cnf, "w") as fh:
+                fh.write(source)
+        for variant in ("L", "ell"):
+            path = files[f"art_{name}_{variant}"] = os.path.join(
+                workdir, f"art_{name}_{variant}.mg"
+            )
+            code, _ = _run(["reduce", cnf, "--variant", variant, "--output", path])
+            assert code == 0
     return files
 
 
@@ -97,10 +119,15 @@ def _load_golden() -> dict:
         return json.load(fh)
 
 
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    return _files(str(tmp_path_factory.mktemp("golden")))
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_cli_output_matches_golden(name, tmp_path):
+def test_cli_output_matches_golden(name, files):
     golden = _load_golden()[name]
-    code, stdout = _run([a.format(**_files(str(tmp_path))) for a in CASES[name]])
+    code, stdout = _run([a.format(**files) for a in CASES[name]])
     assert code == golden["code"]
     assert stdout == golden["stdout"]
 

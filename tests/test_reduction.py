@@ -1,13 +1,16 @@
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
+from resmatch import reduction
 from resmatch.graph import delete_edges, emit_graph_file
 from resmatch.matching import Matching, nu
 from resmatch.reduction import (
     Assignment,
     DimacsError,
+    EXHAUSTIVE_VAR_LIMIT,
     GADGET_ROLES,
     StructuralDecodeError,
     additive_threshold,
@@ -241,12 +244,43 @@ def test_hybrid_census_is_recorded():
     assert cert.census.residual_min == cert.census.encoded_min
 
 
-def test_exhaustive_skipped_above_limit():
-    art = build_artifact(parse_dimacs(M2_DISJOINT), "L")
-    cert = verify_artifact(art, exhaustive=True, limit=3)
-    assert cert.census is None
+def test_exhaustive_raises_above_limit():
+    wide = "p cnf 7 3\n1 2 3 0\n4 5 6 0\n7 1 2 0\n"
+    art = build_artifact(parse_dimacs(wide), "L")
+    assert art.cnf.num_vars == EXHAUSTIVE_VAR_LIMIT + 1
+    with pytest.raises(ValueError, match="at most 6 variables, instance has 7"):
+        verify_artifact(art, exhaustive=True)
+    assert verify_artifact(art, exhaustive=False).ok
+
+
+def test_exhaustive_reports_artifact_without_perfect_matching():
+    art = build_artifact(parse_dimacs(M1), "L")
+    broken = dataclasses.replace(art, graph=delete_edges(art.graph, [art.path_pairs[0]]))
+    cert = verify_artifact(broken, exhaustive=True)
+    assert not cert.ok
     assert cert.residual_checks == ()
+    assert cert.census.pure_count == 0
+    assert cert.census.encoded_min is None
+    assert cert.to_json_dict()["ok"] is False
+    assert any(msg.startswith("nu:") for msg in cert.discrepancies)
+
+
+def test_exhaustive_verify_is_one_census_pass(monkeypatch):
+    art = build_artifact(parse_dimacs(M1), "L")
+    calls = {"nu": 0, "decode": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(reduction, "nu", counted("nu", reduction.nu))
+    monkeypatch.setattr(reduction, "decode_matching", counted("decode", reduction.decode_matching))
+    cert = verify_artifact(art, exhaustive=True)
     assert cert.ok
+    assert calls["nu"] == 1  # the structural nu; residuals come from the census
+    assert calls["decode"] == cert.census.count == 2**art.cnf.num_vars
 
 
 def test_satisfying_assignment_hits_k_param():
