@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -31,6 +32,7 @@ from .graph import (
 )
 from .matching import nu
 from .reduction import (
+    additive_bound,
     additive_threshold,
     build_artifact,
     calibration,
@@ -38,9 +40,11 @@ from .reduction import (
     verify_artifact,
 )
 from .spectrum import (
+    DEFAULT_CAP,
     TruncatedSpectrumError,
     answer_problem1,
     approx_trial,
+    parse_rational,
     parse_tolerance,
     spectrum,
 )
@@ -67,11 +71,7 @@ def _write_atomic(path: str, text: str):
 
 
 def _emit_json(obj: dict, path: str | None):
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        _write_atomic(path, text)
+    _emit_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", path)
 
 
 def _emit_text(text: str, path: str | None):
@@ -88,7 +88,12 @@ def _read(path: str) -> str:
 
 def cmd_compute(args) -> int:
     g = parse_graph_file(_read(args.input))
-    report = spectrum(g, cap=args.cap)
+    # answer_problem1 checks k before it asks for the enumeration, which can take seconds
+    enumerate_once = functools.cache(lambda: spectrum(g, cap=args.cap))
+    result = None
+    if args.k is not None:
+        result = answer_problem1(g, args.k, parse_tolerance(args.f), enumerate_once)
+    report = enumerate_once()
     out = report.to_json_dict()
     prof = degree_profile(g)
     out["degree_profile"] = {
@@ -103,9 +108,7 @@ def cmd_compute(args) -> int:
         out["nu2"] = nu2 = nu2_bipartite(g, b).size
         out["upper_bound_L"] = nu2 - report.nu
     failed = report.truncated
-    if args.k is not None:
-        f = parse_tolerance(args.f)
-        result = answer_problem1(g, args.k, f, lambda: report)
+    if result is not None:
         out["problem1"] = {
             "k": args.k,
             "f": args.f,
@@ -136,16 +139,10 @@ def cmd_verify(args) -> int:
     cert = verify_artifact(art, exhaustive=args.exhaustive)
     out = cert.to_json_dict()
     mismatches = list(out["discrepancies"])
-    if loaded.vertex_count != art.graph.vertex_count:
-        mismatches.append(
-            f"input graph has {loaded.vertex_count} vertices, artifact has"
-            f" {art.graph.vertex_count}"
-        )
-    if loaded.edge_count != art.graph.edge_count:
-        mismatches.append(
-            f"input graph has {loaded.edge_count} edges, artifact has"
-            f" {art.graph.edge_count}"
-        )
+    for noun, given, built in (("vertices", loaded.vertex_count, art.graph.vertex_count),
+                               ("edges", loaded.edge_count, art.graph.edge_count)):
+        if given != built:
+            mismatches.append(f"input graph has {given} {noun}, artifact has {built}")
     same_graph = loaded == art.graph
     if not same_graph:
         mismatches.append("input graph is not the compiled artifact")
@@ -154,16 +151,6 @@ def cmd_verify(args) -> int:
     out["ok"] = not mismatches
     _emit_json(out, args.output)
     return EXIT_OK if not mismatches else EXIT_CHECK_FAILED
-
-
-def _path_graph(n: int) -> Graph:
-    return build_graph(n, [(i, i + 1) for i in range(1, n)])
-
-
-def _cycle_graph(n: int) -> Graph:
-    if n < 3:
-        raise ValueError(f"cycle family needs at least 3 vertices, got {n}")
-    return build_graph(n, [(i, i + 1) for i in range(1, n)] + [(n, 1)])
 
 
 def _parse_sizes(text: str) -> list[int]:
@@ -214,9 +201,13 @@ def _family_graphs(spec: str, seed: int):
     if not sep:
         raise ValueError(f"family spec {spec!r} needs parameters after ':'")
     if name in ("path", "cycle"):
-        build = _path_graph if name == "path" else _cycle_graph
         for n in _parse_sizes(rest):
-            yield f"{name}:{n}", build(n)
+            edges = [(i, i + 1) for i in range(1, n)]
+            if name == "cycle":
+                if n < 3:
+                    raise ValueError(f"cycle family needs at least 3 vertices, got {n}")
+                edges.append((n, 1))
+            yield f"{name}:{n}", build_graph(n, edges)
     elif name in ("random", "random-bipartite"):
         params = _parse_params(rest)
         unknown = set(params) - {"n", "count", "p"}
@@ -224,12 +215,14 @@ def _family_graphs(spec: str, seed: int):
             raise ValueError(f"unknown family parameter(s): {sorted(unknown)}")
         n = int(params.get("n", "8"))
         count = int(params.get("count", "10"))
-        p = float(Fraction(params.get("p", "1/3")))
+        p = parse_rational(params.get("p", "1/3"))
         if n < 1 or count < 1:
             raise ValueError("family parameters n and count must be positive")
+        if not 0 <= p <= 1:
+            raise ValueError(f"family parameter p must lie in [0, 1], got {params['p']}")
         for idx in range(count):
             rng = random.Random(f"{seed}:{name}:{n}:{idx}")
-            yield f"{name}:{n}#{idx}", _random_graph(n, p, rng, name == "random-bipartite")
+            yield f"{name}:{n}#{idx}", _random_graph(n, float(p), rng, name == "random-bipartite")
     else:
         raise ValueError(f"unknown family {name!r}")
 
@@ -286,15 +279,15 @@ def cmd_bench(args) -> int:
 def cmd_calibrate(args) -> int:
     if args.epsilon is None:
         raise ValueError("calibrate requires --epsilon")
-    eps = Fraction(args.epsilon)
+    eps = parse_rational(args.epsilon)
     out: dict = {"epsilon": _rat(eps)}
     if args.c is None:
         out["variant"] = args.variant
         out["delta"] = _rat(calibration(args.variant, eps))
     else:
-        c = Fraction(args.c)
+        c = parse_rational(args.c)
         out["c"] = _rat(c)
-        out["bound"] = _rat(Fraction(1, 256) - eps / 32)
+        out["bound"] = _rat(additive_bound(eps))
         out["admissible"] = additive_threshold(c, eps)
     _emit_json(out, args.output)
     return EXIT_OK
@@ -310,10 +303,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_compute = sub.add_parser("compute", help="spectrum report for a graph file")
     p_compute.add_argument("input")
     p_compute.add_argument("--output")
-    p_compute.add_argument("--cap", type=int, default=10**6)
+    p_compute.add_argument("--cap", type=int, default=DEFAULT_CAP)
     p_compute.add_argument("--k", type=int, default=None)
     p_compute.add_argument("--f", default="identity",
-                           help="tolerance: identity, const:C, linear:p/q, log, sqrt")
+                           help="tolerance: identity, const:C, linear:C, log[:C], sqrt[:C];"
+                                " C is a rational: an integer, a decimal or p/q")
     p_compute.set_defaults(func=cmd_compute)
 
     p_reduce = sub.add_parser("reduce", help="compile a CNF into an artifact graph")

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Bipartition, Graph, require_bipartite
+from .graph import Bipartition, Graph, normalize_edge, require_bipartite
 from .matching import _blossom, nu
 
 
@@ -36,8 +36,7 @@ def _two_color(g: Graph, chosen: set[tuple[int, int]]) -> tuple[frozenset, froze
         nbr.setdefault(v, []).append(u)
     for lst in nbr.values():
         lst.sort()
-    color: dict[tuple[int, int], int] = {}
-    visited: set[tuple[int, int]] = set()
+    color: dict[tuple[int, int], int] = {}  # also the set of visited edges
     ends = sorted(v for v, lst in nbr.items() if len(lst) == 1)
     starts = ends + sorted(nbr)
     for start in starts:
@@ -46,15 +45,12 @@ def _two_color(g: Graph, chosen: set[tuple[int, int]]) -> tuple[frozenset, froze
         while True:
             nxt = None
             for w in nbr.get(cur, []):
-                e = (cur, w) if cur < w else (w, cur)
-                if e not in visited:
+                if normalize_edge(cur, w) not in color:
                     nxt = w
                     break
             if nxt is None:
                 break
-            e = (cur, nxt) if cur < nxt else (nxt, cur)
-            visited.add(e)
-            color[e] = c
+            color[normalize_edge(cur, nxt)] = c
             c = 1 - c
             cur = nxt
     class0 = frozenset(e for e, c in color.items() if c == 0)

@@ -21,7 +21,14 @@ class GraphFormatError(ValueError):
     """Raised when a graph file does not follow the expected format."""
 
 
-def normalize_edge(u: int, v: int) -> tuple[int, int]:
+def normalize_edge(u: int, v: int, vertex_count: int | None = None) -> tuple[int, int]:
+    """The pair ordered so that u < v.  Given vertex_count, a self-loop or an
+    endpoint outside 1..vertex_count is a ValueError naming the pair as given."""
+    if vertex_count is not None:
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u} is not allowed")
+        if not (1 <= u <= vertex_count) or not (1 <= v <= vertex_count):
+            raise ValueError(f"edge ({u}, {v}) has an endpoint outside 1..{vertex_count}")
     return (u, v) if u < v else (v, u)
 
 
@@ -73,11 +80,7 @@ def build_graph(
     seen: set[tuple[int, int]] = set()
     dupes = 0
     for u, v in edges:
-        if u == v:
-            raise ValueError(f"self-loop at vertex {u} is not allowed")
-        if not (1 <= u <= vertex_count) or not (1 <= v <= vertex_count):
-            raise ValueError(f"edge ({u}, {v}) has an endpoint outside 1..{vertex_count}")
-        e = normalize_edge(u, v)
+        e = normalize_edge(u, v, vertex_count)
         if e in seen:
             dupes += 1
         else:
@@ -204,21 +207,21 @@ def parse_graph_file(text: str) -> Graph:
         if parts[0] == "p":
             if header is not None:
                 raise GraphFormatError(f"line {lineno}: duplicate header")
-            if len(parts) != 4 or parts[1] != "mg":
-                raise GraphFormatError(f"line {lineno}: malformed header {line!r}")
             try:
-                header = (int(parts[2]), int(parts[3]))
+                _, kind, vertices, edge_records = parts
+                if kind != "mg":
+                    raise ValueError(kind)
+                header = (int(vertices), int(edge_records))
             except ValueError:
                 raise GraphFormatError(f"line {lineno}: malformed header {line!r}") from None
             if header[0] < 0 or header[1] < 0:
                 raise GraphFormatError(f"line {lineno}: negative count in header")
+        elif header is None and parts[0] in ("v", "e"):
+            raise GraphFormatError(f"line {lineno}: record before header")
         elif parts[0] == "v":
-            if header is None:
-                raise GraphFormatError(f"line {lineno}: record before header")
-            if len(parts) != 4:
-                raise GraphFormatError(f"line {lineno}: malformed vertex record {line!r}")
             try:
-                vid, x, y = int(parts[1]), int(parts[2]), int(parts[3])
+                _, vid_text, x_text, y_text = parts
+                vid, x, y = int(vid_text), int(x_text), int(y_text)
             except ValueError:
                 raise GraphFormatError(f"line {lineno}: malformed vertex record {line!r}") from None
             if not (1 <= vid <= header[0]):
@@ -227,12 +230,9 @@ def parse_graph_file(text: str) -> Graph:
                 raise GraphFormatError(f"line {lineno}: duplicate coordinates for vertex {vid}")
             coords[vid] = (x, y)
         elif parts[0] == "e":
-            if header is None:
-                raise GraphFormatError(f"line {lineno}: record before header")
-            if len(parts) != 3:
-                raise GraphFormatError(f"line {lineno}: malformed edge record {line!r}")
             try:
-                u, v = int(parts[1]), int(parts[2])
+                _, u_text, v_text = parts
+                u, v = int(u_text), int(v_text)
             except ValueError:
                 raise GraphFormatError(f"line {lineno}: malformed edge record {line!r}") from None
             if not (1 <= u <= header[0]) or not (1 <= v <= header[0]):

@@ -35,13 +35,9 @@ class Matching:
 
 
 def matching_from_pairs(pairs, host_size: int) -> Matching:
-    edges = frozenset(normalize_edge(u, v) for u, v in pairs)
+    edges = frozenset(normalize_edge(u, v, host_size) for u, v in pairs)
     seen: set[int] = set()
     for u, v in edges:
-        if u == v:
-            raise ValueError(f"self-loop at vertex {u} is not allowed")
-        if not (1 <= u <= host_size) or not (1 <= v <= host_size):
-            raise ValueError(f"edge ({u}, {v}) has an endpoint outside 1..{host_size}")
         if u in seen or v in seen:
             raise ValueError(f"edges share vertex {u if u in seen else v}")
         seen.update((u, v))
@@ -183,18 +179,11 @@ def nu(g: Graph) -> int:
 
 def validate_matching(g: Graph, m: Matching) -> MatchingFlags:
     """Check m against g: validity, maximality, maximumness, perfection."""
-    valid = m.host_size == g.vertex_count and m.edges <= g.edges
-    if valid:
-        covered: set[int] = set()
-        for u, v in m.edges:
-            if u in covered or v in covered:
-                valid = False
-                break
-            covered.update((u, v))
-    if not valid:
-        return MatchingFlags(False, False, False, False)
     cov = m.covered()
+    # edges of g have two distinct ends, so they are disjoint iff they cover 2|m| vertices
+    if m.host_size != g.vertex_count or not m.edges <= g.edges or len(cov) != 2 * len(m):
+        return MatchingFlags(False, False, False, False)
     maximal = all(u in cov or v in cov for u, v in g.edges)
     perfect = 2 * len(m) == g.vertex_count
     maximum = perfect or len(m) == nu(g)
-    return MatchingFlags(valid, maximal, maximum, perfect)
+    return MatchingFlags(True, maximal, maximum, perfect)

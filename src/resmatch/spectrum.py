@@ -21,6 +21,8 @@ from .matching import Matching, max_matching, nu
 
 TOLERANCE_KINDS = ("constant", "linear", "log", "sqrt", "identity")
 
+DEFAULT_CAP = 10**6  # maximum matchings an enumeration reads before it truncates
+
 
 class TruncatedSpectrumError(RuntimeError):
     """An exact answer was required but enumeration hit its cap."""
@@ -60,13 +62,26 @@ class ToleranceFunction:
         return Fraction(x)
 
 
+def parse_rational(text: str) -> Fraction:
+    """Exact rational of integer, decimal or 'p/q' text; ValueError if q = 0."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"rational {text!r} has a zero denominator") from None
+
+
 def parse_tolerance(spec: str) -> ToleranceFunction:
     """Parse 'identity', 'const:C', 'linear:p/q', 'log[:c]', 'sqrt[:c]'."""
     name, _, coeff = spec.partition(":")
     kind = {"const": "constant"}.get(name, name)
     if coeff:
-        return ToleranceFunction(kind, Fraction(coeff))
+        return ToleranceFunction(kind, parse_rational(coeff))
     return ToleranceFunction(kind)
+
+
+def residual(g: Graph, f: Matching) -> int:
+    """nu(g - F): the matching number left after deleting the edges of f."""
+    return nu(delete_edges(g, f.edges))
 
 
 @dataclass(frozen=True)
@@ -89,7 +104,7 @@ def _iter_maximum_matchings(g: Graph):
         chosen, avail = stack.pop()
         if len(chosen) == target:
             m = Matching(frozenset(chosen), n)
-            yield m, nu(delete_edges(g, m.edges))
+            yield m, residual(g, m)
             continue
         if len(chosen) + len(avail) < target:
             continue
@@ -122,7 +137,7 @@ class CappedStream:
             yield item
 
 
-def enumerate_maximum_matchings(g: Graph, cap: int = 10**6) -> EnumerationResult:
+def enumerate_maximum_matchings(g: Graph, cap: int = DEFAULT_CAP) -> EnumerationResult:
     """All maximum matchings of g, stopping (and flagging) after cap of them."""
     stream = CappedStream(g, cap)
     return EnumerationResult(tuple(m for m, _ in stream), stream.truncated)
@@ -155,7 +170,7 @@ class SpectrumReport:
         }
 
 
-def spectrum(g: Graph, cap: int = 10**6) -> SpectrumReport:
+def spectrum(g: Graph, cap: int = DEFAULT_CAP) -> SpectrumReport:
     """Residual matching numbers over all maximum matchings of g.
 
     One pass over the enumeration; each witness is the first matching that
@@ -213,7 +228,7 @@ def answer_problem1(
 
 
 def decide_problem1(
-    g: Graph, k: int, f: ToleranceFunction, cap: int = 10**6
+    g: Graph, k: int, f: ToleranceFunction, cap: int = DEFAULT_CAP
 ) -> Problem1Result:
     """Does some maximum matching F of g satisfy |nu(g - F) - k| <= f(|V|)?
 
@@ -236,7 +251,7 @@ class BoundsReport:
         return not self.violations
 
 
-def check_bounds(g: Graph, cap: int = 10**6) -> BoundsReport:
+def check_bounds(g: Graph, cap: int = DEFAULT_CAP) -> BoundsReport:
     """Verify ell <= L <= 2*ell, and 2L <= 3*ell when g has a perfect matching.
 
     These inequalities hold for every graph, so any violation signals an
@@ -280,7 +295,7 @@ class ApproxTrialReport:
         return not self.violations
 
 
-def approx_trial(g: Graph, seeds, cap: int = 10**6) -> ApproxTrialReport:
+def approx_trial(g: Graph, seeds, cap: int = DEFAULT_CAP) -> ApproxTrialReport:
     """Residuals of seeded maximum matchings against the exact spectrum.
 
     The spectrum must pass check_bounds (which raises TruncatedSpectrumError
@@ -294,8 +309,7 @@ def approx_trial(g: Graph, seeds, cap: int = 10**6) -> ApproxTrialReport:
     violations = list(bounds.violations)
     rows = []
     for seed in seeds:
-        f = max_matching(g, seed)
-        r = nu(delete_edges(g, f.edges))
+        r = residual(g, max_matching(g, seed))
         in_range = ell <= r <= big_l
         if not in_range:
             violations.append(f"seed {seed}: residual {r} outside [{ell}, {big_l}]")

@@ -80,6 +80,33 @@ def test_compute_parse_error_exits_2(tmp_path, capsys):
     assert "self-loop" in err
 
 
+def test_compute_checks_k_and_f_before_enumerating(capsys, monkeypatch):
+    def no_spectrum(g, cap):
+        raise AssertionError("spectrum ran before the input checks")
+
+    monkeypatch.setattr("resmatch.cli.spectrum", no_spectrum)
+    code, _, err = run(capsys, "compute", P5, "--k", "99")
+    assert (code, err) == (2, "error: k must lie in 0..2, got 99\n")
+    code, _, err = run(capsys, "compute", P5, "--k", "1", "--f", "cubic:1")
+    assert (code, err) == (2, "error: unknown tolerance kind 'cubic'\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("compute", P5, "--k", "1", "--f", "linear:1/0"),
+    ("bench", "random:n=4,count=1,p=1/0"),
+    ("bench", "random:n=4,count=1,p=1e999"),
+    ("bench", "random:n=4,count=1,p=3/2"),
+    ("bench", "random:n=4,count=1,p=-1/2"),
+    ("calibrate", "--epsilon", "1/0"),
+    ("calibrate", "--epsilon", "1/100", "--c", "1/0"),
+])
+def test_bad_rationals_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
 def test_compute_missing_file_exits_2(capsys):
     code, _, err = run(capsys, "compute", "/nonexistent/file.mg")
     assert code == 2

@@ -1,7 +1,8 @@
-"""Byte-for-byte pins of `compute` and `verify --exhaustive` reports.
+"""Byte-for-byte pins of CLI reports and error messages.
 
-The pinned outputs live in golden/cli_outputs.json.  To regenerate them
-after a deliberate output change, run this file as a script:
+Each case pins the exit code and stdout; a case that writes to stderr pins
+that too.  The pinned outputs live in golden/cli_outputs.json.  To
+regenerate them after a deliberate output change, run this file as a script:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -32,8 +33,24 @@ M2_MIXED = "p cnf 3 2\n1 -2 3 0\n2 -3 -1 0\n"
 # DIMACS text written under the work directory.
 CNFS = {"m1": "example_m1.cnf", "m2": "example_m2.cnf", "mixed": M2_MIXED}
 
-# name -> argv, with {p5}, {twin}, {r<seed>}, {cnf_<name>} and
-# {art_<name>_<variant>} standing for files.
+# Inputs the parsers must reject, one per message: placeholder -> file text.
+BAD_INPUTS = {
+    "bad_header_arity": "p mg 3\n",
+    "bad_header_tag": "p xx 3 0\n",
+    "bad_header_field": "p mg 3 x\n",
+    "bad_vertex_arity": "p mg 2 0\nv 1 0\n",
+    "bad_vertex_field": "p mg 2 0\nv 1 0 y\n",
+    "bad_edge_arity": "p mg 2 1\ne 1\n",
+    "bad_edge_field": "p mg 2 1\ne 1 x\n",
+    "edge_outside": "p mg 2 1\ne 1 3\n",
+    "self_loop": "p mg 2 1\ne 2 2\n",
+    "bad_dimacs_arity": "p cnf 3\n1 2 3 0\n",
+    "bad_dimacs_tag": "p dnf 3 1\n1 2 3 0\n",
+    "bad_dimacs_field": "p cnf 3 x\n1 2 3 0\n",
+}
+
+# name -> argv, with {p5}, {twin}, {r<seed>}, {cnf_<name>},
+# {art_<name>_<variant>}, {out} and the keys of BAD_INPUTS standing for files.
 CASES = {
     "p5": ["compute", "{p5}"],
     "twin": ["compute", "{twin}"],
@@ -60,6 +77,32 @@ CASES = {
         for name in CNFS
         for variant in ("L", "ell")
     },
+    **{
+        f"{name}-{variant}-reduce": [
+            "reduce", f"{{cnf_{name}}}", "--variant", variant, "--output", "{out}",
+        ]
+        for name in ("m1", "m2")
+        for variant in ("L", "ell")
+    },
+    "bench-path": ["bench", "path:2..6"],
+    "bench-cycle": ["bench", "cycle:3..7:2"],
+    "bench-random": ["bench", "random:n=8,count=3,p=1/3", "--seed", "4"],
+    "bench-random-bipartite": ["bench", "random-bipartite:n=8,count=2,p=1/2"],
+    "bench-random-cap2-truncated": ["bench", "random:n=8,count=3,p=1/3", "--seed", "4",
+                                    "--cap", "2"],
+    "calibrate-L": ["calibrate", "--variant", "L", "--epsilon", "1/100"],
+    "calibrate-ell": ["calibrate", "--variant", "ell", "--epsilon", "1/100"],
+    "calibrate-threshold": ["calibrate", "--epsilon", "1/16", "--c", "1/1000"],
+    **{
+        f"error-{name}": ["compute", f"{{{name}}}"]
+        for name in BAD_INPUTS
+        if not name.startswith("bad_dimacs")
+    },
+    **{
+        f"error-{name}": ["reduce", f"{{{name}}}", "--variant", "L", "--output", "{out}"]
+        for name in BAD_INPUTS
+        if name.startswith("bad_dimacs")
+    },
 }
 
 
@@ -70,20 +113,26 @@ def _random_graph_text(seed: int) -> str:
     return f"p mg {n} {len(edges)}\n" + "".join(f"e {u} {v}\n" for u, v in edges)
 
 
-def _run(argv) -> tuple[int, str]:
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
+def _run(argv) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    return code, buf.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 def _files(workdir: str) -> dict:
     """Placeholder -> path: the fixtures, the random graphs, the formulas
-    of CNFS and both compiled artifacts of each, written under workdir."""
+    of CNFS and both compiled artifacts of each, the bad inputs, and an
+    output path, written under workdir."""
     files = {
         "p5": os.path.join(FIXTURES, "p5.mg"),
         "twin": os.path.join(FIXTURES, "twin_spider.mg"),
+        "out": os.path.join(workdir, "out.mg"),
     }
+    for name, text in BAD_INPUTS.items():
+        path = files[name] = os.path.join(workdir, name)
+        with open(path, "w") as fh:
+            fh.write(text)
     for seed in RANDOM_SEEDS:
         path = files[f"r{seed}"] = os.path.join(workdir, f"r{seed}.mg")
         with open(path, "w") as fh:
@@ -99,18 +148,21 @@ def _files(workdir: str) -> dict:
             path = files[f"art_{name}_{variant}"] = os.path.join(
                 workdir, f"art_{name}_{variant}.mg"
             )
-            code, _ = _run(["reduce", cnf, "--variant", variant, "--output", path])
+            code, _, _ = _run(["reduce", cnf, "--variant", variant, "--output", path])
             assert code == 0
     return files
 
 
 def render(workdir: str) -> dict:
-    """Run every case; return name -> {"code", "stdout"}."""
+    """Run every case; return name -> {"code", "stdout"[, "stderr"]}, with
+    "stderr" only when the case writes to it."""
     files = _files(workdir)
     out = {}
     for name, argv in CASES.items():
-        code, stdout = _run([a.format(**files) for a in argv])
+        code, stdout, stderr = _run([a.format(**files) for a in argv])
         out[name] = {"code": code, "stdout": stdout}
+        if stderr:
+            out[name]["stderr"] = stderr
     return out
 
 
@@ -127,9 +179,10 @@ def files(tmp_path_factory):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_output_matches_golden(name, files):
     golden = _load_golden()[name]
-    code, stdout = _run([a.format(**files) for a in CASES[name]])
+    code, stdout, stderr = _run([a.format(**files) for a in CASES[name]])
     assert code == golden["code"]
     assert stdout == golden["stdout"]
+    assert stderr == golden.get("stderr", "")
 
 
 def test_golden_cases_cover_every_problem1_answer():

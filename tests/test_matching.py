@@ -7,6 +7,7 @@ from oracles import CapExceededError, cycle, iter_all_matchings, nu_bruteforce, 
 from resmatch.graph import Bipartition, build_graph
 from resmatch.matching import (
     Matching,
+    MatchingFlags,
     matching_from_pairs,
     max_matching,
     max_matching_bipartite,
@@ -155,6 +156,8 @@ def test_validate_matching_flags():
     assert not validate_matching(g, foreign).valid
     wrong_host = matching_from_pairs([(1, 2)], 4)
     assert not validate_matching(g, wrong_host).valid
+    sharing = Matching(frozenset({(1, 2), (2, 3)}), 5)
+    assert validate_matching(g, sharing) == MatchingFlags(False, False, False, False)
 
 
 def test_validate_matching_perfect():

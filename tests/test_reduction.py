@@ -25,7 +25,7 @@ from resmatch.reduction import (
     sat_count,
     verify_artifact,
 )
-from resmatch.spectrum import enumerate_maximum_matchings
+from resmatch.spectrum import CappedStream, enumerate_maximum_matchings
 
 M1 = "p cnf 3 1\n1 2 3 0\n"
 M1_NEG = "p cnf 3 1\n-1 -2 -3 0\n"
@@ -281,6 +281,16 @@ def test_exhaustive_verify_is_one_census_pass(monkeypatch):
     assert cert.ok
     assert calls["nu"] == 1  # the structural nu; residuals come from the census
     assert calls["decode"] == cert.census.count == 2**art.cnf.num_vars
+
+
+@pytest.mark.parametrize("variant", ["L", "ell"])
+def test_truncated_census_reports_only_what_a_prefix_shows(monkeypatch, variant):
+    monkeypatch.setattr(reduction, "CappedStream", lambda g, cap: CappedStream(g, 4))
+    art = build_artifact(parse_dimacs(M1), variant)
+    cert = verify_artifact(art, exhaustive=True)
+    assert cert.census.truncated and cert.census.count == 4
+    assert cert.discrepancies == ("census: enumeration truncated, cannot certify",)
+    assert len(cert.residual_checks) == 4 and all(rc.ok for rc in cert.residual_checks)
 
 
 def test_satisfying_assignment_hits_k_param():
