@@ -1,11 +1,14 @@
 """Maximum matchings in general and bipartite graphs.
 
-One engine, `_blossom`, finds every maximum matching here: augmenting-path
-search with odd-cycle (blossom) contraction.  `nu`, the bipartite entry and
-`resmatch.colorable.nu2_bipartite` run it in vertex order with sorted
-adjacency.  `max_matching` first lets a seed permute the scan order, so
-different seeds may return different maximum matchings of the same size;
-results are deterministic for a fixed (graph, seed) pair.
+One engine finds every maximum matching here: `_augment`, a single-root
+augmenting-path search with odd-cycle (blossom) contraction.  `_blossom` is
+a greedy pass followed by one `_augment` per free root; `nu`, the bipartite
+entry and `resmatch.colorable.nu2_bipartite` run it in vertex order with
+sorted adjacency, and `resmatch.spectrum`'s enumerator calls `_augment`
+directly to repair the matching it carries.  `max_matching` first lets a
+seed permute the scan order, so different seeds may return different
+maximum matchings of the same size; results are deterministic for a fixed
+(graph, seed) pair.
 """
 
 from __future__ import annotations
@@ -55,12 +58,8 @@ class MatchingFlags:
 def _blossom(n: int, adj: list[list[int]], order) -> list[int]:
     """Mate of every vertex of a maximum matching (0 = unmatched; slot 0 unused).
 
-    A greedy pass over `order`, then one augmenting-path search from each
-    still-free root in `order`, contracting odd cycles (blossoms) as in
-    Edmonds' algorithm.  As in Gabow's implementation (JACM 1976) the search
-    arrays are allocated once per call; each search resets only the vertices
-    it reached, and lca walks mark with a stamp.  Ties fall to the order of
-    `order` and of each adjacency list.
+    A greedy pass over `order`, then one `_augment` from each still-free root
+    in `order`.  Ties fall to the order of `order` and of each adjacency list.
     """
     match = [0] * (n + 1)
     for v in order:
@@ -70,74 +69,99 @@ def _blossom(n: int, adj: list[list[int]], order) -> list[int]:
                     match[v] = to
                     match[to] = v
                     break
-    even = [False] * (n + 1)  # outer vertices of the current search tree
-    p = [0] * (n + 1)  # tree parent of each inner vertex
-    base = list(range(n + 1))  # base of the blossom holding each vertex
-    mark = [0] * (n + 1)
-    stamp = 0
+    arrays = _search_arrays(n)
     for root in order:
-        if match[root] != 0:
-            continue
-        even[root] = True
-        tree = [root]
-        queue = [root]
-        head = end = 0
-        while head < len(queue) and end == 0:
-            v = queue[head]
-            head += 1
-            for to in adj[v]:
-                if base[v] == base[to] or match[v] == to:
-                    continue
-                if to == root or (match[to] != 0 and p[match[to]] != 0):
-                    # odd cycle: contract the blossom down to the lca of v and to
-                    stamp += 1
-                    a = v
-                    while True:
-                        a = base[a]
-                        mark[a] = stamp
-                        if match[a] == 0:
-                            break
-                        a = p[match[a]]
-                    curbase = base[to]
-                    while mark[curbase] != stamp:
-                        curbase = base[p[match[curbase]]]
-                    petals = set()
-                    for x, child in ((v, to), (to, v)):
-                        while base[x] != curbase:
-                            petals.update((base[x], base[match[x]]))
-                            p[x] = child
-                            child = match[x]
-                            x = p[child]
-                    grown = []
-                    for i in tree:
-                        if base[i] in petals:
-                            base[i] = curbase
-                            if not even[i]:
-                                even[i] = True
-                                grown.append(i)
-                    # in vertex order: the queue order decides which matching is found
-                    grown.sort()
-                    queue += grown
-                elif p[to] == 0:
-                    p[to] = v
-                    tree.append(to)
-                    if match[to] == 0:
-                        end = to
-                        break
-                    even[match[to]] = True
-                    tree.append(match[to])
-                    queue.append(match[to])
-        while end != 0:
-            pv = p[end]
-            ppv = match[pv]
-            match[end] = pv
-            match[pv] = end
-            end = ppv
-        for x in tree:
-            even[x] = False
-            p[x] = 0
-            base[x] = x
+        if match[root] == 0:
+            _augment(adj, match, root, 0, 0, 0, arrays)
     return match
+
+
+def _search_arrays(n: int):
+    """Scratch arrays for `_augment` on vertices 1..n: outer flags, tree
+    parents, blossom bases, and lca marks (mark[0] holds the last stamp)."""
+    return [False] * (n + 1), [0] * (n + 1), list(range(n + 1)), [0] * (n + 1)
+
+
+def _augment(adj, match, root: int, a: int, b: int, gone: int, arrays) -> bool:
+    """Augment `match` along one augmenting path from the free vertex root,
+    if there is one, contracting odd cycles (blossoms) as in Edmonds'
+    algorithm.  True when it augmented.
+
+    The search sees the subgraph of adj whose edges, in sorted order, come
+    no earlier than (a, b) and miss the vertices set in the bitmask gone:
+    vertices below a are isolated, and of the edges among the others only
+    (a, w) with w < b are left out.  (0, 0, 0) is the whole graph; match
+    must be a matching of the subgraph.  As in Gabow's implementation (JACM
+    1976) the scratch arrays outlive the search; it resets only the vertices
+    it reached, and lca walks mark with a stamp.
+    """
+    if root < a:
+        return False
+    even, p, base, mark = arrays
+    even[root] = True
+    tree = [root]
+    queue = [root]
+    head = end = 0
+    while head < len(queue) and end == 0:
+        v = queue[head]
+        head += 1
+        for to in adj[v]:
+            if base[v] == base[to] or match[v] == to:
+                continue
+            if to < a or gone >> to & 1 or (v == a and to < b) or (to == a and v < b):
+                continue
+            if to == root or (match[to] != 0 and p[match[to]] != 0):
+                # odd cycle: contract the blossom down to the lca of v and to
+                mark[0] += 1
+                stamp = mark[0]
+                x = v
+                while True:
+                    x = base[x]
+                    mark[x] = stamp
+                    if match[x] == 0:
+                        break
+                    x = p[match[x]]
+                curbase = base[to]
+                while mark[curbase] != stamp:
+                    curbase = base[p[match[curbase]]]
+                petals = set()
+                for x, child in ((v, to), (to, v)):
+                    while base[x] != curbase:
+                        petals.update((base[x], base[match[x]]))
+                        p[x] = child
+                        child = match[x]
+                        x = p[child]
+                grown = []
+                for i in tree:
+                    if base[i] in petals:
+                        base[i] = curbase
+                        if not even[i]:
+                            even[i] = True
+                            grown.append(i)
+                # in vertex order: the queue order decides which matching is found
+                grown.sort()
+                queue += grown
+            elif p[to] == 0:
+                p[to] = v
+                tree.append(to)
+                if match[to] == 0:
+                    end = to
+                    break
+                even[match[to]] = True
+                tree.append(match[to])
+                queue.append(match[to])
+    found = end != 0
+    while end != 0:
+        pv = p[end]
+        ppv = match[pv]
+        match[end] = pv
+        match[pv] = end
+        end = ppv
+    for x in tree:
+        even[x] = False
+        p[x] = 0
+        base[x] = x
+    return found
 
 
 def _matching(mate: list[int]) -> Matching:

@@ -4,24 +4,29 @@ For a maximum matching F of G, deleting the edges of F (keeping all
 vertices) leaves a residual graph G - F.  The spectrum of G is the set of
 residual matching numbers nu(G - F) over every maximum matching F; its
 minimum and maximum are written ell(G) and L(G).  Everything here reads
-one (maximum matching, residual) stream from a branch-and-bound enumerator
-in a single pass, so results are exact whenever the enumeration finishes
-under its positive cap; witnesses are first occurrences in that order.
+one (maximum matching, residual) stream in a single pass, so results are
+exact whenever the enumeration finishes under its positive cap; witnesses
+are first occurrences in that order.  The enumerator branches on edges and
+carries one maximum matching of each node's remaining graph, which decides
+every child with at most two single-root augmenting searches.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .graph import Graph, delete_edges
-from .matching import Matching, max_matching, nu
+from .matching import Matching, _augment, _blossom, _search_arrays, max_matching, nu
 
 TOLERANCE_KINDS = ("constant", "linear", "log", "sqrt", "identity")
 
 DEFAULT_CAP = 10**6  # maximum matchings an enumeration reads before it truncates
+
+_RATIONAL = re.compile(r"\s*[-+]?(\d+(/\d+)?|\d*\.\d+|\d+\.)\s*")
 
 
 class TruncatedSpectrumError(RuntimeError):
@@ -63,11 +68,16 @@ class ToleranceFunction:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Exact rational of integer, decimal or 'p/q' text; ValueError if q = 0."""
+    """Exact rational of integer, decimal or 'p/q' text; ValueError if q = 0
+    or the text is none of these (an exponent such as 1e-3 is refused)."""
+    if not _RATIONAL.fullmatch(text):
+        raise ValueError(f"rational {text[:40]!r} is not an integer, a decimal or p/q")
     try:
         return Fraction(text)
     except ZeroDivisionError:
-        raise ValueError(f"rational {text!r} has a zero denominator") from None
+        raise ValueError(f"rational {text[:40]!r} has a zero denominator") from None
+    except ValueError:  # more digits than int() converts
+        raise ValueError(f"rational {text[:40]!r} has too many digits") from None
 
 
 def parse_tolerance(spec: str) -> ToleranceFunction:
@@ -93,26 +103,55 @@ class EnumerationResult:
 def _iter_maximum_matchings(g: Graph):
     """Yield (F, nu(g - F)) for every maximum matching F of g exactly once.
 
-    Branch on the lowest remaining edge, taking it before dropping it, and
-    prune a node when a maximum matching of its remaining edges cannot reach
-    nu(g).  Pending branches wait on an explicit stack, not the call stack.
+    Branch on the lowest remaining edge e = (u, v), taking it before
+    dropping it; pending nodes wait on an explicit stack.  A node is its
+    chosen edges, the index of its first undecided edge, the bitmask of the
+    chosen edges' vertices, and a maximum matching M of the edges left, so a
+    child is kept or pruned without a fresh bound (Fukuda and Matsui 1994,
+    Uno 1997): taking e in M keeps M - e and dropping e not in M keeps M;
+    any augmenting path of the other two children ends at a vertex that
+    branching freed, so at most two single-root searches decide them.
     """
-    target = nu(g)
     n = g.vertex_count
-    stack = [((), g.sorted_edges())]
+    adj = g.adjacency()
+    edges = g.sorted_edges()
+    arrays = _search_arrays(n)
+    mate = _blossom(n, adj, range(1, n + 1))
+    target = sum(map(bool, mate)) // 2
+    stack = [((), 0, 0, mate)]
     while stack:
-        chosen, avail = stack.pop()
+        chosen, i, gone, match = stack.pop()
         if len(chosen) == target:
             m = Matching(frozenset(chosen), n)
             yield m, residual(g, m)
             continue
-        if len(chosen) + len(avail) < target:
-            continue
-        if len(chosen) + nu(Graph(n, frozenset(avail))) < target:
-            continue
-        (u, v), rest = avail[0], avail[1:]
-        stack.append((chosen, rest))
-        stack.append((chosen + ((u, v),), [f for f in rest if u not in f and v not in f]))
+        # M is not empty, so an edge at or after index i misses gone
+        u, v = edges[i]
+        while gone >> u & 1 or gone >> v & 1:
+            i += 1
+            u, v = edges[i]
+        i += 1
+        # the children's first undecided edge; (n + 1, 0) leaves no edge
+        a, b = edges[i] if i < len(edges) else (n + 1, 0)
+        # taking e removes u and v and frees their mates (each other if e is in M)
+        mu, mv = match[u], match[v]
+        take = match[:]
+        take[u] = take[v] = take[mu] = take[mv] = 0
+        taken = gone | 1 << u | 1 << v
+        if mu == v:
+            drop = take[:]  # M - e, with u and v free
+            if _augment(adj, drop, u, a, b, gone, arrays) or _augment(
+                adj, drop, v, a, b, gone, arrays
+            ):
+                stack.append((chosen, i, gone, drop))
+        else:
+            stack.append((chosen, i, gone, match))
+            if mu and mv and not (
+                _augment(adj, take, mu, a, b, taken, arrays)
+                or _augment(adj, take, mv, a, b, taken, arrays)
+            ):
+                continue
+        stack.append((chosen + ((u, v),), i, taken, take))
 
 
 class CappedStream:
@@ -308,8 +347,12 @@ def approx_trial(g: Graph, seeds, cap: int = DEFAULT_CAP) -> ApproxTrialReport:
     defined = ell >= 1
     violations = list(bounds.violations)
     rows = []
+    scored: dict[frozenset[tuple[int, int]], int] = {}  # seeds often repeat a matching
     for seed in seeds:
-        r = residual(g, max_matching(g, seed))
+        m = max_matching(g, seed)
+        r = scored.get(m.edges)
+        if r is None:
+            r = scored[m.edges] = residual(g, m)
         in_range = ell <= r <= big_l
         if not in_range:
             violations.append(f"seed {seed}: residual {r} outside [{ell}, {big_l}]")

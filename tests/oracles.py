@@ -1,14 +1,17 @@
 """Exhaustive references and shared graph builders for the test suite.
 
-The oracles here are independent of the matching engine: they try every
-edge subset (with branch-and-bound pruning) and refuse inputs above an edge
-cap.  They recurse once per edge, which is why they live with the tests and
-not in the package.
+The exhaustive oracles are independent of the matching engine: they try
+every edge subset (with branch-and-bound pruning) and refuse inputs above an
+edge cap.  They recurse once per edge, which is why they live with the tests
+and not in the package.  `iter_maximum_matchings_bounded` is the reference
+for the package's enumerator: the same branching order, decided by a fresh
+`nu` at every node instead of a carried matching.
 """
 
 from __future__ import annotations
 
 from resmatch.graph import Graph, build_graph, delete_edges
+from resmatch.matching import Matching, nu
 
 
 class CapExceededError(RuntimeError):
@@ -115,6 +118,29 @@ def spectrum_double_brute(g: Graph) -> tuple[int, list[int]]:
         {nu_bruteforce(delete_edges(g, frozenset(m))) for m in matchings if len(m) == best}
     )
     return best, residuals
+
+
+def iter_maximum_matchings_bounded(g: Graph):
+    """Yield (F, nu(g - F)) for every maximum matching F of g, in the
+    package enumerator's order: branch on the lowest remaining edge, take it
+    before dropping it, and prune a node when a maximum matching of its
+    remaining edges cannot reach nu(g)."""
+    target = nu(g)
+    n = g.vertex_count
+    stack = [((), g.sorted_edges())]
+    while stack:
+        chosen, avail = stack.pop()
+        if len(chosen) == target:
+            m = Matching(frozenset(chosen), n)
+            yield m, nu(delete_edges(g, m.edges))
+            continue
+        if len(chosen) + len(avail) < target:
+            continue
+        if len(chosen) + nu(Graph(n, frozenset(avail))) < target:
+            continue
+        (u, v), rest = avail[0], avail[1:]
+        stack.append((chosen, rest))
+        stack.append((chosen + ((u, v),), [f for f in rest if u not in f and v not in f]))
 
 
 def path(n):

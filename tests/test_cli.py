@@ -1,5 +1,6 @@
 import json
 import os
+import time
 from fractions import Fraction
 
 import pytest
@@ -105,6 +106,29 @@ def test_bad_rationals_exit_2(capsys, argv):
     assert code == 2
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("exponent", ["1e5000", "1e999", "1e2000000", "1e-3"])
+def test_rationals_refuse_exponents(capsys, exponent):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "calibrate", "--epsilon", exponent)
+    assert time.perf_counter() - start < 0.5
+    assert (code, out) == (2, "")
+    assert err == f"error: rational '{exponent}' is not an integer, a decimal or p/q\n"
+
+
+def test_rationals_with_more_digits_than_int_converts_exit_2(capsys):
+    code, _, err = run(capsys, "calibrate", "--epsilon", "1/" + "3" * 5000)
+    assert (code, err) == (2, f"error: rational '1/{'3' * 38}' has too many digits\n")
+
+
+def test_duplicate_edges_warn_in_one_stable_line(tmp_path, capsys):
+    graph = tmp_path / "dup.mg"
+    graph.write_text("p mg 3 4\ne 1 2\ne 2 1\ne 2 3\ne 3 2\n")
+    code, out, err = run(capsys, "compute", str(graph))
+    assert code == 0
+    assert json.loads(out)["nu"] == 1
+    assert err == "warning: collapsed 2 duplicate edge(s)\n"
 
 
 def test_compute_missing_file_exits_2(capsys):

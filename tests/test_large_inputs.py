@@ -15,6 +15,7 @@ from resmatch.colorable import nu2_bipartite
 from resmatch.graph import build_graph
 from resmatch.matching import max_matching, max_matching_bipartite, nu, validate_matching
 from resmatch.reduction import build_artifact, parse_dimacs, verify_artifact
+from resmatch.spectrum import spectrum
 
 
 def labelled_path(k: int):
@@ -53,6 +54,15 @@ def test_ladder_of_ten_thousand_vertices():
     assert result.size == 10000  # the boundary cycle is Hamiltonian
     class0, class1 = result.classes
     assert len(class0) == len(class1) == 5000
+
+
+def test_spectrum_of_the_path_on_3000_vertices():
+    """One maximum matching: the enumerator's drop children fail their
+    searches, so it walks one branch instead of rebuilding a graph per node."""
+    rep = spectrum(build_graph(3000, [(i, i + 1) for i in range(1, 3000)]))
+    assert rep.enumerated == 1
+    assert rep.ell == rep.big_l == 1499
+    assert not rep.truncated
 
 
 def _random_cnf_text(seed: int, num_vars: int, m: int) -> str:
