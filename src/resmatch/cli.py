@@ -359,6 +359,9 @@ def main(argv: list[str] | None = None) -> int:
         except (ValueError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_INPUT_ERROR
+        except MemoryError:  # exit 1 would claim that a check failed
+            print("error: out of memory", file=sys.stderr)
+            return EXIT_INPUT_ERROR
 
 
 if __name__ == "__main__":

@@ -1,14 +1,15 @@
 """Maximum matchings in general and bipartite graphs.
 
 One engine finds every maximum matching here: `_augment`, a single-root
-augmenting-path search with odd-cycle (blossom) contraction.  `_blossom` is
-a greedy pass followed by one `_augment` per free root; `nu`, the bipartite
+augmenting-path search with odd-cycle (blossom) contraction in the subgraph
+induced by the vertices outside a removed-vertex mask.  `_blossom` is a
+greedy pass followed by one `_augment` per free root; `nu`, the bipartite
 entry and `resmatch.colorable.nu2_bipartite` run it in vertex order with
-sorted adjacency, and `resmatch.spectrum`'s enumerator calls `_augment`
-directly to repair the matching it carries.  `max_matching` first lets a
-seed permute the scan order, so different seeds may return different
-maximum matchings of the same size; results are deterministic for a fixed
-(graph, seed) pair.
+sorted adjacency and an empty mask, and `resmatch.spectrum`'s enumerator
+calls `_augment` directly to repair the matching it carries.  `max_matching`
+first lets a seed permute the scan order, so different seeds may return
+different maximum matchings of the same size; results are deterministic for
+a fixed (graph, seed) pair.
 """
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ def _blossom(n: int, adj: list[list[int]], order) -> list[int]:
     arrays = _search_arrays(n)
     for root in order:
         if match[root] == 0:
-            _augment(adj, match, root, 0, 0, 0, arrays)
+            _augment(adj, match, root, 0, arrays)
     return match
 
 
@@ -82,21 +83,16 @@ def _search_arrays(n: int):
     return [False] * (n + 1), [0] * (n + 1), list(range(n + 1)), [0] * (n + 1)
 
 
-def _augment(adj, match, root: int, a: int, b: int, gone: int, arrays) -> bool:
+def _augment(adj, match, root: int, gone: int, arrays) -> bool:
     """Augment `match` along one augmenting path from the free vertex root,
     if there is one, contracting odd cycles (blossoms) as in Edmonds'
     algorithm.  True when it augmented.
 
-    The search sees the subgraph of adj whose edges, in sorted order, come
-    no earlier than (a, b) and miss the vertices set in the bitmask gone:
-    vertices below a are isolated, and of the edges among the others only
-    (a, w) with w < b are left out.  (0, 0, 0) is the whole graph; match
-    must be a matching of the subgraph.  As in Gabow's implementation (JACM
-    1976) the scratch arrays outlive the search; it resets only the vertices
-    it reached, and lca walks mark with a stamp.
+    It sees the subgraph induced by the vertices outside the bitmask gone
+    (0: the whole graph), where match is a matching and root is free.  As in
+    Gabow (JACM 1976) the scratch arrays outlive the search, which resets
+    only the vertices it reached; lca walks mark with a stamp.
     """
-    if root < a:
-        return False
     even, p, base, mark = arrays
     even[root] = True
     tree = [root]
@@ -106,9 +102,7 @@ def _augment(adj, match, root: int, a: int, b: int, gone: int, arrays) -> bool:
         v = queue[head]
         head += 1
         for to in adj[v]:
-            if base[v] == base[to] or match[v] == to:
-                continue
-            if to < a or gone >> to & 1 or (v == a and to < b) or (to == a and v < b):
+            if base[v] == base[to] or match[v] == to or gone >> to & 1:
                 continue
             if to == root or (match[to] != 0 and p[match[to]] != 0):
                 # odd cycle: contract the blossom down to the lca of v and to

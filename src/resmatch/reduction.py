@@ -143,9 +143,12 @@ def parse_dimacs(text: str) -> CnfInstance:
         if len(set(variables)) != 3:
             raise DimacsError(f"clause {idx}: repeated variable")
     used = {abs(lit) for cl in clauses for lit in cl}
-    missing = sorted(set(range(1, num_vars + 1)) - used)
-    if missing:
-        raise DimacsError(f"declared variable(s) never used: {missing}")
+    unused = num_vars - len(used)  # every used variable lies in 1..num_vars
+    if unused:
+        # at most len(used) + 10 numbers are scanned, whatever the header says
+        missing = list(itertools.islice((v for v in range(1, num_vars + 1) if v not in used), 10))
+        total = f" ({unused} in all)" if unused > 10 else ""
+        raise DimacsError(f"declared variable(s) never used: {missing}{total}")
     return CnfInstance(num_vars, tuple(clauses))  # type: ignore[arg-type]
 
 

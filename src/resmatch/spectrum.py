@@ -6,9 +6,9 @@ residual matching numbers nu(G - F) over every maximum matching F; its
 minimum and maximum are written ell(G) and L(G).  Everything here reads
 one (maximum matching, residual) stream in a single pass, so results are
 exact whenever the enumeration finishes under its positive cap; witnesses
-are first occurrences in that order.  The enumerator branches on edges and
-carries one maximum matching of each node's remaining graph, which decides
-every child with at most two single-root augmenting searches.
+are first occurrences in that order.  The enumerator branches on vertices
+and carries one maximum matching of each node's remaining graph, which
+decides every child with at most two single-root augmenting searches.
 """
 
 from __future__ import annotations
@@ -103,55 +103,52 @@ class EnumerationResult:
 def _iter_maximum_matchings(g: Graph):
     """Yield (F, nu(g - F)) for every maximum matching F of g exactly once.
 
-    Branch on the lowest remaining edge e = (u, v), taking it before
-    dropping it; pending nodes wait on an explicit stack.  A node is its
-    chosen edges, the index of its first undecided edge, the bitmask of the
-    chosen edges' vertices, and a maximum matching M of the edges left, so a
-    child is kept or pruned without a fresh bound (Fukuda and Matsui 1994,
-    Uno 1997): taking e in M keeps M - e and dropping e not in M keeps M;
-    any augmenting path of the other two children ends at a vertex that
-    branching freed, so at most two single-root searches decide them.
+    Branch on the lowest undecided vertex u: match it to each neighbour in
+    increasing order, then leave it unmatched; pending nodes wait on an
+    explicit stack.  A node is its chosen edges, the bitmask gone of the
+    decided vertices (all those below u), u, and a maximum matching M of the
+    graph left, so a child is kept or pruned without a fresh bound (Fukuda
+    and Matsui 1994, Uno 1997): any augmenting path of a child's share of M
+    ends at a vertex that branching freed, so two searches at most decide it.
     """
     n = g.vertex_count
     adj = g.adjacency()
-    edges = g.sorted_edges()
     arrays = _search_arrays(n)
     mate = _blossom(n, adj, range(1, n + 1))
     target = sum(map(bool, mate)) // 2
-    stack = [((), 0, 0, mate)]
+    stack = [((), 0, 1, mate)]
     while stack:
-        chosen, i, gone, match = stack.pop()
+        chosen, gone, u, match = stack.pop()
         if len(chosen) == target:
             m = Matching(frozenset(chosen), n)
             yield m, residual(g, m)
             continue
-        # M is not empty, so an edge at or after index i misses gone
-        u, v = edges[i]
-        while gone >> u & 1 or gone >> v & 1:
-            i += 1
-            u, v = edges[i]
-        i += 1
-        # the children's first undecided edge; (n + 1, 0) leaves no edge
-        a, b = edges[i] if i < len(edges) else (n + 1, 0)
-        # taking e removes u and v and frees their mates (each other if e is in M)
-        mu, mv = match[u], match[v]
-        take = match[:]
-        take[u] = take[v] = take[mu] = take[mv] = 0
-        taken = gone | 1 << u | 1 << v
-        if mu == v:
-            drop = take[:]  # M - e, with u and v free
-            if _augment(adj, drop, u, a, b, gone, arrays) or _augment(
-                adj, drop, v, a, b, gone, arrays
-            ):
-                stack.append((chosen, i, gone, drop))
-        else:
-            stack.append((chosen, i, gone, match))
-            if mu and mv and not (
-                _augment(adj, take, mu, a, b, taken, arrays)
-                or _augment(adj, take, mv, a, b, taken, arrays)
+        # M is not empty, so a vertex at or after u misses gone
+        while gone >> u & 1:
+            u += 1
+        left = gone | 1 << u
+        mu = match[u]
+        # leaving u unmatched frees its mate, the one end of any augmenting path
+        drop = match
+        if mu:
+            drop = match[:]
+            drop[u] = drop[mu] = 0
+        if not mu or _augment(adj, drop, mu, left, arrays):
+            stack.append((chosen, left, u, drop))
+        # pushed last to first, so (u, v) pops in increasing v
+        for v in reversed(adj[u]):
+            if gone >> v & 1:
+                continue
+            # taking (u, v) removes u and v and frees their mates
+            mv = match[v]
+            take = match[:]
+            take[u] = take[v] = take[mu] = take[mv] = 0
+            taken = left | 1 << v
+            if mu and mv and mu != v and not (
+                _augment(adj, take, mu, taken, arrays) or _augment(adj, take, mv, taken, arrays)
             ):
                 continue
-        stack.append((chosen + ((u, v),), i, taken, take))
+            stack.append((chosen + ((u, v),), taken, u, take))
 
 
 class CappedStream:
@@ -202,8 +199,8 @@ class SpectrumReport:
             "ell": self.ell,
             "L": self.big_l,
             "achieved": sorted(self.achieved),
-            "witness_min": [list(e) for e in self.witness_min.sorted_edges()],
-            "witness_max": [list(e) for e in self.witness_max.sorted_edges()],
+            "witness_min": [list(e) for e in sorted(self.witness_min.edges)],
+            "witness_max": [list(e) for e in sorted(self.witness_max.edges)],
             "enumerated": self.enumerated,
             "truncated": self.truncated,
         }

@@ -4,8 +4,8 @@ The exhaustive oracles are independent of the matching engine: they try
 every edge subset (with branch-and-bound pruning) and refuse inputs above an
 edge cap.  They recurse once per edge, which is why they live with the tests
 and not in the package.  `iter_maximum_matchings_bounded` is the reference
-for the package's enumerator: the same branching order, decided by a fresh
-`nu` at every node instead of a carried matching.
+for the package's enumerator: the same leaf order, decided by a fresh `nu`
+at every node instead of a carried matching.
 """
 
 from __future__ import annotations
@@ -124,7 +124,10 @@ def iter_maximum_matchings_bounded(g: Graph):
     """Yield (F, nu(g - F)) for every maximum matching F of g, in the
     package enumerator's order: branch on the lowest remaining edge, take it
     before dropping it, and prune a node when a maximum matching of its
-    remaining edges cannot reach nu(g)."""
+    remaining edges cannot reach nu(g).  The package branches on the lowest
+    undecided vertex instead, matching it to each neighbour in increasing
+    order before leaving it unmatched, which reaches the leaves in this
+    order."""
     target = nu(g)
     n = g.vertex_count
     stack = [((), g.sorted_edges())]

@@ -92,6 +92,15 @@ def test_compute_checks_k_and_f_before_enumerating(capsys, monkeypatch):
     assert (code, err) == (2, "error: unknown tolerance kind 'cubic'\n")
 
 
+def test_out_of_memory_exits_2_without_traceback(capsys, monkeypatch):
+    def exhausted(g, cap):
+        raise MemoryError
+
+    monkeypatch.setattr("resmatch.cli.spectrum", exhausted)
+    code, out, err = run(capsys, "compute", P5)
+    assert (code, out, err) == (2, "", "error: out of memory\n")  # no traceback
+
+
 @pytest.mark.parametrize("argv", [
     ("compute", P5, "--k", "1", "--f", "linear:1/0"),
     ("bench", "random:n=4,count=1,p=1/0"),

@@ -74,6 +74,22 @@ def test_parse_dimacs_errors(text, fragment):
         parse_dimacs(text)
 
 
+def test_parse_dimacs_lists_unused_variables():
+    with pytest.raises(DimacsError) as exc:
+        parse_dimacs("p cnf 5 1\n1 2 4 0\n")
+    assert str(exc.value) == "declared variable(s) never used: [3, 5]"
+
+
+def test_parse_dimacs_unused_message_is_bounded():
+    # the header alone must not size the work or the message
+    with pytest.raises(DimacsError) as exc:
+        parse_dimacs("p cnf 1000000 1\n1 2 3 0\n")
+    assert str(exc.value) == (
+        "declared variable(s) never used: [4, 5, 6, 7, 8, 9, 10, 11, 12, 13] (999997 in all)"
+    )
+    assert len(str(exc.value)) < 200
+
+
 def test_parse_dimacs_names_later_clause():
     with pytest.raises(DimacsError, match="clause 2"):
         parse_dimacs("p cnf 3 2\n1 2 3 0\n1 3 -3 0\n")

@@ -1,3 +1,4 @@
+import importlib
 import inspect
 import random
 import sys
@@ -143,6 +144,35 @@ def test_spectrum_depth_does_not_grow_with_edge_count():
     finally:
         sys.setrecursionlimit(old)
     assert (rep.nu, rep.ell, rep.big_l, rep.enumerated) == (150, 0, 0, 1)
+
+
+def count_searches(monkeypatch, g):
+    """(maximum matchings, single-root searches) of one spectrum of g."""
+    enumerator = importlib.import_module("resmatch.spectrum")
+    calls = 0
+    search = enumerator._augment
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return search(*args)
+
+    monkeypatch.setattr(enumerator, "_augment", counted)
+    return spectrum(g).enumerated, calls
+
+
+def test_path_needs_one_search_per_matched_edge(monkeypatch):
+    # leaving vertex 2i-1 unmatched frees 2i, and one search from it fails;
+    # taking (2i-1, 2i) keeps M minus that edge.  Edge branching made 200.
+    assert count_searches(monkeypatch, path(200)) == (1, 100)
+
+
+def test_ladder_search_count(monkeypatch):
+    k = 8
+    rails = [(i, i + 1) for i in range(1, k)] + [(k + i, k + i + 1) for i in range(1, k)]
+    g = build_graph(2 * k, rails + [(i, k + i) for i in range(1, k + 1)])
+    # branching on the lowest edge, take before drop, made 283 searches: 158 is 44% fewer
+    assert count_searches(monkeypatch, g) == (34, 158)
 
 
 def test_spectrum_json_shape():
