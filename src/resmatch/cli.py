@@ -245,6 +245,8 @@ BENCH_COLUMNS = (
 
 
 def cmd_bench(args) -> int:
+    if args.trials < 1:  # no seeds, no rows: nothing would be checked
+        raise ValueError(f"--trials must be positive, got {args.trials}")
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(BENCH_COLUMNS)

@@ -54,9 +54,6 @@ class Graph:
             adj[v].append(u)
         return adj
 
-    def degree(self, v: int) -> int:
-        return sum(1 for e in self.edges if v in e)
-
 
 @dataclass(frozen=True)
 class Bipartition:

@@ -34,9 +34,6 @@ class Matching:
     def sorted_edges(self) -> list[tuple[int, int]]:
         return sorted(self.edges)
 
-    def to_lines(self) -> str:
-        return "".join(f"m {u} {v}\n" for u, v in self.sorted_edges())
-
 
 def matching_from_pairs(pairs, host_size: int) -> Matching:
     edges = frozenset(normalize_edge(u, v, host_size) for u, v in pairs)

@@ -28,7 +28,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .graph import Graph, build_graph, degree_profile, is_connected, normalize_edge
+from .graph import Graph, degree_profile, is_connected, normalize_edge
 from .matching import Matching, matching_from_pairs, nu, validate_matching
 from .spectrum import CappedStream
 
@@ -37,6 +37,7 @@ VARIANTS = ("L", "ell")
 EXHAUSTIVE_VAR_LIMIT = 6  # variables; exhaustive verify enumerates 2^n matchings
 
 Point = tuple[int, int]
+Edge = tuple[int, int]
 
 
 class DimacsError(ValueError):
@@ -152,8 +153,6 @@ def parse_dimacs(text: str) -> CnfInstance:
     return CnfInstance(num_vars, tuple(clauses))  # type: ignore[arg-type]
 
 
-GADGET_ROLES = ("u11", "u12", "u21", "u22", "v11", "v12", "v21", "v22")
-
 # (corner, corner, edge role) inside every gadget.  The one polarity-dependent
 # edge, the feed from u22, is added next to it: the anchor square sits below
 # the ports of a plain occurrence, so u22 feeds v22 vertically; it sits left
@@ -166,6 +165,10 @@ _GADGET_EDGES = (
     ("v22", "v12", "port"),
     ("v11", "v12", "port"),
 )
+
+# every encoded matching takes all edges of these roles; the cycle edges
+# ("port" and "join") it takes depend on the assignment
+ENCODED_ROLES = ("path", "u", "column")
 
 
 def _gadget_cells(i: int, j: int, positive: bool) -> dict[str, Point]:
@@ -195,17 +198,19 @@ def _gadget_cells(i: int, j: int, positive: bool) -> dict[str, Point]:
 
 @dataclass(frozen=True)
 class ReductionArtifact:
+    """An artifact graph and the record that encodes assignments into it.
+
+    `roles` maps every edge of `graph` (an id pair) to its role.  `cycles[i - 1]`
+    holds variable i's cycle as its two perfect matchings: the edges its TRUE
+    encoding takes, then those its FALSE encoding takes.  Besides one side of
+    each cycle, every encoding takes exactly the edges of ENCODED_ROLES.
+    """
+
     graph: Graph
     cnf: CnfInstance
     variant: str
-    gadget_index: dict[tuple[int, int], dict[str, int]]
-    cycle_index: dict[int, tuple[tuple[tuple[int, int], str], ...]]
-    path_vertices: tuple[int, ...]
-    path_pairs: tuple[tuple[int, int], ...]
-    u_edges: tuple[tuple[int, int], ...]
-    column_edges: tuple[tuple[int, int], ...]
-    anchor_edges: tuple[tuple[int, int], ...]
-    link_edges: tuple[tuple[int, int], ...]
+    roles: dict[Edge, str]
+    cycles: tuple[tuple[frozenset[Edge], frozenset[Edge]], ...]
     expected: dict = field(default_factory=dict)
 
 
@@ -299,22 +304,23 @@ def build_artifact(cnf: CnfInstance, variant: str) -> ReductionArtifact:
 
     # variable cycles: each port square contributes its three drawn edges;
     # consecutive occurrences (clause order, wrapping) are joined v11 -> v21
-    # along the square's left column
-    cycle_pts: dict[int, list[tuple[Point, Point, str]]] = {}
+    # along the square's left column.  L encodes TRUE as the vertical cycle
+    # matching, ell as the horizontal one; the two variants reward opposite
+    # orientations in the residual.
+    cycle_pts: list[tuple[list[tuple[Point, Point]], list[tuple[Point, Point]]]] = []
     for i in range(1, n + 1):
         occs = occurrences[i]
         if not occs:
             raise ConstructionError(f"variable {i} has no occurrences")
-        walk: list[tuple[Point, Point, str]] = []
+        vertical: list[tuple[Point, Point]] = []
+        horizontal: list[tuple[Point, Point]] = []
         for idx, key in enumerate(occs):
             cells = gadget_cells[key]
             nxt = gadget_cells[occs[(idx + 1) % len(occs)]]
-            walk.append((cells["v21"], cells["v22"], "horizontal"))
-            walk.append((cells["v22"], cells["v12"], "vertical"))
-            walk.append((cells["v12"], cells["v11"], "horizontal"))
-            walk.append((cells["v11"], nxt["v21"], "vertical"))
+            horizontal += [(cells["v21"], cells["v22"]), (cells["v12"], cells["v11"])]
+            vertical += [(cells["v22"], cells["v12"]), (cells["v11"], nxt["v21"])]
             add_edge(cells["v11"], nxt["v21"], "join")
-        cycle_pts[i] = walk
+        cycle_pts.append((vertical, horizontal) if variant == "L" else (horizontal, vertical))
 
     expected = expected_counts(m, variant)
     if len(points) != expected["vertices"]:
@@ -327,41 +333,22 @@ def build_artifact(cnf: CnfInstance, variant: str) -> ReductionArtifact:
     # ids follow the lattice order, so a point-ordered edge is id-ordered too
     ids = {p: k for k, p in enumerate(sorted(points), start=1)}
     coords = {k: p for p, k in ids.items()}
-    graph = build_graph(len(points), [(ids[a], ids[b]) for a, b in edge_roles], coords)
+    roles = {(ids[a], ids[b]): role for (a, b), role in edge_roles.items()}
+    # add_edge has checked every edge, and the graph shares its edge tuples
+    # with roles, where build_graph would copy each one
+    graph = Graph(len(points), frozenset(roles), coords)
 
-    def role_edges(role: str) -> tuple[tuple[int, int], ...]:
-        return tuple((ids[a], ids[b]) for (a, b), r in edge_roles.items() if r == role)
+    def id_edges(walk: list[tuple[Point, Point]]) -> frozenset[Edge]:
+        return frozenset(normalize_edge(ids[a], ids[b]) for a, b in walk)
 
-    gadget_index = {
-        key: {role: ids[p] for role, p in cells.items()}
-        for key, cells in gadget_cells.items()
-    }
-    cycle_index = {
-        i: tuple((normalize_edge(ids[a], ids[b]), lab) for a, b, lab in walk)
-        for i, walk in cycle_pts.items()
-    }
     return ReductionArtifact(
         graph=graph,
         cnf=cnf,
         variant=variant,
-        gadget_index=gadget_index,
-        cycle_index=cycle_index,
-        path_vertices=tuple(ids[p] for p in spine),
-        path_pairs=role_edges("path"),
-        u_edges=role_edges("u"),
-        column_edges=role_edges("column"),
-        anchor_edges=role_edges("anchor"),
-        link_edges=role_edges("link"),
+        roles=roles,
+        cycles=tuple((id_edges(t), id_edges(f)) for t, f in cycle_pts),
         expected=expected,
     )
-
-
-def _orientation_for(variant: str, value: bool) -> str:
-    # L encodes TRUE as the vertical cycle matching, ell as the horizontal
-    # one; the two variants reward opposite orientations in the residual.
-    if variant == "L":
-        return "vertical" if value else "horizontal"
-    return "horizontal" if value else "vertical"
 
 
 def encode_assignment(art: ReductionArtifact, alpha: Assignment) -> Matching:
@@ -370,39 +357,31 @@ def encode_assignment(art: ReductionArtifact, alpha: Assignment) -> Matching:
         raise ValueError(
             f"assignment covers {len(alpha.values)} variables, need {art.cnf.num_vars}"
         )
-    pairs: list[tuple[int, int]] = []
-    pairs.extend(art.path_pairs)
-    pairs.extend(art.u_edges)
-    pairs.extend(art.column_edges)
-    for i in range(1, art.cnf.num_vars + 1):
-        want = _orientation_for(art.variant, alpha.of(i))
-        pairs.extend(e for e, lab in art.cycle_index[i] if lab == want)
+    pairs = [e for e, role in art.roles.items() if role in ENCODED_ROLES]
+    for value, (true_side, false_side) in zip(alpha.values, art.cycles):
+        pairs.extend(true_side if value else false_side)
     return matching_from_pairs(pairs, art.graph.vertex_count)
 
 
 def decode_matching(art: ReductionArtifact, f: Matching) -> Assignment:
     """Read the assignment back out of a perfect matching.
 
-    Raises StructuralDecodeError when some variable cycle carries neither a
-    pure vertical nor a pure horizontal orientation.
+    Each variable is TRUE when f holds exactly the TRUE side of its cycle
+    and FALSE when it holds exactly the FALSE side.  Raises ValueError when
+    f is not a perfect matching of the artifact, and StructuralDecodeError
+    when some variable cycle carries neither side purely.
     """
     flags = validate_matching(art.graph, f)
     if not flags.valid or not flags.perfect:
         raise ValueError("decode requires a valid perfect matching of the artifact")
     values: list[bool] = []
-    for i in range(1, art.cnf.num_vars + 1):
-        vertical = frozenset(e for e, lab in art.cycle_index[i] if lab == "vertical")
-        horizontal = frozenset(e for e, lab in art.cycle_index[i] if lab == "horizontal")
-        hit = f.edges & (vertical | horizontal)
-        if hit == vertical:
-            orient = "vertical"
-        elif hit == horizontal:
-            orient = "horizontal"
-        else:
+    for i, (true_side, false_side) in enumerate(art.cycles, start=1):
+        hit = f.edges & (true_side | false_side)
+        if hit != true_side and hit != false_side:
             raise StructuralDecodeError(
                 f"cycle of variable {i} is not purely oriented in this matching"
             )
-        values.append(orient == _orientation_for(art.variant, True))
+        values.append(hit == true_side)
     return Assignment(tuple(values))
 
 

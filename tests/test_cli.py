@@ -288,6 +288,12 @@ def test_bench_counts_each_bad_row_once(capsys, monkeypatch):
     assert [row.split(",")[-1] for row in out.splitlines()[1:]] == ["False", "True"]
 
 
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_bench_rejects_trials_below_one(capsys, trials):
+    code, out, err = run(capsys, "bench", "path:5", "--trials", trials)
+    assert (code, out, err) == (2, "", f"error: --trials must be positive, got {trials}\n")
+
+
 def test_bench_rejects_bad_family(capsys):
     code, _, err = run(capsys, "bench", "torus:n=5")
     assert code == 2

@@ -29,8 +29,6 @@ def test_build_graph_basic():
     assert g.edge_count == 3
     assert g.sorted_edges() == [(1, 2), (2, 3), (3, 4)]
     assert g.adjacency()[2] == [1, 3]
-    assert g.degree(2) == 2
-    assert g.degree(4) == 1
 
 
 def test_build_graph_collapses_duplicates_with_warning():

@@ -33,7 +33,6 @@ def test_matching_container():
     assert len(m) == 2
     assert m.covered() == frozenset({1, 2, 3, 4})
     assert m.sorted_edges() == [(1, 3), (2, 4)]
-    assert m.to_lines() == "m 1 3\nm 2 4\n"
     with pytest.raises(ValueError, match="share"):
         matching_from_pairs([(1, 2), (2, 3)], 3)
     with pytest.raises(ValueError, match="outside"):

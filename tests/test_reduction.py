@@ -1,17 +1,17 @@
 import dataclasses
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from resmatch import reduction
-from resmatch.graph import delete_edges, emit_graph_file
+from resmatch.graph import build_graph, delete_edges, emit_graph_file
 from resmatch.matching import Matching, nu
 from resmatch.reduction import (
     Assignment,
     DimacsError,
     EXHAUSTIVE_VAR_LIMIT,
-    GADGET_ROLES,
     StructuralDecodeError,
     additive_threshold,
     all_assignments,
@@ -147,34 +147,67 @@ def test_build_rejects_bad_variant():
         build_artifact(parse_dimacs(M1), "both")
 
 
-def test_artifact_indices_are_complete():
+def test_artifact_roles_are_complete():
     art = build_artifact(parse_dimacs(M2_MIXED), "ell")
-    assert set(art.gadget_index) == {(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3)}
-    for cells in art.gadget_index.values():
-        assert set(cells) == set(GADGET_ROLES)
-    # variable i occurs twice, so its cycle has 8 labeled edges
-    for i in (1, 2, 3):
-        assert len(art.cycle_index[i]) == 8
-        labels = [lab for _, lab in art.cycle_index[i]]
-        assert labels.count("horizontal") == 4
-        assert labels.count("vertical") == 4
-    assert len(art.path_vertices) == 8
-    assert len(art.anchor_edges) == 2
-    assert len(art.link_edges) == 4
-    assert art.column_edges == ()
+    # 8 spine vertices (4 path and 3 spine edges); per occurrence 2 u, 2 feed,
+    # 3 port and 1 join edges; per clause 1 anchor and 2 link edges
+    assert Counter(art.roles.values()) == {
+        "path": 4, "spine": 3, "u": 12, "feed": 12, "port": 18, "join": 6,
+        "anchor": 2, "link": 4,
+    }
+    # variable i occurs twice, so its cycle has 8 edges, 4 on each side
+    assert [(len(t), len(f)) for t, f in art.cycles] == [(4, 4)] * 3
 
 
 def test_l_variant_has_columns_no_links():
-    art = build_artifact(parse_dimacs(M1), "L")
-    assert len(art.column_edges) == 2
-    assert art.link_edges == ()
+    roles = Counter(build_artifact(parse_dimacs(M1), "L").roles.values())
+    assert roles["column"] == 2
+    assert roles["rail"] == 6
+    assert roles["link"] == 0
 
 
 def test_build_is_deterministic():
     a = build_artifact(parse_dimacs(M2_MIXED), "L")
     b = build_artifact(parse_dimacs(M2_MIXED), "L")
     assert emit_graph_file(a.graph) == emit_graph_file(b.graph)
-    assert a.gadget_index == b.gadget_index
+    assert list(a.roles.items()) == list(b.roles.items())
+    assert a.cycles == b.cycles
+
+
+@pytest.mark.parametrize("variant", ["L", "ell"])
+@pytest.mark.parametrize("text", [M1, M1_NEG, M2_OPP, M2_MIXED])
+def test_artifact_record(variant, text):
+    cnf = parse_dimacs(text)
+    art = build_artifact(cnf, variant)
+    assert set(art.roles) == art.graph.edges
+    # the artifact graph passes the checks of the validating constructor
+    assert art.graph == build_graph(art.graph.vertex_count, list(art.roles), art.graph.coords)
+    assert len(art.cycles) == cnf.num_vars
+    for true_side, false_side in art.cycles:
+        assert not true_side & false_side
+        assert len(true_side) == len(false_side)
+        for side in (true_side, false_side):
+            assert len({v for e in side for v in e}) == 2 * len(side)  # a matching
+    sides = [side for pair in art.cycles for side in pair]
+    cycle_edges = {e for e, role in art.roles.items() if role in ("port", "join")}
+    assert set().union(*sides) == cycle_edges
+    assert sum(map(len, sides)) == len(cycle_edges)  # the cycles are disjoint
+    fixed = {e for e, role in art.roles.items() if role in ("path", "u", "column")}
+    for alpha in all_assignments(cnf.num_vars):
+        chosen = [t if value else f for value, (t, f) in zip(alpha.values, art.cycles)]
+        assert encode_assignment(art, alpha).edges == fixed.union(*chosen)
+
+
+@pytest.mark.parametrize("variant, axis", [("L", 0), ("ell", 1)])
+@pytest.mark.parametrize("text", [M1, M1_NEG, M2_OPP, M2_MIXED])
+def test_true_side_orientation(variant, axis, text):
+    # L takes the vertical side of each cycle for TRUE (both ends share x),
+    # ell the horizontal side (both ends share y)
+    art = build_artifact(parse_dimacs(text), variant)
+    xy = art.graph.coords
+    for true_side, false_side in art.cycles:
+        assert all(xy[u][axis] == xy[v][axis] for u, v in true_side)
+        assert all(xy[u][1 - axis] == xy[v][1 - axis] for u, v in false_side)
 
 
 # --- encode / decode ---
@@ -271,7 +304,8 @@ def test_exhaustive_raises_above_limit():
 
 def test_exhaustive_reports_artifact_without_perfect_matching():
     art = build_artifact(parse_dimacs(M1), "L")
-    broken = dataclasses.replace(art, graph=delete_edges(art.graph, [art.path_pairs[0]]))
+    path_edge = next(e for e, role in art.roles.items() if role == "path")
+    broken = dataclasses.replace(art, graph=delete_edges(art.graph, [path_edge]))
     cert = verify_artifact(broken, exhaustive=True)
     assert not cert.ok
     assert cert.residual_checks == ()
