@@ -228,6 +228,8 @@ def _family_graphs(spec: str, seed: int):
         raise ValueError(f"unknown family {name!r}")
 
 
+MAX_TRIALS = 10**5  # bench rows are kept in memory until the sweep ends
+
 BENCH_COLUMNS = (
     "graph",
     "vertices",
@@ -247,13 +249,15 @@ BENCH_COLUMNS = (
 def cmd_bench(args) -> int:
     if args.trials < 1:  # no seeds, no rows: nothing would be checked
         raise ValueError(f"--trials must be positive, got {args.trials}")
+    if args.trials > MAX_TRIALS:
+        raise ValueError(f"--trials must be at most {MAX_TRIALS}, got {args.trials}")
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(BENCH_COLUMNS)
     violations = 0
     truncations = 0
     observed_ell_ratios: set[Fraction] = set()
-    seeds = list(range(args.seed, args.seed + args.trials))
+    seeds = range(args.seed, args.seed + args.trials)
     for label, g in _family_graphs(args.family, args.seed):
         try:
             trial = approx_trial(g, seeds, cap=args.cap)
@@ -332,7 +336,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("family",
                          help="path:N, cycle:A..B[:STEP], random:n=,count=,p=,"
                               " random-bipartite:n=,count=,p=")
-    p_bench.add_argument("--trials", type=int, default=5)
+    p_bench.add_argument("--trials", type=int, default=5,
+                         help=f"seeded matchings per graph, 1..{MAX_TRIALS}")
     p_bench.add_argument("--seed", type=int, default=1)
     p_bench.add_argument("--cap", type=int, default=10**5)
     p_bench.add_argument("--output")

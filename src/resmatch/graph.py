@@ -47,11 +47,16 @@ class Graph:
 
     def adjacency(self) -> list[list[int]]:
         """Neighbors of each vertex in increasing order, indexed by vertex
-        (slot 0 is empty)."""
-        adj: list[list[int]] = [[] for _ in range(self.vertex_count + 1)]
-        for u, v in sorted(self.edges):
-            adj[u].append(v)
-            adj[v].append(u)
+        (slot 0 is empty).  Built on the first call and shared by every
+        later one, so callers must not change it; it is no field, so it
+        takes no part in == or hash."""
+        adj = self.__dict__.get("_adjacency")
+        if adj is None:
+            adj = [[] for _ in range(self.vertex_count + 1)]
+            for u, v in sorted(self.edges):
+                adj[u].append(v)
+                adj[v].append(u)
+            object.__setattr__(self, "_adjacency", adj)
         return adj
 
 

@@ -2,14 +2,16 @@
 
 One engine finds every maximum matching here: `_augment`, a single-root
 augmenting-path search with odd-cycle (blossom) contraction in the subgraph
-induced by the vertices outside a removed-vertex mask.  `_blossom` is a
-greedy pass followed by one `_augment` per free root; `nu`, the bipartite
-entry and `resmatch.colorable.nu2_bipartite` run it in vertex order with
-sorted adjacency and an empty mask, and `resmatch.spectrum`'s enumerator
-calls `_augment` directly to repair the matching it carries.  `max_matching`
-first lets a seed permute the scan order, so different seeds may return
-different maximum matchings of the same size; results are deterministic for
-a fixed (graph, seed) pair.
+induced by the vertices outside a removed-vertex mask, less the edges of a
+skipped-edge mate array.  `_blossom` is a greedy pass followed by one
+`_augment` per free root; `nu`, the bipartite entry and
+`resmatch.colorable.nu2_bipartite` run it in vertex order with sorted
+adjacency, an empty mask and no skipped edge, and `resmatch.spectrum`'s
+enumerator calls `_augment` directly to repair the two matchings it carries:
+one under the mask, and one of the whole graph with the chosen edges
+skipped.  `max_matching` first lets a seed permute the scan order, so
+different seeds may return different maximum matchings of the same size;
+results are deterministic for a fixed (graph, seed) pair.
 """
 
 from __future__ import annotations
@@ -76,8 +78,9 @@ def _blossom(n: int, adj: list[list[int]], order) -> list[int]:
 
 def _search_arrays(n: int):
     """Scratch arrays for `_augment` on vertices 1..n: outer flags, tree
-    parents, blossom bases, and lca marks (mark[0] holds the last stamp)."""
-    return [False] * (n + 1), [0] * (n + 1), list(range(n + 1)), [0] * (n + 1)
+    parents, blossom bases, lca marks (mark[0] holds the last stamp), and the
+    skipped-edge mates (all 0: no edge is skipped)."""
+    return [False] * (n + 1), [0] * (n + 1), list(range(n + 1)), [0] * (n + 1), [0] * (n + 1)
 
 
 def _augment(adj, match, root: int, gone: int, arrays) -> bool:
@@ -86,11 +89,13 @@ def _augment(adj, match, root: int, gone: int, arrays) -> bool:
     algorithm.  True when it augmented.
 
     It sees the subgraph induced by the vertices outside the bitmask gone
-    (0: the whole graph), where match is a matching and root is free.  As in
-    Gabow (JACM 1976) the scratch arrays outlive the search, which resets
-    only the vertices it reached; lca walks mark with a stamp.
+    (0: the whole graph), less the edges of the mate array skip (the last
+    of the arrays: skip[v] = w hides the edge (v, w), 0 hides nothing), where
+    match is a matching and root is free.  As in Gabow (JACM 1976) the
+    scratch arrays outlive the search, which resets only the vertices it
+    reached; lca walks mark with a stamp.
     """
-    even, p, base, mark = arrays
+    even, p, base, mark, skip = arrays
     even[root] = True
     tree = [root]
     queue = [root]
@@ -98,8 +103,9 @@ def _augment(adj, match, root: int, gone: int, arrays) -> bool:
     while head < len(queue) and end == 0:
         v = queue[head]
         head += 1
+        mate, hidden = match[v], skip[v]  # neither changes until the search ends
         for to in adj[v]:
-            if base[v] == base[to] or match[v] == to or gone >> to & 1:
+            if base[v] == base[to] or to == mate or to == hidden or gone >> to & 1:
                 continue
             if to == root or (match[to] != 0 and p[match[to]] != 0):
                 # odd cycle: contract the blossom down to the lca of v and to
@@ -170,7 +176,7 @@ def max_matching(g: Graph, seed: int = 0) -> Matching:
     list; it changes which maximum matching is returned, never its size.
     """
     rng = random.Random(seed)
-    adj = g.adjacency()
+    adj = [lst[:] for lst in g.adjacency()]
     for lst in adj:
         rng.shuffle(lst)
     order = list(range(1, g.vertex_count + 1))

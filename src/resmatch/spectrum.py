@@ -8,7 +8,10 @@ one (maximum matching, residual) stream in a single pass, so results are
 exact whenever the enumeration finishes under its positive cap; witnesses
 are first occurrences in that order.  The enumerator branches on vertices
 and carries one maximum matching of each node's remaining graph, which
-decides every child with at most two single-root augmenting searches.
+decides every child with at most two single-root augmenting searches.  It
+carries a second one, of G less the node's chosen edges, whose size each
+leaf yields as nu(G - F); a child that takes one of its edges repairs it with
+at most two more searches, so no leaf runs a blossom.
 """
 
 from __future__ import annotations
@@ -110,18 +113,39 @@ def _iter_maximum_matchings(g: Graph):
     graph left, so a child is kept or pruned without a fresh bound (Fukuda
     and Matsui 1994, Uno 1997): any augmenting path of a child's share of M
     ends at a vertex that branching freed, so two searches at most decide it.
+
+    A node also carries a maximum matching R of g less its chosen edges (all
+    vertices kept) and its size r, which a leaf yields as its residual.  A
+    child shares R; if its last chosen edge (a, b) is in R, it drops (a, b)
+    from its copy when popped, and a search from a, then one from b, with the
+    chosen edges skipped, decides whether r stays or drops by one: as R was
+    maximum, an augmenting path must end at a or at b.
     """
     n = g.vertex_count
     adj = g.adjacency()
     arrays = _search_arrays(n)
+    skip = arrays[-1]
     mate = _blossom(n, adj, range(1, n + 1))
     target = sum(map(bool, mate)) // 2
-    stack = [((), 0, 1, mate)]
+    stack = [((), 0, 1, mate, mate, target)]
+    applied = ()
     while stack:
-        chosen, gone, u, match = stack.pop()
+        chosen, gone, u, match, res, r = stack.pop()
+        # skip holds the chosen edges of the node at hand: all but its last
+        # are its parent's, a prefix of those of the node popped before it
+        for a, b in applied[max(len(chosen) - 1, 0):]:
+            skip[a] = skip[b] = 0
+        applied = chosen
+        if chosen:
+            a, b = chosen[-1]
+            skip[a], skip[b] = b, a
+            if res[a] == b:
+                res = res[:]
+                res[a] = res[b] = 0
+                if not (_augment(adj, res, a, 0, arrays) or _augment(adj, res, b, 0, arrays)):
+                    r -= 1
         if len(chosen) == target:
-            m = Matching(frozenset(chosen), n)
-            yield m, residual(g, m)
+            yield Matching(frozenset(chosen), n), r
             continue
         # M is not empty, so a vertex at or after u misses gone
         while gone >> u & 1:
@@ -134,7 +158,7 @@ def _iter_maximum_matchings(g: Graph):
             drop = match[:]
             drop[u] = drop[mu] = 0
         if not mu or _augment(adj, drop, mu, left, arrays):
-            stack.append((chosen, left, u, drop))
+            stack.append((chosen, left, u, drop, res, r))
         # pushed last to first, so (u, v) pops in increasing v
         for v in reversed(adj[u]):
             if gone >> v & 1:
@@ -148,7 +172,7 @@ def _iter_maximum_matchings(g: Graph):
                 _augment(adj, take, mu, taken, arrays) or _augment(adj, take, mv, taken, arrays)
             ):
                 continue
-            stack.append((chosen + ((u, v),), taken, u, take))
+            stack.append((chosen + ((u, v),), taken, u, take, res, r))
 
 
 class CappedStream:

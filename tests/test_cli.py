@@ -294,6 +294,13 @@ def test_bench_rejects_trials_below_one(capsys, trials):
     assert (code, out, err) == (2, "", f"error: --trials must be positive, got {trials}\n")
 
 
+@pytest.mark.parametrize("trials", ["100001", "100000000"])
+def test_bench_rejects_trials_above_the_maximum(capsys, trials):
+    # refused before a seed or a graph is made: 10**8 seeds would need gigabytes
+    code, out, err = run(capsys, "bench", "path:5", "--trials", trials)
+    assert (code, out, err) == (2, "", f"error: --trials must be at most 100000, got {trials}\n")
+
+
 def test_bench_rejects_bad_family(capsys):
     code, _, err = run(capsys, "bench", "torus:n=5")
     assert code == 2

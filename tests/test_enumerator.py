@@ -13,7 +13,7 @@ import pytest
 from oracles import iter_maximum_matchings_bounded, random_bipartite, random_graph
 from resmatch.graph import build_graph
 from resmatch.reduction import build_artifact, parse_dimacs
-from resmatch.spectrum import _iter_maximum_matchings
+from resmatch.spectrum import _iter_maximum_matchings, residual
 
 
 def assert_same_stream(g):
@@ -67,17 +67,24 @@ def test_same_stream_on_artifacts(variant, num_vars, m):
     assert_same_stream(build_artifact(random_cnf(10 * num_vars + m, num_vars, m), variant).graph)
 
 
-def test_nu_runs_only_for_the_leaf_residual(monkeypatch):
+def test_leaf_residual_needs_no_nu_or_delete_edges(monkeypatch):
     spectrum_module = importlib.import_module("resmatch.spectrum")
-    real_nu = spectrum_module.nu
-    calls = 0
+    calls = {"nu": 0, "delete_edges": 0, "_blossom": 0}
 
-    def counting_nu(g):
-        nonlocal calls
-        calls += 1
-        return real_nu(g)
+    def counting(name):
+        real = getattr(spectrum_module, name)
 
-    monkeypatch.setattr(spectrum_module, "nu", counting_nu)
-    items = list(_iter_maximum_matchings(dense24(0)))
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(spectrum_module, name, counting(name))
+    g = dense24(0)
+    items = list(_iter_maximum_matchings(g))
     assert len(items) == 4316
-    assert calls == len(items)
+    # one blossom at the root; each leaf yields the residual it carried
+    assert calls == {"nu": 0, "delete_edges": 0, "_blossom": 1}
+    assert all(r == residual(g, m) for m, r in items)

@@ -90,6 +90,17 @@ def test_seeds_reach_different_matchings_on_p5():
     assert len(found) > 1
 
 
+def test_seeded_shuffles_leave_the_shared_adjacency_alone():
+    g = build_graph(10, PETERSEN.sorted_edges())
+    adj = g.adjacency()
+    before = [lst[:] for lst in adj]
+    assert len({max_matching(g, seed=s).edges for s in range(8)}) > 1
+    assert g.adjacency() is adj
+    assert adj == before and all(lst == sorted(lst) for lst in adj)
+    fresh = build_graph(10, PETERSEN.sorted_edges())
+    assert g == fresh and hash(g) == hash(fresh)
+
+
 def test_hopcroft_karp_agrees_with_blossom():
     rng = random.Random(99)
     for _ in range(200):

@@ -146,25 +146,38 @@ def test_spectrum_depth_does_not_grow_with_edge_count():
     assert (rep.nu, rep.ell, rep.big_l, rep.enumerated) == (150, 0, 0, 1)
 
 
-def count_searches(monkeypatch, g):
-    """(maximum matchings, single-root searches) of one spectrum of g."""
+def record_searches(monkeypatch, g):
+    """The (matching, residual) stream of g, and (root, mask, augmented) of
+    each single-root search the enumerator made, in order."""
     enumerator = importlib.import_module("resmatch.spectrum")
-    calls = 0
+    searches = []
     search = enumerator._augment
 
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return search(*args)
+    def recorded(adj, match, root, gone, arrays):
+        found = search(adj, match, root, gone, arrays)
+        searches.append((root, gone, found))
+        return found
 
-    monkeypatch.setattr(enumerator, "_augment", counted)
-    return spectrum(g).enumerated, calls
+    monkeypatch.setattr(enumerator, "_augment", recorded)
+    items = [(m.sorted_edges(), r) for m, r in enumerator._iter_maximum_matchings(g)]
+    return items, searches
+
+
+def count_searches(monkeypatch, g):
+    """(maximum matchings, single-root searches, residual repairs) of g.  The
+    enumerator's own searches see a removed-vertex mask; the repairs of the
+    carried residual matching see the whole graph."""
+    items, searches = record_searches(monkeypatch, g)
+    repairs = sum(gone == 0 for _, gone, _ in searches)
+    return len(items), len(searches) - repairs, repairs
 
 
 def test_path_needs_one_search_per_matched_edge(monkeypatch):
     # leaving vertex 2i-1 unmatched frees 2i, and one search from it fails;
     # taking (2i-1, 2i) keeps M minus that edge.  Edge branching made 200.
-    assert count_searches(monkeypatch, path(200)) == (1, 100)
+    # Each take removes an edge of R: the first repair fails from both ends,
+    # every later one augments from 2i-1 to the vertex freed before it.
+    assert count_searches(monkeypatch, path(200)) == (1, 100, 101)
 
 
 def test_ladder_search_count(monkeypatch):
@@ -172,7 +185,21 @@ def test_ladder_search_count(monkeypatch):
     rails = [(i, i + 1) for i in range(1, k)] + [(k + i, k + i + 1) for i in range(1, k)]
     g = build_graph(2 * k, rails + [(i, k + i) for i in range(1, k + 1)])
     # branching on the lowest edge, take before drop, made 283 searches: 158 is 44% fewer
-    assert count_searches(monkeypatch, g) == (34, 158)
+    assert count_searches(monkeypatch, g) == (34, 158, 21)
+
+
+@pytest.mark.parametrize("n, items, repairs", [
+    # R = {12}: taking 12 leaves 1 isolated, and 2-3 augments from the second end;
+    # the drop child's matching {23} does not use R's edge 12, so it shares R
+    (3, [([(1, 2)], 1), ([(2, 3)], 1)], [(1, False), (2, True)]),
+    # R = {12, 34}: taking 12 leaves 2-3-4 with 34 matched, so neither 1 nor
+    # 2 augments and r drops to 1; taking 34 then frees 3, and 3-2 augments
+    (4, [([(1, 2), (3, 4)], 1)], [(1, False), (2, False), (3, True)]),
+])
+def test_residual_repairs_on_short_paths(monkeypatch, n, items, repairs):
+    stream, searches = record_searches(monkeypatch, path(n))
+    assert stream == items
+    assert [(root, found) for root, gone, found in searches if gone == 0] == repairs
 
 
 def test_spectrum_json_shape():
