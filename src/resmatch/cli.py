@@ -10,9 +10,9 @@ problems exit with status 2.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
-import io
 import json
 import os
 import random
@@ -59,12 +59,17 @@ def _rat(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def _write_atomic(path: str, text: str):
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".resmatch-")
+@contextlib.contextmanager
+def _output(path: str | None):
+    """Standard output, or a temporary file beside path that replaces path
+    only once the block has finished (and is removed if it raises)."""
+    if path is None:
+        yield sys.stdout
+        return
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".resmatch-")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -76,10 +81,8 @@ def _emit_json(obj: dict, path: str | None):
 
 
 def _emit_text(text: str, path: str | None):
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        _write_atomic(path, text)
+    with _output(path) as fh:
+        fh.write(text)
 
 
 def _read(path: str) -> str:
@@ -154,7 +157,7 @@ def cmd_verify(args) -> int:
     return EXIT_OK if not mismatches else EXIT_CHECK_FAILED
 
 
-def _parse_sizes(text: str) -> list[int]:
+def _parse_sizes(text: str) -> range:
     # N, A..B, or A..B:STEP
     step = 1
     if ":" in text:
@@ -169,7 +172,7 @@ def _parse_sizes(text: str) -> list[int]:
         lo = hi = int(text)
     if lo < 1 or hi < lo:
         raise ValueError(f"bad size range {text!r}")
-    return list(range(lo, hi + 1, step))
+    return range(lo, hi + 1, step)
 
 
 def _parse_params(text: str) -> dict[str, str]:
@@ -183,32 +186,38 @@ def _parse_params(text: str) -> dict[str, str]:
 
 
 def _random_graph(n: int, p: float, rng: random.Random, bipartite: bool) -> Graph:
-    edges = []
     if bipartite:
         half = (n + 1) // 2
-        candidates = [(u, v) for u in range(1, half + 1) for v in range(half + 1, n + 1)]
+        candidates = ((u, v) for u in range(1, half + 1) for v in range(half + 1, n + 1))
     else:
-        candidates = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
-    for u, v in candidates:
-        if rng.random() < p:
-            edges.append((u, v))
+        candidates = ((u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1))
+    return build_graph(n, [e for e in candidates if rng.random() < p])
+
+
+def _path(n: int, closed: bool) -> Graph:
+    edges = [(i, i + 1) for i in range(1, n)]
+    if closed:
+        edges.append((n, 1))
     return build_graph(n, edges)
 
 
+MAX_GRAPHS = 10**5  # graphs one bench family may hold
+
+
 def _family_graphs(spec: str, seed: int):
-    """Yield (label, graph) for a family spec such as path:5, cycle:4..12:2,
-    or random:n=10,count=100,p=3/10 (random-bipartite takes the same keys)."""
+    """An iterator of (label, graph) for a family spec such as path:5,
+    cycle:4..12:2, or random:n=10,count=100,p=3/10 (random-bipartite takes the
+    same keys); it builds each graph when asked for it.  The whole spec, and
+    its size against MAX_GRAPHS, is checked before this returns."""
     name, sep, rest = spec.partition(":")
     if not sep:
         raise ValueError(f"family spec {spec!r} needs parameters after ':'")
     if name in ("path", "cycle"):
-        for n in _parse_sizes(rest):
-            edges = [(i, i + 1) for i in range(1, n)]
-            if name == "cycle":
-                if n < 3:
-                    raise ValueError(f"cycle family needs at least 3 vertices, got {n}")
-                edges.append((n, 1))
-            yield f"{name}:{n}", build_graph(n, edges)
+        sizes = _parse_sizes(rest)
+        if name == "cycle" and sizes[0] < 3:
+            raise ValueError(f"cycle family needs at least 3 vertices, got {sizes[0]}")
+        count = len(sizes)
+        graphs = ((f"{name}:{n}", _path(n, name == "cycle")) for n in sizes)
     elif name in ("random", "random-bipartite"):
         params = _parse_params(rest)
         unknown = set(params) - {"n", "count", "p"}
@@ -221,14 +230,18 @@ def _family_graphs(spec: str, seed: int):
             raise ValueError("family parameters n and count must be positive")
         if not 0 <= p <= 1:
             raise ValueError(f"family parameter p must lie in [0, 1], got {params['p']}")
-        for idx in range(count):
-            rng = random.Random(f"{seed}:{name}:{n}:{idx}")
-            yield f"{name}:{n}#{idx}", _random_graph(n, float(p), rng, name == "random-bipartite")
+        bipartite = name == "random-bipartite"
+        graphs = ((f"{name}:{n}#{i}",
+                   _random_graph(n, float(p), random.Random(f"{seed}:{name}:{n}:{i}"), bipartite))
+                  for i in range(count))
     else:
         raise ValueError(f"unknown family {name!r}")
+    if count > MAX_GRAPHS:
+        raise ValueError(f"a bench family must hold at most {MAX_GRAPHS} graphs, got {count}")
+    return graphs
 
 
-MAX_TRIALS = 10**5  # bench rows are kept in memory until the sweep ends
+MAX_TRIALS = 10**5  # seeds per graph; approx_trial keeps one row per seed
 
 BENCH_COLUMNS = (
     "graph",
@@ -251,29 +264,34 @@ def cmd_bench(args) -> int:
         raise ValueError(f"--trials must be positive, got {args.trials}")
     if args.trials > MAX_TRIALS:
         raise ValueError(f"--trials must be at most {MAX_TRIALS}, got {args.trials}")
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(BENCH_COLUMNS)
+    graphs = _family_graphs(args.family, args.seed)
     violations = 0
     truncations = 0
     observed_ell_ratios: set[Fraction] = set()
     seeds = range(args.seed, args.seed + args.trials)
-    for label, g in _family_graphs(args.family, args.seed):
-        try:
-            trial = approx_trial(g, seeds, cap=args.cap)
-        except TruncatedSpectrumError:
-            truncations += 1
-            writer.writerow([label, g.vertex_count, g.edge_count,
-                             nu(g), "", "", True, "", "", "", "", False])
-            continue
-        for row in trial.rows:
-            if row.ratio_to_ell is not None:
-                observed_ell_ratios.add(row.ratio_to_ell)
-            violations += not row.ok
-            ratios = ["" if x is None else _rat(x) for x in (row.ratio_to_ell, row.ratio_to_big_l)]
-            writer.writerow([label, g.vertex_count, g.edge_count, trial.nu, trial.ell,
-                             trial.big_l, False, row.seed, row.residual, *ratios, row.ok])
-    _emit_text(buf.getvalue(), args.output)
+    with _output(args.output) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(BENCH_COLUMNS)
+        for label, g in graphs:
+            try:
+                trial = approx_trial(g, seeds, cap=args.cap)
+            except TruncatedSpectrumError:
+                truncations += 1
+                writer.writerow([label, g.vertex_count, g.edge_count,
+                                 nu(g), "", "", True, "", "", "", "", False])
+                continue
+            head = [label, g.vertex_count, g.edge_count, trial.nu, trial.ell, trial.big_l, False]
+            ratio_texts: dict[int, list[str]] = {}  # the ratios depend on the residual alone
+            for row in trial.rows:
+                ratios = ratio_texts.get(row.residual)
+                if ratios is None:
+                    if row.ratio_to_ell is not None:
+                        observed_ell_ratios.add(row.ratio_to_ell)
+                    ratios = ratio_texts[row.residual] = [
+                        "" if x is None else _rat(x) for x in (row.ratio_to_ell, row.ratio_to_big_l)
+                    ]
+                violations += not row.ok
+                writer.writerow([*head, row.seed, row.residual, *ratios, row.ok])
     ratio_note = ",".join(_rat(r) for r in sorted(observed_ell_ratios)[:12])
     print(
         f"bench: {violations} violation(s), {truncations} truncation(s),"

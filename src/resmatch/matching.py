@@ -12,6 +12,16 @@ one under the mask, and one of the whole graph with the chosen edges
 skipped.  `max_matching` first lets a seed permute the scan order, so
 different seeds may return different maximum matchings of the same size;
 results are deterministic for a fixed (graph, seed) pair.
+
+The seed's permutations are those of CPython's `random.shuffle`, reproduced
+draw for draw from `getrandbits` in one loop (`_shuffle_each`) so that no
+`shuffle` call is paid per list: each adjacency list in vertex order, then the
+vertex order, all from one `random.Random(seed)`.
+`tests/golden/seeded_matchings.json` and the differential test in
+`tests/test_matching.py` pin that equivalence.  Should a later CPython change
+its shuffle, both fail; the fix is then to drop the inline copy and call
+`rng.shuffle` again, which changes the seeded matchings (and the `bench`
+residual column) on that CPython.
 """
 
 from __future__ import annotations
@@ -169,18 +179,30 @@ def _unshuffled(g: Graph) -> list[int]:
     return _blossom(g.vertex_count, g.adjacency(), range(1, g.vertex_count + 1))
 
 
+def _shuffle_each(lists, rng: random.Random):
+    """Shuffle each list in turn, in place, exactly as `rng.shuffle` would:
+    for i from len - 1 down to 1, j = `_randbelow(i + 1)` by rejection on
+    k = (i + 1).bit_length() bits, then swap."""
+    getrandbits = rng.getrandbits
+    for x in lists:
+        for i in range(len(x) - 1, 0, -1):
+            k = (i + 1).bit_length()
+            j = getrandbits(k)
+            while j > i:
+                j = getrandbits(k)
+            x[i], x[j] = x[j], x[i]
+
+
 def max_matching(g: Graph, seed: int = 0) -> Matching:
     """Maximum matching of g via blossom contraction.
 
-    The seed shuffles both the vertex processing order and each adjacency
-    list; it changes which maximum matching is returned, never its size.
+    The seed shuffles each adjacency list, then the vertex processing order;
+    it changes which maximum matching is returned, never its size.
     """
-    rng = random.Random(seed)
-    adj = [lst[:] for lst in g.adjacency()]
-    for lst in adj:
-        rng.shuffle(lst)
+    # a list of length 0 or 1 draws nothing, so the shared one is kept
+    adj = [lst[:] if len(lst) > 1 else lst for lst in g.adjacency()]
     order = list(range(1, g.vertex_count + 1))
-    rng.shuffle(order)
+    _shuffle_each((*adj, order), random.Random(seed))
     return _matching(_blossom(g.vertex_count, adj, order))
 
 

@@ -22,8 +22,8 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graph import Graph, delete_edges
-from .matching import Matching, _augment, _blossom, _search_arrays, max_matching, nu
+from .graph import Graph
+from .matching import Matching, _augment, _blossom, _search_arrays, max_matching
 
 TOLERANCE_KINDS = ("constant", "linear", "log", "sqrt", "identity")
 
@@ -90,11 +90,6 @@ def parse_tolerance(spec: str) -> ToleranceFunction:
     if coeff:
         return ToleranceFunction(kind, parse_rational(coeff))
     return ToleranceFunction(kind)
-
-
-def residual(g: Graph, f: Matching) -> int:
-    """nu(g - F): the matching number left after deleting the edges of f."""
-    return nu(delete_edges(g, f.edges))
 
 
 @dataclass(frozen=True)
@@ -238,10 +233,19 @@ def spectrum(g: Graph, cap: int = DEFAULT_CAP) -> SpectrumReport:
     enumerated prefix and are upper/lower estimates rather than exact
     extremes.
     """
-    stream = CappedStream(g, cap)
+    return _spectrum(CappedStream(g, cap))
+
+
+def _spectrum(stream: CappedStream, slots: dict | None = None, residuals=None) -> SpectrumReport:
+    """spectrum() over stream.  slots, if given, maps edge sets to indices of
+    the list residuals, and each matching in slots stores its r there."""
     first: dict[int, tuple[int, Matching]] = {}
     for m, r in stream:
         first.setdefault(r, (stream.count, m))
+        if slots is not None:
+            i = slots.get(m.edges)
+            if i is not None:
+                residuals[i] = r
     ell, big_l = min(first), max(first)
     return SpectrumReport(
         nu=len(first[ell][1]),
@@ -317,7 +321,10 @@ def check_bounds(g: Graph, cap: int = DEFAULT_CAP) -> BoundsReport:
     These inequalities hold for every graph, so any violation signals an
     implementation bug; the check refuses to run on a truncated spectrum.
     """
-    report = spectrum(g, cap)
+    return _check_bounds(g, spectrum(g, cap))
+
+
+def _check_bounds(g: Graph, report: SpectrumReport) -> BoundsReport:
     if report.truncated:
         raise TruncatedSpectrumError("spectrum truncated; bounds need exact values")
     ell, big_l = report.ell, report.big_l
@@ -362,22 +369,32 @@ def approx_trial(g: Graph, seeds, cap: int = DEFAULT_CAP) -> ApproxTrialReport:
     on a truncated one) and every seeded residual r must land in [ell, L]; a
     row is ok when both hold.  Together they give r/ell in [1, 2] and r/L in
     [1/2, 1].  Ratios are reported when ell >= 1 and are None otherwise.
+
+    The seeded matchings come first; the one pass over the enumeration that
+    builds the spectrum then reads off r for each distinct one, so the seeded
+    pass runs even when the spectrum turns out truncated.
     """
-    bounds = check_bounds(g, cap)
+    # seeds often repeat a matching: each distinct edge set gets one slot
+    slots: dict[frozenset[tuple[int, int]], int] = {}
+    picks = [(seed, slots.setdefault(max_matching(g, seed).edges, len(slots))) for seed in seeds]
+    residuals: list[int | None] = [None] * len(slots)
+    bounds = _check_bounds(g, _spectrum(CappedStream(g, cap), slots, residuals))
     ell, big_l = bounds.ell, bounds.big_l
     defined = ell >= 1
     violations = list(bounds.violations)
+    verdicts: dict[int, tuple[Fraction | None, Fraction | None, bool]] = {}  # r -> ratios, in range
     rows = []
-    scored: dict[frozenset[tuple[int, int]], int] = {}  # seeds often repeat a matching
-    for seed in seeds:
-        m = max_matching(g, seed)
-        r = scored.get(m.edges)
-        if r is None:
-            r = scored[m.edges] = residual(g, m)
-        in_range = ell <= r <= big_l
+    for seed, i in picks:
+        r = residuals[i]
+        verdict = verdicts.get(r)
+        if verdict is None:
+            verdict = verdicts[r] = (
+                Fraction(r, ell) if defined else None,
+                Fraction(r, big_l) if defined else None,
+                ell <= r <= big_l,
+            )
+        r_ell, r_big_l, in_range = verdict
         if not in_range:
             violations.append(f"seed {seed}: residual {r} outside [{ell}, {big_l}]")
-        r_ell = Fraction(r, ell) if defined else None
-        r_big_l = Fraction(r, big_l) if defined else None
         rows.append(ApproxTrialRow(seed, r, r_ell, r_big_l, bounds.ok and in_range))
     return ApproxTrialReport(bounds.nu, ell, big_l, tuple(rows), defined, tuple(violations))

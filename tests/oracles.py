@@ -108,6 +108,11 @@ def nu_k_bruteforce(g: Graph, k: int, cap: int = 20) -> int:
     return best
 
 
+def residual(g: Graph, f: Matching) -> int:
+    """nu(g - F), cold: a fresh blossom on g less the edges of f."""
+    return nu(delete_edges(g, f.edges))
+
+
 def spectrum_double_brute(g: Graph) -> tuple[int, list[int]]:
     """nu and the sorted achieved residuals: enumerate every matching, keep
     the maximum ones, and brute-force the residual matching number of each
@@ -135,7 +140,7 @@ def iter_maximum_matchings_bounded(g: Graph):
         chosen, avail = stack.pop()
         if len(chosen) == target:
             m = Matching(frozenset(chosen), n)
-            yield m, nu(delete_edges(g, m.edges))
+            yield m, residual(g, m)
             continue
         if len(chosen) + len(avail) < target:
             continue

@@ -8,6 +8,9 @@ from resmatch.graph import Bipartition, build_graph
 from resmatch.matching import (
     Matching,
     MatchingFlags,
+    _blossom,
+    _matching,
+    _shuffle_each,
     matching_from_pairs,
     max_matching,
     max_matching_bipartite,
@@ -99,6 +102,49 @@ def test_seeded_shuffles_leave_the_shared_adjacency_alone():
     assert adj == before and all(lst == sorted(lst) for lst in adj)
     fresh = build_graph(10, PETERSEN.sorted_edges())
     assert g == fresh and hash(g) == hash(fresh)
+
+
+@pytest.mark.parametrize("length", range(41))
+def test_inline_shuffle_draws_as_random_shuffle(length):
+    for seed in range(200):
+        want = list(range(length))
+        random.Random(seed).shuffle(want)
+        got = list(range(length))
+        _shuffle_each([got], random.Random(seed))
+        assert got == want, seed
+
+
+def test_inline_shuffle_of_several_lists_from_one_generator():
+    # max_matching shuffles every adjacency list and then the vertex order
+    # from one generator, so each list starts where the last one's draws end
+    sizes = random.Random(3)
+    for seed in range(200):
+        lengths = [sizes.randint(0, 12) for _ in range(sizes.randint(1, 14))]
+        rng = random.Random(seed)
+        want = [list(range(n)) for n in lengths]
+        for x in want:
+            rng.shuffle(x)
+        got = [list(range(n)) for n in lengths]
+        _shuffle_each(got, random.Random(seed))
+        assert got == want, (seed, lengths)
+
+
+def test_seeded_matching_is_the_shuffled_blossom():
+    # the seeded search as written with random.shuffle
+    def reference(g, seed):
+        rng = random.Random(seed)
+        adj = [lst[:] for lst in g.adjacency()]
+        for lst in adj:
+            rng.shuffle(lst)
+        order = list(range(1, g.vertex_count + 1))
+        rng.shuffle(order)
+        return _matching(_blossom(g.vertex_count, adj, order))
+
+    rng = random.Random(11)
+    for _ in range(100):
+        g = random_graph(rng.randint(1, 14), rng.choice((0.2, 0.35, 0.5)), rng)
+        for seed in range(20):
+            assert max_matching(g, seed) == reference(g, seed)
 
 
 def test_hopcroft_karp_agrees_with_blossom():

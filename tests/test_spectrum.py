@@ -6,10 +6,19 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import TWIN_SPIDER, cycle, iter_all_matchings, path, random_graph, spectrum_double_brute
-from resmatch.graph import build_graph, delete_edges
-from resmatch.matching import nu, validate_matching
+from oracles import (
+    TWIN_SPIDER,
+    cycle,
+    iter_all_matchings,
+    path,
+    random_graph,
+    residual,
+    spectrum_double_brute,
+)
+from resmatch.graph import bipartition, build_graph, delete_edges
+from resmatch.matching import max_matching, nu, validate_matching
 from resmatch.spectrum import (
+    ApproxTrialRow,
     ToleranceFunction,
     TruncatedSpectrumError,
     approx_trial,
@@ -327,6 +336,28 @@ def test_approx_trial_ratio_ranges():
             if trial.ratios_defined:
                 assert 1 <= row.ratio_to_ell <= 2
                 assert Fraction(1, 2) <= row.ratio_to_big_l <= 1
+
+
+def test_approx_trial_rows_match_the_cold_residuals():
+    # approx_trial reads each seeded residual off the enumeration; here each
+    # row is rebuilt from a fresh blossom on g less the seeded matching
+    rng = random.Random(2024)
+    odd = 0
+    for _ in range(200):
+        g = random_graph(rng.randint(1, 12), rng.choice((0.2, 0.35, 0.5)), rng)
+        odd += bipartition(g) is None
+        seeds = range(rng.randint(0, 100), 100 + rng.randint(1, 30))
+        bounds = check_bounds(g)
+        ell, big_l = bounds.ell, bounds.big_l
+        want = []
+        for seed in seeds:
+            r = residual(g, max_matching(g, seed))
+            ratios = (Fraction(r, ell), Fraction(r, big_l)) if ell else (None, None)
+            want.append(ApproxTrialRow(seed, r, *ratios, bounds.ok and ell <= r <= big_l))
+        trial = approx_trial(g, seeds)
+        assert list(trial.rows) == want
+        assert (trial.nu, trial.ell, trial.big_l) == (bounds.nu, ell, big_l)
+    assert odd >= 50  # graphs with odd cycles, where the searches contract blossoms
 
 
 def test_approx_trial_undefined_ratios_when_ell_zero():
