@@ -202,13 +202,16 @@ def _path(n: int, closed: bool) -> Graph:
 
 
 MAX_GRAPHS = 10**5  # graphs one bench family may hold
+# vertices of one bench graph; a random graph draws once per vertex pair, and
+# random:n=1000,p=1 takes about 0.5 s and 130 MB to build
+MAX_VERTICES = 1000
 
 
 def _family_graphs(spec: str, seed: int):
     """An iterator of (label, graph) for a family spec such as path:5,
     cycle:4..12:2, or random:n=10,count=100,p=3/10 (random-bipartite takes the
     same keys); it builds each graph when asked for it.  The whole spec, and
-    its size against MAX_GRAPHS, is checked before this returns."""
+    its size against MAX_GRAPHS and MAX_VERTICES, is checked before this returns."""
     name, sep, rest = spec.partition(":")
     if not sep:
         raise ValueError(f"family spec {spec!r} needs parameters after ':'")
@@ -216,7 +219,7 @@ def _family_graphs(spec: str, seed: int):
         sizes = _parse_sizes(rest)
         if name == "cycle" and sizes[0] < 3:
             raise ValueError(f"cycle family needs at least 3 vertices, got {sizes[0]}")
-        count = len(sizes)
+        count, largest = len(sizes), sizes[-1]
         graphs = ((f"{name}:{n}", _path(n, name == "cycle")) for n in sizes)
     elif name in ("random", "random-bipartite"):
         params = _parse_params(rest)
@@ -230,6 +233,7 @@ def _family_graphs(spec: str, seed: int):
             raise ValueError("family parameters n and count must be positive")
         if not 0 <= p <= 1:
             raise ValueError(f"family parameter p must lie in [0, 1], got {params['p']}")
+        largest = n
         bipartite = name == "random-bipartite"
         graphs = ((f"{name}:{n}#{i}",
                    _random_graph(n, float(p), random.Random(f"{seed}:{name}:{n}:{i}"), bipartite))
@@ -238,6 +242,8 @@ def _family_graphs(spec: str, seed: int):
         raise ValueError(f"unknown family {name!r}")
     if count > MAX_GRAPHS:
         raise ValueError(f"a bench family must hold at most {MAX_GRAPHS} graphs, got {count}")
+    if largest > MAX_VERTICES:
+        raise ValueError(f"a bench graph must have at most {MAX_VERTICES} vertices, got {largest}")
     return graphs
 
 
@@ -264,6 +270,8 @@ def cmd_bench(args) -> int:
         raise ValueError(f"--trials must be positive, got {args.trials}")
     if args.trials > MAX_TRIALS:
         raise ValueError(f"--trials must be at most {MAX_TRIALS}, got {args.trials}")
+    if args.cap < 1:
+        raise ValueError(f"--cap must be positive, got {args.cap}")
     graphs = _family_graphs(args.family, args.seed)
     violations = 0
     truncations = 0

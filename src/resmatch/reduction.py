@@ -24,12 +24,14 @@ the same input is byte-reproducible.
 
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 from .graph import Graph, degree_profile, is_connected, normalize_edge
-from .matching import Matching, matching_from_pairs, nu, validate_matching
+from .matching import Matching, matching_from_pairs, nu
 from .spectrum import CappedStream
 
 VARIANTS = ("L", "ell")
@@ -369,10 +371,12 @@ def decode_matching(art: ReductionArtifact, f: Matching) -> Assignment:
     Each variable is TRUE when f holds exactly the TRUE side of its cycle
     and FALSE when it holds exactly the FALSE side.  Raises ValueError when
     f is not a perfect matching of the artifact, and StructuralDecodeError
-    when some variable cycle carries neither side purely.
+    when some variable cycle carries neither side purely.  Perfection is a
+    size and subset test, so decoding runs no blossom.
     """
-    flags = validate_matching(art.graph, f)
-    if not flags.valid or not flags.perfect:
+    n = art.graph.vertex_count
+    if (f.host_size != n or 2 * len(f) != n or not f.edges <= art.graph.edges
+            or len(f.covered()) != n):
         raise ValueError("decode requires a valid perfect matching of the artifact")
     values: list[bool] = []
     for i, (true_side, false_side) in enumerate(art.cycles, start=1):
@@ -387,11 +391,12 @@ def decode_matching(art: ReductionArtifact, f: Matching) -> Assignment:
 
 def expected_residual(art: ReductionArtifact, alpha: Assignment) -> int:
     """Residual matching number after deleting the encoded matching."""
+    return _residual_of_sat(art, sat_count(art.cnf, alpha))
+
+
+def _residual_of_sat(art: ReductionArtifact, s: int) -> int:
     m = art.cnf.num_clauses
-    s = sat_count(art.cnf, alpha)
-    if art.variant == "L":
-        return 10 * m - 1 + s
-    return 11 * m - 1 - s
+    return 10 * m - 1 + s if art.variant == "L" else 11 * m - 1 - s
 
 
 @dataclass(frozen=True)
@@ -471,34 +476,22 @@ class Certificate:
             "expectedNu": self.expected_nu,
             "kParam": self.k_param,
             "edgeRule": "per-clause spine anchor at (-1, 4j-2)",
-            "residualChecks": [
-                {
-                    "assignment": rc.assignment,
-                    "sat": rc.sat,
-                    "expected": rc.expected,
-                    "actual": rc.actual,
-                    "decodeOk": rc.decode_ok,
-                    "ok": rc.ok,
-                }
-                for rc in self.residual_checks
-            ],
-            "census": None
-            if self.census is None
-            else {
-                "pureExpected": self.census.pure_expected,
-                "count": self.census.count,
-                "truncated": self.census.truncated,
-                "pureCount": self.census.pure_count,
-                "hybridCount": self.census.hybrid_count,
-                "residualMin": self.census.residual_min,
-                "residualMax": self.census.residual_max,
-                "encodedMin": self.census.encoded_min,
-                "encodedMax": self.census.encoded_max,
-                "residualsOk": self.census.residuals_ok,
-            },
+            "residualChecks": [{**_camel_case(rc), "ok": rc.ok} for rc in self.residual_checks],
+            "census": None if self.census is None else _camel_case(self.census),
             "discrepancies": list(self.discrepancies),
             "ok": self.ok,
         }
+
+
+@functools.cache
+def _camel_keys(cls) -> tuple[tuple[str, str], ...]:
+    """(field name, its camelCase key) for each field of a dataclass, in order."""
+    return tuple((f.name, re.sub(r"_([a-z])", lambda c: c[1].upper(), f.name)) for f in fields(cls))
+
+
+def _camel_case(record) -> dict:
+    """A dataclass record's fields, in order, keyed by their camelCase names."""
+    return {key: getattr(record, name) for name, key in _camel_keys(type(record))}
 
 
 def verify_artifact(art: ReductionArtifact, exhaustive: bool = False) -> Certificate:
@@ -509,7 +502,10 @@ def verify_artifact(art: ReductionArtifact, exhaustive: bool = False) -> Certifi
     the matching engine.  Exhaustive (ValueError above EXHAUSTIVE_VAR_LIMIT
     variables): one census pass decodes every maximum matching; the ones
     that decode must be the 2^n encodings, and each assignment's residual
-    check reads the residual of the matching that decodes to it.
+    check reads the residual of the matching that decodes to it.  A decoded
+    F is its assignment's encoding exactly when core <= F, core being the
+    ENCODED_ROLES edges, so no encoding is rebuilt and no blossom runs
+    beyond the structural nu.
 
     The census stops after max(256, 8 * 2^n) matchings; EXHAUSTIVE_VAR_LIMIT
     does not bound it, as ell hybrid counts grow with m (worst count / 2^n on
@@ -544,20 +540,22 @@ def verify_artifact(art: ReductionArtifact, exhaustive: bool = False) -> Certifi
     nu_value = nu(g)
     check("nu", exp["nu"], nu_value)
 
-    residual_checks: list[ResidualCheck] = []
+    residual_checks: dict[Assignment, ResidualCheck] = {}
     census: MatchingCensus | None = None
     if exhaustive:
         pure_expected = 2**n
+        # a decoded matching is perfect with one side per cycle: an encoding iff it holds core
+        core = frozenset(e for e, role in art.roles.items() if role in ENCODED_ROLES)
         stream = CappedStream(g, cap=max(256, 8 * pure_expected))
-        residuals: list[int] = []
+        residual_min, residual_max = g.vertex_count, 0  # every residual lies in 0..|V|/2
         pure: list[tuple[Assignment, int, bool]] = []  # (alpha, residual, is encode(alpha))
         for f, r in stream:
-            residuals.append(r)
+            residual_min, residual_max = min(residual_min, r), max(residual_max, r)
             try:
                 alpha = decode_matching(art, f)
             except ValueError:  # not perfect, or not purely oriented: a hybrid
                 continue
-            pure.append((alpha, r, encode_assignment(art, alpha) == f))
+            pure.append((alpha, r, core <= f.edges))
         decoded = {alpha: (r, is_encoding) for alpha, r, is_encoding in pure}
         for alpha in all_assignments(n):
             if alpha not in decoded:
@@ -565,26 +563,26 @@ def verify_artifact(art: ReductionArtifact, exhaustive: bool = False) -> Certifi
                     discrepancies.append(f"residual({alpha.bits()}): no matching decodes to it")
                 continue
             actual, decode_ok = decoded[alpha]
-            want = expected_residual(art, alpha)
-            rc = ResidualCheck(alpha.bits(), sat_count(art.cnf, alpha), want, actual, decode_ok)
-            residual_checks.append(rc)
+            sat = sat_count(art.cnf, alpha)
+            want = _residual_of_sat(art, sat)
+            rc = residual_checks[alpha] = ResidualCheck(alpha.bits(), sat, want, actual, decode_ok)
             if not rc.ok:
                 discrepancies.append(
                     f"residual({alpha.bits()}): expected {want}, got {actual},"
                     f" decode_ok={decode_ok}"
                 )
-        encoded = [rc.actual for rc in residual_checks]
+        encoded = [rc.actual for rc in residual_checks.values()]
         census = MatchingCensus(
             pure_expected=pure_expected,
             count=stream.count,
             truncated=stream.truncated,
             pure_count=len(pure),
             hybrid_count=stream.count - len(pure),
-            residual_min=min(residuals),
-            residual_max=max(residuals),
+            residual_min=residual_min,
+            residual_max=residual_max,
             encoded_min=min(encoded, default=None),
             encoded_max=max(encoded, default=None),
-            residuals_ok=all(r == expected_residual(art, a) for a, r, _ in pure),
+            residuals_ok=all(r == residual_checks[a].expected for a, r, _ in pure),
         )
         if census.truncated:
             discrepancies.append("census: enumeration truncated, cannot certify")
@@ -620,7 +618,7 @@ def verify_artifact(art: ReductionArtifact, exhaustive: bool = False) -> Certifi
         nu_value=nu_value,
         expected_nu=exp["nu"],
         k_param=exp["k_param"],
-        residual_checks=tuple(residual_checks),
+        residual_checks=tuple(residual_checks.values()),
         census=census,
         discrepancies=tuple(discrepancies),
     )

@@ -5,13 +5,31 @@ every edge subset (with branch-and-bound pruning) and refuse inputs above an
 edge cap.  They recurse once per edge, which is why they live with the tests
 and not in the package.  `iter_maximum_matchings_bounded` is the reference
 for the package's enumerator: the same leaf order, decided by a fresh `nu`
-at every node instead of a carried matching.
+at every node instead of a carried matching.  `census_certificate` is the
+reference for the exhaustive artifact census: it rebuilds every encoding
+with `encode_assignment` and compares it with the decoded matching.
 """
 
 from __future__ import annotations
 
+import dataclasses
+
 from resmatch.graph import Graph, build_graph, delete_edges
-from resmatch.matching import Matching, nu
+from resmatch.matching import Matching, nu, validate_matching
+from resmatch.reduction import (
+    Certificate,
+    MatchingCensus,
+    ReductionArtifact,
+    ResidualCheck,
+    StructuralDecodeError,
+    all_assignments,
+    decode_matching,
+    encode_assignment,
+    expected_residual,
+    sat_count,
+    verify_artifact,
+)
+from resmatch.spectrum import CappedStream
 
 
 class CapExceededError(RuntimeError):
@@ -149,6 +167,73 @@ def iter_maximum_matchings_bounded(g: Graph):
         (u, v), rest = avail[0], avail[1:]
         stack.append((chosen, rest))
         stack.append((chosen + ((u, v),), [f for f in rest if u not in f and v not in f]))
+
+
+def census_certificate(art: ReductionArtifact, cap: int | None = None) -> Certificate:
+    """What `verify_artifact(art, exhaustive=True)` must return, from public
+    functions only: the structural certificate plus one census pass.  A
+    matching is pure when `validate_matching` finds it valid and perfect and
+    `decode_matching` reads an assignment from it; its check is decode_ok
+    when `encode_assignment` of that assignment rebuilds it.  cap defaults to
+    the census cap, max(256, 8 * 2^n)."""
+    n = art.cnf.num_vars
+    cert = verify_artifact(art)
+    discrepancies = list(cert.discrepancies)
+    stream = CappedStream(art.graph, max(256, 8 * 2**n) if cap is None else cap)
+    residuals: list[int] = []
+    pure: list[tuple] = []  # (alpha, residual, is encode(alpha))
+    for f, r in stream:
+        residuals.append(r)
+        flags = validate_matching(art.graph, f)
+        if not (flags.valid and flags.perfect):
+            continue
+        try:
+            alpha = decode_matching(art, f)
+        except StructuralDecodeError:
+            continue
+        pure.append((alpha, r, encode_assignment(art, alpha) == f))
+    decoded = {alpha: (r, is_encoding) for alpha, r, is_encoding in pure}
+    checks = []
+    for alpha in all_assignments(n):
+        if alpha not in decoded:
+            if not stream.truncated:
+                discrepancies.append(f"residual({alpha.bits()}): no matching decodes to it")
+            continue
+        actual, decode_ok = decoded[alpha]
+        want = expected_residual(art, alpha)
+        rc = ResidualCheck(alpha.bits(), sat_count(art.cnf, alpha), want, actual, decode_ok)
+        checks.append(rc)
+        if not rc.ok:
+            discrepancies.append(f"residual({alpha.bits()}): expected {want}, got {actual},"
+                                 f" decode_ok={decode_ok}")
+    encoded = [rc.actual for rc in checks]
+    census = MatchingCensus(
+        pure_expected=2**n,
+        count=stream.count,
+        truncated=stream.truncated,
+        pure_count=len(pure),
+        hybrid_count=stream.count - len(pure),
+        residual_min=min(residuals),
+        residual_max=max(residuals),
+        encoded_min=min(encoded, default=None),
+        encoded_max=max(encoded, default=None),
+        residuals_ok=all(r == expected_residual(art, a) for a, r, _ in pure),
+    )
+    if census.truncated:
+        discrepancies.append("census: enumeration truncated, cannot certify")
+    elif census.pure_count != 2**n:
+        discrepancies.append(f"census: {census.pure_count} decodable maximum matchings,"
+                             f" expected {2**n}")
+    if art.variant == "L" and census.hybrid_count:
+        discrepancies.append(f"census: {census.hybrid_count} non-encoding maximum matchings"
+                             " in a variant that forbids them")
+    if not census.truncated and census.residual_min != census.encoded_min:
+        discrepancies.append(f"census: residual minimum {census.residual_min} differs from"
+                             f" encoded minimum {census.encoded_min}")
+    if not census.residuals_ok:
+        discrepancies.append("census: a decodable matching misses its residual value")
+    return dataclasses.replace(cert, residual_checks=tuple(checks), census=census,
+                               discrepancies=tuple(discrepancies))
 
 
 def path(n):

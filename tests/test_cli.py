@@ -317,12 +317,30 @@ def test_bench_rejects_families_above_the_maximum(capsys, family, count):
                                        f" got {count}\n")
 
 
-@pytest.mark.parametrize("family", ["cycle:2..4", "cycle:1..9:2", "cycle:5..2",
-                                    "random:n=4,count=0", "path:3..2"])
-def test_bench_bad_family_prints_no_rows(capsys, family):
-    code, out, err = run(capsys, "bench", family)
+@pytest.mark.parametrize("argv", [("cycle:2..4",), ("cycle:1..9:2",), ("cycle:5..2",),
+                                  ("random:n=4,count=0",), ("path:3..2",),
+                                  ("cycle:4", "--cap", "0"), ("cycle:4", "--cap", "-3")],
+                         ids=" ".join)
+def test_bench_bad_family_prints_no_rows(capsys, argv):
+    code, out, err = run(capsys, "bench", *argv)
     assert (code, out) == (2, "")
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("family, largest", [
+    ("random:n=1001,count=1,p=0", 1001),
+    ("random-bipartite:n=1000000,count=1", 10**6),
+    ("path:5..1001", 1001),
+    ("cycle:3..100000:7", 99998),
+])
+def test_bench_rejects_graphs_above_the_vertex_bound(capsys, monkeypatch, family, largest):
+    def refuse(*args):
+        raise AssertionError("a graph was built")
+
+    monkeypatch.setattr("resmatch.cli.build_graph", refuse)  # checked before any graph is built
+    code, out, err = run(capsys, "bench", family)
+    assert (code, out, err) == (2, "", f"error: a bench graph must have at most 1000 vertices,"
+                                       f" got {largest}\n")
 
 
 def test_bench_writes_each_graph_before_the_next(monkeypatch):

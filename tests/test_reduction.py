@@ -4,8 +4,9 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from oracles import census_certificate
 
-from resmatch import reduction
+from resmatch import matching, reduction
 from resmatch.graph import build_graph, delete_edges, emit_graph_file
 from resmatch.matching import Matching, nu
 from resmatch.reduction import (
@@ -302,10 +303,13 @@ def test_exhaustive_raises_above_limit():
     assert verify_artifact(art, exhaustive=False).ok
 
 
-def test_exhaustive_reports_artifact_without_perfect_matching():
-    art = build_artifact(parse_dimacs(M1), "L")
+def _without_a_path_edge(art):
     path_edge = next(e for e, role in art.roles.items() if role == "path")
-    broken = dataclasses.replace(art, graph=delete_edges(art.graph, [path_edge]))
+    return dataclasses.replace(art, graph=delete_edges(art.graph, [path_edge]))
+
+
+def test_exhaustive_reports_artifact_without_perfect_matching():
+    broken = _without_a_path_edge(build_artifact(parse_dimacs(M1), "L"))
     cert = verify_artifact(broken, exhaustive=True)
     assert not cert.ok
     assert cert.residual_checks == ()
@@ -315,9 +319,12 @@ def test_exhaustive_reports_artifact_without_perfect_matching():
     assert any(msg.startswith("nu:") for msg in cert.discrepancies)
 
 
-def test_exhaustive_verify_is_one_census_pass(monkeypatch):
+@pytest.mark.parametrize("broken", [False, True], ids=["intact", "path-edge-deleted"])
+def test_exhaustive_verify_is_one_census_pass(monkeypatch, broken):
     art = build_artifact(parse_dimacs(M1), "L")
-    calls = {"nu": 0, "decode": 0}
+    if broken:  # no perfect matching: every maximum matching fails to decode
+        art = _without_a_path_edge(art)
+    calls = Counter()
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -325,12 +332,74 @@ def test_exhaustive_verify_is_one_census_pass(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(reduction, "nu", counted("nu", reduction.nu))
-    monkeypatch.setattr(reduction, "decode_matching", counted("decode", reduction.decode_matching))
+    for module, name in ((reduction, "nu"), (matching, "nu"), (reduction, "decode_matching"),
+                         (reduction, "sat_count")):
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     cert = verify_artifact(art, exhaustive=True)
-    assert cert.ok
+    assert cert.ok is not broken
     assert calls["nu"] == 1  # the structural nu; residuals come from the census
-    assert calls["decode"] == cert.census.count == 2**art.cnf.num_vars
+    assert calls["decode_matching"] == cert.census.count
+    assert calls["sat_count"] == len(cert.residual_checks)  # one per checked assignment
+    if not broken:
+        assert cert.census.count == 2**art.cnf.num_vars
+
+
+def _random_cnf(n: int, m: int, seed: int) -> str:
+    """A seeded exact-3 CNF with n variables and m clauses that uses every variable."""
+    rng = random.Random(f"{n}:{m}:{seed}")
+    while True:
+        clauses = [[v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n + 1), 3)]
+                   for _ in range(m)]
+        if {abs(lit) for cl in clauses for lit in cl} == set(range(1, n + 1)):
+            return f"p cnf {n} {m}\n" + "".join(f"{a} {b} {c} 0\n" for a, b, c in clauses)
+
+
+def _close_anchor_square(art):
+    """art with the edges u11-u21 and u12-u22 of one anchor square added, so
+    the square is a 4-cycle whose other side can replace its two u edges."""
+    g = art.graph
+    ids = {p: v for v, p in g.coords.items()}
+    anchor = next(e for e, role in art.roles.items() if role == "anchor")
+    u11 = next(v for v in anchor if g.coords[v][0] != -1)  # the other end is on the spine
+    u12 = sum(next(e for e, role in art.roles.items() if role == "u" and u11 in e)) - u11
+    (x, y), (x2, y2) = g.coords[u11], g.coords[u12]
+    # the square spans (x, y)..(x + 1, y + 1): u12 is one unit step from u11, u21 the other
+    u21, u22 = ids[(x + 1 - (x2 - x), y + 1 - (y2 - y))], ids[(x + 1, y + 1)]
+    closed = build_graph(g.vertex_count, [*g.edges, (u11, u21), (u12, u22)], g.coords)
+    return dataclasses.replace(art, graph=closed)
+
+
+def _census_inputs(art):
+    """(label, artifact): art, art less the first edge of each role, and art
+    with one anchor square closed."""
+    yield "intact", art
+    for role in sorted(set(art.roles.values())):
+        e = next(e for e, r in art.roles.items() if r == role)
+        yield f"no {role} edge {e}", dataclasses.replace(art, graph=delete_edges(art.graph, [e]))
+    yield "closed anchor square", _close_anchor_square(art)
+
+
+# (variables, clauses) of the seeded formulas: 3-6 variables, 1-4 clauses
+CENSUS_SHAPES = [(3, 1), (3, 4), (4, 2), (5, 3), (6, 2), (6, 4)]
+
+
+@pytest.mark.parametrize("variant", ["L", "ell"])
+@pytest.mark.parametrize("shape", CENSUS_SHAPES, ids=lambda s: f"n{s[0]}m{s[1]}")
+def test_census_matches_the_reference(variant, shape):
+    art = build_artifact(parse_dimacs(_random_cnf(*shape, seed=0)), variant)
+    for label, mutant in _census_inputs(art):
+        want = census_certificate(mutant).to_json_dict()
+        assert verify_artifact(mutant, exhaustive=True).to_json_dict() == want, label
+
+
+@pytest.mark.parametrize("variant", ["L", "ell"])
+def test_closed_anchor_square_gives_two_matchings_per_assignment(variant):
+    art = _close_anchor_square(build_artifact(parse_dimacs(M3), variant))
+    d = verify_artifact(art, exhaustive=True).to_json_dict()
+    assert d == census_certificate(art).to_json_dict()
+    assert d["census"]["pureCount"] == 2 * 2**art.cnf.num_vars
+    assert d["census"]["residualsOk"] is False
+    assert [rc["decodeOk"] for rc in d["residualChecks"]] == [False] * 2**art.cnf.num_vars
 
 
 @pytest.mark.parametrize("variant", ["L", "ell"])
@@ -341,6 +410,9 @@ def test_truncated_census_reports_only_what_a_prefix_shows(monkeypatch, variant)
     assert cert.census.truncated and cert.census.count == 4
     assert cert.discrepancies == ("census: enumeration truncated, cannot certify",)
     assert len(cert.residual_checks) == 4 and all(rc.ok for rc in cert.residual_checks)
+    for label, mutant in _census_inputs(art):
+        want = census_certificate(mutant, cap=4).to_json_dict()
+        assert verify_artifact(mutant, exhaustive=True).to_json_dict() == want, label
 
 
 def test_satisfying_assignment_hits_k_param():
