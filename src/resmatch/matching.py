@@ -9,7 +9,10 @@ skipped-edge mate array.  `_blossom` is a greedy pass followed by one
 adjacency, an empty mask and no skipped edge, and `resmatch.spectrum`'s
 enumerator calls `_augment` directly to repair the two matchings it carries:
 one under the mask, and one of the whole graph with the chosen edges
-skipped.  `max_matching` first lets a seed permute the scan order, so
+skipped.  At its root it also runs one search from each free vertex of a
+maximum matching; these all fail, and an optional list handed to `_augment`
+collects the outer vertices each one reached, the vertices some maximum
+matching misses.  `max_matching` first lets a seed permute the scan order, so
 different seeds may return different maximum matchings of the same size;
 results are deterministic for a fixed (graph, seed) pair.
 
@@ -93,7 +96,7 @@ def _search_arrays(n: int):
     return [False] * (n + 1), [0] * (n + 1), list(range(n + 1)), [0] * (n + 1), [0] * (n + 1)
 
 
-def _augment(adj, match, root: int, gone: int, arrays) -> bool:
+def _augment(adj, match, root: int, gone: int, arrays, outer=None) -> bool:
     """Augment `match` along one augmenting path from the free vertex root,
     if there is one, contracting odd cycles (blossoms) as in Edmonds'
     algorithm.  True when it augmented.
@@ -103,7 +106,10 @@ def _augment(adj, match, root: int, gone: int, arrays) -> bool:
     of the arrays: skip[v] = w hides the edge (v, w), 0 hides nothing), where
     match is a matching and root is free.  As in Gabow (JACM 1976) the
     scratch arrays outlive the search, which resets only the vertices it
-    reached; lca walks mark with a stamp.
+    reached; lca walks mark with a stamp.  A failing search first extends
+    the list outer, if given, with the vertices it reached as outer (even)
+    ones, blossom-grown ones included: those joined to root by an even
+    alternating path.
     """
     even, p, base, mark, skip = arrays
     even[root] = True
@@ -158,6 +164,8 @@ def _augment(adj, match, root: int, gone: int, arrays) -> bool:
                 tree.append(match[to])
                 queue.append(match[to])
     found = end != 0
+    if outer is not None and not found:
+        outer += [x for x in tree if even[x]]
     while end != 0:
         pv = p[end]
         ppv = match[pv]

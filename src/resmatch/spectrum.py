@@ -8,10 +8,16 @@ one (maximum matching, residual) stream in a single pass, so results are
 exact whenever the enumeration finishes under its positive cap; witnesses
 are first occurrences in that order.  The enumerator branches on vertices
 and carries one maximum matching of each node's remaining graph, which
-decides every child with at most two single-root augmenting searches.  It
-carries a second one, of G less the node's chosen edges, whose size each
-leaf yields as nu(G - F); a child that takes one of its edges repairs it with
-at most two more searches, so no leaf runs a blossom.
+decides every child with at most two single-root augmenting searches.  Two
+counts skip children that cannot hold a leaf, with no search: when that
+matching is perfect, leaving a vertex unmatched cannot keep its size (and
+a take child needs one search, not two); and a vertex that every maximum
+matching of G covers (outside D(G) of the Gallai-Edmonds decomposition,
+found by one failing search per free vertex at the root) is never left
+unmatched.  Neither changes the leaves or their order.  The enumerator
+carries a second matching, of G less the node's chosen edges, whose size
+each leaf yields as nu(G - F); a child that takes one of its edges repairs
+it with at most two more searches, so no leaf runs a blossom.
 """
 
 from __future__ import annotations
@@ -98,6 +104,23 @@ class EnumerationResult:
     truncated: bool
 
 
+def _missable(n: int, adj, mate: list[int], arrays) -> list[bool]:
+    """missable[v] says whether some maximum matching of the graph leaves v
+    unmatched: v is in D(G) of the Gallai-Edmonds decomposition (Lovasz and
+    Plummer, Matching Theory, ch. 3), the vertices joined to a free vertex
+    of the maximum matching mate by an even alternating path.  One search
+    from each free vertex fails and reports the outer vertices it reached.
+    """
+    outer: list[int] = []
+    for root in range(1, n + 1):
+        if not mate[root]:
+            _augment(adj, mate, root, 0, arrays, outer)
+    missable = [False] * (n + 1)
+    for v in outer:
+        missable[v] = True
+    return missable
+
+
 def _iter_maximum_matchings(g: Graph):
     """Yield (F, nu(g - F)) for every maximum matching F of g exactly once.
 
@@ -105,9 +128,19 @@ def _iter_maximum_matchings(g: Graph):
     increasing order, then leave it unmatched; pending nodes wait on an
     explicit stack.  A node is its chosen edges, the bitmask gone of the
     decided vertices (all those below u), u, and a maximum matching M of the
-    graph left, so a child is kept or pruned without a fresh bound (Fukuda
+    graph H left, so a child is kept or pruned without a fresh bound (Fukuda
     and Matsui 1994, Uno 1997): any augmenting path of a child's share of M
     ends at a vertex that branching freed, so two searches at most decide it.
+
+    Two counts decide some children with fewer searches; neither changes
+    the leaves or their order.  A node carries free = |V(H)| - 2|M|, the
+    vertices M misses (a drop child has one fewer, a take child as many).
+    When free is 0, M is perfect: H - u has fewer than 2|M| vertices, so
+    the drop child holds no leaf, and the old mates of u and v are the only
+    free vertices of a take child, so the search from u's alone decides it.
+    And when u is
+    not missable (every maximum matching of g covers it; see _missable,
+    run once at the root) the drop child holds no leaf either.
 
     A node also carries a maximum matching R of g less its chosen edges (all
     vertices kept) and its size r, which a leaf yields as its residual.  A
@@ -122,10 +155,11 @@ def _iter_maximum_matchings(g: Graph):
     skip = arrays[-1]
     mate = _blossom(n, adj, range(1, n + 1))
     target = sum(map(bool, mate)) // 2
-    stack = [((), 0, 1, mate, mate, target)]
+    missable = _missable(n, adj, mate, arrays)
+    stack = [((), 0, 1, mate, mate, target, n - 2 * target)]
     applied = ()
     while stack:
-        chosen, gone, u, match, res, r = stack.pop()
+        chosen, gone, u, match, res, r, free = stack.pop()
         # skip holds the chosen edges of the node at hand: all but its last
         # are its parent's, a prefix of those of the node popped before it
         for a, b in applied[max(len(chosen) - 1, 0):]:
@@ -147,13 +181,16 @@ def _iter_maximum_matchings(g: Graph):
             u += 1
         left = gone | 1 << u
         mu = match[u]
-        # leaving u unmatched frees its mate, the one end of any augmenting path
-        drop = match
-        if mu:
-            drop = match[:]
-            drop[u] = drop[mu] = 0
-        if not mu or _augment(adj, drop, mu, left, arrays):
-            stack.append((chosen, left, u, drop, res, r))
+        # no leaf leaves u unmatched if every maximum matching covers u, or
+        # if M is perfect: H - u has fewer than 2|M| vertices
+        if free and missable[u]:
+            # leaving u unmatched frees its mate, the one end of any augmenting path
+            drop = match
+            if mu:
+                drop = match[:]
+                drop[u] = drop[mu] = 0
+            if not mu or _augment(adj, drop, mu, left, arrays):
+                stack.append((chosen, left, u, drop, res, r, free - 1))
         # pushed last to first, so (u, v) pops in increasing v
         for v in reversed(adj[u]):
             if gone >> v & 1:
@@ -163,11 +200,13 @@ def _iter_maximum_matchings(g: Graph):
             take = match[:]
             take[u] = take[v] = take[mu] = take[mv] = 0
             taken = left | 1 << v
+            # with free == 0, mu and mv are the only free vertices, so a path from mv ends at mu
             if mu and mv and mu != v and not (
-                _augment(adj, take, mu, taken, arrays) or _augment(adj, take, mv, taken, arrays)
+                _augment(adj, take, mu, taken, arrays)
+                or free and _augment(adj, take, mv, taken, arrays)
             ):
                 continue
-            stack.append((chosen + ((u, v),), taken, u, take, res, r))
+            stack.append((chosen + ((u, v),), taken, u, take, res, r, free))
 
 
 class CappedStream:

@@ -8,11 +8,14 @@ for the package's enumerator: the same leaf order, decided by a fresh `nu`
 at every node instead of a carried matching.  `census_certificate` is the
 reference for the exhaustive artifact census: it rebuilds every encoding
 with `encode_assignment` and compares it with the decoded matching.
+`record_searches` and `count_searches` log the enumerator's single-root
+searches, for the tests that pin how many it runs.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import importlib
 
 from resmatch.graph import Graph, build_graph, delete_edges
 from resmatch.matching import Matching, nu, validate_matching
@@ -167,6 +170,37 @@ def iter_maximum_matchings_bounded(g: Graph):
         (u, v), rest = avail[0], avail[1:]
         stack.append((chosen, rest))
         stack.append((chosen + ((u, v),), [f for f in rest if u not in f and v not in f]))
+
+
+def record_searches(monkeypatch, g):
+    """The (matching, residual) stream of g, (root, mask, augmented) of each
+    single-root search the enumerator made while branching, in order, and
+    the roots of the searches of its root pass (those handed an outer list,
+    which find the missable vertices)."""
+    enumerator = importlib.import_module("resmatch.spectrum")
+    searches, root_pass = [], []
+    search = enumerator._augment
+
+    def recorded(adj, match, root, gone, arrays, outer=None):
+        found = search(adj, match, root, gone, arrays, outer)
+        if outer is None:
+            searches.append((root, gone, found))
+        else:
+            root_pass.append(root)
+        return found
+
+    monkeypatch.setattr(enumerator, "_augment", recorded)
+    items = [(m.sorted_edges(), r) for m, r in enumerator._iter_maximum_matchings(g)]
+    return items, searches, root_pass
+
+
+def count_searches(monkeypatch, g):
+    """(maximum matchings, single-root searches, residual repairs) of g.  The
+    enumerator's own searches see a removed-vertex mask; the repairs of the
+    carried residual matching see the whole graph."""
+    items, searches, _ = record_searches(monkeypatch, g)
+    repairs = sum(gone == 0 for _, gone, _ in searches)
+    return len(items), len(searches) - repairs, repairs
 
 
 def census_certificate(art: ReductionArtifact, cap: int | None = None) -> Certificate:

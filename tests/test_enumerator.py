@@ -2,7 +2,9 @@
 
 Both branch on the lowest remaining edge and take it before dropping it, so
 they must yield the same (matching, residual) pairs in the same order: the
-witnesses, the census and the cap all read that order.
+witnesses, the census and the cap all read that order.  The missable
+vertices that let the enumerator skip children are checked against
+exhaustive matching numbers.
 """
 
 import importlib
@@ -10,10 +12,19 @@ import random
 
 import pytest
 
-from oracles import iter_maximum_matchings_bounded, random_bipartite, random_graph, residual
-from resmatch.graph import build_graph
+from oracles import (
+    cycle,
+    iter_maximum_matchings_bounded,
+    nu_bruteforce,
+    path,
+    random_bipartite,
+    random_graph,
+    residual,
+)
+from resmatch.graph import build_graph, delete_edges
+from resmatch.matching import _blossom, _search_arrays, max_matching
 from resmatch.reduction import build_artifact, parse_dimacs
-from resmatch.spectrum import _iter_maximum_matchings
+from resmatch.spectrum import _iter_maximum_matchings, _missable, spectrum
 
 
 def assert_same_stream(g):
@@ -65,6 +76,83 @@ def random_cnf(seed: int, num_vars: int, m: int):
 @pytest.mark.parametrize("num_vars, m", [(3, 1), (3, 2), (4, 2), (5, 2), (5, 4), (6, 2), (6, 3)])
 def test_same_stream_on_artifacts(variant, num_vars, m):
     assert_same_stream(build_artifact(random_cnf(10 * num_vars + m, num_vars, m), variant).graph)
+
+
+# clause 1 2 3 three times and -1 -2 -3 three times: 3 or 6 clauses satisfied
+GAPPED_CNF = "p cnf 3 6\n" + "1 2 3 0\n" * 3 + "-1 -2 -3 0\n" * 3
+
+
+@pytest.mark.parametrize("variant, vertices, achieved", [
+    ("L", 192, {62, 65}),
+    ("ell", 168, {59, 62}),
+])
+def test_gapped_spectrum_survives_pruning(variant, vertices, achieved):
+    """A residual spectrum need not be an interval; a pruned child that held
+    a leaf would show here as a lost value."""
+    g = build_artifact(parse_dimacs(GAPPED_CNF), variant).graph
+    assert g.vertex_count == vertices
+    assert spectrum(g).achieved == achieved
+    assert_same_stream(g)
+
+
+def missable_brute(g):
+    """{u : nu(g - u) = nu(g)}, the vertices some maximum matching misses,
+    by exhaustive search."""
+    best = nu_bruteforce(g, cap=40)
+    return {
+        u for u in range(1, g.vertex_count + 1)
+        if nu_bruteforce(delete_edges(g, [e for e in g.edges if u in e]), cap=40) == best
+    }
+
+
+def missable_set(g, mate):
+    n = g.vertex_count
+    flags = _missable(n, g.adjacency(), mate, _search_arrays(n))
+    return {v for v in range(1, n + 1) if flags[v]}
+
+
+def odd_cycle_with_tail(c: int, t: int):
+    """Cycle 1..c with the path c+1..c+t hung from vertex 1.  Vertices of an
+    odd cycle join the free one only through a blossom."""
+    edges = [(i, i + 1) for i in range(1, c)] + [(c, 1)]
+    edges += [(1 if i == c + 1 else i - 1, i) for i in range(c + 1, c + t + 1)]
+    return build_graph(c + t, edges)
+
+
+def missable_cases():
+    """300 graphs: empty and edgeless, paths and cycles of both parities, odd
+    cycles with tails, then G(n, p), bipartite and disconnected ones in turn."""
+    cases = [build_graph(n, []) for n in range(4)]
+    cases += [path(n) for n in range(2, 10)] + [cycle(n) for n in range(3, 10)]
+    cases += [odd_cycle_with_tail(c, t) for c in (3, 5, 7) for t in range(4)]
+    rng = random.Random(1976)
+    while len(cases) < 300:
+        kind = len(cases) % 3
+        if kind == 0:
+            cases.append(random_graph(rng.randint(1, 11), rng.choice((0.2, 0.35, 0.5)), rng))
+        elif kind == 1:
+            cases.append(random_bipartite(rng.randint(2, 12), 20, rng))
+        else:
+            a, b = (random_graph(rng.randint(1, 6), 0.5, rng) for _ in range(2))
+            shift = a.vertex_count
+            cases.append(build_graph(
+                shift + b.vertex_count, [*a.edges, *((u + shift, v + shift) for u, v in b.edges)]
+            ))
+    return cases
+
+
+def test_missable_vertices_match_exhaustive_matching_numbers():
+    """Gallai-Edmonds: the set is the same from every maximum matching, so
+    it is checked from the root blossom's and from a seeded one."""
+    for i, g in enumerate(missable_cases()):
+        want = missable_brute(g)
+        n = g.vertex_count
+        mate = _blossom(n, g.adjacency(), range(1, n + 1))
+        assert missable_set(g, mate) == want, f"case {i}"
+        seeded = [0] * (n + 1)
+        for u, v in max_matching(g, i).edges:
+            seeded[u], seeded[v] = v, u
+        assert missable_set(g, seeded) == want, f"case {i}, seeded"
 
 
 def test_leaf_residual_needs_no_nu_or_delete_edges(monkeypatch):

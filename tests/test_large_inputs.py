@@ -11,6 +11,7 @@ import random
 import pytest
 
 import resmatch
+from oracles import count_searches, path
 from resmatch.colorable import nu2_bipartite
 from resmatch.graph import build_graph
 from resmatch.matching import max_matching, max_matching_bipartite, nu, validate_matching
@@ -56,13 +57,24 @@ def test_ladder_of_ten_thousand_vertices():
     assert len(class0) == len(class1) == 5000
 
 
-def test_spectrum_of_the_path_on_3000_vertices():
-    """One maximum matching: the enumerator's drop children fail their
-    searches, so it walks one branch instead of rebuilding a graph per node."""
-    rep = spectrum(build_graph(3000, [(i, i + 1) for i in range(1, 3000)]))
+def test_spectrum_of_the_path_on_3000_vertices(monkeypatch):
+    """One maximum matching, and it is perfect: every node of the enumerator
+    leaves no vertex free, so it skips each drop child and takes each edge
+    (2i-1, 2i) without a single search under its mask."""
+    g = path(3000)
+    rep = spectrum(g)
     assert rep.enumerated == 1
     assert rep.ell == rep.big_l == 1499
     assert not rep.truncated
+    assert count_searches(monkeypatch, g)[:2] == (1, 0)
+
+
+def test_odd_path_needs_one_search_per_matching(monkeypatch):
+    """P_1001 has 501 maximum matchings, one missing each odd vertex.  One
+    vertex is free at the root, so only the drop child of an odd vertex
+    needs a search, and below it none is free: 500 searches in all."""
+    matchings, searches, _ = count_searches(monkeypatch, path(1001))
+    assert (matchings, searches) == (501, 500)
 
 
 def _random_cnf_text(seed: int, num_vars: int, m: int) -> str:

@@ -1,4 +1,3 @@
-import importlib
 import inspect
 import random
 import sys
@@ -8,10 +7,12 @@ import pytest
 
 from oracles import (
     TWIN_SPIDER,
+    count_searches,
     cycle,
     iter_all_matchings,
     path,
     random_graph,
+    record_searches,
     residual,
     spectrum_double_brute,
 )
@@ -155,46 +156,29 @@ def test_spectrum_depth_does_not_grow_with_edge_count():
     assert (rep.nu, rep.ell, rep.big_l, rep.enumerated) == (150, 0, 0, 1)
 
 
-def record_searches(monkeypatch, g):
-    """The (matching, residual) stream of g, and (root, mask, augmented) of
-    each single-root search the enumerator made, in order."""
-    enumerator = importlib.import_module("resmatch.spectrum")
-    searches = []
-    search = enumerator._augment
-
-    def recorded(adj, match, root, gone, arrays):
-        found = search(adj, match, root, gone, arrays)
-        searches.append((root, gone, found))
-        return found
-
-    monkeypatch.setattr(enumerator, "_augment", recorded)
-    items = [(m.sorted_edges(), r) for m, r in enumerator._iter_maximum_matchings(g)]
-    return items, searches
-
-
-def count_searches(monkeypatch, g):
-    """(maximum matchings, single-root searches, residual repairs) of g.  The
-    enumerator's own searches see a removed-vertex mask; the repairs of the
-    carried residual matching see the whole graph."""
-    items, searches = record_searches(monkeypatch, g)
-    repairs = sum(gone == 0 for _, gone, _ in searches)
-    return len(items), len(searches) - repairs, repairs
-
-
 def test_path_needs_one_search_per_matched_edge(monkeypatch):
-    # leaving vertex 2i-1 unmatched frees 2i, and one search from it fails;
-    # taking (2i-1, 2i) keeps M minus that edge.  Edge branching made 200.
-    # Each take removes an edge of R: the first repair fails from both ends,
-    # every later one augments from 2i-1 to the vertex freed before it.
-    assert count_searches(monkeypatch, path(200)) == (1, 100, 101)
+    # M is perfect, so every node leaves free = 0 vertices unmatched: no drop
+    # child can hold a leaf, and each take (2i-1, 2i) keeps M minus that edge
+    # with no search at all.  Each take removes an edge of R: the first repair
+    # fails from both ends, every later one augments from 2i-1 to the vertex
+    # freed before it.
+    assert count_searches(monkeypatch, path(200)) == (1, 0, 101)
 
 
 def test_ladder_search_count(monkeypatch):
     k = 8
     rails = [(i, i + 1) for i in range(1, k)] + [(k + i, k + i + 1) for i in range(1, k)]
     g = build_graph(2 * k, rails + [(i, k + i) for i in range(1, k + 1)])
-    # branching on the lowest edge, take before drop, made 283 searches: 158 is 44% fewer
-    assert count_searches(monkeypatch, g) == (34, 158, 21)
+    # M is perfect, so the free count skips every drop child and the second
+    # search of every take child
+    assert count_searches(monkeypatch, g) == (34, 33, 21)
+
+
+def test_root_pass_searches_once_from_each_free_vertex(monkeypatch):
+    # the root matching of P_5 is {12, 34}: only 5 is free, and its one
+    # search fails; a perfect matching leaves the root pass nothing to do
+    assert record_searches(monkeypatch, path(5))[2] == [5]
+    assert record_searches(monkeypatch, path(6))[2] == []
 
 
 @pytest.mark.parametrize("n, items, repairs", [
@@ -206,7 +190,7 @@ def test_ladder_search_count(monkeypatch):
     (4, [([(1, 2), (3, 4)], 1)], [(1, False), (2, False), (3, True)]),
 ])
 def test_residual_repairs_on_short_paths(monkeypatch, n, items, repairs):
-    stream, searches = record_searches(monkeypatch, path(n))
+    stream, searches, _ = record_searches(monkeypatch, path(n))
     assert stream == items
     assert [(root, found) for root, gone, found in searches if gone == 0] == repairs
 
