@@ -9,7 +9,7 @@ the artifact parity check, never for adjacency.
 from __future__ import annotations
 
 import warnings
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 
 
@@ -47,15 +47,18 @@ class Graph:
 
     def adjacency(self) -> list[list[int]]:
         """Neighbors of each vertex in increasing order, indexed by vertex
-        (slot 0 is empty).  Built on the first call and shared by every
+        (slot 0 is empty): each edge is appended at both ends, then each
+        vertex's list is sorted.  Built on the first call and shared by every
         later one, so callers must not change it; it is no field, so it
         takes no part in == or hash."""
         adj = self.__dict__.get("_adjacency")
         if adj is None:
             adj = [[] for _ in range(self.vertex_count + 1)]
-            for u, v in sorted(self.edges):
+            for u, v in self.edges:
                 adj[u].append(v)
                 adj[v].append(u)
+            for nbrs in adj:
+                nbrs.sort()
             object.__setattr__(self, "_adjacency", adj)
         return adj
 
@@ -79,14 +82,8 @@ def build_graph(
     """
     if vertex_count < 0:
         raise ValueError(f"vertex_count must be non-negative, got {vertex_count}")
-    seen: set[tuple[int, int]] = set()
-    dupes = 0
-    for u, v in edges:
-        e = normalize_edge(u, v, vertex_count)
-        if e in seen:
-            dupes += 1
-        else:
-            seen.add(e)
+    seen = {normalize_edge(u, v, vertex_count) for u, v in edges}
+    dupes = len(edges) - len(seen)
     if dupes:
         warnings.warn(
             f"collapsed {dupes} duplicate edge(s)", DuplicateEdgeWarning, stacklevel=2
@@ -150,30 +147,23 @@ def is_connected(g: Graph) -> bool:
     if g.vertex_count == 0:
         return True
     adj = g.adjacency()
-    seen = {1}
-    queue = deque([1])
-    while queue:
-        u = queue.popleft()
+    seen = [False] * (g.vertex_count + 1)
+    seen[1] = True
+    queue = [1]
+    for u in queue:  # the queue grows while it is read
         for w in adj[u]:
-            if w not in seen:
-                seen.add(w)
+            if not seen[w]:
+                seen[w] = True
                 queue.append(w)
-    return len(seen) == g.vertex_count
+    return len(queue) == g.vertex_count
 
 
 def degree_profile(g: Graph) -> dict:
-    """Min/max degree and a degree histogram (degree -> vertex count)."""
-    degs = [0] * (g.vertex_count + 1)
-    for u, v in g.edges:
-        degs[u] += 1
-        degs[v] += 1
-    values = degs[1:]
-    hist: dict[int, int] = {}
-    for d in values:
-        hist[d] = hist.get(d, 0) + 1
+    """Min/max degree and a degree histogram (degree -> vertex count), by adjacency."""
+    hist = Counter(map(len, g.adjacency()[1:]))
     return {
-        "min_degree": min(values) if values else 0,
-        "max_degree": max(values) if values else 0,
+        "min_degree": min(hist, default=0),
+        "max_degree": max(hist, default=0),
         "histogram": dict(sorted(hist.items())),
     }
 
@@ -202,11 +192,39 @@ def parse_graph_file(text: str) -> Graph:
     edges: list[tuple[int, int]] = []
     coords: dict[int, tuple[int, int]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        # split() drops the blanks strip() would, so only messages strip
+        parts = raw.split()
+        if not parts:
             continue
-        parts = line.split()
-        if parts[0] == "p":
+        tag = parts[0]
+        if tag == "e" and header is not None:
+            try:
+                _, u_text, v_text = parts
+                u, v = int(u_text), int(v_text)
+            except ValueError:
+                raise GraphFormatError(
+                    f"line {lineno}: malformed edge record {raw.strip()!r}") from None
+            if not (1 <= u <= header[0]) or not (1 <= v <= header[0]):
+                raise GraphFormatError(
+                    f"line {lineno}: edge endpoint out of range in {raw.strip()!r}")
+            if u == v:
+                raise GraphFormatError(f"line {lineno}: self-loop at vertex {u}")
+            edges.append((u, v))
+        elif tag == "v" and header is not None:
+            try:
+                _, vid_text, x_text, y_text = parts
+                vid, x, y = int(vid_text), int(x_text), int(y_text)
+            except ValueError:
+                raise GraphFormatError(
+                    f"line {lineno}: malformed vertex record {raw.strip()!r}") from None
+            if not (1 <= vid <= header[0]):
+                raise GraphFormatError(f"line {lineno}: vertex id {vid} out of range")
+            if vid in coords:
+                raise GraphFormatError(f"line {lineno}: duplicate coordinates for vertex {vid}")
+            coords[vid] = (x, y)
+        elif tag[0] == "#":
+            continue
+        elif tag == "p":
             if header is not None:
                 raise GraphFormatError(f"line {lineno}: duplicate header")
             try:
@@ -215,35 +233,13 @@ def parse_graph_file(text: str) -> Graph:
                     raise ValueError(kind)
                 header = (int(vertices), int(edge_records))
             except ValueError:
-                raise GraphFormatError(f"line {lineno}: malformed header {line!r}") from None
+                raise GraphFormatError(f"line {lineno}: malformed header {raw.strip()!r}") from None
             if header[0] < 0 or header[1] < 0:
                 raise GraphFormatError(f"line {lineno}: negative count in header")
-        elif header is None and parts[0] in ("v", "e"):
+        elif tag in ("v", "e"):
             raise GraphFormatError(f"line {lineno}: record before header")
-        elif parts[0] == "v":
-            try:
-                _, vid_text, x_text, y_text = parts
-                vid, x, y = int(vid_text), int(x_text), int(y_text)
-            except ValueError:
-                raise GraphFormatError(f"line {lineno}: malformed vertex record {line!r}") from None
-            if not (1 <= vid <= header[0]):
-                raise GraphFormatError(f"line {lineno}: vertex id {vid} out of range")
-            if vid in coords:
-                raise GraphFormatError(f"line {lineno}: duplicate coordinates for vertex {vid}")
-            coords[vid] = (x, y)
-        elif parts[0] == "e":
-            try:
-                _, u_text, v_text = parts
-                u, v = int(u_text), int(v_text)
-            except ValueError:
-                raise GraphFormatError(f"line {lineno}: malformed edge record {line!r}") from None
-            if not (1 <= u <= header[0]) or not (1 <= v <= header[0]):
-                raise GraphFormatError(f"line {lineno}: edge endpoint out of range in {line!r}")
-            if u == v:
-                raise GraphFormatError(f"line {lineno}: self-loop at vertex {u}")
-            edges.append((u, v))
         else:
-            raise GraphFormatError(f"line {lineno}: unknown record tag {parts[0]!r}")
+            raise GraphFormatError(f"line {lineno}: unknown record tag {tag!r}")
     if header is None:
         raise GraphFormatError("missing 'p mg' header")
     if len(edges) != header[1]:

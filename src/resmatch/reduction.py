@@ -235,36 +235,24 @@ def expected_counts(m: int, variant: str) -> dict:
 
 
 def build_artifact(cnf: CnfInstance, variant: str) -> ReductionArtifact:
-    """Lay out the artifact graph for cnf in the requested variant."""
+    """Lay out the artifact graph for cnf in the requested variant.
+
+    Lattice points and (point, point, role) edges are listed in build order,
+    and each layout invariant is checked once over the whole layout: points
+    are distinct (len(ids)), edges are distinct (len(roles)), every edge
+    crosses the parity classes, and the counts are the closed-form ones.  A
+    failed bulk check rescans the layout and names its first offender.
+    """
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
     m = cnf.num_clauses
     n = cnf.num_vars
 
-    points: set[Point] = set()
-    # every edge once, in insertion order, with its role
-    edge_roles: dict[tuple[Point, Point], str] = {}
-
-    def add_point(p: Point):
-        if p in points:
-            raise ConstructionError(f"lattice collision at {p}")
-        points.add(p)
-
-    def add_edge(a: Point, b: Point, role: str):
-        e = normalize_edge(a, b)
-        if e in edge_roles:
-            raise ConstructionError(f"duplicate edge {e}")
-        if ((a[0] + a[1]) - (b[0] + b[1])) % 2 == 0:
-            raise ConstructionError(f"edge {e} does not cross the parity classes")
-        edge_roles[e] = role
-
     # spine path in column -1; every other edge, from the first, is a path
     # pair of the encoded matchings
-    spine = [(-1, y) for y in range(1, 4 * m + 1)]
-    for p in spine:
-        add_point(p)
-    for k, (a, b) in enumerate(zip(spine, spine[1:])):
-        add_edge(a, b, "spine" if k % 2 else "path")
+    points: list[Point] = [(-1, y) for y in range(1, 4 * m + 1)]
+    triples: list[tuple[Point, Point, str]] = [
+        (a, b, "spine" if k % 2 else "path") for k, (a, b) in enumerate(zip(points, points[1:]))]
 
     gadget_cells: dict[tuple[int, int], dict[str, Point]] = {}
     occurrences: dict[int, list[tuple[int, int]]] = {i: [] for i in range(1, n + 1)}
@@ -273,36 +261,31 @@ def build_artifact(cnf: CnfInstance, variant: str) -> ReductionArtifact:
         for t, lit in enumerate(clause, start=1):
             i = abs(lit)
             cells = _gadget_cells(i, j, lit > 0)
-            for p in cells.values():
-                add_point(p)
-            for a, b, role in _GADGET_EDGES:
-                add_edge(cells[a], cells[b], role)
-            add_edge(cells["u22"], cells["v22" if lit > 0 else "v11"], "feed")
+            points += cells.values()
+            triples += [(cells[a], cells[b], role) for a, b, role in _GADGET_EDGES]
+            triples.append((cells["u22"], cells["v22" if lit > 0 else "v11"], "feed"))
             gadget_cells[(j, t)] = cells
             occurrences[i].append((j, t))
         if variant == "L":
-            low0, low1, high0, high1 = ((0, y) for y in range(4 * j - 3, 4 * j + 1))
-            for p in (low0, low1, high0, high1):
-                add_point(p)
-            add_edge(low0, low1, "column")
-            add_edge(high0, high1, "column")
+            low0, low1, high0, high1 = column = [(0, y) for y in range(4 * j - 3, 4 * j + 1)]
+            points += column
+            triples += [(low0, low1, "column"), (high0, high1, "column")]
             for t in (1, 2, 3):
-                add_edge(low0, gadget_cells[(j, t)]["v12"], "rail")
-                add_edge(high0, gadget_cells[(j, t)]["v12"], "rail")
+                v12 = gadget_cells[(j, t)]["v12"]
+                triples += [(low0, v12, "rail"), (high0, v12, "rail")]
         else:
             # Port links chain the three port squares.  The in-corner must be
             # one the satisfied-side residual leaves free, which depends on
             # where the anchor square sits: v11 for plain occurrences, v22
             # for negated ones.
             for t in (1, 2):
-                dst_role = "v11" if clause[t] > 0 else "v22"
-                add_edge(gadget_cells[(j, t)]["v12"], gadget_cells[(j, t + 1)][dst_role], "link")
+                dst = gadget_cells[(j, t + 1)]["v11" if clause[t] > 0 else "v22"]
+                triples.append((gadget_cells[(j, t)]["v12"], dst, "link"))
 
     # one anchor edge per clause keeps the artifact connected; the spine end
     # it uses, (-1, 4j-2), is matched by a spine edge in every residual, so
     # anchors never enlarge a residual matching
-    for j in range(1, m + 1):
-        add_edge((-1, 4 * j - 2), gadget_cells[(j, 1)]["u11"], "anchor")
+    triples += [((-1, 4 * j - 2), gadget_cells[(j, 1)]["u11"], "anchor") for j in range(1, m + 1)]
 
     # variable cycles: each port square contributes its three drawn edges;
     # consecutive occurrences (clause order, wrapping) are joined v11 -> v21
@@ -321,27 +304,28 @@ def build_artifact(cnf: CnfInstance, variant: str) -> ReductionArtifact:
             nxt = gadget_cells[occs[(idx + 1) % len(occs)]]
             horizontal += [(cells["v21"], cells["v22"]), (cells["v12"], cells["v11"])]
             vertical += [(cells["v22"], cells["v12"]), (cells["v11"], nxt["v21"])]
-            add_edge(cells["v11"], nxt["v21"], "join")
+            triples.append((cells["v11"], nxt["v21"], "join"))
         cycle_pts.append((vertical, horizontal) if variant == "L" else (horizontal, vertical))
 
+    # ids follow the lattice order, so the id pairs of an edge order like its points
+    order = sorted(points)
+    ids = dict(zip(order, range(1, len(order) + 1)))
+    roles = {((ids[a], ids[b]) if a < b else (ids[b], ids[a])): role for a, b, role in triples}
+    if (len(ids) != len(points) or len(roles) != len(triples)
+            or 0 in {(x + y + p + q) % 2 for (x, y), (p, q), _ in triples}):
+        _first_offender(points, triples)
     expected = expected_counts(m, variant)
     if len(points) != expected["vertices"]:
-        raise ConstructionError(
-            f"{len(points)} lattice points, expected {expected['vertices']}"
-        )
-    if len(edge_roles) != expected["edges"]:
-        raise ConstructionError(f"{len(edge_roles)} edges, expected {expected['edges']}")
+        raise ConstructionError(f"{len(points)} lattice points, expected {expected['vertices']}")
+    if len(roles) != expected["edges"]:
+        raise ConstructionError(f"{len(roles)} edges, expected {expected['edges']}")
 
-    # ids follow the lattice order, so a point-ordered edge is id-ordered too
-    ids = {p: k for k, p in enumerate(sorted(points), start=1)}
-    coords = {k: p for p, k in ids.items()}
-    roles = {(ids[a], ids[b]): role for (a, b), role in edge_roles.items()}
-    # add_edge has checked every edge, and the graph shares its edge tuples
+    # the bulk checks cover every edge, and the graph shares its edge tuples
     # with roles, where build_graph would copy each one
-    graph = Graph(len(points), frozenset(roles), coords)
+    graph = Graph(len(points), frozenset(roles), dict(enumerate(order, start=1)))
 
     def id_edges(walk: list[tuple[Point, Point]]) -> frozenset[Edge]:
-        return frozenset(normalize_edge(ids[a], ids[b]) for a, b in walk)
+        return frozenset((ids[a], ids[b]) if a < b else (ids[b], ids[a]) for a, b in walk)
 
     return ReductionArtifact(
         graph=graph,
@@ -351,6 +335,24 @@ def build_artifact(cnf: CnfInstance, variant: str) -> ReductionArtifact:
         cycles=tuple((id_edges(t), id_edges(f)) for t, f in cycle_pts),
         expected=expected,
     )
+
+
+def _first_offender(points: list[Point], triples: list[tuple[Point, Point, str]]):
+    """Raise the ConstructionError of the first point, then of the first edge,
+    in build order, that breaks a layout invariant."""
+    seen: set = set()
+    for p in points:
+        if p in seen:
+            raise ConstructionError(f"lattice collision at {p}")
+        seen.add(p)
+    for a, b, _ in triples:
+        e = normalize_edge(a, b)
+        if e in seen:
+            raise ConstructionError(f"duplicate edge {e}")
+        if (a[0] + a[1] + b[0] + b[1]) % 2 == 0:
+            raise ConstructionError(f"edge {e} does not cross the parity classes")
+        seen.add(e)
+    raise AssertionError("a bulk layout check failed, but no point or edge breaks it")
 
 
 def encode_assignment(art: ReductionArtifact, alpha: Assignment) -> Matching:
@@ -530,7 +532,9 @@ def verify_artifact(art: ReductionArtifact, exhaustive: bool = False) -> Certifi
     check("edges", exp["edges"], g.edge_count)
     prof = degree_profile(g)
     check("max_degree", exp["max_degree"], prof["max_degree"])
-    parity = {v: (x + y) % 2 for v, (x, y) in g.coords.items()}
+    parity = [0] * (g.vertex_count + 1)
+    for v, (x, y) in g.coords.items():
+        parity[v] = (x + y) % 2
     parity_ok = all(parity[u] != parity[v] for u, v in g.edges)
     if not parity_ok:
         discrepancies.append("bipartite: parity classes do not two-color the artifact")

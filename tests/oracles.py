@@ -9,13 +9,17 @@ at every node instead of a carried matching.  `census_certificate` is the
 reference for the exhaustive artifact census: it rebuilds every encoding
 with `encode_assignment` and compares it with the decoded matching.
 `record_searches` and `count_searches` log the enumerator's single-root
-searches, for the tests that pin how many it runs.
+searches, for the tests that pin how many it runs.  `adjacency_by_sorted_edges`
+and `degree_profile_by_edges` are the references for `Graph.adjacency` and
+`degree_profile`: one walks the globally sorted edge list, the other counts
+edge endpoints.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import importlib
+import random
 
 from resmatch.graph import Graph, build_graph, delete_edges
 from resmatch.matching import Matching, nu, validate_matching
@@ -268,6 +272,43 @@ def census_certificate(art: ReductionArtifact, cap: int | None = None) -> Certif
         discrepancies.append("census: a decodable matching misses its residual value")
     return dataclasses.replace(cert, residual_checks=tuple(checks), census=census,
                                discrepancies=tuple(discrepancies))
+
+
+def adjacency_by_sorted_edges(g: Graph) -> list[list[int]]:
+    """Neighbour lists in increasing order: walking the edges in sorted order
+    appends each vertex's smaller neighbours first, then its larger ones."""
+    adj: list[list[int]] = [[] for _ in range(g.vertex_count + 1)]
+    for u, v in sorted(g.edges):
+        adj[u].append(v)
+        adj[v].append(u)
+    return adj
+
+
+def degree_profile_by_edges(g: Graph) -> dict:
+    """Min/max degree and the degree histogram, from one count per edge endpoint."""
+    degs = [0] * (g.vertex_count + 1)
+    for u, v in g.edges:
+        degs[u] += 1
+        degs[v] += 1
+    values = degs[1:]
+    hist: dict[int, int] = {}
+    for d in values:
+        hist[d] = hist.get(d, 0) + 1
+    return {
+        "min_degree": min(values, default=0),
+        "max_degree": max(values, default=0),
+        "histogram": dict(sorted(hist.items())),
+    }
+
+
+def random_cnf(n: int, m: int, seed: int) -> str:
+    """A seeded exact-3 CNF with n variables and m clauses that uses every variable."""
+    rng = random.Random(f"{n}:{m}:{seed}")
+    while True:
+        clauses = [[v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n + 1), 3)]
+                   for _ in range(m)]
+        if {abs(lit) for cl in clauses for lit in cl} == set(range(1, n + 1)):
+            return f"p cnf {n} {m}\n" + "".join(f"{a} {b} {c} 0\n" for a, b, c in clauses)
 
 
 def path(n):

@@ -8,14 +8,18 @@ regenerate them after a deliberate output change, run this file as a script:
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import os
 import random
 
 import pytest
+from oracles import random_cnf
 
 from resmatch.cli import main
+from resmatch.graph import emit_graph_file
+from resmatch.reduction import build_artifact, parse_dimacs
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 FIXTURES = os.path.join(HERE, os.pardir, "fixtures")
@@ -192,6 +196,51 @@ def test_golden_cases_cover_every_problem1_answer():
         if '"problem1"' in entry["stdout"]
     }
     assert answers == {"yes", "no", "unknown"}
+
+
+# sha256 of what `reduce` and `verify` write, and of the artifact record, for
+# a seeded 25-variable, 100-clause formula: the size the structural benchmark
+# starts at (3,200 and 2,800 vertices).  Cycles are pinned side by side as
+# sorted edge lists.
+SCALE_PINS = {
+    "L": {
+        "graph": "7fb122c10464660ba2c320c4cdc1c4ad879bbfaf6d819bcbb4403d7b8a459cc5",
+        "certificate": "4ba6d290e60f714a638d1624845a4e45da14057d3132d5bd82ab4672f9dea695",
+        "verify": "c2ebe74a3a80ff7ac8768bea0279aa8260d82eec6e1a4a16ccb13d40c963b07c",
+        "roles": "2ebc6a020f5460a456af580a841015b6696ad9cff49f0fd09fb9684874cca160",
+        "cycles": "d55af7ce312d640f3e4c24a1ecbd5b975ed4e301abc3def9dbcdd33478f997f8",
+    },
+    "ell": {
+        "graph": "6e364fbe0cd10f6954e69710a4657d78be105c933f36e242df169826ddfe7fb6",
+        "certificate": "25efe37adf7977b3012338ba5b36383dea3c186c9957b12ca7c66a5d939063ce",
+        "verify": "0d666154de330ac90492e5095ff08e1ebb47cc7a41460cd7cfa31551f43315b4",
+        "roles": "770a3339e5bd94a1d0c37c55fa3b601e7bfbd05b426d7b9ec486aeefcdf759d3",
+        "cycles": "19a9789ae20dee0a629d1698123552a311ee1b674e544795daf20edc93fe7c39",
+    },
+}
+
+
+@pytest.mark.parametrize("variant", sorted(SCALE_PINS))
+def test_artifact_bytes_at_benchmark_scale(variant, tmp_path):
+    def sha(data) -> str:
+        return hashlib.sha256(data if isinstance(data, bytes) else data.encode()).hexdigest()
+
+    text = random_cnf(25, 100, seed=0)
+    cnf, art_file, cert, report = (tmp_path / name for name in ("f.cnf", "a.mg", "c.json", "v.json"))
+    cnf.write_text(text)
+    assert main(["reduce", str(cnf), "--variant", variant, "--output", str(art_file),
+                 "--certificate", str(cert)]) == 0
+    assert main(["verify", str(art_file), str(cnf), "--variant", variant,
+                 "--output", str(report)]) == 0
+    art = build_artifact(parse_dimacs(text), variant)
+    assert art_file.read_text() == emit_graph_file(art.graph)
+    assert {
+        "graph": sha(art_file.read_bytes()),
+        "certificate": sha(cert.read_bytes()),
+        "verify": sha(report.read_bytes()),
+        "roles": sha(repr(list(art.roles.items()))),
+        "cycles": sha(repr([(sorted(t), sorted(f)) for t, f in art.cycles])),
+    } == SCALE_PINS[variant]
 
 
 if __name__ == "__main__":

@@ -1,4 +1,7 @@
+import random
+
 import pytest
+from oracles import adjacency_by_sorted_edges, degree_profile_by_edges
 
 from resmatch.graph import (
     Bipartition,
@@ -195,3 +198,75 @@ def test_parse_collapses_duplicate_edges_with_warning():
     with pytest.warns(DuplicateEdgeWarning):
         g = parse_graph_file("p mg 2 2\ne 1 2\ne 2 1\n")
     assert g.edge_count == 1
+
+
+# Exact messages: records are split on any whitespace, so leading blanks,
+# tabs and '\r' do not change a record, a '#' opens a comment only as the
+# first character of its first field, and tags are compared whole.
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("  p mg 2 1\n\te 1 2\n \te 1 1\n", "line 3: self-loop at vertex 1"),
+        ("p mg 2 1\n   e 1\n", "line 2: malformed edge record 'e 1'"),
+        ("p mg 2 1\n\tv 1 0\n", "line 2: malformed vertex record 'v 1 0'"),
+        ("p mg 2 1\n  v 3 0 0  \n", "line 2: vertex id 3 out of range"),
+        ("  p mg 2 1 7\n", "line 1: malformed header 'p mg 2 1 7'"),
+        ("#comment\np mg 2 1\n#x\ne 1 3\n", "line 4: edge endpoint out of range in 'e 1 3'"),
+        ("p mg 2 1\n #e 1 2\ne 1 1\n", "line 3: self-loop at vertex 1"),
+        ("# c\nv 1 0 0\np mg 1 0\n", "line 2: record before header"),
+        ("p mg 2 1\nee 1 2\n", "line 2: unknown record tag 'ee'"),
+        ("p mg 2 1\nvx 1 0 0\n", "line 2: unknown record tag 'vx'"),
+        ("pp mg 2 1\n", "line 1: unknown record tag 'pp'"),
+        ("p mg 2 1\ne\n", "line 2: malformed edge record 'e'"),
+        ("p mg 2 1\r\ne 1 2\r\ne 2 2\r\n", "line 3: self-loop at vertex 2"),
+        ("p mg 2 1\r\ne 1 x\r\n", "line 2: malformed edge record 'e 1 x'"),
+        ("p mg 2 1\ne 1 3   \n", "line 2: edge endpoint out of range in 'e 1 3'"),
+        ("\n\n   \np mg 2 1\n\n\t\ne 1 1\n", "line 7: self-loop at vertex 1"),
+        ("\n\n\np mg 2\n", "line 4: malformed header 'p mg 2'"),
+        ("p mg 2 1\n\x0ce 1 2\n\x0ce 1 1\n", "line 5: self-loop at vertex 1"),  # \f ends a line
+    ],
+)
+def test_parse_dispatch_messages(text, message):
+    with pytest.raises(GraphFormatError) as exc:
+        parse_graph_file(text)
+    assert str(exc.value) == message
+
+
+def test_parse_ignores_blanks_tabs_and_carriage_returns():
+    messy = "\r\n# c\r\n  p mg 3 2\r\n\tv 1 0 0\r\n v 2 1 0\nv 3 2 0 \r\n\n e 1 2\r\ne\t2 3\r\n"
+    assert parse_graph_file(messy) == parse_graph_file(GOOD_FILE)
+
+
+def _helper_graphs():
+    """200 seeded graphs: the empty graph, edgeless ones, and sparse to dense
+    random graphs, some of them disjoint unions, so that many have isolated
+    vertices or several components."""
+    rng = random.Random("graph-helpers")
+    graphs = [build_graph(0, []), build_graph(1, []), build_graph(5, [])]
+    while len(graphs) < 200:
+        n = rng.randint(1, 16)
+        p = rng.choice((0.05, 0.15, 0.3, 0.6))
+        edges = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1) if rng.random() < p]
+        if rng.random() < 0.3:  # a second part that shares no vertex with the first
+            k = rng.randint(1, 8)
+            edges += [(n + u, n + v) for u in range(1, k + 1) for v in range(u + 1, k + 1)
+                      if rng.random() < p]
+            n += k
+        rng.shuffle(edges)
+        graphs.append(build_graph(n, [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges]))
+    return graphs
+
+
+def test_graph_helpers_match_their_references():
+    nx = pytest.importorskip("networkx")
+    disconnected = 0
+    for g in _helper_graphs():
+        assert g.adjacency() == adjacency_by_sorted_edges(g)
+        assert degree_profile(g) == degree_profile_by_edges(g)
+        h = nx.Graph()
+        h.add_nodes_from(range(1, g.vertex_count + 1))
+        h.add_edges_from(g.edges)
+        connected = g.vertex_count == 0 or nx.is_connected(h)
+        assert is_connected(g) == connected
+        disconnected += not connected
+    assert 50 <= disconnected <= 150  # both answers are well represented

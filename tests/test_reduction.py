@@ -4,13 +4,15 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from oracles import census_certificate
+from oracles import census_certificate, random_cnf
 
 from resmatch import matching, reduction
 from resmatch.graph import build_graph, delete_edges, emit_graph_file
 from resmatch.matching import Matching, nu
 from resmatch.reduction import (
     Assignment,
+    CnfInstance,
+    ConstructionError,
     DimacsError,
     EXHAUSTIVE_VAR_LIMIT,
     StructuralDecodeError,
@@ -173,6 +175,76 @@ def test_build_is_deterministic():
     assert emit_graph_file(a.graph) == emit_graph_file(b.graph)
     assert list(a.roles.items()) == list(b.roles.items())
     assert a.cycles == b.cycles
+
+
+# --- layout invariants: each planted fault raises its ConstructionError ---
+
+# Clause 1 opens with variable 4, so its gadget is built first but sits to
+# the right of variable 1's gadget in clause 2.
+PLANT_CNF = "p cnf 4 2\n4 -1 2 0\n3 1 -2 0\n"
+
+
+def _plant(monkeypatch, gadgets=(), move=None, extra_edge=None):
+    """Build hooks: move(cells) edits the cells of each gadget (variable,
+    clause) in `gadgets`; extra_edge joins two corners in every gadget."""
+    real = reduction._gadget_cells
+
+    def cells(i, j, positive):
+        c = real(i, j, positive)
+        if (i, j) in gadgets:
+            move(c)
+        return c
+
+    monkeypatch.setattr(reduction, "_gadget_cells", cells)
+    if extra_edge is not None:
+        monkeypatch.setattr(reduction, "_GADGET_EDGES", reduction._GADGET_EDGES + (extra_edge,))
+
+
+def _onto_v12(c):
+    # u11 keeps its parity, and no edge of it becomes a duplicate, so only
+    # the collision check can see this fault
+    c["u11"] = c["v12"]
+
+
+def _odd_shift(c):
+    x, y = c["u11"]
+    c["u11"] = (x + 1000, y + 1001)
+
+
+# fault -> (how to plant it, message for L, message for ell); the two-gadget
+# plants put a second fault in a gadget built later but lying first in
+# lattice order, so the message must name the first offender in build order
+PLANTED_FAULTS = {
+    "collision": (dict(gadgets=[(4, 1), (1, 2)], move=_onto_v12), "lattice collision at (16, 4)"),
+    "collision-late": (dict(gadgets=[(1, 2)], move=_onto_v12), "lattice collision at (4, 8)"),
+    # v11-v12 twice in every gadget
+    "duplicate": (dict(extra_edge=("v12", "v11", "port")), "duplicate edge ((15, 4), (16, 4))"),
+    "parity": (dict(gadgets=[(4, 1), (1, 2)], move=_odd_shift),
+               "edge ((15, 2), (1015, 1002)) does not cross the parity classes"),
+    "parity-late": (dict(gadgets=[(1, 2)], move=_odd_shift),
+                    "edge ((3, 6), (1003, 1006)) does not cross the parity classes"),
+    "vertex-count": (dict(gadgets=[(1, 2)], move=lambda c: c.update(extra=(1000, 1001))),
+                     "65 lattice points, expected 64", "57 lattice points, expected 56"),
+    # one more valid edge per gadget
+    "edge-count": (dict(extra_edge=("u11", "u21", "u")),
+                   "79 edges, expected 73", "67 edges, expected 61"),
+}
+
+
+@pytest.mark.parametrize("variant", ["L", "ell"])
+@pytest.mark.parametrize("fault", list(PLANTED_FAULTS))
+def test_build_names_the_planted_fault(monkeypatch, variant, fault):
+    plant, *messages = PLANTED_FAULTS[fault]
+    _plant(monkeypatch, **plant)
+    with pytest.raises(ConstructionError) as exc:
+        build_artifact(parse_dimacs(PLANT_CNF), variant)
+    assert str(exc.value) == messages[-1 if variant == "ell" else 0]
+
+
+@pytest.mark.parametrize("variant", ["L", "ell"])
+def test_build_rejects_a_variable_without_occurrences(variant):
+    with pytest.raises(ConstructionError, match="^variable 4 has no occurrences$"):
+        build_artifact(CnfInstance(4, ((1, 2, 3),)), variant)
 
 
 @pytest.mark.parametrize("variant", ["L", "ell"])
@@ -344,16 +416,6 @@ def test_exhaustive_verify_is_one_census_pass(monkeypatch, broken):
         assert cert.census.count == 2**art.cnf.num_vars
 
 
-def _random_cnf(n: int, m: int, seed: int) -> str:
-    """A seeded exact-3 CNF with n variables and m clauses that uses every variable."""
-    rng = random.Random(f"{n}:{m}:{seed}")
-    while True:
-        clauses = [[v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n + 1), 3)]
-                   for _ in range(m)]
-        if {abs(lit) for cl in clauses for lit in cl} == set(range(1, n + 1)):
-            return f"p cnf {n} {m}\n" + "".join(f"{a} {b} {c} 0\n" for a, b, c in clauses)
-
-
 def _close_anchor_square(art):
     """art with the edges u11-u21 and u12-u22 of one anchor square added, so
     the square is a 4-cycle whose other side can replace its two u edges."""
@@ -386,7 +448,7 @@ CENSUS_SHAPES = [(3, 1), (3, 4), (4, 2), (5, 3), (6, 2), (6, 4)]
 @pytest.mark.parametrize("variant", ["L", "ell"])
 @pytest.mark.parametrize("shape", CENSUS_SHAPES, ids=lambda s: f"n{s[0]}m{s[1]}")
 def test_census_matches_the_reference(variant, shape):
-    art = build_artifact(parse_dimacs(_random_cnf(*shape, seed=0)), variant)
+    art = build_artifact(parse_dimacs(random_cnf(*shape, seed=0)), variant)
     for label, mutant in _census_inputs(art):
         want = census_certificate(mutant).to_json_dict()
         assert verify_artifact(mutant, exhaustive=True).to_json_dict() == want, label
