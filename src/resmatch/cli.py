@@ -33,6 +33,7 @@ from .graph import (
 )
 from .matching import nu
 from .reduction import (
+    VARIANTS,
     additive_bound,
     additive_threshold,
     build_artifact,
@@ -99,12 +100,7 @@ def cmd_compute(args) -> int:
         result = answer_problem1(g, args.k, parse_tolerance(args.f), enumerate_once)
     report = enumerate_once()
     out = report.to_json_dict()
-    prof = degree_profile(g)
-    out["degree_profile"] = {
-        "min": prof["min_degree"],
-        "max": prof["max_degree"],
-        "histogram": sorted(prof["histogram"].items()),
-    }
+    out["degree_profile"] = degree_profile(g)
     b = bipartition(g)
     out["bipartite"] = b is not None
     out["connected"] = is_connected(g)
@@ -345,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_reduce = sub.add_parser("reduce", help="compile a CNF into an artifact graph")
     p_reduce.add_argument("input")
-    p_reduce.add_argument("--variant", choices=("L", "ell"), required=True)
+    p_reduce.add_argument("--variant", choices=VARIANTS, required=True)
     p_reduce.add_argument("--output", required=True, help="artifact graph file")
     p_reduce.add_argument("--certificate", help="certificate JSON (default stdout)")
     p_reduce.set_defaults(func=cmd_reduce)
@@ -353,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="check a graph file against its CNF")
     p_verify.add_argument("input", help="artifact graph file")
     p_verify.add_argument("cnf")
-    p_verify.add_argument("--variant", choices=("L", "ell"), required=True)
+    p_verify.add_argument("--variant", choices=VARIANTS, required=True)
     p_verify.add_argument("--exhaustive", action="store_true")
     p_verify.add_argument("--output")
     p_verify.set_defaults(func=cmd_verify)
@@ -370,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.set_defaults(func=cmd_bench)
 
     p_cal = sub.add_parser("calibrate", help="exact gap and threshold arithmetic")
-    p_cal.add_argument("--variant", choices=("L", "ell"), default="L")
+    p_cal.add_argument("--variant", choices=VARIANTS, default="L")
     p_cal.add_argument("--epsilon", help="rational p/q")
     p_cal.add_argument("--c", help="additive coefficient p/q")
     p_cal.add_argument("--output")

@@ -1,6 +1,6 @@
-"""Largest subgraphs that split into k disjoint matchings.
+"""Largest subgraphs that split into two disjoint matchings.
 
-For bipartite hosts the k = 2 case is a degree-constrained subgraph: cap
+For bipartite hosts this is a degree-constrained subgraph: cap
 every vertex at two incident chosen edges and maximize the edge count.  In a
 bipartite graph any subgraph with maximum degree two is a disjoint union of
 paths and even cycles, so it always splits into two matchings.  Tutte's
@@ -19,7 +19,6 @@ from .matching import _blossom, nu
 
 @dataclass(frozen=True)
 class ColorableResult:
-    k: int
     size: int
     classes: tuple[frozenset[tuple[int, int]], ...]
 
@@ -89,10 +88,10 @@ def nu2_bipartite(g: Graph, b: Bipartition | None = None) -> ColorableResult:
     assert len(chosen) == size
     class0, class1 = _two_color(g, chosen)
     assert len(class0) + len(class1) == size
-    return ColorableResult(2, size, (class0, class1))
+    return ColorableResult(size, (class0, class1))
 
 
-def upper_bound_L(g: Graph, b: Bipartition | None = None) -> int:
+def upper_bound_L(g: Graph) -> int:
     """nu_2 - nu: after deleting any maximum matching, at most this many
     disjoint edges remain, so it bounds the residual spectrum from above."""
-    return nu2_bipartite(g, b).size - nu(g)
+    return nu2_bipartite(g).size - nu(g)

@@ -159,13 +159,11 @@ def is_connected(g: Graph) -> bool:
 
 
 def degree_profile(g: Graph) -> dict:
-    """Min/max degree and a degree histogram (degree -> vertex count), by adjacency."""
+    """Min and max degree and the degree histogram as sorted (degree, vertex
+    count) pairs, by adjacency: the shape `compute` reports."""
     hist = Counter(map(len, g.adjacency()[1:]))
-    return {
-        "min_degree": min(hist, default=0),
-        "max_degree": max(hist, default=0),
-        "histogram": dict(sorted(hist.items())),
-    }
+    return {"min": min(hist, default=0), "max": max(hist, default=0),
+            "histogram": sorted(hist.items())}
 
 
 def delete_edges(g: Graph, removed) -> Graph:

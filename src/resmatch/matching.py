@@ -228,12 +228,17 @@ def nu(g: Graph) -> int:
     return sum(map(bool, _unshuffled(g))) // 2
 
 
+def _is_matching_of(g: Graph, m: Matching) -> bool:
+    """Whether m is a matching of g: hosted on g's vertices, edges of g, pairwise disjoint."""
+    # edges of g have two distinct ends, so they are disjoint iff they cover 2|m| vertices
+    return m.host_size == g.vertex_count and m.edges <= g.edges and len(m.covered()) == 2 * len(m)
+
+
 def validate_matching(g: Graph, m: Matching) -> MatchingFlags:
     """Check m against g: validity, maximality, maximumness, perfection."""
-    cov = m.covered()
-    # edges of g have two distinct ends, so they are disjoint iff they cover 2|m| vertices
-    if m.host_size != g.vertex_count or not m.edges <= g.edges or len(cov) != 2 * len(m):
+    if not _is_matching_of(g, m):
         return MatchingFlags(False, False, False, False)
+    cov = m.covered()
     maximal = all(u in cov or v in cov for u, v in g.edges)
     perfect = 2 * len(m) == g.vertex_count
     maximum = perfect or len(m) == nu(g)

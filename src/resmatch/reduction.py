@@ -27,11 +27,11 @@ from __future__ import annotations
 import functools
 import itertools
 import re
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .graph import Graph, degree_profile, is_connected, normalize_edge
-from .matching import Matching, matching_from_pairs, nu
+from .matching import Matching, _is_matching_of, matching_from_pairs, nu
 from .spectrum import CappedStream
 
 VARIANTS = ("L", "ell")
@@ -205,7 +205,8 @@ class ReductionArtifact:
     `roles` maps every edge of `graph` (an id pair) to its role.  `cycles[i - 1]`
     holds variable i's cycle as its two perfect matchings: the edges its TRUE
     encoding takes, then those its FALSE encoding takes.  Besides one side of
-    each cycle, every encoding takes exactly the edges of ENCODED_ROLES.
+    each cycle, every encoding takes exactly the edges of ENCODED_ROLES.  Its
+    closed-form counts are `expected_counts(cnf.num_clauses, variant)`.
     """
 
     graph: Graph
@@ -213,10 +214,10 @@ class ReductionArtifact:
     variant: str
     roles: dict[Edge, str]
     cycles: tuple[tuple[frozenset[Edge], frozenset[Edge]], ...]
-    expected: dict = field(default_factory=dict)
 
 
 def expected_counts(m: int, variant: str) -> dict:
+    """The closed-form counts of the variant's artifact for m clauses."""
     if variant == "L":
         return {
             "vertices": 32 * m,
@@ -333,7 +334,6 @@ def build_artifact(cnf: CnfInstance, variant: str) -> ReductionArtifact:
         variant=variant,
         roles=roles,
         cycles=tuple((id_edges(t), id_edges(f)) for t, f in cycle_pts),
-        expected=expected,
     )
 
 
@@ -376,9 +376,7 @@ def decode_matching(art: ReductionArtifact, f: Matching) -> Assignment:
     when some variable cycle carries neither side purely.  Perfection is a
     size and subset test, so decoding runs no blossom.
     """
-    n = art.graph.vertex_count
-    if (f.host_size != n or 2 * len(f) != n or not f.edges <= art.graph.edges
-            or len(f.covered()) != n):
+    if 2 * len(f) != art.graph.vertex_count or not _is_matching_of(art.graph, f):
         raise ValueError("decode requires a valid perfect matching of the artifact")
     values: list[bool] = []
     for i, (true_side, false_side) in enumerate(art.cycles, start=1):
@@ -391,12 +389,8 @@ def decode_matching(art: ReductionArtifact, f: Matching) -> Assignment:
     return Assignment(tuple(values))
 
 
-def expected_residual(art: ReductionArtifact, alpha: Assignment) -> int:
-    """Residual matching number after deleting the encoded matching."""
-    return _residual_of_sat(art, sat_count(art.cnf, alpha))
-
-
 def _residual_of_sat(art: ReductionArtifact, s: int) -> int:
+    """Residual matching number left by encoding an assignment that satisfies s clauses."""
     m = art.cnf.num_clauses
     return 10 * m - 1 + s if art.variant == "L" else 11 * m - 1 - s
 
@@ -441,19 +435,17 @@ class MatchingCensus:
 
 @dataclass(frozen=True)
 class Certificate:
+    """What `verify_artifact` measured and found wrong; `to_json_dict` adds the
+    closed-form values it was held to, from `expected_counts(m, variant)`."""
+
     variant: str
     m: int
     vertices: int
     edges: int
-    expected_vertices: int
-    expected_edges: int
     max_degree: int
-    expected_max_degree: int
     bipartite: bool
     connected: bool
     nu_value: int
-    expected_nu: int
-    k_param: int | None
     residual_checks: tuple[ResidualCheck, ...]
     census: MatchingCensus | None
     discrepancies: tuple[str, ...]
@@ -463,20 +455,21 @@ class Certificate:
         return not self.discrepancies
 
     def to_json_dict(self) -> dict:
+        exp = expected_counts(self.m, self.variant)
         return {
             "variant": self.variant,
             "m": self.m,
             "V": self.vertices,
-            "expectedV": self.expected_vertices,
+            "expectedV": exp["vertices"],
             "E": self.edges,
-            "expectedE": self.expected_edges,
+            "expectedE": exp["edges"],
             "maxDeg": self.max_degree,
-            "expectedMaxDeg": self.expected_max_degree,
+            "expectedMaxDeg": exp["max_degree"],
             "bipartite": self.bipartite,
             "connected": self.connected,
             "nu": self.nu_value,
-            "expectedNu": self.expected_nu,
-            "kParam": self.k_param,
+            "expectedNu": exp["nu"],
+            "kParam": exp["k_param"],
             "edgeRule": "per-clause spine anchor at (-1, 4j-2)",
             "residualChecks": [{**_camel_case(rc), "ok": rc.ok} for rc in self.residual_checks],
             "census": None if self.census is None else _camel_case(self.census),
@@ -521,7 +514,7 @@ def verify_artifact(art: ReductionArtifact, exhaustive: bool = False) -> Certifi
             f" variables, instance has {n}"
         )
     g = art.graph
-    exp = art.expected
+    exp = expected_counts(art.cnf.num_clauses, art.variant)
     discrepancies: list[str] = []
 
     def check(name: str, expected_value, actual_value):
@@ -531,7 +524,7 @@ def verify_artifact(art: ReductionArtifact, exhaustive: bool = False) -> Certifi
     check("vertices", exp["vertices"], g.vertex_count)
     check("edges", exp["edges"], g.edge_count)
     prof = degree_profile(g)
-    check("max_degree", exp["max_degree"], prof["max_degree"])
+    check("max_degree", exp["max_degree"], prof["max"])
     parity = [0] * (g.vertex_count + 1)
     for v, (x, y) in g.coords.items():
         parity[v] = (x + y) % 2
@@ -613,15 +606,10 @@ def verify_artifact(art: ReductionArtifact, exhaustive: bool = False) -> Certifi
         m=art.cnf.num_clauses,
         vertices=g.vertex_count,
         edges=g.edge_count,
-        expected_vertices=exp["vertices"],
-        expected_edges=exp["edges"],
-        max_degree=prof["max_degree"],
-        expected_max_degree=exp["max_degree"],
+        max_degree=prof["max"],
         bipartite=parity_ok,
         connected=connected,
         nu_value=nu_value,
-        expected_nu=exp["nu"],
-        k_param=exp["k_param"],
         residual_checks=tuple(residual_checks.values()),
         census=census,
         discrepancies=tuple(discrepancies),

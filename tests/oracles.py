@@ -7,7 +7,9 @@ and not in the package.  `iter_maximum_matchings_bounded` is the reference
 for the package's enumerator: the same leaf order, decided by a fresh `nu`
 at every node instead of a carried matching.  `census_certificate` is the
 reference for the exhaustive artifact census: it rebuilds every encoding
-with `encode_assignment` and compares it with the decoded matching.
+with `encode_assignment` and compares it with the decoded matching;
+`expected_residual` restates the residual identity it checks, the reference
+for the package's `_residual_of_sat`.
 `record_searches` and `count_searches` log the enumerator's single-root
 searches, for the tests that pin how many it runs.  `adjacency_by_sorted_edges`
 and `degree_profile_by_edges` are the references for `Graph.adjacency` and
@@ -24,6 +26,7 @@ import random
 from resmatch.graph import Graph, build_graph, delete_edges
 from resmatch.matching import Matching, nu, validate_matching
 from resmatch.reduction import (
+    Assignment,
     Certificate,
     MatchingCensus,
     ReductionArtifact,
@@ -32,7 +35,6 @@ from resmatch.reduction import (
     all_assignments,
     decode_matching,
     encode_assignment,
-    expected_residual,
     sat_count,
     verify_artifact,
 )
@@ -207,6 +209,14 @@ def count_searches(monkeypatch, g):
     return len(items), len(searches) - repairs, repairs
 
 
+def expected_residual(art: ReductionArtifact, alpha: Assignment) -> int:
+    """Residual matching number after deleting the encoding of alpha: 10m - 1 + sat
+    on the L artifact and 11m - 1 - sat on the ell artifact, for m clauses of
+    which alpha satisfies sat."""
+    m, sat = art.cnf.num_clauses, sat_count(art.cnf, alpha)
+    return 10 * m - 1 + sat if art.variant == "L" else 11 * m - 1 - sat
+
+
 def census_certificate(art: ReductionArtifact, cap: int | None = None) -> Certificate:
     """What `verify_artifact(art, exhaustive=True)` must return, from public
     functions only: the structural certificate plus one census pass.  A
@@ -285,7 +295,8 @@ def adjacency_by_sorted_edges(g: Graph) -> list[list[int]]:
 
 
 def degree_profile_by_edges(g: Graph) -> dict:
-    """Min/max degree and the degree histogram, from one count per edge endpoint."""
+    """Min/max degree and the degree histogram as sorted (degree, count) pairs,
+    from one count per edge endpoint."""
     degs = [0] * (g.vertex_count + 1)
     for u, v in g.edges:
         degs[u] += 1
@@ -295,9 +306,9 @@ def degree_profile_by_edges(g: Graph) -> dict:
     for d in values:
         hist[d] = hist.get(d, 0) + 1
     return {
-        "min_degree": min(values, default=0),
-        "max_degree": max(values, default=0),
-        "histogram": dict(sorted(hist.items())),
+        "min": min(values, default=0),
+        "max": max(values, default=0),
+        "histogram": sorted(hist.items()),
     }
 
 

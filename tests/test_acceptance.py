@@ -11,7 +11,14 @@ import random
 import time
 from fractions import Fraction
 
-from oracles import nu_bruteforce, nu_k_bruteforce, random_bipartite, random_graph, spectrum_double_brute
+from oracles import (
+    expected_residual,
+    nu_bruteforce,
+    nu_k_bruteforce,
+    random_bipartite,
+    random_graph,
+    spectrum_double_brute,
+)
 from resmatch.cli import main
 from resmatch.colorable import nu2_bipartite
 from resmatch.graph import build_graph, delete_edges
@@ -22,7 +29,7 @@ from resmatch.reduction import (
     build_artifact,
     calibration,
     encode_assignment,
-    expected_residual,
+    expected_counts,
     parse_dimacs,
     sat_count,
     verify_artifact,
@@ -182,7 +189,7 @@ def test_criterion_6_structural_certificates(acceptance_report):
                 and cert.bipartite
                 and cert.connected
                 and cert.max_degree == deg
-                and cert.edges == cert.expected_edges == stated
+                and cert.edges == d["expectedE"] == expected_counts(m, variant)["edges"] == stated
                 and d["E"] == d["expectedE"] == stated
             )
             if not good:
@@ -227,7 +234,7 @@ def test_criterion_8_satisfiable_reaches_k_param(acceptance_report):
             sat_count(cnf, alpha) == m
             and nu(delete_edges(art.graph, encode_assignment(art, alpha).edges))
             == 11 * m - 1
-            == art.expected["k_param"]
+            == expected_counts(m, "L")["k_param"]
             for alpha in all_assignments(cnf.num_vars)
         )
         hits.append(found)

@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import os
@@ -8,7 +9,8 @@ from fractions import Fraction
 
 import pytest
 
-from resmatch.cli import main
+from resmatch.cli import build_parser, main
+from resmatch.reduction import VARIANTS
 from resmatch.spectrum import ApproxTrialReport, ApproxTrialRow, approx_trial
 
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
@@ -43,6 +45,15 @@ def test_compute_twin_spider(capsys):
     assert d["enumerated"] == 1
     assert d["upper_bound_L"] == 3
     assert d["degree_profile"]["max"] == 3
+
+
+def test_variant_choices_are_the_reduction_variants():
+    (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    choices = {name: action.choices for name, sub in commands.choices.items()
+               for action in sub._actions if action.dest == "variant"}
+    assert choices.keys() == {"reduce", "verify", "calibrate"}
+    # the tuple itself, not a copy of its values: the list of variants has one home
+    assert all(c is VARIANTS for c in choices.values())
 
 
 def test_compute_is_byte_identical(capsys):

@@ -14,7 +14,7 @@ K4 = build_graph(4, list(itertools.combinations(range(1, 5), 2)))
 def test_nu2_twin_spider():
     res = nu2_bipartite(TWIN_SPIDER)
     assert res.size == 8
-    assert res.k == 2
+    assert len(res.classes) == 2
 
 
 def test_nu2_known_values():

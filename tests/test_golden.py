@@ -18,7 +18,7 @@ import pytest
 from oracles import random_cnf
 
 from resmatch.cli import main
-from resmatch.graph import emit_graph_file
+from resmatch.graph import degree_profile, emit_graph_file, parse_graph_file
 from resmatch.reduction import build_artifact, parse_dimacs
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -196,6 +196,14 @@ def test_golden_cases_cover_every_problem1_answer():
         if '"problem1"' in entry["stdout"]
     }
     assert answers == {"yes", "no", "unknown"}
+
+
+@pytest.mark.parametrize("name", ["p5", "twin", *(f"r{seed}" for seed in RANDOM_SEEDS)])
+def test_compute_reports_the_library_degree_profile(name, files):
+    _, stdout, _ = _run(["compute", files[name]])
+    with open(files[name]) as fh:
+        g = parse_graph_file(fh.read())
+    assert json.loads(stdout)["degree_profile"] == json.loads(json.dumps(degree_profile(g)))
 
 
 # sha256 of what `reduce` and `verify` write, and of the artifact record, for

@@ -53,7 +53,7 @@ def test_empty_and_edgeless_graphs():
     assert build_graph(0, []).edge_count == 0
     g = build_graph(5, [])
     assert g.sorted_edges() == []
-    assert degree_profile(g) == {"min_degree": 0, "max_degree": 0, "histogram": {0: 5}}
+    assert degree_profile(g) == {"min": 0, "max": 0, "histogram": [(0, 5)]}
 
 
 def test_coords_validation():
@@ -104,9 +104,9 @@ def test_connectivity():
 def test_degree_profile_star():
     g = build_graph(4, [(1, 2), (1, 3), (1, 4)])
     assert degree_profile(g) == {
-        "min_degree": 1,
-        "max_degree": 3,
-        "histogram": {1: 3, 3: 1},
+        "min": 1,
+        "max": 3,
+        "histogram": [(1, 3), (3, 1)],
     }
 
 

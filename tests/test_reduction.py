@@ -4,7 +4,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from oracles import census_certificate, random_cnf
+from oracles import census_certificate, expected_residual, random_cnf
 
 from resmatch import matching, reduction
 from resmatch.graph import build_graph, delete_edges, emit_graph_file
@@ -15,6 +15,7 @@ from resmatch.reduction import (
     ConstructionError,
     DimacsError,
     EXHAUSTIVE_VAR_LIMIT,
+    ReductionArtifact,
     StructuralDecodeError,
     additive_threshold,
     all_assignments,
@@ -23,7 +24,6 @@ from resmatch.reduction import (
     decode_matching,
     encode_assignment,
     expected_counts,
-    expected_residual,
     parse_dimacs,
     sat_count,
     verify_artifact,
@@ -131,7 +131,7 @@ def test_structural_census(variant, text):
     assert cert.nu_value == exp["nu"]
     assert cert.max_degree == exp["max_degree"]
     assert cert.bipartite and cert.connected
-    assert cert.k_param == exp["k_param"]
+    assert cert.to_json_dict()["kParam"] == exp["k_param"]
 
 
 def test_expected_counts_formulas():
@@ -356,6 +356,15 @@ def test_verify_exhaustive_certificate(variant, text):
     assert len(d["residualChecks"]) == 2**art.cnf.num_vars
 
 
+@pytest.mark.parametrize("variant", ["L", "ell"])
+def test_hand_built_artifact_certifies(variant):
+    # the record stores no closed-form counts, so an artifact assembled from
+    # its parts certifies exactly as the compiled one does
+    art = build_artifact(parse_dimacs(M2_MIXED), variant)
+    hand = ReductionArtifact(art.graph, art.cnf, art.variant, art.roles, art.cycles)
+    assert verify_artifact(hand, exhaustive=True) == verify_artifact(art, exhaustive=True)
+
+
 def test_hybrid_census_is_recorded():
     art = build_artifact(parse_dimacs(M2_MIXED), "ell")
     cert = verify_artifact(art, exhaustive=True)
@@ -491,7 +500,8 @@ def test_satisfying_assignment_hits_k_param():
         assert hits
         for alpha in hits:
             f = encode_assignment(art, alpha)
-            assert nu(delete_edges(art.graph, f.edges)) == 11 * m - 1 == art.expected["k_param"]
+            assert (nu(delete_edges(art.graph, f.edges)) == 11 * m - 1
+                    == expected_counts(m, "L")["k_param"])
 
 
 # --- calibration ---
