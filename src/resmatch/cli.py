@@ -92,12 +92,13 @@ def _read(path: str) -> str:
 
 
 def cmd_compute(args) -> int:
+    tolerance = parse_tolerance(args.f)  # checked with or without --k
     g = parse_graph_file(_read(args.input))
     # answer_problem1 checks k before it asks for the enumeration, which can take seconds
     enumerate_once = functools.cache(lambda: spectrum(g, cap=args.cap))
     result = None
     if args.k is not None:
-        result = answer_problem1(g, args.k, parse_tolerance(args.f), enumerate_once)
+        result = answer_problem1(g, args.k, tolerance, enumerate_once)
     report = enumerate_once()
     out = report.to_json_dict()
     out["degree_profile"] = degree_profile(g)

@@ -23,7 +23,7 @@ class ColorableResult:
     classes: tuple[frozenset[tuple[int, int]], ...]
 
 
-def _two_color(g: Graph, chosen: set[tuple[int, int]]) -> tuple[frozenset, frozenset]:
+def _two_color(chosen: set[tuple[int, int]]) -> tuple[frozenset, frozenset]:
     """Split a max-degree-two edge set into two matchings.
 
     Each path is walked from its lowest-indexed endpoint and each cycle from
@@ -86,7 +86,7 @@ def nu2_bipartite(g: Graph, b: Bipartition | None = None) -> ColorableResult:
         if mate[a] and mate[a + 1] and mate[a] != a + 1:
             chosen.add(e)
     assert len(chosen) == size
-    class0, class1 = _two_color(g, chosen)
+    class0, class1 = _two_color(chosen)
     assert len(class0) + len(class1) == size
     return ColorableResult(size, (class0, class1))
 

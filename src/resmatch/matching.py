@@ -9,9 +9,10 @@ skipped-edge mate array.  `_blossom` is a greedy pass followed by one
 adjacency, an empty mask and no skipped edge, and `resmatch.spectrum`'s
 enumerator calls `_augment` directly to repair the two matchings it carries:
 one under the mask, and one of the whole graph with the chosen edges
-skipped.  At its root it also runs one search from each free vertex of a
-maximum matching; these all fail, and an optional list handed to `_augment`
-collects the outer vertices each one reached, the vertices some maximum
+skipped.  At its root it hands `_blossom` an optional list, which each root
+search passes on to `_augment`: a search that fails adds the outer vertices
+it reached, and as no later augmentation touches a failed search's
+(Hungarian) tree, the list ends up holding the vertices some maximum
 matching misses.  `max_matching` first lets a seed permute the scan order, so
 different seeds may return different maximum matchings of the same size;
 results are deterministic for a fixed (graph, seed) pair.
@@ -68,11 +69,21 @@ class MatchingFlags:
     perfect: bool
 
 
-def _blossom(n: int, adj: list[list[int]], order) -> list[int]:
+def _blossom(n: int, adj: list[list[int]], order, outer=None) -> list[int]:
     """Mate of every vertex of a maximum matching (0 = unmatched; slot 0 unused).
 
     A greedy pass over `order`, then one `_augment` from each still-free root
     in `order`.  Ties fall to the order of `order` and of each adjacency list.
+
+    The list outer, if given, goes to each root's search and so ends up
+    holding D(G), the vertices some maximum matching misses.  A search from
+    r that fails leaves a Hungarian tree (Edmonds, "Paths, trees, and
+    flowers", 1965): every neighbour of an outer vertex lies in the tree,
+    and every tree vertex but r is matched inside it.  A later augmenting
+    path that entered the tree could neither leave it nor end in it, so no
+    later augmentation touches it: the tree and its outer set are the same
+    under the final matching, whose free vertices are exactly the roots
+    left free.  So the failed searches' outer sets together are D(G).
     """
     match = [0] * (n + 1)
     for v in order:
@@ -85,7 +96,7 @@ def _blossom(n: int, adj: list[list[int]], order) -> list[int]:
     arrays = _search_arrays(n)
     for root in order:
         if match[root] == 0:
-            _augment(adj, match, root, 0, arrays)
+            _augment(adj, match, root, 0, arrays, outer)
     return match
 
 
@@ -228,17 +239,18 @@ def nu(g: Graph) -> int:
     return sum(map(bool, _unshuffled(g))) // 2
 
 
-def _is_matching_of(g: Graph, m: Matching) -> bool:
-    """Whether m is a matching of g: hosted on g's vertices, edges of g, pairwise disjoint."""
+def _is_matching_of(g: Graph, m: Matching, cov: frozenset[int]) -> bool:
+    """Whether m, which covers cov, is a matching of g: hosted on g's
+    vertices, edges of g, pairwise disjoint."""
     # edges of g have two distinct ends, so they are disjoint iff they cover 2|m| vertices
-    return m.host_size == g.vertex_count and m.edges <= g.edges and len(m.covered()) == 2 * len(m)
+    return m.host_size == g.vertex_count and m.edges <= g.edges and len(cov) == 2 * len(m)
 
 
 def validate_matching(g: Graph, m: Matching) -> MatchingFlags:
     """Check m against g: validity, maximality, maximumness, perfection."""
-    if not _is_matching_of(g, m):
-        return MatchingFlags(False, False, False, False)
     cov = m.covered()
+    if not _is_matching_of(g, m, cov):
+        return MatchingFlags(False, False, False, False)
     maximal = all(u in cov or v in cov for u, v in g.edges)
     perfect = 2 * len(m) == g.vertex_count
     maximum = perfect or len(m) == nu(g)

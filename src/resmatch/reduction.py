@@ -37,6 +37,9 @@ from .spectrum import CappedStream
 VARIANTS = ("L", "ell")
 
 EXHAUSTIVE_VAR_LIMIT = 6  # variables; exhaustive verify enumerates 2^n matchings
+# clauses; a census leaf costs about O(V^2) and V grows with m: at the limit
+# the worst census (ell, 6 variables, 512 matchings) takes about 1.3 s
+EXHAUSTIVE_CLAUSE_LIMIT = 50
 
 Point = tuple[int, int]
 Edge = tuple[int, int]
@@ -376,7 +379,7 @@ def decode_matching(art: ReductionArtifact, f: Matching) -> Assignment:
     when some variable cycle carries neither side purely.  Perfection is a
     size and subset test, so decoding runs no blossom.
     """
-    if 2 * len(f) != art.graph.vertex_count or not _is_matching_of(art.graph, f):
+    if 2 * len(f) != art.graph.vertex_count or not _is_matching_of(art.graph, f, f.covered()):
         raise ValueError("decode requires a valid perfect matching of the artifact")
     values: list[bool] = []
     for i, (true_side, false_side) in enumerate(art.cycles, start=1):
@@ -495,26 +498,27 @@ def verify_artifact(art: ReductionArtifact, exhaustive: bool = False) -> Certifi
     Structural: vertex/edge census against the closed-form expectations,
     parity bipartiteness, connectivity, maximum degree, and nu = |V|/2 via
     the matching engine.  Exhaustive (ValueError above EXHAUSTIVE_VAR_LIMIT
-    variables): one census pass decodes every maximum matching; the ones
-    that decode must be the 2^n encodings, and each assignment's residual
-    check reads the residual of the matching that decodes to it.  A decoded
-    F is its assignment's encoding exactly when core <= F, core being the
-    ENCODED_ROLES edges, so no encoding is rebuilt and no blossom runs
-    beyond the structural nu.
+    variables or EXHAUSTIVE_CLAUSE_LIMIT clauses): one census pass decodes
+    every maximum matching; the ones that decode must be the 2^n encodings,
+    and each assignment's residual check reads the residual of the matching
+    that decodes to it.  A decoded F is its assignment's encoding exactly
+    when core <= F, core being the ENCODED_ROLES edges, so no encoding is
+    rebuilt and no blossom runs beyond the structural nu.
 
     The census stops after max(256, 8 * 2^n) matchings; EXHAUSTIVE_VAR_LIMIT
     does not bound it, as ell hybrid counts grow with m (worst count / 2^n on
     random formulas: 37.5 at n=3, m=8; 12.7 at n=5, m=8; 19.4 at n=6, m=12).
     A truncated census fails and skips the checks a prefix cannot decide.
     """
-    n = art.cnf.num_vars
-    if exhaustive and n > EXHAUSTIVE_VAR_LIMIT:
-        raise ValueError(
-            f"exhaustive verification supports at most {EXHAUSTIVE_VAR_LIMIT}"
-            f" variables, instance has {n}"
-        )
+    n, m = art.cnf.num_vars, art.cnf.num_clauses
+    if exhaustive:
+        for noun, limit, count in (("variables", EXHAUSTIVE_VAR_LIMIT, n),
+                                   ("clauses", EXHAUSTIVE_CLAUSE_LIMIT, m)):
+            if count > limit:
+                raise ValueError(f"exhaustive verification supports at most {limit}"
+                                 f" {noun}, instance has {count}")
     g = art.graph
-    exp = expected_counts(art.cnf.num_clauses, art.variant)
+    exp = expected_counts(m, art.variant)
     discrepancies: list[str] = []
 
     def check(name: str, expected_value, actual_value):
@@ -603,7 +607,7 @@ def verify_artifact(art: ReductionArtifact, exhaustive: bool = False) -> Certifi
 
     return Certificate(
         variant=art.variant,
-        m=art.cnf.num_clauses,
+        m=m,
         vertices=g.vertex_count,
         edges=g.edge_count,
         max_degree=prof["max"],

@@ -13,11 +13,12 @@ counts skip children that cannot hold a leaf, with no search: when that
 matching is perfect, leaving a vertex unmatched cannot keep its size (and
 a take child needs one search, not two); and a vertex that every maximum
 matching of G covers (outside D(G) of the Gallai-Edmonds decomposition,
-found by one failing search per free vertex at the root) is never left
-unmatched.  Neither changes the leaves or their order.  The enumerator
-carries a second matching, of G less the node's chosen edges, whose size
-each leaf yields as nu(G - F); a child that takes one of its edges repairs
-it with at most two more searches, so no leaf runs a blossom.
+which the root blossom's own failing searches report: no later augmentation
+touches a failed search's Hungarian tree) is never left unmatched.  Neither
+changes the leaves or their order.  The enumerator carries a second
+matching, of G less the node's chosen edges, whose size each leaf yields
+as nu(G - F); a child that takes one of its edges repairs it with at most
+two more searches, so no leaf runs a blossom.
 """
 
 from __future__ import annotations
@@ -91,9 +92,9 @@ def parse_rational(text: str) -> Fraction:
 
 def parse_tolerance(spec: str) -> ToleranceFunction:
     """Parse 'identity', 'const:C', 'linear:p/q', 'log[:c]', 'sqrt[:c]'."""
-    name, _, coeff = spec.partition(":")
+    name, colon, coeff = spec.partition(":")
     kind = {"const": "constant"}.get(name, name)
-    if coeff:
+    if colon:  # a coefficient follows, and an empty one is refused
         return ToleranceFunction(kind, parse_rational(coeff))
     return ToleranceFunction(kind)
 
@@ -102,23 +103,6 @@ def parse_tolerance(spec: str) -> ToleranceFunction:
 class EnumerationResult:
     matchings: tuple[Matching, ...]
     truncated: bool
-
-
-def _missable(n: int, adj, mate: list[int], arrays) -> list[bool]:
-    """missable[v] says whether some maximum matching of the graph leaves v
-    unmatched: v is in D(G) of the Gallai-Edmonds decomposition (Lovasz and
-    Plummer, Matching Theory, ch. 3), the vertices joined to a free vertex
-    of the maximum matching mate by an even alternating path.  One search
-    from each free vertex fails and reports the outer vertices it reached.
-    """
-    outer: list[int] = []
-    for root in range(1, n + 1):
-        if not mate[root]:
-            _augment(adj, mate, root, 0, arrays, outer)
-    missable = [False] * (n + 1)
-    for v in outer:
-        missable[v] = True
-    return missable
 
 
 def _iter_maximum_matchings(g: Graph):
@@ -138,9 +122,9 @@ def _iter_maximum_matchings(g: Graph):
     When free is 0, M is perfect: H - u has fewer than 2|M| vertices, so
     the drop child holds no leaf, and the old mates of u and v are the only
     free vertices of a take child, so the search from u's alone decides it.
-    And when u is
-    not missable (every maximum matching of g covers it; see _missable,
-    run once at the root) the drop child holds no leaf either.
+    And when u is not missable (every maximum matching of g covers it: no
+    failing search of the root blossom reached u as an outer vertex; see
+    _blossom) the drop child holds no leaf either.
 
     A node also carries a maximum matching R of g less its chosen edges (all
     vertices kept) and its size r, which a leaf yields as its residual.  A
@@ -153,9 +137,12 @@ def _iter_maximum_matchings(g: Graph):
     adj = g.adjacency()
     arrays = _search_arrays(n)
     skip = arrays[-1]
-    mate = _blossom(n, adj, range(1, n + 1))
+    outer: list[int] = []
+    mate = _blossom(n, adj, range(1, n + 1), outer)
     target = sum(map(bool, mate)) // 2
-    missable = _missable(n, adj, mate, arrays)
+    missable = [False] * (n + 1)
+    for v in outer:
+        missable[v] = True
     stack = [((), 0, 1, mate, mate, target, n - 2 * target)]
     applied = ()
     while stack:

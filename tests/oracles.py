@@ -9,7 +9,8 @@ at every node instead of a carried matching.  `census_certificate` is the
 reference for the exhaustive artifact census: it rebuilds every encoding
 with `encode_assignment` and compares it with the decoded matching;
 `expected_residual` restates the residual identity it checks, the reference
-for the package's `_residual_of_sat`.
+for the package's `_residual_of_sat`.  `milp_big_l` computes L(G) by an
+integer program, a reference past brute-force sizes that needs scipy.
 `record_searches` and `count_searches` log the enumerator's single-root
 searches, for the tests that pin how many it runs.  `adjacency_by_sorted_edges`
 and `degree_profile_by_edges` are the references for `Graph.adjacency` and
@@ -152,6 +153,31 @@ def spectrum_double_brute(g: Graph) -> tuple[int, list[int]]:
     return best, residuals
 
 
+def milp_big_l(g: Graph) -> int:
+    """L(g) by an integer program (scipy's `milp`), with no enumeration and no
+    engine call: binary x and y over the edges, each a matching, with
+    x_e + y_e <= 1; maximize (|E| + 1) * sum(x) + sum(y).  As sum(y) <= |E|,
+    every optimum has sum(x) = nu, so it maximizes sum(y) over the maximum
+    matchings x, and that maximum is L."""
+    import numpy as np
+    from scipy.optimize import LinearConstraint, milp
+
+    edges = g.sorted_edges()
+    m = len(edges)
+    if not m:  # milp needs a variable
+        return 0
+    rows = np.zeros((2 * g.vertex_count + m, 2 * m))
+    for i, (u, v) in enumerate(edges):
+        for w in (u, v):  # vertex w meets at most one x edge (row w - 1) and one y edge
+            rows[w - 1, i] = rows[g.vertex_count + w - 1, m + i] = 1
+        rows[2 * g.vertex_count + i, [i, m + i]] = 1
+    weights = np.concatenate([np.full(m, -(m + 1.0)), np.full(m, -1.0)])  # milp minimizes
+    result = milp(weights, constraints=LinearConstraint(rows, ub=1),
+                  integrality=np.ones(2 * m), bounds=(0, 1))
+    assert result.success, result.message
+    return round(sum(result.x[m:]))
+
+
 def iter_maximum_matchings_bounded(g: Graph):
     """Yield (F, nu(g - F)) for every maximum matching F of g, in the
     package enumerator's order: branch on the lowest remaining edge, take it
@@ -181,8 +207,8 @@ def iter_maximum_matchings_bounded(g: Graph):
 def record_searches(monkeypatch, g):
     """The (matching, residual) stream of g, (root, mask, augmented) of each
     single-root search the enumerator made while branching, in order, and
-    the roots of the searches of its root pass (those handed an outer list,
-    which find the missable vertices)."""
+    the roots of its searches that were handed an outer list.  The root
+    blossom's searches, which find the missable vertices, are not seen."""
     enumerator = importlib.import_module("resmatch.spectrum")
     searches, root_pass = [], []
     search = enumerator._augment

@@ -106,6 +106,20 @@ def test_compute_checks_k_and_f_before_enumerating(capsys, monkeypatch):
     assert (code, err) == (2, "error: unknown tolerance kind 'cubic'\n")
 
 
+@pytest.mark.parametrize("spec, err", [
+    ("bogus", "error: unknown tolerance kind 'bogus'\n"),
+    # a ':' promises a coefficient, so an empty one is refused, not read as 1
+    ("const:", "error: rational '' is not an integer, a decimal or p/q\n"),
+    ("identity:", "error: rational '' is not an integer, a decimal or p/q\n"),
+])
+def test_compute_checks_f_without_k(capsys, monkeypatch, spec, err):
+    def no_spectrum(g, cap):
+        raise AssertionError("spectrum ran before the input checks")
+
+    monkeypatch.setattr("resmatch.cli.spectrum", no_spectrum)
+    assert run(capsys, "compute", P5, "--f", spec) == (2, "", err)
+
+
 def test_out_of_memory_exits_2_without_traceback(capsys, monkeypatch):
     def exhausted(g, cap):
         raise MemoryError
@@ -251,6 +265,20 @@ def test_verify_exhaustive_limit(tmp_path, capsys):
                        "--variant", "L", "--exhaustive")
     assert code == 2
     assert "at most 6" in err
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_verify_exhaustive_clause_limit(tmp_path, capsys, variant):
+    cnf = tmp_path / "long.cnf"
+    cnf.write_text("p cnf 3 51\n" + "1 2 3 0\n" * 51)
+    graph_path = tmp_path / "art.mg"
+    code, _, _ = run(capsys, "reduce", str(cnf), "--variant", variant, "--output", str(graph_path))
+    assert code == 0
+    code, out, err = run(capsys, "verify", str(graph_path), str(cnf),
+                         "--variant", variant, "--exhaustive")
+    assert (code, out, err) == (
+        2, "", "error: exhaustive verification supports at most 50 clauses, instance has 51\n"
+    )
 
 
 def test_bench_p5_hits_both_ratios(capsys):

@@ -22,9 +22,9 @@ from oracles import (
     residual,
 )
 from resmatch.graph import build_graph, delete_edges
-from resmatch.matching import _blossom, _search_arrays, max_matching
+from resmatch.matching import _blossom
 from resmatch.reduction import build_artifact, parse_dimacs
-from resmatch.spectrum import _iter_maximum_matchings, _missable, spectrum
+from resmatch.spectrum import _iter_maximum_matchings, spectrum
 
 
 def assert_same_stream(g):
@@ -105,10 +105,11 @@ def missable_brute(g):
     }
 
 
-def missable_set(g, mate):
-    n = g.vertex_count
-    flags = _missable(n, g.adjacency(), mate, _search_arrays(n))
-    return {v for v in range(1, n + 1) if flags[v]}
+def missable_set(g, adj, order):
+    """The outer list of the root blossom of g over adj and order, as a set."""
+    outer = []
+    _blossom(g.vertex_count, adj, order, outer)
+    return set(outer)
 
 
 def odd_cycle_with_tail(c: int, t: int):
@@ -143,16 +144,18 @@ def missable_cases():
 
 def test_missable_vertices_match_exhaustive_matching_numbers():
     """Gallai-Edmonds: the set is the same from every maximum matching, so
-    it is checked from the root blossom's and from a seeded one."""
+    the root blossom's outer list is checked in vertex order and in a
+    seeded shuffled order, which finds other matchings."""
     for i, g in enumerate(missable_cases()):
         want = missable_brute(g)
         n = g.vertex_count
-        mate = _blossom(n, g.adjacency(), range(1, n + 1))
-        assert missable_set(g, mate) == want, f"case {i}"
-        seeded = [0] * (n + 1)
-        for u, v in max_matching(g, i).edges:
-            seeded[u], seeded[v] = v, u
-        assert missable_set(g, seeded) == want, f"case {i}, seeded"
+        assert missable_set(g, g.adjacency(), range(1, n + 1)) == want, f"case {i}"
+        adj = [lst[:] for lst in g.adjacency()]
+        order = list(range(1, n + 1))
+        rng = random.Random(i)
+        for lst in (*adj, order):
+            rng.shuffle(lst)
+        assert missable_set(g, adj, order) == want, f"case {i}, seeded"
 
 
 def test_leaf_residual_needs_no_nu_or_delete_edges(monkeypatch):

@@ -233,6 +233,21 @@ def test_validate_perfect_matching_needs_no_nu(monkeypatch):
     assert flags.valid and flags.maximum and flags.perfect
 
 
+@pytest.mark.parametrize("pairs, valid", [([(1, 2), (3, 4)], True), ([(1, 2), (2, 3)], False)])
+def test_validate_matching_builds_the_covered_set_once(monkeypatch, pairs, valid):
+    calls = []
+    covered = Matching.covered
+
+    def counted(self):
+        calls.append(self)
+        return covered(self)
+
+    monkeypatch.setattr(Matching, "covered", counted)
+    m = Matching(frozenset(pairs), 5)
+    assert validate_matching(path(5), m).valid is valid
+    assert calls == [m]
+
+
 def test_bruteforce_cap():
     g = complete(8)  # 28 edges
     with pytest.raises(CapExceededError):

@@ -14,6 +14,7 @@ from resmatch.reduction import (
     CnfInstance,
     ConstructionError,
     DimacsError,
+    EXHAUSTIVE_CLAUSE_LIMIT,
     EXHAUSTIVE_VAR_LIMIT,
     ReductionArtifact,
     StructuralDecodeError,
@@ -382,6 +383,21 @@ def test_exhaustive_raises_above_limit():
     with pytest.raises(ValueError, match="at most 6 variables, instance has 7"):
         verify_artifact(art, exhaustive=True)
     assert verify_artifact(art, exhaustive=False).ok
+
+
+@pytest.mark.parametrize("variant", ["L", "ell"])
+def test_exhaustive_raises_above_clause_limit(variant):
+    # the census time grows with m; the variable limit does not bound m
+    art = build_artifact(parse_dimacs(random_cnf(3, EXHAUSTIVE_CLAUSE_LIMIT + 1, 0)), variant)
+    with pytest.raises(ValueError, match="at most 50 clauses, instance has 51"):
+        verify_artifact(art, exhaustive=True)
+    assert verify_artifact(art, exhaustive=False).ok
+
+
+def test_exhaustive_runs_at_clause_limit():
+    art = build_artifact(parse_dimacs(random_cnf(3, EXHAUSTIVE_CLAUSE_LIMIT, 0)), "L")
+    cert = verify_artifact(art, exhaustive=True)
+    assert cert.ok and cert.census.count == 8
 
 
 def _without_a_path_edge(art):

@@ -10,6 +10,7 @@ from oracles import (
     count_searches,
     cycle,
     iter_all_matchings,
+    milp_big_l,
     path,
     random_graph,
     record_searches,
@@ -17,7 +18,7 @@ from oracles import (
     spectrum_double_brute,
 )
 from resmatch.graph import bipartition, build_graph, delete_edges
-from resmatch.matching import max_matching, nu, validate_matching
+from resmatch.matching import _blossom, max_matching, nu, validate_matching
 from resmatch.spectrum import (
     ApproxTrialRow,
     ToleranceFunction,
@@ -48,6 +49,9 @@ def test_parse_tolerance_kinds():
 def test_tolerance_rejects_bad_specs():
     with pytest.raises(ValueError):
         parse_tolerance("cubic:1")
+    for spec in ("const:", "log:", "identity:"):  # a ':' with no coefficient
+        with pytest.raises(ValueError, match="rational '' is not"):
+            parse_tolerance(spec)
     with pytest.raises(ValueError, match="identity"):
         ToleranceFunction("identity", Fraction(2))
     with pytest.raises(ValueError, match="non-negative"):
@@ -174,11 +178,19 @@ def test_ladder_search_count(monkeypatch):
     assert count_searches(monkeypatch, g) == (34, 33, 21)
 
 
-def test_root_pass_searches_once_from_each_free_vertex(monkeypatch):
-    # the root matching of P_5 is {12, 34}: only 5 is free, and its one
-    # search fails; a perfect matching leaves the root pass nothing to do
-    assert record_searches(monkeypatch, path(5))[2] == [5]
-    assert record_searches(monkeypatch, path(6))[2] == []
+def root_outer(g):
+    outer = []
+    _blossom(g.vertex_count, g.adjacency(), range(1, g.vertex_count + 1), outer)
+    return outer
+
+
+def test_root_blossom_reports_the_missable_vertices(monkeypatch):
+    # the root blossom of P_5 leaves 5 free, and its failing search reaches
+    # 5, 3 and 1 as outer vertices; P_6 has a perfect matching
+    assert sorted(root_outer(path(5))) == [1, 3, 5]
+    assert root_outer(path(6)) == []
+    # the enumerator runs no search of its own before branching
+    assert record_searches(monkeypatch, path(5))[2] == []
 
 
 @pytest.mark.parametrize("n, items, repairs", [
@@ -193,6 +205,21 @@ def test_residual_repairs_on_short_paths(monkeypatch, n, items, repairs):
     stream, searches, _ = record_searches(monkeypatch, path(n))
     assert stream == items
     assert [(root, found) for root, gone, found in searches if gone == 0] == repairs
+
+
+@pytest.mark.parametrize("seed", range(15))
+def test_big_l_matches_the_milp_past_brute_force_sizes(seed):
+    """G(n, p) with n 20-28 is past the exhaustive oracles; many of these
+    graphs have no perfect matching, so the D(G) pruning runs."""
+    pytest.importorskip("scipy")
+    rng = random.Random(f"milp:{seed}")
+    g = random_graph(rng.randint(20, 28), rng.uniform(0.12, 0.25), rng)
+    report = spectrum(g, cap=10**4)
+    want = milp_big_l(g)
+    if report.truncated:  # a prefix of the stream can only miss the maximum
+        assert report.big_l <= want
+    else:
+        assert report.big_l == want
 
 
 def test_spectrum_json_shape():
