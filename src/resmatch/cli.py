@@ -38,6 +38,7 @@ from .reduction import (
     additive_threshold,
     build_artifact,
     calibration,
+    check_exhaustive_limits,
     parse_dimacs,
     verify_artifact,
 )
@@ -135,8 +136,11 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    cnf = parse_dimacs(_read(args.cnf))
+    if args.exhaustive:  # before the graph is read or the artifact built
+        check_exhaustive_limits(cnf)
     loaded = parse_graph_file(_read(args.input))
-    art = build_artifact(parse_dimacs(_read(args.cnf)), args.variant)
+    art = build_artifact(cnf, args.variant)
     cert = verify_artifact(art, exhaustive=args.exhaustive)
     out = cert.to_json_dict()
     mismatches = list(out["discrepancies"])
@@ -298,11 +302,8 @@ def cmd_bench(args) -> int:
                 violations += not row.ok
                 writer.writerow([*head, row.seed, row.residual, *ratios, row.ok])
     ratio_note = ",".join(_rat(r) for r in sorted(observed_ell_ratios)[:12])
-    print(
-        f"bench: {violations} violation(s), {truncations} truncation(s),"
-        f" ratios to ell observed: [{ratio_note}]",
-        file=sys.stderr,
-    )
+    print(f"bench: {violations} violation(s), {truncations} truncation(s),"
+          f" ratios to ell observed: [{ratio_note}]", file=sys.stderr)
     return EXIT_OK if violations == 0 and truncations == 0 else EXIT_CHECK_FAILED
 
 

@@ -1,17 +1,17 @@
 """Maximum matchings in general and bipartite graphs.
 
 One engine finds every maximum matching here: `_augment`, a single-root
-augmenting-path search with odd-cycle (blossom) contraction in the subgraph
-induced by the vertices outside a removed-vertex mask, less the edges of a
-skipped-edge mate array.  `_blossom` is a greedy pass followed by one
-`_augment` per free root; `nu`, the bipartite entry and
-`resmatch.colorable.nu2_bipartite` run it in vertex order with sorted
-adjacency, an empty mask and no skipped edge, and `resmatch.spectrum`'s
+augmenting-path search with odd-cycle (blossom) contraction in the whole
+graph less the edges of a skipped-edge mate array, or, above a threshold
+lo > 0, in the vertices above lo that end no skipped edge.  `_blossom` is a
+greedy pass followed by one `_augment` per free root; `nu`, the bipartite
+entry and `resmatch.colorable.nu2_bipartite` run it in vertex order with
+sorted adjacency, lo = 0 and no skipped edge, and `resmatch.spectrum`'s
 enumerator calls `_augment` directly to repair the two matchings it carries:
-one under the mask, and one of the whole graph with the chosen edges
-skipped.  At its root it hands `_blossom` an optional list, which each root
-search passes on to `_augment`: a search that fails adds the outer vertices
-it reached, and as no later augmentation touches a failed search's
+one of its undecided vertices, and one of the whole graph with the chosen
+edges skipped.  At its root it hands `_blossom` an optional list, which each
+root search passes on to `_augment`: a search that fails adds the outer
+vertices it reached, and as no later augmentation touches a failed search's
 (Hungarian) tree, the list ends up holding the vertices some maximum
 matching misses.  `max_matching` first lets a seed permute the scan order, so
 different seeds may return different maximum matchings of the same size;
@@ -107,15 +107,15 @@ def _search_arrays(n: int):
     return [False] * (n + 1), [0] * (n + 1), list(range(n + 1)), [0] * (n + 1), [0] * (n + 1)
 
 
-def _augment(adj, match, root: int, gone: int, arrays, outer=None) -> bool:
+def _augment(adj, match, root: int, lo: int, arrays, outer=None) -> bool:
     """Augment `match` along one augmenting path from the free vertex root,
     if there is one, contracting odd cycles (blossoms) as in Edmonds'
     algorithm.  True when it augmented.
 
-    It sees the subgraph induced by the vertices outside the bitmask gone
-    (0: the whole graph), less the edges of the mate array skip (the last
-    of the arrays: skip[v] = w hides the edge (v, w), 0 hides nothing), where
-    match is a matching and root is free.  As in Gabow (JACM 1976) the
+    With the mate array skip (the last of the arrays: skip[v] = w hides the
+    edge (v, w), 0 hides nothing) it sees the whole graph less the skipped
+    edges if lo = 0, else the subgraph on the vertices above lo that end no
+    skipped edge; match is a matching and root is free.  As in Gabow (JACM 1976) the
     scratch arrays outlive the search, which resets only the vertices it
     reached; lca walks mark with a stamp.  A failing search first extends
     the list outer, if given, with the vertices it reached as outer (even)
@@ -132,7 +132,7 @@ def _augment(adj, match, root: int, gone: int, arrays, outer=None) -> bool:
         head += 1
         mate, hidden = match[v], skip[v]  # neither changes until the search ends
         for to in adj[v]:
-            if base[v] == base[to] or to == mate or to == hidden or gone >> to & 1:
+            if base[v] == base[to] or to == mate or to == hidden or to <= lo or lo and skip[to]:
                 continue
             if to == root or (match[to] != 0 and p[match[to]] != 0):
                 # odd cycle: contract the blossom down to the lca of v and to

@@ -90,9 +90,7 @@ def literal_satisfied(lit: int, alpha: Assignment) -> bool:
 
 def sat_count(cnf: CnfInstance, alpha: Assignment) -> int:
     """Number of clauses with at least one satisfied literal."""
-    return sum(
-        1 for cl in cnf.clauses if any(literal_satisfied(lit, alpha) for lit in cl)
-    )
+    return sum(any(literal_satisfied(lit, alpha) for lit in cl) for cl in cnf.clauses)
 
 
 def parse_dimacs(text: str) -> CnfInstance:
@@ -136,9 +134,7 @@ def parse_dimacs(text: str) -> CnfInstance:
     if current:
         raise DimacsError("unterminated clause (missing trailing 0)")
     if len(clauses) != num_clauses:
-        raise DimacsError(
-            f"header declares {num_clauses} clauses but {len(clauses)} found"
-        )
+        raise DimacsError(f"header declares {num_clauses} clauses but {len(clauses)} found")
     for idx, cl in enumerate(clauses, start=1):
         if len(cl) != 3:
             raise DimacsError(f"clause {idx}: expected exactly 3 literals, got {len(cl)}")
@@ -249,8 +245,7 @@ def build_artifact(cnf: CnfInstance, variant: str) -> ReductionArtifact:
     """
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
-    m = cnf.num_clauses
-    n = cnf.num_vars
+    m, n = cnf.num_clauses, cnf.num_vars
 
     # spine path in column -1; every other edge, from the first, is a path
     # pair of the encoded matchings
@@ -361,9 +356,8 @@ def _first_offender(points: list[Point], triples: list[tuple[Point, Point, str]]
 def encode_assignment(art: ReductionArtifact, alpha: Assignment) -> Matching:
     """Perfect matching of the artifact realizing the assignment."""
     if len(alpha.values) != art.cnf.num_vars:
-        raise ValueError(
-            f"assignment covers {len(alpha.values)} variables, need {art.cnf.num_vars}"
-        )
+        raise ValueError(f"assignment covers {len(alpha.values)} variables,"
+                         f" need {art.cnf.num_vars}")
     pairs = [e for e, role in art.roles.items() if role in ENCODED_ROLES]
     for value, (true_side, false_side) in zip(alpha.values, art.cycles):
         pairs.extend(true_side if value else false_side)
@@ -385,9 +379,8 @@ def decode_matching(art: ReductionArtifact, f: Matching) -> Assignment:
     for i, (true_side, false_side) in enumerate(art.cycles, start=1):
         hit = f.edges & (true_side | false_side)
         if hit != true_side and hit != false_side:
-            raise StructuralDecodeError(
-                f"cycle of variable {i} is not purely oriented in this matching"
-            )
+            raise StructuralDecodeError(f"cycle of variable {i} is not purely oriented"
+                                        " in this matching")
         values.append(hit == true_side)
     return Assignment(tuple(values))
 
@@ -492,18 +485,28 @@ def _camel_case(record) -> dict:
     return {key: getattr(record, name) for name, key in _camel_keys(type(record))}
 
 
+def check_exhaustive_limits(cnf: CnfInstance):
+    """ValueError if cnf has more variables or clauses than an exhaustive
+    verification of its artifact supports."""
+    for noun, limit, count in (("variables", EXHAUSTIVE_VAR_LIMIT, cnf.num_vars),
+                               ("clauses", EXHAUSTIVE_CLAUSE_LIMIT, cnf.num_clauses)):
+        if count > limit:
+            raise ValueError(f"exhaustive verification supports at most {limit}"
+                             f" {noun}, instance has {count}")
+
+
 def verify_artifact(art: ReductionArtifact, exhaustive: bool = False) -> Certificate:
     """Structural certificate, optionally with exhaustive semantic checks.
 
     Structural: vertex/edge census against the closed-form expectations,
     parity bipartiteness, connectivity, maximum degree, and nu = |V|/2 via
-    the matching engine.  Exhaustive (ValueError above EXHAUSTIVE_VAR_LIMIT
-    variables or EXHAUSTIVE_CLAUSE_LIMIT clauses): one census pass decodes
-    every maximum matching; the ones that decode must be the 2^n encodings,
-    and each assignment's residual check reads the residual of the matching
-    that decodes to it.  A decoded F is its assignment's encoding exactly
-    when core <= F, core being the ENCODED_ROLES edges, so no encoding is
-    rebuilt and no blossom runs beyond the structural nu.
+    the matching engine.  Exhaustive (check_exhaustive_limits first): one
+    census pass decodes every maximum matching; the ones that decode must be
+    the 2^n encodings, and each assignment's residual check reads the
+    residual of the matching that decodes to it.  A decoded F is its
+    assignment's encoding exactly when core <= F, core being the
+    ENCODED_ROLES edges, so no encoding is rebuilt and no blossom runs
+    beyond the structural nu.
 
     The census stops after max(256, 8 * 2^n) matchings; EXHAUSTIVE_VAR_LIMIT
     does not bound it, as ell hybrid counts grow with m (worst count / 2^n on
@@ -512,11 +515,7 @@ def verify_artifact(art: ReductionArtifact, exhaustive: bool = False) -> Certifi
     """
     n, m = art.cnf.num_vars, art.cnf.num_clauses
     if exhaustive:
-        for noun, limit, count in (("variables", EXHAUSTIVE_VAR_LIMIT, n),
-                                   ("clauses", EXHAUSTIVE_CLAUSE_LIMIT, m)):
-            if count > limit:
-                raise ValueError(f"exhaustive verification supports at most {limit}"
-                                 f" {noun}, instance has {count}")
+        check_exhaustive_limits(art.cnf)
     g = art.graph
     exp = expected_counts(m, art.variant)
     discrepancies: list[str] = []

@@ -110,11 +110,12 @@ def _iter_maximum_matchings(g: Graph):
 
     Branch on the lowest undecided vertex u: match it to each neighbour in
     increasing order, then leave it unmatched; pending nodes wait on an
-    explicit stack.  A node is its chosen edges, the bitmask gone of the
-    decided vertices (all those below u), u, and a maximum matching M of the
-    graph H left, so a child is kept or pruned without a fresh bound (Fukuda
-    and Matsui 1994, Uno 1997): any augmenting path of a child's share of M
-    ends at a vertex that branching freed, so two searches at most decide it.
+    explicit stack.  A node is its chosen edges, the vertex u its parent
+    branched on (0 at the root), and a maximum matching M of the graph H of
+    its undecided vertices, those above u that end no chosen edge; so a
+    child is kept or pruned without a fresh bound (Fukuda and Matsui 1994,
+    Uno 1997): any augmenting path of a child's share of M ends at a vertex
+    that branching freed, so two searches at most decide it.
 
     Two counts decide some children with fewer searches; neither changes
     the leaves or their order.  A node carries free = |V(H)| - 2|M|, the
@@ -143,12 +144,12 @@ def _iter_maximum_matchings(g: Graph):
     missable = [False] * (n + 1)
     for v in outer:
         missable[v] = True
-    stack = [((), 0, 1, mate, mate, target, n - 2 * target)]
+    stack = [((), 0, mate, mate, target, n - 2 * target)]
     applied = ()
     while stack:
-        chosen, gone, u, match, res, r, free = stack.pop()
-        # skip holds the chosen edges of the node at hand: all but its last
-        # are its parent's, a prefix of those of the node popped before it
+        chosen, u, match, res, r, free = stack.pop()
+        # skip holds the node's chosen edges, whose ends are its decided vertices above u:
+        # all but its last are its parent's, a prefix of those of the node popped before it
         for a, b in applied[max(len(chosen) - 1, 0):]:
             skip[a] = skip[b] = 0
         applied = chosen
@@ -163,10 +164,10 @@ def _iter_maximum_matchings(g: Graph):
         if len(chosen) == target:
             yield Matching(frozenset(chosen), n), r
             continue
-        # M is not empty, so a vertex at or after u misses gone
-        while gone >> u & 1:
+        # M is not empty, so an undecided vertex lies above u
+        u += 1
+        while skip[u]:
             u += 1
-        left = gone | 1 << u
         mu = match[u]
         # no leaf leaves u unmatched if every maximum matching covers u, or
         # if M is perfect: H - u has fewer than 2|M| vertices
@@ -176,24 +177,22 @@ def _iter_maximum_matchings(g: Graph):
             if mu:
                 drop = match[:]
                 drop[u] = drop[mu] = 0
-            if not mu or _augment(adj, drop, mu, left, arrays):
-                stack.append((chosen, left, u, drop, res, r, free - 1))
+            if not mu or _augment(adj, drop, mu, u, arrays):
+                stack.append((chosen, u, drop, res, r, free - 1))
         # pushed last to first, so (u, v) pops in increasing v
         for v in reversed(adj[u]):
-            if gone >> v & 1:
+            if v < u or skip[v]:
                 continue
             # taking (u, v) removes u and v and frees their mates
             mv = match[v]
             take = match[:]
             take[u] = take[v] = take[mu] = take[mv] = 0
-            taken = left | 1 << v
             # with free == 0, mu and mv are the only free vertices, so a path from mv ends at mu
-            if mu and mv and mu != v and not (
-                _augment(adj, take, mu, taken, arrays)
-                or free and _augment(adj, take, mv, taken, arrays)
-            ):
-                continue
-            stack.append((chosen + ((u, v),), taken, u, take, res, r, free))
+            skip[v] = u  # the searches hide v, as the child will
+            if not (mu and mv and mu != v) or _augment(adj, take, mu, u, arrays) or (
+                    free and _augment(adj, take, mv, u, arrays)):
+                stack.append((chosen + ((u, v),), u, take, res, r, free))
+            skip[v] = 0
 
 
 class CappedStream:

@@ -1,5 +1,14 @@
 import pytest
 
+try:
+    from hypothesis import settings
+except ImportError:  # the property tests skip themselves
+    pass
+else:
+    # the same examples on every run, and no example database on disk
+    settings.register_profile("derandomized", derandomize=True, database=None, deadline=None)
+    settings.load_profile("derandomized")
+
 _acceptance_lines: list[str] = []
 
 

@@ -9,8 +9,9 @@ at every node instead of a carried matching.  `census_certificate` is the
 reference for the exhaustive artifact census: it rebuilds every encoding
 with `encode_assignment` and compares it with the decoded matching;
 `expected_residual` restates the residual identity it checks, the reference
-for the package's `_residual_of_sat`.  `milp_big_l` computes L(G) by an
-integer program, a reference past brute-force sizes that needs scipy.
+for the package's `_residual_of_sat`.  `milp_big_l` computes L(G), and
+`milp_ell` ell(G) of a bipartite G, by an integer program: references past
+brute-force sizes that need scipy.
 `record_searches` and `count_searches` log the enumerator's single-root
 searches, for the tests that pin how many it runs.  `adjacency_by_sorted_edges`
 and `degree_profile_by_edges` are the references for `Graph.adjacency` and
@@ -178,6 +179,34 @@ def milp_big_l(g: Graph) -> int:
     return round(sum(result.x[m:]))
 
 
+def milp_ell(g: Graph) -> int:
+    """ell(g) of a bipartite g by an integer program (scipy's `milp`), with no
+    enumeration and no engine call.  By Koenig, nu(g - F) is the size of a
+    smallest vertex cover of g - F, so ell is the least sum(c) over binary x
+    on the edges and c on the vertices where x is a maximum matching and
+    x_e + c_u + c_v >= 1 on every edge (u, v).  Minimizing
+    sum(c) - (|V| + 1) * sum(x) makes sum(x) = nu at every optimum, as
+    sum(c) <= |V|."""
+    import numpy as np
+    from scipy.optimize import LinearConstraint, milp
+
+    edges = g.sorted_edges()
+    n, m = g.vertex_count, len(edges)
+    if not m:  # milp needs an edge variable; an edgeless graph has ell 0
+        return 0
+    matched = np.zeros((n, m + n))  # row w - 1: vertex w meets at most one x edge
+    covered = np.zeros((m, m + n))  # row i: edge i is in x or has a covered end
+    for i, (u, v) in enumerate(edges):
+        matched[[u - 1, v - 1], i] = 1
+        covered[i, [i, m + u - 1, m + v - 1]] = 1
+    weights = np.concatenate([np.full(m, -(n + 1.0)), np.ones(n)])
+    result = milp(weights, constraints=[LinearConstraint(matched, ub=1),
+                                        LinearConstraint(covered, lb=1)],
+                  integrality=np.ones(m + n), bounds=(0, 1))
+    assert result.success, result.message
+    return round(sum(result.x[m:]))
+
+
 def iter_maximum_matchings_bounded(g: Graph):
     """Yield (F, nu(g - F)) for every maximum matching F of g, in the
     package enumerator's order: branch on the lowest remaining edge, take it
@@ -205,7 +234,7 @@ def iter_maximum_matchings_bounded(g: Graph):
 
 
 def record_searches(monkeypatch, g):
-    """The (matching, residual) stream of g, (root, mask, augmented) of each
+    """The (matching, residual) stream of g, (root, lo, augmented) of each
     single-root search the enumerator made while branching, in order, and
     the roots of its searches that were handed an outer list.  The root
     blossom's searches, which find the missable vertices, are not seen."""
@@ -213,10 +242,10 @@ def record_searches(monkeypatch, g):
     searches, root_pass = [], []
     search = enumerator._augment
 
-    def recorded(adj, match, root, gone, arrays, outer=None):
-        found = search(adj, match, root, gone, arrays, outer)
+    def recorded(adj, match, root, lo, arrays, outer=None):
+        found = search(adj, match, root, lo, arrays, outer)
         if outer is None:
-            searches.append((root, gone, found))
+            searches.append((root, lo, found))
         else:
             root_pass.append(root)
         return found
@@ -228,10 +257,10 @@ def record_searches(monkeypatch, g):
 
 def count_searches(monkeypatch, g):
     """(maximum matchings, single-root searches, residual repairs) of g.  The
-    enumerator's own searches see a removed-vertex mask; the repairs of the
-    carried residual matching see the whole graph."""
+    enumerator's own searches see the vertices above a threshold lo > 0; the
+    repairs of the carried residual matching see the whole graph (lo = 0)."""
     items, searches, _ = record_searches(monkeypatch, g)
-    repairs = sum(gone == 0 for _, gone, _ in searches)
+    repairs = sum(lo == 0 for _, lo, _ in searches)
     return len(items), len(searches) - repairs, repairs
 
 

@@ -281,6 +281,36 @@ def test_verify_exhaustive_clause_limit(tmp_path, capsys, variant):
     )
 
 
+@pytest.mark.parametrize("text, message", [
+    ("p cnf 7 3\n1 2 3 0\n4 5 6 0\n7 1 2 0\n", "at most 6 variables, instance has 7"),
+    ("p cnf 3 51\n" + "1 2 3 0\n" * 51, "at most 50 clauses, instance has 51"),
+], ids=["variables", "clauses"])
+def test_verify_exhaustive_limits_come_before_the_graph_and_the_build(
+        tmp_path, capsys, monkeypatch, text, message):
+    """The limits read the CNF alone: an over-limit formula exits 2 with the
+    limit message before the graph file is opened or the artifact built."""
+    cnf = tmp_path / "big.cnf"
+    cnf.write_text(text)
+    missing = str(tmp_path / "no-such-graph.mg")
+
+    def refuse(*args):
+        raise AssertionError("build_artifact ran before the limit check")
+
+    monkeypatch.setattr("resmatch.cli.build_artifact", refuse)
+    for graph_path in (missing, P5):
+        code, out, err = run(capsys, "verify", graph_path, str(cnf),
+                             "--variant", "L", "--exhaustive")
+        assert (code, out, err) == (2, "", f"error: exhaustive verification supports {message}\n")
+
+
+def test_verify_reports_a_bad_cnf_before_a_bad_graph(tmp_path, capsys):
+    cnf = tmp_path / "bad.cnf"
+    cnf.write_text("p cnf 3 1\n1 2 0\n")
+    code, _, err = run(capsys, "verify", str(tmp_path / "no-such-graph.mg"), str(cnf),
+                       "--variant", "L")
+    assert (code, err) == (2, "error: clause 1: expected exactly 3 literals, got 2\n")
+
+
 def test_bench_p5_hits_both_ratios(capsys):
     code, out, err = run(capsys, "bench", "path:5", "--trials", "20", "--seed", "1")
     assert code == 0

@@ -60,7 +60,7 @@ def test_ladder_of_ten_thousand_vertices():
 def test_spectrum_of_the_path_on_3000_vertices(monkeypatch):
     """One maximum matching, and it is perfect: every node of the enumerator
     leaves no vertex free, so it skips each drop child and takes each edge
-    (2i-1, 2i) without a single search under its mask."""
+    (2i-1, 2i) without a single branching search."""
     g = path(3000)
     rep = spectrum(g)
     assert rep.enumerated == 1

@@ -4,7 +4,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from oracles import census_certificate, expected_residual, random_cnf
+from oracles import census_certificate, expected_residual, milp_ell, random_cnf
 
 from resmatch import matching, reduction
 from resmatch.graph import build_graph, delete_edges, emit_graph_file
@@ -364,6 +364,20 @@ def test_hand_built_artifact_certifies(variant):
     art = build_artifact(parse_dimacs(M2_MIXED), variant)
     hand = ReductionArtifact(art.graph, art.cnf, art.variant, art.roles, art.cycles)
     assert verify_artifact(hand, exhaustive=True) == verify_artifact(art, exhaustive=True)
+
+
+@pytest.mark.parametrize("text, ell", [
+    ("p cnf 3 2\n1 2 3 0\n-1 -2 -3 0\n", 19),
+    ("p cnf 4 4\n1 2 3 0\n-1 2 4 0\n1 -3 -4 0\n-2 3 4 0\n", 39),
+], ids=["n3m2", "n4m4"])
+def test_ell_census_minimum_matches_the_milp(text, ell):
+    """The census minimum is ell of the artifact, which is bipartite; both
+    formulas are satisfiable, so it is 11m - 1 - m."""
+    pytest.importorskip("scipy")
+    art = build_artifact(parse_dimacs(text), "ell")
+    census = verify_artifact(art, exhaustive=True).census
+    assert not census.truncated
+    assert census.residual_min == milp_ell(art.graph) == ell
 
 
 def test_hybrid_census_is_recorded():

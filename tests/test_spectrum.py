@@ -11,6 +11,7 @@ from oracles import (
     cycle,
     iter_all_matchings,
     milp_big_l,
+    milp_ell,
     path,
     random_graph,
     record_searches,
@@ -220,6 +221,23 @@ def test_big_l_matches_the_milp_past_brute_force_sizes(seed):
         assert report.big_l <= want
     else:
         assert report.big_l == want
+
+
+@pytest.mark.parametrize("seed", range(15))
+def test_ell_matches_the_milp_on_bipartite_graphs(seed):
+    """Bipartite G(n, p) with n 20-28, with and without perfect matchings."""
+    pytest.importorskip("scipy")
+    rng = random.Random(f"milp-ell:{seed}")
+    n = rng.randint(20, 28)
+    p, half = rng.uniform(0.15, 0.35), (n + 1) // 2
+    g = build_graph(n, [(u, v) for u in range(1, half + 1) for v in range(half + 1, n + 1)
+                        if rng.random() < p])
+    report = spectrum(g, cap=10**4)
+    want = milp_ell(g)
+    if report.truncated:  # a prefix of the stream can only miss the minimum
+        assert report.ell >= want
+    else:
+        assert report.ell == want
 
 
 def test_spectrum_json_shape():
