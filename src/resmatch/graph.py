@@ -82,22 +82,36 @@ def build_graph(
     """
     if vertex_count < 0:
         raise ValueError(f"vertex_count must be non-negative, got {vertex_count}")
-    seen = {normalize_edge(u, v, vertex_count) for u, v in edges}
-    dupes = len(edges) - len(seen)
-    if dupes:
-        warnings.warn(
-            f"collapsed {dupes} duplicate edge(s)", DuplicateEdgeWarning, stacklevel=2
-        )
+    checked = [normalize_edge(u, v, vertex_count) for u, v in edges]
     if coords is not None:
         for v in coords:
             if not (1 <= v <= vertex_count):
                 raise ValueError(f"coordinate record for unknown vertex {v}")
+    return _assemble(vertex_count, checked, coords)
+
+
+def _assemble(
+    vertex_count: int,
+    edges: list[tuple[int, int]],
+    coords: dict[int, tuple[int, int]] | None,
+) -> Graph:
+    """The Graph of edges already checked against vertex_count and ordered
+    u < v, and of coords whose vertices lie in 1..vertex_count.  Collapses
+    duplicate edges and makes the checks that need every record at once."""
+    seen = frozenset(edges)
+    dupes = len(edges) - len(seen)
+    if dupes:
+        # stacklevel 3: the caller of build_graph or parse_graph_file
+        warnings.warn(
+            f"collapsed {dupes} duplicate edge(s)", DuplicateEdgeWarning, stacklevel=3
+        )
+    if coords is not None:
         if len(coords) != vertex_count:
             raise ValueError("coords must cover every vertex when present")
         if len(set(coords.values())) != vertex_count:
             raise ValueError("coords must be injective")
         coords = dict(sorted(coords.items()))
-    return Graph(vertex_count, frozenset(seen), coords)
+    return Graph(vertex_count, seen, coords)
 
 
 def bipartition(g: Graph) -> Bipartition | None:
@@ -207,7 +221,7 @@ def parse_graph_file(text: str) -> Graph:
                     f"line {lineno}: edge endpoint out of range in {raw.strip()!r}")
             if u == v:
                 raise GraphFormatError(f"line {lineno}: self-loop at vertex {u}")
-            edges.append((u, v))
+            edges.append((u, v) if u < v else (v, u))
         elif tag == "v" and header is not None:
             try:
                 _, vid_text, x_text, y_text = parts
@@ -245,7 +259,7 @@ def parse_graph_file(text: str) -> Graph:
         raise GraphFormatError(
             f"header declares {header[1]} edges but {len(edges)} edge records found"
         )
-    return build_graph(header[0], edges, coords or None)
+    return _assemble(header[0], edges, coords or None)
 
 
 def emit_graph_file(g: Graph) -> str:

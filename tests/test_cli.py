@@ -1,4 +1,5 @@
 import argparse
+import gc
 import io
 import json
 import os
@@ -8,8 +9,10 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from oracles import path, random_cnf
 
 from resmatch.cli import build_parser, main
+from resmatch.graph import emit_graph_file
 from resmatch.reduction import VARIANTS
 from resmatch.spectrum import ApproxTrialReport, ApproxTrialRow, approx_trial
 
@@ -498,3 +501,77 @@ def test_calibrate_boundary_exits_2(capsys):
 
 def test_module_entry_point():
     import resmatch.__main__  # noqa: F401  (import must not run main at import time)
+
+
+@pytest.fixture(params=[True, False], ids=["collecting", "paused"])
+def collector(request):
+    """The cyclic collector switched on or off for one test, and put back after it."""
+    was = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was else gc.disable)()
+
+
+@pytest.mark.parametrize("argv, outcome", [
+    (["compute", P5], 0),
+    (["compute", P5, "--cap", "1"], 1),
+    (["compute", "/nonexistent/file.mg"], 2),
+    (["compute"], SystemExit),
+    (["compute", P5], RuntimeError),
+], ids=["exit-0", "exit-1", "exit-2", "usage-error", "escaping-exception"])
+def test_main_restores_the_collector(capsys, monkeypatch, collector, argv, outcome):
+    during = []
+    if outcome is RuntimeError:
+        def escape(g, cap):
+            during.append(gc.isenabled())
+            raise RuntimeError("escapes main")
+        monkeypatch.setattr("resmatch.cli.spectrum", escape)
+    if isinstance(outcome, int):
+        assert main(argv) == outcome
+    else:
+        with pytest.raises(outcome):
+            main(argv)
+    capsys.readouterr()
+    assert gc.isenabled() is collector
+    assert during == ([False] if outcome is RuntimeError else [])  # paused inside the command
+
+
+def _cyclic_garbage(argv: list[str]) -> int:
+    """The objects in reference cycles that one main call leaves behind,
+    counted by a collection made with the collector off since before the call."""
+    was = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        assert main(argv) == 0
+        return gc.collect()
+    finally:
+        if was:
+            gc.enable()
+
+
+def _sized_argv(tmp_path, command: str, scale: int) -> list[str]:
+    """argv for command on an input that grows linearly with scale; for
+    verify, the artifact it reads is reduced here first."""
+    cnf = tmp_path / f"formula{scale}.cnf"
+    artifact = tmp_path / f"artifact{scale}.mg"
+    cnf.write_text(random_cnf(3 * scale, 10 * scale, 1))
+    reduce = ["reduce", str(cnf), "--variant", "L", "--output", str(artifact)]
+    if command == "reduce":
+        return reduce
+    if command == "verify":
+        assert main(reduce) == 0
+        return ["verify", str(artifact), str(cnf), "--variant", "L"]
+    if command == "compute":
+        graph = tmp_path / f"path{scale}.mg"
+        graph.write_text(emit_graph_file(path(5 * scale)))
+        return ["compute", str(graph)]
+    return ["bench", f"random:n=10,count={5 * scale},p=1/3"]
+
+
+@pytest.mark.parametrize("command", ["reduce", "verify", "compute", "bench"])
+def test_cyclic_garbage_does_not_grow_with_the_input(tmp_path, capsys, command):
+    # main runs with the cyclic collector paused, which is sound only while
+    # no command leaves reference cycles in proportion to its input
+    small, large = (_sized_argv(tmp_path, command, scale) for scale in (1, 10))
+    assert _cyclic_garbage(large) == _cyclic_garbage(small)
