@@ -377,6 +377,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once per process: parse_args returns a fresh Namespace on each call,
+# and the parser holds no input and no result, so main calls can share it.
+PARSER = build_parser()
+
+
 def _show_warning(message, category, filename, lineno, file=None, line=None):
     # no source location: stderr must not depend on where resmatch is installed
     print(f"warning: {message}", file=sys.stderr)
@@ -390,7 +395,7 @@ def main(argv: list[str] | None = None) -> int:
     collecting = gc.isenabled()
     gc.disable()
     try:
-        args = build_parser().parse_args(argv)
+        args = PARSER.parse_args(argv)
         with warnings.catch_warnings():
             warnings.showwarning = _show_warning
             try:

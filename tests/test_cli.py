@@ -24,7 +24,11 @@ CNF2 = os.path.join(FIXTURES, "example_m2.cnf")
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    """(exit status, stdout, stderr) of one main call; a SystemExit gives its code."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -50,9 +54,14 @@ def test_compute_twin_spider(capsys):
     assert d["degree_profile"]["max"] == 3
 
 
+def _commands(parser: argparse.ArgumentParser) -> argparse._SubParsersAction:
+    """The subcommand action of parser; its choices map each name to its parser."""
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return commands
+
+
 def test_variant_choices_are_the_reduction_variants():
-    (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
-    choices = {name: action.choices for name, sub in commands.choices.items()
+    choices = {name: action.choices for name, sub in _commands(build_parser()).choices.items()
                for action in sub._actions if action.dest == "variant"}
     assert choices.keys() == {"reduce", "verify", "calibrate"}
     # the tuple itself, not a copy of its values: the list of variants has one home
@@ -575,3 +584,42 @@ def test_cyclic_garbage_does_not_grow_with_the_input(tmp_path, capsys, command):
     # no command leaves reference cycles in proportion to its input
     small, large = (_sized_argv(tmp_path, command, scale) for scale in (1, 10))
     assert _cyclic_garbage(large) == _cyclic_garbage(small)
+
+
+def test_no_state_passes_between_main_calls(tmp_path, capsys, monkeypatch):
+    # main parses with one parser built per process; each call must still see
+    # only its own argv, whatever ran before it
+    monkeypatch.setenv("COLUMNS", "80")
+    artifact = str(tmp_path / "artifact.mg")
+    assert run(capsys, "reduce", CNF1, "--variant", "L", "--output", artifact)[0] == 0
+    argvs = [
+        ["compute"],
+        ["no-such-command"],
+        ["calibrate", "--variant", "no-such-variant", "--epsilon", "1/100"],
+        ["--help"],
+        ["compute", "--help"],
+        ["compute", P5, "--k", "1", "--f", "const:0"],
+        ["bench", "path:5", "--trials", "3"],
+        ["calibrate", "--epsilon", "1/100"],
+        ["verify", artifact, CNF1, "--variant", "L"],
+    ]
+    forwards = [run(capsys, *argv) for argv in argvs]
+    backwards = [run(capsys, *argv) for argv in reversed(argvs)][::-1]
+    assert backwards == forwards
+    codes = [code for code, _, _ in forwards]
+    assert codes == [2, 2, 2, 0, 0, 0, 0, 0, 0]
+    assert all(err.startswith("usage: resmatch") for _, _, err in forwards[:3])
+    fresh = build_parser()
+    assert forwards[3][1:] == (fresh.format_help(), "")
+    assert forwards[4][1:] == (_commands(fresh).choices["compute"].format_help(), "")
+
+
+def test_main_builds_no_parser_after_its_first_call(capsys, monkeypatch):
+    assert main(["compute", P5]) == 0
+
+    def refuse():
+        raise AssertionError("main built a parser")
+
+    monkeypatch.setattr("resmatch.cli.build_parser", refuse)
+    assert main(["compute", P5]) == 0
+    capsys.readouterr()
