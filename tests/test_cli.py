@@ -24,11 +24,7 @@ CNF2 = os.path.join(FIXTURES, "example_m2.cnf")
 
 
 def run(capsys, *argv):
-    """(exit status, stdout, stderr) of one main call; a SystemExit gives its code."""
-    try:
-        code = main(list(argv))
-    except SystemExit as exc:
-        code = exc.code
+    code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -603,8 +599,18 @@ def test_no_state_passes_between_main_calls(tmp_path, capsys, monkeypatch):
         ["calibrate", "--epsilon", "1/100"],
         ["verify", artifact, CNF1, "--variant", "L"],
     ]
-    forwards = [run(capsys, *argv) for argv in argvs]
-    backwards = [run(capsys, *argv) for argv in reversed(argvs)][::-1]
+
+    def outcome(argv):
+        # argparse exits on a usage error and on --help; its code is the status
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    forwards = [outcome(argv) for argv in argvs]
+    backwards = [outcome(argv) for argv in reversed(argvs)][::-1]
     assert backwards == forwards
     codes = [code for code, _, _ in forwards]
     assert codes == [2, 2, 2, 0, 0, 0, 0, 0, 0]
