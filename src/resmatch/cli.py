@@ -65,7 +65,8 @@ def _rat(x: Fraction) -> str:
 @contextlib.contextmanager
 def _output(path: str | None):
     """Standard output, or a temporary file beside path that replaces path
-    only once the block has finished (and is removed if it raises)."""
+    only once the block has finished (and is removed if it raises).  The
+    file gets the mode open(path, "w") would create, not mkstemp's 0600."""
     if path is None:
         yield sys.stdout
         return
@@ -73,6 +74,9 @@ def _output(path: str | None):
     try:
         with os.fdopen(fd, "w") as fh:
             yield fh
+        umask = os.umask(0)  # reading the umask means setting it
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)

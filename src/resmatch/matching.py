@@ -102,8 +102,8 @@ def _blossom(n: int, adj: list[list[int]], order, outer=None) -> list[int]:
 
 def _search_arrays(n: int):
     """Scratch arrays for `_augment` on vertices 1..n: outer flags, tree
-    parents, blossom bases, lca marks (mark[0] holds the last stamp), and the
-    skipped-edge mates (all 0: no edge is skipped)."""
+    parents, blossom bases, lca and petal marks (mark[0] holds the last
+    stamp), and the skipped-edge mates (all 0: no edge is skipped)."""
     return [False] * (n + 1), [0] * (n + 1), list(range(n + 1)), [0] * (n + 1), [0] * (n + 1)
 
 
@@ -117,7 +117,9 @@ def _augment(adj, match, root: int, lo: int, arrays, outer=None) -> bool:
     edges if lo = 0, else the subgraph on the vertices above lo that end no
     skipped edge; match is a matching and root is free.  As in Gabow (JACM 1976) the
     scratch arrays outlive the search, which resets only the vertices it
-    reached; lca walks mark with a stamp.  A failing search first extends
+    reached; each contraction stamps mark twice, once for the lca walk and
+    once for the bases of its petals, so no set is built per blossom.  An
+    edge's cheapest tests come first.  A failing search first extends
     the list outer, if given, with the vertices it reached as outer (even)
     ones, blossom-grown ones included: those joined to root by an even
     alternating path.
@@ -126,15 +128,15 @@ def _augment(adj, match, root: int, lo: int, arrays, outer=None) -> bool:
     even[root] = True
     tree = [root]
     queue = [root]
-    head = end = 0
-    while head < len(queue) and end == 0:
-        v = queue[head]
-        head += 1
+    end = 0
+    for v in queue:  # the loop reads the outer vertices queued while it runs
         mate, hidden = match[v], skip[v]  # neither changes until the search ends
+        bv = base[v]  # changes only when a blossom absorbs v
         for to in adj[v]:
-            if base[v] == base[to] or to == mate or to == hidden or to <= lo or lo and skip[to]:
+            if to == mate or to == hidden or to <= lo or base[to] == bv or lo and skip[to]:
                 continue
-            if to == root or (match[to] != 0 and p[match[to]] != 0):
+            mt = match[to]
+            if to == root or (mt and p[mt]):
                 # odd cycle: contract the blossom down to the lca of v and to
                 mark[0] += 1
                 stamp = mark[0]
@@ -148,16 +150,18 @@ def _augment(adj, match, root: int, lo: int, arrays, outer=None) -> bool:
                 curbase = base[to]
                 while mark[curbase] != stamp:
                     curbase = base[p[match[curbase]]]
-                petals = set()
+                # a fresh stamp marks the bases of the blossom's petals
+                mark[0] += 1
+                stamp = mark[0]
                 for x, child in ((v, to), (to, v)):
                     while base[x] != curbase:
-                        petals.update((base[x], base[match[x]]))
+                        mark[base[x]] = mark[base[match[x]]] = stamp
                         p[x] = child
                         child = match[x]
                         x = p[child]
                 grown = []
                 for i in tree:
-                    if base[i] in petals:
+                    if mark[base[i]] == stamp:
                         base[i] = curbase
                         if not even[i]:
                             even[i] = True
@@ -165,15 +169,18 @@ def _augment(adj, match, root: int, lo: int, arrays, outer=None) -> bool:
                 # in vertex order: the queue order decides which matching is found
                 grown.sort()
                 queue += grown
+                bv = base[v]
             elif p[to] == 0:
                 p[to] = v
                 tree.append(to)
-                if match[to] == 0:
+                if mt == 0:
                     end = to
                     break
-                even[match[to]] = True
-                tree.append(match[to])
-                queue.append(match[to])
+                even[mt] = True
+                tree.append(mt)
+                queue.append(mt)
+        if end:
+            break
     found = end != 0
     if outer is not None and not found:
         outer += [x for x in tree if even[x]]

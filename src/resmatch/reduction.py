@@ -549,8 +549,9 @@ def verify_artifact(art: ReductionArtifact, exhaustive: bool = False) -> Certifi
         stream = CappedStream(g, cap=max(256, 8 * pure_expected))
         residual_min, residual_max = g.vertex_count, 0  # every residual lies in 0..|V|/2
         pure: list[tuple[Assignment, int, bool]] = []  # (alpha, residual, is encode(alpha))
-        for f, r in stream:
+        for chosen, r in stream:
             residual_min, residual_max = min(residual_min, r), max(residual_max, r)
+            f = Matching(frozenset(chosen), g.vertex_count)
             try:
                 alpha = decode_matching(art, f)
             except ValueError:  # not perfect, or not purely oriented: a hybrid

@@ -106,7 +106,11 @@ class EnumerationResult:
 
 
 def _iter_maximum_matchings(g: Graph):
-    """Yield (F, nu(g - F)) for every maximum matching F of g exactly once.
+    """Yield (edges, nu(g - F)) for every maximum matching F of g exactly
+    once, edges being tuple(sorted(F)): the chosen edges in the order they
+    were taken, which is sorted as u rises along every path.  A caller that
+    keeps a leaf wraps it (Matching(frozenset(edges), n)); the rest cost no
+    set and no Matching.
 
     Branch on the lowest undecided vertex u: match it to each neighbour in
     increasing order, then leave it unmatched; pending nodes wait on an
@@ -162,7 +166,7 @@ def _iter_maximum_matchings(g: Graph):
                 if not (_augment(adj, res, a, 0, arrays) or _augment(adj, res, b, 0, arrays)):
                     r -= 1
         if len(chosen) == target:
-            yield Matching(frozenset(chosen), n), r
+            yield chosen, r
             continue
         # M is not empty, so an undecided vertex lies above u
         u += 1
@@ -179,9 +183,11 @@ def _iter_maximum_matchings(g: Graph):
                 drop[u] = drop[mu] = 0
             if not mu or _augment(adj, drop, mu, u, arrays):
                 stack.append((chosen, u, drop, res, r, free - 1))
-        # pushed last to first, so (u, v) pops in increasing v
+        # pushed last to first, so (u, v) pops in increasing v; adj[u] is sorted
         for v in reversed(adj[u]):
-            if v < u or skip[v]:
+            if v < u:
+                break
+            if skip[v]:
                 continue
             # taking (u, v) removes u and v and frees their mates
             mv = match[v]
@@ -196,9 +202,10 @@ def _iter_maximum_matchings(g: Graph):
 
 
 class CappedStream:
-    """The (matching, residual) stream of g, cut after cap items.  Once
-    iterated, count is the number yielded and truncated says whether the
-    stream held more."""
+    """The (edges, residual) stream of g, cut after cap items: edges is the
+    sorted tuple of a maximum matching's edges, as _iter_maximum_matchings
+    yields it.  Once iterated, count is the number yielded and truncated
+    says whether the stream held more."""
 
     def __init__(self, g: Graph, cap: int):
         if cap < 1:
@@ -220,7 +227,9 @@ class CappedStream:
 def enumerate_maximum_matchings(g: Graph, cap: int = DEFAULT_CAP) -> EnumerationResult:
     """All maximum matchings of g, stopping (and flagging) after cap of them."""
     stream = CappedStream(g, cap)
-    return EnumerationResult(tuple(m for m, _ in stream), stream.truncated)
+    n = g.vertex_count
+    return EnumerationResult(tuple(Matching(frozenset(c), n) for c, _ in stream),
+                             stream.truncated)
 
 
 @dataclass(frozen=True)
@@ -263,12 +272,15 @@ def spectrum(g: Graph, cap: int = DEFAULT_CAP) -> SpectrumReport:
 
 def _spectrum(stream: CappedStream, slots: dict | None = None, residuals=None) -> SpectrumReport:
     """spectrum() over stream.  slots, if given, maps edge sets to indices of
-    the list residuals, and each matching in slots stores its r there."""
+    the list residuals, and each matching in slots stores its r there.  Only
+    the first matching with each residual becomes a Matching."""
     first: dict[int, tuple[int, Matching]] = {}
-    for m, r in stream:
-        first.setdefault(r, (stream.count, m))
+    n = stream.g.vertex_count
+    for chosen, r in stream:
+        if r not in first:
+            first[r] = (stream.count, Matching(frozenset(chosen), n))
         if slots is not None:
-            i = slots.get(m.edges)
+            i = slots.get(frozenset(chosen))
             if i is not None:
                 residuals[i] = r
     ell, big_l = min(first), max(first)

@@ -13,7 +13,8 @@ for the package's `_residual_of_sat`.  `milp_big_l` computes L(G), and
 `milp_ell` ell(G) of a bipartite G, by an integer program: references past
 brute-force sizes that need scipy.
 `record_searches` and `count_searches` log the enumerator's single-root
-searches, for the tests that pin how many it runs.  `adjacency_by_sorted_edges`
+searches, for the tests that pin how many it runs; `augment_reference` is
+the reference for that search kernel, `_augment`.  `adjacency_by_sorted_edges`
 and `degree_profile_by_edges` are the references for `Graph.adjacency` and
 `degree_profile`: one walks the globally sorted edge list, the other counts
 edge endpoints.
@@ -233,6 +234,78 @@ def iter_maximum_matchings_bounded(g: Graph):
         stack.append((chosen + ((u, v),), [f for f in rest if u not in f and v not in f]))
 
 
+def augment_reference(adj, match, root: int, lo: int, arrays, outer=None) -> bool:
+    """The reference for `resmatch.matching._augment`: the same single-root
+    blossom search, written plainly.  A head index walks the queue, every
+    edge test reads base[v] afresh, and each contraction collects the bases
+    of its petals in a set.  The package's search must agree with it on the
+    return value, the mate array, outer and the reset scratch arrays."""
+    even, p, base, mark, skip = arrays
+    even[root] = True
+    tree = [root]
+    queue = [root]
+    head = end = 0
+    while head < len(queue) and end == 0:
+        v = queue[head]
+        head += 1
+        mate, hidden = match[v], skip[v]
+        for to in adj[v]:
+            if base[v] == base[to] or to == mate or to == hidden or to <= lo or lo and skip[to]:
+                continue
+            if to == root or (match[to] != 0 and p[match[to]] != 0):
+                mark[0] += 1
+                stamp = mark[0]
+                x = v
+                while True:
+                    x = base[x]
+                    mark[x] = stamp
+                    if match[x] == 0:
+                        break
+                    x = p[match[x]]
+                curbase = base[to]
+                while mark[curbase] != stamp:
+                    curbase = base[p[match[curbase]]]
+                petals = set()
+                for x, child in ((v, to), (to, v)):
+                    while base[x] != curbase:
+                        petals.update((base[x], base[match[x]]))
+                        p[x] = child
+                        child = match[x]
+                        x = p[child]
+                grown = []
+                for i in tree:
+                    if base[i] in petals:
+                        base[i] = curbase
+                        if not even[i]:
+                            even[i] = True
+                            grown.append(i)
+                grown.sort()
+                queue += grown
+            elif p[to] == 0:
+                p[to] = v
+                tree.append(to)
+                if match[to] == 0:
+                    end = to
+                    break
+                even[match[to]] = True
+                tree.append(match[to])
+                queue.append(match[to])
+    found = end != 0
+    if outer is not None and not found:
+        outer += [x for x in tree if even[x]]
+    while end != 0:
+        pv = p[end]
+        ppv = match[pv]
+        match[end] = pv
+        match[pv] = end
+        end = ppv
+    for x in tree:
+        even[x] = False
+        p[x] = 0
+        base[x] = x
+    return found
+
+
 def record_searches(monkeypatch, g):
     """The (matching, residual) stream of g, (root, lo, augmented) of each
     single-root search the enumerator made while branching, in order, and
@@ -251,7 +324,7 @@ def record_searches(monkeypatch, g):
         return found
 
     monkeypatch.setattr(enumerator, "_augment", recorded)
-    items = [(m.sorted_edges(), r) for m, r in enumerator._iter_maximum_matchings(g)]
+    items = [(list(chosen), r) for chosen, r in enumerator._iter_maximum_matchings(g)]
     return items, searches, root_pass
 
 
@@ -285,8 +358,9 @@ def census_certificate(art: ReductionArtifact, cap: int | None = None) -> Certif
     stream = CappedStream(art.graph, max(256, 8 * 2**n) if cap is None else cap)
     residuals: list[int] = []
     pure: list[tuple] = []  # (alpha, residual, is encode(alpha))
-    for f, r in stream:
+    for chosen, r in stream:
         residuals.append(r)
+        f = Matching(frozenset(chosen), art.graph.vertex_count)
         flags = validate_matching(art.graph, f)
         if not (flags.valid and flags.perfect):
             continue

@@ -78,6 +78,20 @@ def test_compute_writes_output_file(tmp_path, capsys):
     assert json.loads(out_path.read_text())["nu"] == 2
 
 
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+def test_output_files_get_the_umask_mode(tmp_path, capsys, umask, mode):
+    # as open(path, "w") would create them, not as mkstemp's 0600
+    report, cert = tmp_path / "report.json", tmp_path / "cert.json"
+    old = os.umask(umask)
+    try:
+        assert run(capsys, "compute", P5, "--output", str(report))[0] == 0
+        assert run(capsys, "reduce", CNF1, "--variant", "L", "--output",
+                   str(tmp_path / "art.mg"), "--certificate", str(cert))[0] == 0
+    finally:
+        os.umask(old)
+    assert [os.stat(p).st_mode & 0o777 for p in (report, cert)] == [mode, mode]
+
+
 def test_compute_problem1_identity(capsys):
     code, out, _ = run(capsys, "compute", P5, "--k", "1", "--f", "identity")
     assert code == 0

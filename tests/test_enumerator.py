@@ -22,13 +22,15 @@ from oracles import (
     residual,
 )
 from resmatch.graph import build_graph, delete_edges
-from resmatch.matching import _blossom
+from resmatch.matching import Matching, _blossom
 from resmatch.reduction import build_artifact, parse_dimacs
 from resmatch.spectrum import _iter_maximum_matchings, spectrum
 
 
 def assert_same_stream(g):
-    assert list(_iter_maximum_matchings(g)) == list(iter_maximum_matchings_bounded(g))
+    # the package yields each matching as its sorted edge tuple
+    want = [(tuple(m.sorted_edges()), r) for m, r in iter_maximum_matchings_bounded(g)]
+    assert list(_iter_maximum_matchings(g)) == want
 
 
 @pytest.mark.parametrize("seed", range(120))
@@ -182,4 +184,30 @@ def test_leaf_residual_needs_no_nu_or_delete_edges(monkeypatch):
     assert len(items) == 4316
     # one blossom at the root; each leaf yields the residual it carried
     assert calls == {"nu": 0, "delete_edges": 0, "_blossom": 1}
-    assert all(r == residual(g, m) for m, r in items)
+    assert all(r == residual(g, Matching(frozenset(c), g.vertex_count)) for c, r in items)
+
+
+def test_spectrum_builds_a_matching_only_at_each_residuals_first_leaf(monkeypatch):
+    spectrum_module = importlib.import_module("resmatch.spectrum")
+    built = []
+
+    def counted(edges, host_size):
+        built.append(Matching(edges, host_size))
+        return built[-1]
+
+    monkeypatch.setattr(spectrum_module, "Matching", counted)
+    values = set()
+    for seed in range(10):  # seed 4 reaches three residual values in 27 matchings
+        g = random_graph(20, 0.15, random.Random(seed))
+        built.clear()
+        report = spectrum(g)
+        values.add(len(report.achieved))
+        assert len(built) == len(report.achieved)
+        # each is its residual's witness: the first leaf of the stream with that residual
+        firsts = {}
+        for pos, (chosen, r) in enumerate(_iter_maximum_matchings(g), start=1):
+            firsts.setdefault(r, (pos, frozenset(chosen)))
+        assert [(r, pos, m.edges) for r, pos, m in report.first_seen] == [
+            (r, pos, edges) for r, (pos, edges) in firsts.items()]
+        assert all(m is b for (_, _, m), b in zip(report.first_seen, built))
+    assert values == {1, 2, 3}

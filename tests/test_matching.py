@@ -3,13 +3,24 @@ import random
 
 import pytest
 
-from oracles import CapExceededError, cycle, iter_all_matchings, nu_bruteforce, path, random_graph
+from oracles import (
+    CapExceededError,
+    augment_reference,
+    cycle,
+    iter_all_matchings,
+    nu_bruteforce,
+    path,
+    random_bipartite,
+    random_graph,
+)
 from resmatch.graph import Bipartition, build_graph
 from resmatch.matching import (
     Matching,
     MatchingFlags,
+    _augment,
     _blossom,
     _matching,
+    _search_arrays,
     _shuffle_each,
     matching_from_pairs,
     max_matching,
@@ -78,6 +89,61 @@ def test_blossom_matches_bruteforce_random():
     for _ in range(400):
         g = random_graph(rng.randint(5, 9), rng.choice([0.2, 0.4, 0.6]), rng)
         assert nu(g) == nu_bruteforce(g, cap=36), g.sorted_edges()
+
+
+def _kernel_inputs(rng, case):
+    """(graph, lo, chosen) for one of the three ways the package runs its
+    search: lo = 0 and nothing skipped (the root blossom, `nu`), lo > 0 with
+    chosen edges skipped (the enumerator's mask searches), and lo = 0 with
+    chosen edges skipped (its residual repairs).  Sparse general graphs of up
+    to 120 vertices grow blossoms that absorb several vertices at once, whose
+    queue order decides the path found."""
+    n = rng.randint(40, 120)
+    if rng.random() < 0.75:
+        g = random_graph(n, rng.uniform(2.5, 4) / n, rng)
+    else:
+        g = random_bipartite(n, 2 * n, rng)
+    chosen = []
+    if case != "plain":
+        ends: set[int] = set()
+        for u, v in rng.sample(g.sorted_edges(), g.edge_count):
+            if u not in ends and v not in ends and rng.random() < 0.3:
+                chosen.append((u, v))
+                ends.update((u, v))
+    lo = rng.randint(1, n // 2) if case == "mask" else 0
+    return g, lo, chosen
+
+
+@pytest.mark.parametrize("case", ["plain", "mask", "repair"])
+@pytest.mark.parametrize("seed", range(40))
+def test_search_kernel_agrees_with_the_reference(case, seed):
+    rng = random.Random(f"kernel:{case}:{seed}")
+    g, lo, chosen = _kernel_inputs(rng, case)
+    n, adj = g.vertex_count, g.adjacency()
+    runs = []
+    for search in (_augment, augment_reference):
+        arrays = _search_arrays(n)
+        skip = arrays[-1]
+        for a, b in chosen:
+            skip[a], skip[b] = b, a
+
+        def sees(v, w):
+            return skip[v] != w if lo == 0 else min(v, w) > lo and not skip[v] and not skip[w]
+
+        match = [0] * (n + 1)  # a greedy matching of the graph the search sees
+        for v in range(1, n + 1):
+            for w in adj[v]:
+                if not match[v] and not match[w] and sees(v, w):
+                    match[v], match[w] = w, v
+        outer: list[int] = []
+        log = []
+        for root in range(lo + 1, n + 1):
+            if not match[root] and (lo == 0 or not skip[root]):
+                # the arrays outlive each search, as in the package
+                log.append((root, search(adj, match, root, lo, arrays, outer), match[:],
+                            outer[:], [a[:] for a in arrays[:3]]))
+        runs.append(log)
+    assert runs[0] == runs[1]
 
 
 def test_max_matching_is_deterministic_per_seed():
