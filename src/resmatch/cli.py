@@ -143,7 +143,7 @@ def cmd_reduce(args) -> int:
 def cmd_verify(args) -> int:
     cnf = parse_dimacs(_read(args.cnf))
     if args.exhaustive:  # before the graph is read or the artifact built
-        check_exhaustive_limits(cnf)
+        check_exhaustive_limits(cnf, args.variant)
     loaded = parse_graph_file(_read(args.input))
     art = build_artifact(cnf, args.variant)
     cert = verify_artifact(art, exhaustive=args.exhaustive)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graph import Bipartition, Graph, normalize_edge, require_bipartite
-from .matching import _blossom, nu
+from .matching import _blossom, _search_arrays, nu
 
 
 @dataclass(frozen=True)
@@ -78,7 +78,8 @@ def nu2_bipartite(g: Graph, b: Bipartition | None = None) -> ColorableResult:
         for x, y in ((u, a), (n + u, a), (v, a + 1), (n + v, a + 1), (a, a + 1)):
             gadget[x].append(y)
             gadget[y].append(x)
-    mate = _blossom(len(gadget) - 1, gadget, range(1, len(gadget)))
+    top = len(gadget) - 1
+    mate = _blossom(top, gadget, range(1, top + 1), _search_arrays(top))
     size = sum(map(bool, mate)) // 2 - len(edges)
     chosen = set()
     for k, e in enumerate(edges):

@@ -18,10 +18,13 @@ different seeds may return different maximum matchings of the same size;
 results are deterministic for a fixed (graph, seed) pair.
 
 The seed's permutations are those of CPython's `random.shuffle`, reproduced
-draw for draw from `getrandbits` in one loop (`_shuffle_each`) so that no
-`shuffle` call is paid per list: each adjacency list in vertex order, then the
-vertex order, all from one `random.Random(seed)`.
-`tests/golden/seeded_matchings.json` and the differential test in
+draw for draw from `getrandbits`: each adjacency list in vertex order, then
+the vertex order, from one generator seeded with the seed.  `_seeded_mates`
+serves a batch of seeds on one graph: it builds the lists, their shuffle plan
+(`_shuffle_plan`), the search arrays and one `random.Random` once, and per
+seed reseeds the generator (the stream of `random.Random(seed)`), shuffles
+copies (`_shuffled`) and runs `_blossom`; `max_matching` is one such seed.
+`tests/golden/seeded_matchings.json` and the differential tests in
 `tests/test_matching.py` pin that equivalence.  Should a later CPython change
 its shuffle, both fail; the fix is then to drop the inline copy and call
 `rng.shuffle` again, which changes the seeded matchings (and the `bench`
@@ -69,11 +72,12 @@ class MatchingFlags:
     perfect: bool
 
 
-def _blossom(n: int, adj: list[list[int]], order, outer=None) -> list[int]:
+def _blossom(n: int, adj: list[list[int]], order, arrays, outer=None) -> list[int]:
     """Mate of every vertex of a maximum matching (0 = unmatched; slot 0 unused).
 
     A greedy pass over `order`, then one `_augment` from each still-free root
-    in `order`.  Ties fall to the order of `order` and of each adjacency list.
+    in `order`, with the caller's scratch arrays (`_search_arrays(n)`, no edge
+    skipped).  Ties fall to the order of `order` and of each adjacency list.
 
     The list outer, if given, goes to each root's search and so ends up
     holding D(G), the vertices some maximum matching misses.  A search from
@@ -93,7 +97,6 @@ def _blossom(n: int, adj: list[list[int]], order, outer=None) -> list[int]:
                     match[v] = to
                     match[to] = v
                     break
-    arrays = _search_arrays(n)
     for root in order:
         if match[root] == 0:
             _augment(adj, match, root, 0, arrays, outer)
@@ -202,34 +205,58 @@ def _matching(mate: list[int]) -> Matching:
 
 
 def _unshuffled(g: Graph) -> list[int]:
-    return _blossom(g.vertex_count, g.adjacency(), range(1, g.vertex_count + 1))
+    n = g.vertex_count
+    return _blossom(n, g.adjacency(), range(1, n + 1), _search_arrays(n))
 
 
-def _shuffle_each(lists, rng: random.Random):
-    """Shuffle each list in turn, in place, exactly as `rng.shuffle` would:
-    for i from len - 1 down to 1, j = `_randbelow(i + 1)` by rejection on
-    k = (i + 1).bit_length() bits, then swap."""
-    getrandbits = rng.getrandbits
-    for x in lists:
-        for i in range(len(x) - 1, 0, -1):
-            k = (i + 1).bit_length()
+def _shuffle_plan(lists):
+    """(index, steps) for each of lists that a shuffle can change (length 2
+    or more), in order: steps are the (i, k) that `random.shuffle` runs
+    through, i from len - 1 down to 1 and k = (i + 1).bit_length(), the bits
+    each try of its `_randbelow(i + 1)` draws."""
+    return [(x, [(i, (i + 1).bit_length()) for i in range(len(lst) - 1, 0, -1)])
+            for x, lst in enumerate(lists) if len(lst) > 1]
+
+
+def _shuffled(lists, plan, getrandbits):
+    """A copy of lists whose members named in plan are shuffled copies, drawn
+    in plan order exactly as `random.shuffle` draws: j = getrandbits(k) until
+    j <= i, then swap; the other members are shared, not copied."""
+    out = lists[:]
+    for x, steps in plan:
+        lst = out[x] = lists[x][:]
+        for i, k in steps:
             j = getrandbits(k)
             while j > i:
                 j = getrandbits(k)
-            x[i], x[j] = x[j], x[i]
+            lst[i], lst[j] = lst[j], lst[i]
+    return out
+
+
+def _seeded_mates(g: Graph, seeds):
+    """The mate array of `max_matching(g, seed)` for each of seeds in turn;
+    the lists (each adjacency list, then the vertex order), their plan, the
+    search arrays and the generator are built once per call, not per seed."""
+    n = g.vertex_count
+    lists = [*g.adjacency(), list(range(1, n + 1))]
+    plan = _shuffle_plan(lists)
+    arrays = _search_arrays(n)
+    rng = random.Random()
+    getrandbits = rng.getrandbits
+    for seed in seeds:
+        rng.seed(seed)
+        adj = _shuffled(lists, plan, getrandbits)
+        yield _blossom(n, adj, adj.pop(), arrays)  # the last list is the vertex order
 
 
 def max_matching(g: Graph, seed: int = 0) -> Matching:
     """Maximum matching of g via blossom contraction.
 
     The seed shuffles each adjacency list, then the vertex processing order;
-    it changes which maximum matching is returned, never its size.
+    it changes which maximum matching is returned, never its size.  A batch
+    of seeds gets the same matchings from `_seeded_mates` with one set-up.
     """
-    # a list of length 0 or 1 draws nothing, so the shared one is kept
-    adj = [lst[:] if len(lst) > 1 else lst for lst in g.adjacency()]
-    order = list(range(1, g.vertex_count + 1))
-    _shuffle_each((*adj, order), random.Random(seed))
-    return _matching(_blossom(g.vertex_count, adj, order))
+    return _matching(next(_seeded_mates(g, (seed,))))
 
 
 def max_matching_bipartite(g: Graph, b: Bipartition | None = None) -> Matching:

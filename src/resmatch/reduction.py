@@ -37,9 +37,10 @@ from .spectrum import CappedStream
 VARIANTS = ("L", "ell")
 
 EXHAUSTIVE_VAR_LIMIT = 6  # variables; exhaustive verify enumerates 2^n matchings
-# clauses; a census leaf costs about O(V^2) and V grows with m: at the limit
-# the worst census (ell, 6 variables, 512 matchings) takes about 1.3 s
-EXHAUSTIVE_CLAUSE_LIMIT = 50
+# clauses, per variant.  L: a census leaf costs about O(V^2), V grows with m.
+# ell: hybrid counts grow about 1.8x per clause past the census cap, so the
+# limit is the largest m at which all 20 seeded formulas at each n in 3..6 certify
+EXHAUSTIVE_CLAUSE_LIMITS = {"L": 50, "ell": 6}
 
 Point = tuple[int, int]
 Edge = tuple[int, int]
@@ -485,11 +486,11 @@ def _camel_case(record) -> dict:
     return {key: getattr(record, name) for name, key in _camel_keys(type(record))}
 
 
-def check_exhaustive_limits(cnf: CnfInstance):
+def check_exhaustive_limits(cnf: CnfInstance, variant: str):
     """ValueError if cnf has more variables or clauses than an exhaustive
-    verification of its artifact supports."""
+    verification of its artifact in variant supports."""
     for noun, limit, count in (("variables", EXHAUSTIVE_VAR_LIMIT, cnf.num_vars),
-                               ("clauses", EXHAUSTIVE_CLAUSE_LIMIT, cnf.num_clauses)):
+                               ("clauses", EXHAUSTIVE_CLAUSE_LIMITS[variant], cnf.num_clauses)):
         if count > limit:
             raise ValueError(f"exhaustive verification supports at most {limit}"
                              f" {noun}, instance has {count}")
@@ -515,7 +516,7 @@ def verify_artifact(art: ReductionArtifact, exhaustive: bool = False) -> Certifi
     """
     n, m = art.cnf.num_vars, art.cnf.num_clauses
     if exhaustive:
-        check_exhaustive_limits(art.cnf)
+        check_exhaustive_limits(art.cnf, art.variant)
     g = art.graph
     exp = expected_counts(m, art.variant)
     discrepancies: list[str] = []

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .graph import Graph
-from .matching import Matching, _augment, _blossom, _search_arrays, max_matching
+from .matching import Matching, _augment, _blossom, _search_arrays, _seeded_mates, max_matching
 
 TOLERANCE_KINDS = ("constant", "linear", "log", "sqrt", "identity")
 
@@ -143,7 +143,7 @@ def _iter_maximum_matchings(g: Graph):
     arrays = _search_arrays(n)
     skip = arrays[-1]
     outer: list[int] = []
-    mate = _blossom(n, adj, range(1, n + 1), outer)
+    mate = _blossom(n, adj, range(1, n + 1), arrays, outer)
     target = sum(map(bool, mate)) // 2
     missable = [False] * (n + 1)
     for v in outer:
@@ -271,16 +271,17 @@ def spectrum(g: Graph, cap: int = DEFAULT_CAP) -> SpectrumReport:
 
 
 def _spectrum(stream: CappedStream, slots: dict | None = None, residuals=None) -> SpectrumReport:
-    """spectrum() over stream.  slots, if given, maps edge sets to indices of
-    the list residuals, and each matching in slots stores its r there.  Only
-    the first matching with each residual becomes a Matching."""
+    """spectrum() over stream.  slots, if given, maps sorted edge tuples (the
+    stream's own leaves) to indices of the list residuals, and each matching
+    in slots stores its r there.  Only the first matching with each residual
+    becomes a Matching."""
     first: dict[int, tuple[int, Matching]] = {}
     n = stream.g.vertex_count
     for chosen, r in stream:
         if r not in first:
             first[r] = (stream.count, Matching(frozenset(chosen), n))
         if slots is not None:
-            i = slots.get(frozenset(chosen))
+            i = slots.get(chosen)
             if i is not None:
                 residuals[i] = r
     ell, big_l = min(first), max(first)
@@ -407,13 +408,19 @@ def approx_trial(g: Graph, seeds, cap: int = DEFAULT_CAP) -> ApproxTrialReport:
     row is ok when both hold.  Together they give r/ell in [1, 2] and r/L in
     [1/2, 1].  Ratios are reported when ell >= 1 and are None otherwise.
 
-    The seeded matchings come first; the one pass over the enumeration that
-    builds the spectrum then reads off r for each distinct one, so the seeded
-    pass runs even when the spectrum turns out truncated.
+    seeds may be a one-shot iterator; it is read once.  The seeded matchings
+    come first, from one `_seeded_mates` batch (one set-up, one reseeded
+    generator), each distinct one in a slot keyed by its sorted edge tuple,
+    the enumeration's own leaf; the one pass over the enumeration that builds
+    the spectrum then reads off r for each slot, so the seeded pass runs
+    even when the spectrum turns out truncated.
     """
-    # seeds often repeat a matching: each distinct edge set gets one slot
-    slots: dict[frozenset[tuple[int, int]], int] = {}
-    picks = [(seed, slots.setdefault(max_matching(g, seed).edges, len(slots))) for seed in seeds]
+    seeds = list(seeds)  # read once here; _seeded_mates reads the list again
+    slots: dict[tuple[tuple[int, int], ...], int] = {}
+    picks = []
+    for seed, mate in zip(seeds, _seeded_mates(g, seeds)):
+        edges = tuple([(v, w) for v, w in enumerate(mate) if w > v])
+        picks.append((seed, slots.setdefault(edges, len(slots))))
     residuals: list[int | None] = [None] * len(slots)
     bounds = _check_bounds(g, _spectrum(CappedStream(g, cap), slots, residuals))
     ell, big_l = bounds.ell, bounds.big_l

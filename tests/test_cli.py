@@ -291,16 +291,22 @@ def test_verify_exhaustive_limit(tmp_path, capsys):
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_verify_exhaustive_clause_limit(tmp_path, capsys, variant):
+    # ell's limit is lower: above 6 clauses its census can stop at its cap
+    limit = {"L": 50, "ell": 6}[variant]
     cnf = tmp_path / "long.cnf"
-    cnf.write_text("p cnf 3 51\n" + "1 2 3 0\n" * 51)
+    cnf.write_text(f"p cnf 3 {limit + 1}\n" + "1 2 3 0\n" * (limit + 1))
     graph_path = tmp_path / "art.mg"
     code, _, _ = run(capsys, "reduce", str(cnf), "--variant", variant, "--output", str(graph_path))
     assert code == 0
     code, out, err = run(capsys, "verify", str(graph_path), str(cnf),
                          "--variant", variant, "--exhaustive")
-    assert (code, out, err) == (
-        2, "", "error: exhaustive verification supports at most 50 clauses, instance has 51\n"
-    )
+    assert (code, out, err) == (2, "", "error: exhaustive verification supports at most"
+                                       f" {limit} clauses, instance has {limit + 1}\n")
+    cnf.write_text(f"p cnf 3 {limit}\n" + "1 2 3 0\n" * limit)
+    run(capsys, "reduce", str(cnf), "--variant", variant, "--output", str(graph_path))
+    code, _, _ = run(capsys, "verify", str(graph_path), str(cnf), "--variant", variant,
+                     "--exhaustive")
+    assert code == 0
 
 
 @pytest.mark.parametrize("text, message", [

@@ -22,7 +22,7 @@ from oracles import (
     residual,
 )
 from resmatch.graph import build_graph, delete_edges
-from resmatch.matching import Matching, _blossom
+from resmatch.matching import Matching, _blossom, _search_arrays
 from resmatch.reduction import build_artifact, parse_dimacs
 from resmatch.spectrum import _iter_maximum_matchings, spectrum
 
@@ -110,7 +110,7 @@ def missable_brute(g):
 def missable_set(g, adj, order):
     """The outer list of the root blossom of g over adj and order, as a set."""
     outer = []
-    _blossom(g.vertex_count, adj, order, outer)
+    _blossom(g.vertex_count, adj, order, _search_arrays(g.vertex_count), outer)
     return set(outer)
 
 

@@ -21,7 +21,9 @@ from resmatch.matching import (
     _blossom,
     _matching,
     _search_arrays,
-    _shuffle_each,
+    _seeded_mates,
+    _shuffle_plan,
+    _shuffled,
     matching_from_pairs,
     max_matching,
     max_matching_bipartite,
@@ -170,13 +172,17 @@ def test_seeded_shuffles_leave_the_shared_adjacency_alone():
     assert g == fresh and hash(g) == hash(fresh)
 
 
+def shuffled(lists, getrandbits):
+    """The package's shuffle of lists: its plan, then its draws."""
+    return _shuffled(lists, _shuffle_plan(lists), getrandbits)
+
+
 @pytest.mark.parametrize("length", range(41))
 def test_inline_shuffle_draws_as_random_shuffle(length):
     for seed in range(200):
         want = list(range(length))
         random.Random(seed).shuffle(want)
-        got = list(range(length))
-        _shuffle_each([got], random.Random(seed))
+        (got,) = shuffled([list(range(length))], random.Random(seed).getrandbits)
         assert got == want, seed
 
 
@@ -190,27 +196,90 @@ def test_inline_shuffle_of_several_lists_from_one_generator():
         want = [list(range(n)) for n in lengths]
         for x in want:
             rng.shuffle(x)
-        got = [list(range(n)) for n in lengths]
-        _shuffle_each(got, random.Random(seed))
+        lists = [list(range(n)) for n in lengths]
+        got = shuffled(lists, random.Random(seed).getrandbits)
         assert got == want, (seed, lengths)
+        # the inputs stay as they were; a list no draw can change is shared
+        assert lists == [list(range(n)) for n in lengths]
+        assert all((a is b) == (len(a) < 2) for a, b in zip(got, lists))
+
+
+# seeds past one 32-bit word (init_by_array takes several key words), negative
+# seeds (the generator seeds from abs), and repeats within one batch
+BATCH = (0, 1, 2**32 - 1, 2**32, 2**32 + 1, 2**64 + 5, 3**70, -1, -7, -(2**40), 1, 0, 2**32, -7, 5)
+
+
+def test_one_reseeded_generator_shuffles_as_fresh_ones():
+    # the permutations themselves: one generator, reseeded per seed as
+    # _seeded_mates does, against random.Random(seed).shuffle on each list
+    sizes = random.Random(8)
+    rng = random.Random()
+    for seed in BATCH * 3:
+        lengths = [sizes.randint(0, 15) for _ in range(sizes.randint(1, 14))]
+        fresh = random.Random(seed)
+        want = [list(range(n)) for n in lengths]
+        for x in want:
+            fresh.shuffle(x)
+        rng.seed(seed)
+        assert shuffled([list(range(n)) for n in lengths], rng.getrandbits) == want, seed
+
+
+def reference_mates(g, seed):
+    """The seeded search as written with random.shuffle and fresh state."""
+    rng = random.Random(seed)
+    adj = [lst[:] for lst in g.adjacency()]
+    for lst in adj:
+        rng.shuffle(lst)
+    order = list(range(1, g.vertex_count + 1))
+    rng.shuffle(order)
+    return _blossom(g.vertex_count, adj, order, _search_arrays(g.vertex_count))
 
 
 def test_seeded_matching_is_the_shuffled_blossom():
-    # the seeded search as written with random.shuffle
-    def reference(g, seed):
-        rng = random.Random(seed)
-        adj = [lst[:] for lst in g.adjacency()]
-        for lst in adj:
-            rng.shuffle(lst)
-        order = list(range(1, g.vertex_count + 1))
-        rng.shuffle(order)
-        return _matching(_blossom(g.vertex_count, adj, order))
-
     rng = random.Random(11)
     for _ in range(100):
         g = random_graph(rng.randint(1, 14), rng.choice((0.2, 0.35, 0.5)), rng)
         for seed in range(20):
-            assert max_matching(g, seed) == reference(g, seed)
+            assert max_matching(g, seed) == _matching(reference_mates(g, seed))
+
+
+@pytest.mark.parametrize("g", [
+    build_graph(0, []),
+    build_graph(1, []),
+    build_graph(5, []),
+    build_graph(9, [(2, 3), (3, 4), (4, 2), (4, 7), (7, 8)]),  # 1, 5, 6 and 9 isolated
+    PETERSEN,
+], ids=["n0", "n1", "isolated5", "triangle-tail", "petersen"])
+def test_a_batch_of_seeds_is_the_shuffled_blossom_per_seed(g):
+    assert list(_seeded_mates(g, BATCH)) == [reference_mates(g, seed) for seed in BATCH]
+
+
+def test_a_batch_of_seeds_on_random_graphs():
+    rng = random.Random(12)
+    for _ in range(60):
+        g = random_graph(rng.randint(0, 14), rng.choice((0.1, 0.3, 0.5)), rng)
+        got = list(_seeded_mates(g, BATCH))
+        assert got == [reference_mates(g, seed) for seed in BATCH], g.sorted_edges()
+        assert [_matching(m) for m in got] == [max_matching(g, seed) for seed in BATCH]
+
+
+def test_a_batch_builds_one_generator_and_one_set_of_search_arrays(monkeypatch):
+    made = []
+    arrays = _search_arrays
+
+    class Counted(random.Random):
+        def __init__(self, *args):
+            made.append("Random")
+            super().__init__(*args)
+
+    def counted_arrays(n):
+        made.append("arrays")
+        return arrays(n)
+
+    monkeypatch.setattr("resmatch.matching.random.Random", Counted)
+    monkeypatch.setattr("resmatch.matching._search_arrays", counted_arrays)
+    mates = list(_seeded_mates(PETERSEN, range(50)))
+    assert len(mates) == 50 and sorted(made) == ["Random", "arrays"]
 
 
 def test_hopcroft_karp_agrees_with_blossom():

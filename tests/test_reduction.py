@@ -14,7 +14,7 @@ from resmatch.reduction import (
     CnfInstance,
     ConstructionError,
     DimacsError,
-    EXHAUSTIVE_CLAUSE_LIMIT,
+    EXHAUSTIVE_CLAUSE_LIMITS,
     EXHAUSTIVE_VAR_LIMIT,
     ReductionArtifact,
     StructuralDecodeError,
@@ -402,16 +402,29 @@ def test_exhaustive_raises_above_limit():
 @pytest.mark.parametrize("variant", ["L", "ell"])
 def test_exhaustive_raises_above_clause_limit(variant):
     # the census time grows with m; the variable limit does not bound m
-    art = build_artifact(parse_dimacs(random_cnf(3, EXHAUSTIVE_CLAUSE_LIMIT + 1, 0)), variant)
-    with pytest.raises(ValueError, match="at most 50 clauses, instance has 51"):
+    limit = {"L": 50, "ell": 6}[variant]
+    assert EXHAUSTIVE_CLAUSE_LIMITS[variant] == limit
+    art = build_artifact(parse_dimacs(random_cnf(3, limit + 1, 0)), variant)
+    with pytest.raises(ValueError, match=f"at most {limit} clauses, instance has {limit + 1}$"):
         verify_artifact(art, exhaustive=True)
     assert verify_artifact(art, exhaustive=False).ok
 
 
 def test_exhaustive_runs_at_clause_limit():
-    art = build_artifact(parse_dimacs(random_cnf(3, EXHAUSTIVE_CLAUSE_LIMIT, 0)), "L")
+    art = build_artifact(parse_dimacs(random_cnf(3, EXHAUSTIVE_CLAUSE_LIMITS["L"], 0)), "L")
     cert = verify_artifact(art, exhaustive=True)
     assert cert.ok and cert.census.count == 8
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_exhaustive_ell_certifies_every_sweep_formula_at_its_clause_limit(n):
+    # the ell limit is the largest m at which all 20 seeded formulas at each
+    # n from 3 to 6 certify; at m = 7 one at n = 5 hits the census cap
+    m = EXHAUSTIVE_CLAUSE_LIMITS["ell"]
+    for seed in range(20):
+        cert = verify_artifact(build_artifact(parse_dimacs(random_cnf(n, m, seed)), "ell"),
+                               exhaustive=True)
+        assert cert.ok and not cert.census.truncated, seed
 
 
 def _without_a_path_edge(art):

@@ -19,7 +19,7 @@ from oracles import (
     spectrum_double_brute,
 )
 from resmatch.graph import bipartition, build_graph, delete_edges
-from resmatch.matching import _blossom, max_matching, nu, validate_matching
+from resmatch.matching import _blossom, _search_arrays, max_matching, nu, validate_matching
 from resmatch.spectrum import (
     ApproxTrialRow,
     ToleranceFunction,
@@ -181,7 +181,8 @@ def test_ladder_search_count(monkeypatch):
 
 def root_outer(g):
     outer = []
-    _blossom(g.vertex_count, g.adjacency(), range(1, g.vertex_count + 1), outer)
+    n = g.vertex_count
+    _blossom(n, g.adjacency(), range(1, n + 1), _search_arrays(n), outer)
     return outer
 
 
@@ -387,6 +388,27 @@ def test_approx_trial_rows_match_the_cold_residuals():
         assert list(trial.rows) == want
         assert (trial.nu, trial.ell, trial.big_l) == (bounds.nu, ell, big_l)
     assert odd >= 50  # graphs with odd cycles, where the searches contract blossoms
+
+
+def test_approx_trial_residuals_are_the_cold_residuals_up_to_14_vertices():
+    # the seeded matchings come in one batch per graph, keyed by edge tuple
+    rng = random.Random(1414)
+    for _ in range(40):
+        g = random_graph(rng.randint(10, 14), rng.choice((0.2, 0.3)), rng)
+        seeds = range(rng.randint(0, 50), 90)
+        trial = approx_trial(g, seeds)
+        assert [(row.seed, row.residual) for row in trial.rows] == [
+            (seed, residual(g, max_matching(g, seed))) for seed in seeds]
+
+
+def test_approx_trial_reads_a_one_shot_iterator_of_seeds():
+    rng = random.Random(7)
+    for _ in range(10):
+        g = random_graph(rng.randint(4, 12), 0.35, rng)
+        want = approx_trial(g, range(60))
+        assert len(want.rows) == 60
+        assert approx_trial(g, (seed for seed in range(60))) == want
+        assert approx_trial(g, iter(list(range(60)))) == want
 
 
 def test_approx_trial_undefined_ratios_when_ell_zero():
