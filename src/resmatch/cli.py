@@ -112,7 +112,7 @@ def cmd_compute(args) -> int:
     out["bipartite"] = b is not None
     out["connected"] = is_connected(g)
     if b is not None:
-        out["nu2"] = nu2 = nu2_bipartite(g, b).size
+        out["nu2"] = nu2 = nu2_bipartite(g).size
         out["upper_bound_L"] = nu2 - report.nu
     failed = report.truncated
     if result is not None:
@@ -295,17 +295,14 @@ def cmd_bench(args) -> int:
                                  nu(g), "", "", True, "", "", "", "", False])
                 continue
             head = [label, g.vertex_count, g.edge_count, trial.nu, trial.ell, trial.big_l, False]
-            ratio_texts: dict[int, list[str]] = {}  # the ratios depend on the residual alone
-            for row in trial.rows:
-                ratios = ratio_texts.get(row.residual)
-                if ratios is None:
-                    if row.ratio_to_ell is not None:
-                        observed_ell_ratios.add(row.ratio_to_ell)
-                    ratios = ratio_texts[row.residual] = [
-                        "" if x is None else _rat(x) for x in (row.ratio_to_ell, row.ratio_to_big_l)
-                    ]
-                violations += not row.ok
-                writer.writerow([*head, row.seed, row.residual, *ratios, row.ok])
+            cells = {}  # residual -> its ratio_ell, ratio_L and ok cells
+            for r, (r_ell, r_big_l, ok) in trial.verdicts.items():
+                if r_ell is not None:
+                    observed_ell_ratios.add(r_ell)
+                cells[r] = ["" if x is None else _rat(x) for x in (r_ell, r_big_l)] + [ok]
+            for seed, r in trial.rows:
+                violations += not cells[r][2]
+                writer.writerow([*head, seed, r, *cells[r]])
     ratio_note = ",".join(_rat(r) for r in sorted(observed_ell_ratios)[:12])
     print(f"bench: {violations} violation(s), {truncations} truncation(s),"
           f" ratios to ell observed: [{ratio_note}]", file=sys.stderr)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Bipartition, Graph, normalize_edge, require_bipartite
+from .graph import Graph, require_bipartite
 from .matching import _blossom, _search_arrays, nu
 
 
@@ -27,37 +27,29 @@ def _two_color(chosen: set[tuple[int, int]]) -> tuple[frozenset, frozenset]:
     """Split a max-degree-two edge set into two matchings.
 
     Each path is walked from its lowest-indexed endpoint and each cycle from
-    its lowest-indexed vertex, alternating classes along the walk.
+    its lowest-indexed vertex, alternating classes along the walk.  Each
+    step takes the lowest edge at the current vertex that no walk has taken,
+    and removes it from both ends' neighbour lists.
     """
     nbr: dict[int, list[int]] = {}
-    for u, v in chosen:
+    for u, v in sorted(chosen):  # so each neighbour list is sorted
         nbr.setdefault(u, []).append(v)
         nbr.setdefault(v, []).append(u)
-    for lst in nbr.values():
-        lst.sort()
-    color: dict[tuple[int, int], int] = {}  # also the set of visited edges
+    classes: tuple[list, list] = ([], [])
     ends = sorted(v for v, lst in nbr.items() if len(lst) == 1)
-    starts = ends + sorted(nbr)
-    for start in starts:
+    for start in ends + sorted(nbr):
         cur = start
         c = 0
-        while True:
-            nxt = None
-            for w in nbr.get(cur, []):
-                if normalize_edge(cur, w) not in color:
-                    nxt = w
-                    break
-            if nxt is None:
-                break
-            color[normalize_edge(cur, nxt)] = c
+        while nbr[cur]:
+            nxt = nbr[cur].pop(0)
+            nbr[nxt].remove(cur)
+            classes[c].append((cur, nxt) if cur < nxt else (nxt, cur))
             c = 1 - c
             cur = nxt
-    class0 = frozenset(e for e, c in color.items() if c == 0)
-    class1 = frozenset(e for e, c in color.items() if c == 1)
-    return class0, class1
+    return frozenset(classes[0]), frozenset(classes[1])
 
 
-def nu2_bipartite(g: Graph, b: Bipartition | None = None) -> ColorableResult:
+def nu2_bipartite(g: Graph) -> ColorableResult:
     """Largest union of two disjoint matchings in a bipartite graph.
 
     One maximum matching of Tutte's degree-constraint gadget: vertex u gets
@@ -69,7 +61,7 @@ def nu2_bipartite(g: Graph, b: Bipartition | None = None) -> ColorableResult:
     with b free is not chosen); the chosen edges have maximum degree two and
     the witness splits them into two matchings.
     """
-    require_bipartite(g, b)
+    require_bipartite(g)
     n = g.vertex_count
     edges = g.sorted_edges()
     gadget: list[list[int]] = [[] for _ in range(2 * n + 2 * len(edges) + 1)]

@@ -372,17 +372,21 @@ def decode_matching(art: ReductionArtifact, f: Matching) -> Assignment:
     and FALSE when it holds exactly the FALSE side.  Raises ValueError when
     f is not a perfect matching of the artifact, and StructuralDecodeError
     when some variable cycle carries neither side purely.  Perfection is a
-    size and subset test, so decoding runs no blossom.
+    size and subset test, so decoding runs no blossom.  Each side is a
+    perfect matching of its cycle's vertices, so a matching that holds one
+    side holds no other edge of that cycle, and containment decides it.
     """
     if 2 * len(f) != art.graph.vertex_count or not _is_matching_of(art.graph, f, f.covered()):
         raise ValueError("decode requires a valid perfect matching of the artifact")
     values: list[bool] = []
     for i, (true_side, false_side) in enumerate(art.cycles, start=1):
-        hit = f.edges & (true_side | false_side)
-        if hit != true_side and hit != false_side:
+        if true_side <= f.edges:
+            values.append(True)
+        elif false_side <= f.edges:
+            values.append(False)
+        else:
             raise StructuralDecodeError(f"cycle of variable {i} is not purely oriented"
                                         " in this matching")
-        values.append(hit == true_side)
     return Assignment(tuple(values))
 
 

@@ -378,21 +378,13 @@ def _check_bounds(g: Graph, report: SpectrumReport) -> BoundsReport:
 
 
 @dataclass(frozen=True)
-class ApproxTrialRow:
-    seed: int
-    residual: int
-    ratio_to_ell: Fraction | None
-    ratio_to_big_l: Fraction | None
-    ok: bool
-
-
-@dataclass(frozen=True)
 class ApproxTrialReport:
     nu: int
     ell: int
     big_l: int
-    rows: tuple[ApproxTrialRow, ...]
-    ratios_defined: bool
+    rows: tuple[tuple[int, int], ...]  # (seed, residual), in seed order
+    # each residual of rows -> (r/ell, r/L, ok); the ratios are None when ell = 0
+    verdicts: dict[int, tuple[Fraction | None, Fraction | None, bool]]
     violations: tuple[str, ...]
 
     @property
@@ -405,8 +397,9 @@ def approx_trial(g: Graph, seeds, cap: int = DEFAULT_CAP) -> ApproxTrialReport:
 
     The spectrum must pass check_bounds (which raises TruncatedSpectrumError
     on a truncated one) and every seeded residual r must land in [ell, L]; a
-    row is ok when both hold.  Together they give r/ell in [1, 2] and r/L in
-    [1/2, 1].  Ratios are reported when ell >= 1 and are None otherwise.
+    residual is ok when both hold.  Together they give r/ell in [1, 2] and
+    r/L in [1/2, 1].  A verdict depends on r alone, so each distinct
+    residual gets one.
 
     seeds may be a one-shot iterator; it is read once.  The seeded matchings
     come first, from one `_seeded_mates` batch (one set-up, one reseeded
@@ -424,21 +417,10 @@ def approx_trial(g: Graph, seeds, cap: int = DEFAULT_CAP) -> ApproxTrialReport:
     residuals: list[int | None] = [None] * len(slots)
     bounds = _check_bounds(g, _spectrum(CappedStream(g, cap), slots, residuals))
     ell, big_l = bounds.ell, bounds.big_l
-    defined = ell >= 1
-    violations = list(bounds.violations)
-    verdicts: dict[int, tuple[Fraction | None, Fraction | None, bool]] = {}  # r -> ratios, in range
-    rows = []
-    for seed, i in picks:
-        r = residuals[i]
-        verdict = verdicts.get(r)
-        if verdict is None:
-            verdict = verdicts[r] = (
-                Fraction(r, ell) if defined else None,
-                Fraction(r, big_l) if defined else None,
-                ell <= r <= big_l,
-            )
-        r_ell, r_big_l, in_range = verdict
-        if not in_range:
-            violations.append(f"seed {seed}: residual {r} outside [{ell}, {big_l}]")
-        rows.append(ApproxTrialRow(seed, r, r_ell, r_big_l, bounds.ok and in_range))
-    return ApproxTrialReport(bounds.nu, ell, big_l, tuple(rows), defined, tuple(violations))
+    verdicts = {r: (Fraction(r, ell) if ell else None, Fraction(r, big_l) if ell else None,
+                    bounds.ok and ell <= r <= big_l)
+                for r in set(residuals)}
+    rows = tuple((seed, residuals[i]) for seed, i in picks)
+    violations = bounds.violations + tuple(f"seed {seed}: residual {r} outside [{ell}, {big_l}]"
+                                           for seed, r in rows if not ell <= r <= big_l)
+    return ApproxTrialReport(bounds.nu, ell, big_l, rows, verdicts, violations)

@@ -148,10 +148,9 @@ def test_criterion_5_bound_suite(acceptance_report):
         trial = approx_trial(g, seeds=(0, 1, 2), cap=10**6)
         if not trial.ok:
             violations += 1
-        for row in trial.rows:
-            if trial.ratios_defined and not (
-                1 <= row.ratio_to_ell <= 2 and Fraction(1, 2) <= row.ratio_to_big_l <= 1
-            ):
+        for _, r in trial.rows:
+            r_ell, r_big_l, _ = trial.verdicts[r]
+            if trial.ell >= 1 and not (1 <= r_ell <= 2 and Fraction(1, 2) <= r_big_l <= 1):
                 violations += 1
     elapsed = time.monotonic() - t0
     ok = violations == 0

@@ -14,7 +14,7 @@ from oracles import path, random_cnf
 from resmatch.cli import build_parser, main
 from resmatch.graph import emit_graph_file
 from resmatch.reduction import VARIANTS
-from resmatch.spectrum import ApproxTrialReport, ApproxTrialRow, approx_trial
+from resmatch.spectrum import ApproxTrialReport, approx_trial
 
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
 P5 = os.path.join(FIXTURES, "p5.mg")
@@ -375,10 +375,9 @@ def test_bench_is_deterministic(capsys, tmp_path):
 
 
 def test_bench_counts_each_bad_row_once(capsys, monkeypatch):
-    bad = ApproxTrialRow(1, 3, Fraction(3), Fraction(3), ok=False)
-    good = ApproxTrialRow(2, 1, Fraction(1), Fraction(1), ok=True)
     report = ApproxTrialReport(
-        nu=1, ell=1, big_l=1, rows=(bad, good), ratios_defined=True,
+        nu=1, ell=1, big_l=1, rows=((1, 3), (2, 1)),
+        verdicts={3: (Fraction(3), Fraction(3), False), 1: (Fraction(1), Fraction(1), True)},
         violations=("seed 1: residual 3 outside [1, 1]", "seed 1: r/ell = 3 outside [1, 2]"),
     )
     monkeypatch.setattr("resmatch.cli.approx_trial", lambda g, seeds, cap: report)

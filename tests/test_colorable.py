@@ -1,12 +1,14 @@
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
 
 from oracles import TWIN_SPIDER, CapExceededError, cycle, nu_k_bruteforce, path, random_bipartite
-from resmatch.graph import Bipartition, build_graph
+from resmatch.graph import build_graph
 from resmatch.matching import matching_from_pairs, nu, validate_matching
-from resmatch.colorable import nu2_bipartite, upper_bound_L
+from resmatch.colorable import _two_color, nu2_bipartite, upper_bound_L
 
 K4 = build_graph(4, list(itertools.combinations(range(1, 5), 2)))
 
@@ -39,11 +41,41 @@ def test_nu2_witness_is_two_matchings():
         assert len(union) == res.size
 
 
+def _max_degree_two_sets(rng):
+    """Disjoint unions of paths and even cycles on scattered vertex labels."""
+    for _ in range(300):
+        n = rng.randint(2, 40)
+        labels = rng.sample(range(1, 3 * n + 1), n)
+        edges, i = set(), 0
+        while i < n - 1:
+            size = rng.randint(2, n - i)
+            run = labels[i:i + size]
+            edges.update(tuple(sorted(e)) for e in zip(run, run[1:]))
+            if size >= 4 and size % 2 == 0 and rng.random() < 0.5:
+                edges.add(tuple(sorted((run[0], run[-1]))))
+            i += size
+        yield edges
+
+
+# sha256 of the classes below, in order: which edge lands in which class is
+# part of nu2's witness, so a change to the two-colouring walk shows here
+TWO_COLOR_CLASSES_SHA256 = "bdc5b6fe9cd42e1f1c3601f53506cea95957c062058fceff587b7a8a1e88cacd"
+
+
+def test_two_color_classes_are_pinned():
+    rng = random.Random(61)
+    out = []
+    for _ in range(400):
+        g = random_bipartite(rng.randint(2, 30), 60, rng)
+        out.append([sorted(c) for c in nu2_bipartite(g).classes])
+    for edges in _max_degree_two_sets(random.Random(67)):
+        out.append([sorted(c) for c in _two_color(edges)])
+    assert hashlib.sha256(json.dumps(out).encode()).hexdigest() == TWO_COLOR_CLASSES_SHA256
+
+
 def test_nu2_rejects_non_bipartite():
     with pytest.raises(ValueError, match="not bipartite"):
         nu2_bipartite(cycle(5))
-    with pytest.raises(ValueError, match="invalid bipartition"):
-        nu2_bipartite(path(3), Bipartition(frozenset({1, 2}), frozenset({3})))
 
 
 def test_nu_k_bruteforce_known():

@@ -21,7 +21,7 @@ from oracles import (
 from resmatch.graph import bipartition, build_graph, delete_edges
 from resmatch.matching import _blossom, _search_arrays, max_matching, nu, validate_matching
 from resmatch.spectrum import (
-    ApproxTrialRow,
+    BoundsReport,
     ToleranceFunction,
     TruncatedSpectrumError,
     approx_trial,
@@ -351,7 +351,7 @@ def test_check_bounds_raises_on_truncation():
 def test_approx_trial_p5_hits_both_extremes():
     trial = approx_trial(path(5), seeds=range(25), cap=100)
     assert trial.ok
-    ratios = {row.ratio_to_ell for row in trial.rows}
+    ratios = {trial.verdicts[r][0] for _, r in trial.rows}
     assert Fraction(1) in ratios and Fraction(2) in ratios
 
 
@@ -361,16 +361,19 @@ def test_approx_trial_ratio_ranges():
         g = random_graph(rng.randint(2, 9), 0.4, rng)
         trial = approx_trial(g, seeds=range(4), cap=10**5)
         assert trial.ok, trial.violations
-        for row in trial.rows:
-            assert trial.ell <= row.residual <= trial.big_l
-            if trial.ratios_defined:
-                assert 1 <= row.ratio_to_ell <= 2
-                assert Fraction(1, 2) <= row.ratio_to_big_l <= 1
+        for _, r in trial.rows:
+            assert trial.ell <= r <= trial.big_l
+            r_ell, r_big_l, ok = trial.verdicts[r]
+            assert ok
+            if trial.ell >= 1:
+                assert 1 <= r_ell <= 2
+                assert Fraction(1, 2) <= r_big_l <= 1
 
 
 def test_approx_trial_rows_match_the_cold_residuals():
     # approx_trial reads each seeded residual off the enumeration; here each
-    # row is rebuilt from a fresh blossom on g less the seeded matching
+    # row is rebuilt from a fresh blossom on g less the seeded matching, and
+    # each residual's verdict from the exact bounds
     rng = random.Random(2024)
     odd = 0
     for _ in range(200):
@@ -379,13 +382,13 @@ def test_approx_trial_rows_match_the_cold_residuals():
         seeds = range(rng.randint(0, 100), 100 + rng.randint(1, 30))
         bounds = check_bounds(g)
         ell, big_l = bounds.ell, bounds.big_l
-        want = []
-        for seed in seeds:
-            r = residual(g, max_matching(g, seed))
-            ratios = (Fraction(r, ell), Fraction(r, big_l)) if ell else (None, None)
-            want.append(ApproxTrialRow(seed, r, *ratios, bounds.ok and ell <= r <= big_l))
+        want = [(seed, residual(g, max_matching(g, seed))) for seed in seeds]
         trial = approx_trial(g, seeds)
         assert list(trial.rows) == want
+        assert set(trial.verdicts) == {r for _, r in want}
+        for r, verdict in trial.verdicts.items():
+            ratios = (Fraction(r, ell), Fraction(r, big_l)) if ell else (None, None)
+            assert verdict == (*ratios, bounds.ok and ell <= r <= big_l)
         assert (trial.nu, trial.ell, trial.big_l) == (bounds.nu, ell, big_l)
     assert odd >= 50  # graphs with odd cycles, where the searches contract blossoms
 
@@ -397,7 +400,7 @@ def test_approx_trial_residuals_are_the_cold_residuals_up_to_14_vertices():
         g = random_graph(rng.randint(10, 14), rng.choice((0.2, 0.3)), rng)
         seeds = range(rng.randint(0, 50), 90)
         trial = approx_trial(g, seeds)
-        assert [(row.seed, row.residual) for row in trial.rows] == [
+        assert list(trial.rows) == [
             (seed, residual(g, max_matching(g, seed))) for seed in seeds]
 
 
@@ -411,8 +414,20 @@ def test_approx_trial_reads_a_one_shot_iterator_of_seeds():
         assert approx_trial(g, iter(list(range(60)))) == want
 
 
+def test_approx_trial_a_failed_bound_fails_every_verdict(monkeypatch):
+    # the bounds are theorems, so the failure is planted
+    def planted(g, report):
+        return BoundsReport(report.nu, report.ell, report.big_l, False, ("planted",))
+
+    monkeypatch.setattr(sys.modules["resmatch.spectrum"], "_check_bounds", planted)
+    trial = approx_trial(path(5), seeds=range(25))
+    assert trial.violations == ("planted",)
+    assert set(trial.verdicts) == {1, 2}
+    assert not any(ok for _, _, ok in trial.verdicts.values())
+
+
 def test_approx_trial_undefined_ratios_when_ell_zero():
     g = build_graph(2, [(1, 2)])  # deleting the only edge leaves nothing
     trial = approx_trial(g, seeds=[0, 1], cap=10)
-    assert not trial.ratios_defined
-    assert all(row.ratio_to_ell is None for row in trial.rows)
+    assert trial.ell == 0
+    assert trial.verdicts == {0: (None, None, True)}
