@@ -94,9 +94,12 @@ def parse_tolerance(spec: str) -> ToleranceFunction:
     """Parse 'identity', 'const:C', 'linear:p/q', 'log[:c]', 'sqrt[:c]'."""
     name, colon, coeff = spec.partition(":")
     kind = {"const": "constant"}.get(name, name)
-    if colon:  # a coefficient follows, and an empty one is refused
-        return ToleranceFunction(kind, parse_rational(coeff))
-    return ToleranceFunction(kind)
+    if not colon:
+        return ToleranceFunction(kind)
+    coefficient = parse_rational(coeff)  # a ':' promises one, so an empty one is refused
+    if kind == "identity":  # even 1, which ToleranceFunction alone cannot tell from none
+        raise ValueError("identity tolerance admits no coefficient")
+    return ToleranceFunction(kind, coefficient)
 
 
 @dataclass(frozen=True)
@@ -280,10 +283,8 @@ def _spectrum(stream: CappedStream, slots: dict | None = None, residuals=None) -
     for chosen, r in stream:
         if r not in first:
             first[r] = (stream.count, Matching(frozenset(chosen), n))
-        if slots is not None:
-            i = slots.get(chosen)
-            if i is not None:
-                residuals[i] = r
+        if slots is not None and chosen in slots:
+            residuals[slots[chosen]] = r
     ell, big_l = min(first), max(first)
     return SpectrumReport(
         nu=len(first[ell][1]),
@@ -410,17 +411,17 @@ def approx_trial(g: Graph, seeds, cap: int = DEFAULT_CAP) -> ApproxTrialReport:
     """
     seeds = list(seeds)  # read once here; _seeded_mates reads the list again
     slots: dict[tuple[tuple[int, int], ...], int] = {}
-    picks = []
-    for seed, mate in zip(seeds, _seeded_mates(g, seeds)):
+    picks = []  # the slot of each seed's matching, in seed order
+    for mate in _seeded_mates(g, seeds):
         edges = tuple([(v, w) for v, w in enumerate(mate) if w > v])
-        picks.append((seed, slots.setdefault(edges, len(slots))))
+        picks.append(slots.setdefault(edges, len(slots)))
     residuals: list[int | None] = [None] * len(slots)
     bounds = _check_bounds(g, _spectrum(CappedStream(g, cap), slots, residuals))
     ell, big_l = bounds.ell, bounds.big_l
     verdicts = {r: (Fraction(r, ell) if ell else None, Fraction(r, big_l) if ell else None,
                     bounds.ok and ell <= r <= big_l)
                 for r in set(residuals)}
-    rows = tuple((seed, residuals[i]) for seed, i in picks)
+    rows = tuple(zip(seeds, [residuals[i] for i in picks]))
     violations = bounds.violations + tuple(f"seed {seed}: residual {r} outside [{ell}, {big_l}]"
                                            for seed, r in rows if not ell <= r <= big_l)
     return ApproxTrialReport(bounds.nu, ell, big_l, rows, verdicts, violations)

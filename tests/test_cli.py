@@ -133,6 +133,11 @@ def test_compute_checks_k_and_f_before_enumerating(capsys, monkeypatch):
     # a ':' promises a coefficient, so an empty one is refused, not read as 1
     ("const:", "error: rational '' is not an integer, a decimal or p/q\n"),
     ("identity:", "error: rational '' is not an integer, a decimal or p/q\n"),
+    # identity takes no coefficient, not even one equal to 1
+    ("identity:1", "error: identity tolerance admits no coefficient\n"),
+    ("identity:1/1", "error: identity tolerance admits no coefficient\n"),
+    ("identity:1.0", "error: identity tolerance admits no coefficient\n"),
+    ("identity:2", "error: identity tolerance admits no coefficient\n"),
 ])
 def test_compute_checks_f_without_k(capsys, monkeypatch, spec, err):
     def no_spectrum(g, cap):

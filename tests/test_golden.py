@@ -73,6 +73,13 @@ CASES = {
     "r16-k1-log-yes": ["compute", "{r16}", "--k", "1", "--f", "log"],
     "r16-k0-linear-no": ["compute", "{r16}", "--k", "0", "--f", "linear:1/10"],
     "r16-k2-identity": ["compute", "{r16}", "--k", "2", "--f", "identity"],
+    # truncated reports: the exit status follows the report, whatever the answer
+    "p5-k1-const0-cap2-truncated-yes": ["compute", "{p5}", "--cap", "2", "--k", "1",
+                                        "--f", "const:0"],
+    "p5-k1-identity-cap1-truncated": ["compute", "{p5}", "--cap", "1", "--k", "1",
+                                      "--f", "identity"],
+    # a graph file that is not the formula's artifact: three graph discrepancies
+    "p5-m1-L-mismatch": ["verify", "{p5}", "{cnf_m1}", "--variant", "L"],
     **{
         f"{name}-{variant}-exhaustive": [
             "verify", f"{{art_{name}_{variant}}}", f"{{cnf_{name}}}",

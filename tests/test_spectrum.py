@@ -53,6 +53,12 @@ def test_tolerance_rejects_bad_specs():
     for spec in ("const:", "log:", "identity:"):  # a ':' with no coefficient
         with pytest.raises(ValueError, match="rational '' is not"):
             parse_tolerance(spec)
+    for spec in ("identity:1", "identity:1/1", "identity:1.0", "identity:0", "identity:2"):
+        # any coefficient is refused once it parses, even one equal to 1
+        with pytest.raises(ValueError, match="identity tolerance admits no coefficient"):
+            parse_tolerance(spec)
+    with pytest.raises(ValueError, match="rational 'x' is not"):
+        parse_tolerance("identity:x")
     with pytest.raises(ValueError, match="identity"):
         ToleranceFunction("identity", Fraction(2))
     with pytest.raises(ValueError, match="non-negative"):
@@ -286,11 +292,14 @@ def test_problem1_witness_is_first_hit_in_enumeration_order():
         g = random_graph(rng.randint(2, 9), rng.choice([0.3, 0.5]), rng)
         order = enumerate_maximum_matchings(g, cap=10**5).matchings
         residuals = [nu(delete_edges(g, m.edges)) for m in order]
+        caps = (1, 2, 10**5)
+        spectrum_truncated = {cap: spectrum(g, cap=cap).truncated for cap in caps}
+        assert spectrum_truncated == {cap: len(order) > cap for cap in caps}
         for spec in ("const:0", "const:1", "log"):
             f = parse_tolerance(spec)
             bound = f.evaluate(g.vertex_count)
             for k in range(g.vertex_count // 2 + 1):
-                for cap in (1, 2, 10**5):
+                for cap in caps:
                     res = decide_problem1(g, k, f, cap=cap)
                     hits = [i for i, r in enumerate(residuals[:cap]) if abs(r - k) <= bound]
                     if hits:
@@ -301,6 +310,9 @@ def test_problem1_witness_is_first_hit_in_enumeration_order():
                         answer = "unknown" if len(order) > cap else "no"
                         assert (res.answer, res.witness, res.enumerated) == (answer, None, seen)
                     assert res.truncated == (res.answer == "unknown")
+                    # compute exits on the report alone: a truncated answer
+                    # comes from a truncated spectrum
+                    assert not res.truncated or spectrum_truncated[cap]
 
 
 def test_problem1_tolerance_monotone():
