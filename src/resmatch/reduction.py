@@ -58,6 +58,11 @@ class StructuralDecodeError(ValueError):
     """A perfect matching does not decompose into pure cycle orientations."""
 
 
+def _check_variant(variant: str):
+    if variant not in VARIANTS:
+        raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
+
+
 @dataclass(frozen=True)
 class CnfInstance:
     num_vars: int
@@ -84,14 +89,11 @@ def all_assignments(num_vars: int):
         yield Assignment(bits)
 
 
-def literal_satisfied(lit: int, alpha: Assignment) -> bool:
-    value = alpha.of(abs(lit))
-    return value if lit > 0 else not value
-
-
 def sat_count(cnf: CnfInstance, alpha: Assignment) -> int:
     """Number of clauses with at least one satisfied literal."""
-    return sum(any(literal_satisfied(lit, alpha) for lit in cl) for cl in cnf.clauses)
+    # the literals alpha makes true: i for a TRUE variable i, -i for a FALSE one
+    true_literals = {i if value else -i for i, value in enumerate(alpha.values, start=1)}
+    return sum(not true_literals.isdisjoint(cl) for cl in cnf.clauses)
 
 
 def parse_dimacs(text: str) -> CnfInstance:
@@ -244,8 +246,7 @@ def build_artifact(cnf: CnfInstance, variant: str) -> ReductionArtifact:
     crosses the parity classes, and the counts are the closed-form ones.  A
     failed bulk check rescans the layout and names its first offender.
     """
-    if variant not in VARIANTS:
-        raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
+    _check_variant(variant)
     m, n = cnf.num_clauses, cnf.num_vars
 
     # spine path in column -1; every other edge, from the first, is a path
@@ -365,29 +366,39 @@ def encode_assignment(art: ReductionArtifact, alpha: Assignment) -> Matching:
     return matching_from_pairs(pairs, art.graph.vertex_count)
 
 
+def _orientation(art: ReductionArtifact, f: frozenset[Edge]) -> tuple[bool, ...] | int:
+    """The values tuple a perfect matching's edge set f encodes: per variable
+    cycle, TRUE if f holds its TRUE side, else FALSE if f holds its FALSE
+    side.  Each side is a perfect matching of the cycle's vertices, so
+    containment decides it.  Returns the number of the first variable whose
+    cycle carries neither side instead."""
+    values = []
+    for i, (true_side, false_side) in enumerate(art.cycles, start=1):
+        if true_side <= f:
+            values.append(True)
+        elif false_side <= f:
+            values.append(False)
+        else:
+            return i
+    return tuple(values)
+
+
 def decode_matching(art: ReductionArtifact, f: Matching) -> Assignment:
     """Read the assignment back out of a perfect matching.
 
-    Each variable is TRUE when f holds exactly the TRUE side of its cycle
-    and FALSE when it holds exactly the FALSE side.  Raises ValueError when
-    f is not a perfect matching of the artifact, and StructuralDecodeError
-    when some variable cycle carries neither side purely.  Perfection is a
-    size and subset test, so decoding runs no blossom.  Each side is a
-    perfect matching of its cycle's vertices, so a matching that holds one
-    side holds no other edge of that cycle, and containment decides it.
+    Each variable takes the value `_orientation` reads off its cycle.
+    Raises ValueError when f is not a perfect matching of the artifact, and
+    StructuralDecodeError when some variable cycle carries neither side
+    purely.  Perfection is a size and subset test, so decoding runs no
+    blossom.
     """
     if 2 * len(f) != art.graph.vertex_count or not _is_matching_of(art.graph, f, f.covered()):
         raise ValueError("decode requires a valid perfect matching of the artifact")
-    values: list[bool] = []
-    for i, (true_side, false_side) in enumerate(art.cycles, start=1):
-        if true_side <= f.edges:
-            values.append(True)
-        elif false_side <= f.edges:
-            values.append(False)
-        else:
-            raise StructuralDecodeError(f"cycle of variable {i} is not purely oriented"
-                                        " in this matching")
-    return Assignment(tuple(values))
+    values = _orientation(art, f.edges)
+    if isinstance(values, int):
+        raise StructuralDecodeError(f"cycle of variable {values} is not purely oriented"
+                                    " in this matching")
+    return Assignment(values)
 
 
 def _residual_of_sat(art: ReductionArtifact, s: int) -> int:
@@ -411,7 +422,7 @@ class ResidualCheck:
 
 @dataclass(frozen=True)
 class MatchingCensus:
-    """Census of all maximum matchings of an artifact, one decode each.
+    """Census of all maximum matchings of an artifact, each read as pure or hybrid.
 
     Pure matchings decode (perfect, pure cycle orientations); the rest are
     hybrids.  Encodings are exactly the pure matchings, so pure_count must
@@ -491,8 +502,10 @@ def _camel_case(record) -> dict:
 
 
 def check_exhaustive_limits(cnf: CnfInstance, variant: str):
-    """ValueError if cnf has more variables or clauses than an exhaustive
-    verification of its artifact in variant supports."""
+    """ValueError if variant is not one of VARIANTS, or if cnf has more
+    variables or clauses than an exhaustive verification of its artifact in
+    variant supports."""
+    _check_variant(variant)
     for noun, limit, count in (("variables", EXHAUSTIVE_VAR_LIMIT, cnf.num_vars),
                                ("clauses", EXHAUSTIVE_CLAUSE_LIMITS[variant], cnf.num_clauses)):
         if count > limit:
@@ -506,12 +519,14 @@ def verify_artifact(art: ReductionArtifact, exhaustive: bool = False) -> Certifi
     Structural: vertex/edge census against the closed-form expectations,
     parity bipartiteness, connectivity, maximum degree, and nu = |V|/2 via
     the matching engine.  Exhaustive (check_exhaustive_limits first): one
-    census pass decodes every maximum matching; the ones that decode must be
-    the 2^n encodings, and each assignment's residual check reads the
-    residual of the matching that decodes to it.  A decoded F is its
-    assignment's encoding exactly when core <= F, core being the
-    ENCODED_ROLES edges, so no encoding is rebuilt and no blossom runs
-    beyond the structural nu.
+    census pass reads each maximum matching F as the stream's edge tuple and
+    re-validates none: F is pure when it is perfect (2|F| = |V|) and
+    `_orientation` reads a side off every cycle, as in `decode_matching`,
+    and a hybrid otherwise.  The pure matchings must be the 2^n encodings,
+    and each assignment's residual check reads the residual of the pure
+    matching that decodes to it.  A pure F is its assignment's encoding
+    exactly when core <= F, core being the ENCODED_ROLES edges, so no
+    encoding or Matching is built and no blossom runs beyond the structural nu.
 
     The census stops after max(256, 8 * 2^n) matchings; EXHAUSTIVE_VAR_LIMIT
     does not bound it, as ell hybrid counts grow with m (worst count / 2^n on
@@ -545,33 +560,37 @@ def verify_artifact(art: ReductionArtifact, exhaustive: bool = False) -> Certifi
     nu_value = nu(g)
     check("nu", exp["nu"], nu_value)
 
-    residual_checks: dict[Assignment, ResidualCheck] = {}
+    residual_checks: dict[tuple[bool, ...], ResidualCheck] = {}  # keyed by assignment values
     census: MatchingCensus | None = None
     if exhaustive:
         pure_expected = 2**n
-        # a decoded matching is perfect with one side per cycle: an encoding iff it holds core
+        # a pure matching is perfect with one side per cycle: an encoding iff it holds core
         core = frozenset(e for e, role in art.roles.items() if role in ENCODED_ROLES)
         stream = CappedStream(g, cap=max(256, 8 * pure_expected))
         residual_min, residual_max = g.vertex_count, 0  # every residual lies in 0..|V|/2
-        pure: list[tuple[Assignment, int, bool]] = []  # (alpha, residual, is encode(alpha))
-        for chosen, r in stream:
-            residual_min, residual_max = min(residual_min, r), max(residual_max, r)
-            f = Matching(frozenset(chosen), g.vertex_count)
-            try:
-                alpha = decode_matching(art, f)
-            except ValueError:  # not perfect, or not purely oriented: a hybrid
+        pure: list[tuple[tuple[bool, ...], int, bool]] = []  # (values, residual, is their encoding)
+        for edges, r in stream:
+            if r < residual_min:
+                residual_min = r
+            if r > residual_max:
+                residual_max = r
+            if 2 * len(edges) != g.vertex_count:  # leaves are maximum matchings: a hybrid
                 continue
-            pure.append((alpha, r, core <= f.edges))
-        decoded = {alpha: (r, is_encoding) for alpha, r, is_encoding in pure}
+            f = frozenset(edges)
+            values = _orientation(art, f)
+            if isinstance(values, tuple):  # else a cycle carries neither side: a hybrid
+                pure.append((values, r, core <= f))
+        decoded = {values: (r, is_encoding) for values, r, is_encoding in pure}
         for alpha in all_assignments(n):
-            if alpha not in decoded:
+            if alpha.values not in decoded:
                 if not stream.truncated:
                     discrepancies.append(f"residual({alpha.bits()}): no matching decodes to it")
                 continue
-            actual, decode_ok = decoded[alpha]
+            actual, decode_ok = decoded[alpha.values]
             sat = sat_count(art.cnf, alpha)
             want = _residual_of_sat(art, sat)
-            rc = residual_checks[alpha] = ResidualCheck(alpha.bits(), sat, want, actual, decode_ok)
+            rc = ResidualCheck(alpha.bits(), sat, want, actual, decode_ok)
+            residual_checks[alpha.values] = rc
             if not rc.ok:
                 discrepancies.append(
                     f"residual({alpha.bits()}): expected {want}, got {actual},"
@@ -588,7 +607,7 @@ def verify_artifact(art: ReductionArtifact, exhaustive: bool = False) -> Certifi
             residual_max=residual_max,
             encoded_min=min(encoded, default=None),
             encoded_max=max(encoded, default=None),
-            residuals_ok=all(r == residual_checks[a].expected for a, r, _ in pure),
+            residuals_ok=all(r == residual_checks[values].expected for values, r, _ in pure),
         )
         if census.truncated:
             discrepancies.append("census: enumeration truncated, cannot certify")
@@ -632,8 +651,7 @@ def calibration(variant: str, eps: Fraction) -> Fraction:
     ell: requires 0 < eps < 1/80, delta = 11 - 7/8 - 10(1+eps).
     Both deltas land in the open interval (0, 1/8).
     """
-    if variant not in VARIANTS:
-        raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
+    _check_variant(variant)
     eps = Fraction(eps)
     if variant == "L":
         if not 0 < eps < Fraction(1, 88):

@@ -80,6 +80,9 @@ CASES = {
                                       "--f", "identity"],
     # a graph file that is not the formula's artifact: three graph discrepancies
     "p5-m1-L-mismatch": ["verify", "{p5}", "{cnf_m1}", "--variant", "L"],
+    # the same with the census: the compiled artifact's census, then the three
+    "p5-m1-L-mismatch-exhaustive": ["verify", "{p5}", "{cnf_m1}", "--variant", "L",
+                                    "--exhaustive"],
     **{
         f"{name}-{variant}-exhaustive": [
             "verify", f"{{art_{name}_{variant}}}", f"{{cnf_{name}}}",

@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import random
 from collections import Counter
 from fractions import Fraction
@@ -22,6 +23,7 @@ from resmatch.reduction import (
     all_assignments,
     build_artifact,
     calibration,
+    check_exhaustive_limits,
     decode_matching,
     encode_assignment,
     expected_counts,
@@ -149,6 +151,14 @@ def test_expected_counts_formulas():
 def test_build_rejects_bad_variant():
     with pytest.raises(ValueError, match="variant"):
         build_artifact(parse_dimacs(M1), "both")
+
+
+@pytest.mark.parametrize("check", [build_artifact, check_exhaustive_limits])
+def test_variant_checks_share_one_message(check):
+    # check_exhaustive_limits is library-only here: the CLI's --variant has choices
+    with pytest.raises(ValueError) as err:
+        check(parse_dimacs(M1), "x")
+    assert str(err.value) == "variant must be one of ('L', 'ell'), got 'x'"
 
 
 def test_artifact_roles_are_complete():
@@ -443,11 +453,14 @@ def test_exhaustive_reports_artifact_without_perfect_matching():
     assert any(msg.startswith("nu:") for msg in cert.discrepancies)
 
 
-@pytest.mark.parametrize("broken", [False, True], ids=["intact", "path-edge-deleted"])
-def test_exhaustive_verify_is_one_census_pass(monkeypatch, broken):
-    art = build_artifact(parse_dimacs(M1), "L")
-    if broken:  # no perfect matching: every maximum matching fails to decode
+@pytest.mark.parametrize("variant, text, broken", [("L", M1, False), ("L", M1, True),
+                                                  ("ell", M2_MIXED, False)],
+                         ids=["intact", "path-edge-deleted", "ell-with-hybrids"])
+def test_exhaustive_verify_is_one_census_pass(monkeypatch, variant, text, broken):
+    art = build_artifact(parse_dimacs(text), variant)
+    if broken:  # no perfect matching: every maximum matching is a hybrid
         art = _without_a_path_edge(art)
+    spectrum_module = importlib.import_module("resmatch.spectrum")
     calls = Counter()
 
     def counted(name, fn):
@@ -457,15 +470,20 @@ def test_exhaustive_verify_is_one_census_pass(monkeypatch, broken):
         return wrapper
 
     for module, name in ((reduction, "nu"), (matching, "nu"), (reduction, "decode_matching"),
-                         (reduction, "sat_count")):
+                         (reduction, "sat_count"), (matching, "validate_matching"),
+                         (spectrum_module, "_iter_maximum_matchings")):
         monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    monkeypatch.setattr(Matching, "__init__", counted("Matching", Matching.__init__))
     cert = verify_artifact(art, exhaustive=True)
     assert cert.ok is not broken
+    assert calls["_iter_maximum_matchings"] == 1  # one census pass
     assert calls["nu"] == 1  # the structural nu; residuals come from the census
-    assert calls["decode_matching"] == cert.census.count
     assert calls["sat_count"] == len(cert.residual_checks)  # one per checked assignment
+    # each leaf is read as the stream's edge tuple: nothing builds or checks a Matching
+    assert calls["Matching"] == calls["decode_matching"] == calls["validate_matching"] == 0
     if not broken:
-        assert cert.census.count == 2**art.cnf.num_vars
+        assert cert.census.pure_count == 2**art.cnf.num_vars
+        assert cert.census.hybrid_count == (variant == "ell") * 2
 
 
 def _close_anchor_square(art):
