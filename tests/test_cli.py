@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 from oracles import path, random_cnf
 
-from resmatch.cli import build_parser, main
+from resmatch.cli import COMPUTE_VERTEX_LIMIT, build_parser, main
 from resmatch.graph import emit_graph_file
 from resmatch.reduction import VARIANTS
 from resmatch.spectrum import ApproxTrialReport, approx_trial
@@ -145,6 +145,27 @@ def test_compute_checks_f_without_k(capsys, monkeypatch, spec, err):
 
     monkeypatch.setattr("resmatch.cli.spectrum", no_spectrum)
     assert run(capsys, "compute", P5, "--f", spec) == (2, "", err)
+
+
+def test_compute_refuses_inputs_above_the_vertex_limit(capsys, monkeypatch, tmp_path):
+    def no_spectrum(g, cap):
+        raise AssertionError("spectrum ran before the vertex limit")
+
+    monkeypatch.setattr("resmatch.cli.spectrum", no_spectrum)
+    graph = tmp_path / "huge.mg"
+    graph.write_text(f"p mg {COMPUTE_VERTEX_LIMIT + 1} 0\n")
+    for extra in ([], ["--k", "1", "--f", "const:0"]):
+        assert run(capsys, "compute", str(graph), *extra) == (
+            2, "", f"error: compute accepts at most {COMPUTE_VERTEX_LIMIT} vertices,"
+                   f" got {COMPUTE_VERTEX_LIMIT + 1}\n")
+
+
+def test_compute_accepts_inputs_at_the_vertex_limit(capsys, tmp_path):
+    graph = tmp_path / "limit.mg"
+    graph.write_text(f"p mg {COMPUTE_VERTEX_LIMIT} 1\ne 1 {COMPUTE_VERTEX_LIMIT}\n")
+    code, out, _ = run(capsys, "compute", str(graph))
+    assert code == 0
+    assert json.loads(out)["nu"] == 1
 
 
 def test_out_of_memory_exits_2_without_traceback(capsys, monkeypatch):
@@ -418,14 +439,32 @@ def test_bench_rejects_families_above_the_maximum(capsys, family, count):
                                        f" got {count}\n")
 
 
-@pytest.mark.parametrize("argv", [("cycle:2..4",), ("cycle:1..9:2",), ("cycle:5..2",),
-                                  ("random:n=4,count=0",), ("path:3..2",),
-                                  ("cycle:4", "--cap", "0"), ("cycle:4", "--cap", "-3")],
-                         ids=" ".join)
+# bench argv -> its error message; a number error names the field it is in
+BAD_FAMILIES = {
+    ("cycle:2..4",): "cycle family needs at least 3 vertices, got 2",
+    ("cycle:1..9:2",): "cycle family needs at least 3 vertices, got 1",
+    ("cycle:5..2",): "bad size range '5..2'",
+    ("random:n=4,count=0",): "family parameters n and count must be positive",
+    ("path:3..2",): "bad size range '3..2'",
+    ("cycle:4", "--cap", "0"): "--cap must be positive, got 0",
+    ("cycle:4", "--cap", "-3"): "--cap must be positive, got -3",
+    ("path:",): "family size '' is not an integer",
+    ("path:3..",): "family range end '' is not an integer",
+    ("path:x..3",): "family range start 'x' is not an integer",
+    ("cycle:3..5:",): "family step '' is not an integer",
+    ("random:n=",): "family parameter n '' is not an integer",
+    ("random:n=5,count=x",): "family parameter count 'x' is not an integer",
+    ("random:n=" + "9" * 5000,): f"family parameter n '{'9' * 40}' has too many digits",
+    ("random:n=4,p=",): "family parameter p: rational '' is not an integer, a decimal or p/q",
+    # a repeated key is refused, not read as its last value
+    ("random:n=5,n=6",): "family parameter n is given twice",
+    ("random-bipartite:p=1/2,count=2,p=1/3",): "family parameter p is given twice",
+}
+
+
+@pytest.mark.parametrize("argv", list(BAD_FAMILIES), ids=lambda argv: " ".join(argv)[:40])
 def test_bench_bad_family_prints_no_rows(capsys, argv):
-    code, out, err = run(capsys, "bench", *argv)
-    assert (code, out) == (2, "")
-    assert err.startswith("error: ")
+    assert run(capsys, "bench", *argv) == (2, "", f"error: {BAD_FAMILIES[argv]}\n")
 
 
 @pytest.mark.parametrize("family, largest", [
