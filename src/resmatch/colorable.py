@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Graph, require_bipartite
+from .graph import Bipartition, Graph, require_bipartite
 from .matching import _blossom, _search_arrays, nu
 
 
@@ -49,7 +49,7 @@ def _two_color(chosen: set[tuple[int, int]]) -> tuple[frozenset, frozenset]:
     return frozenset(classes[0]), frozenset(classes[1])
 
 
-def nu2_bipartite(g: Graph) -> ColorableResult:
+def nu2_bipartite(g: Graph, b: Bipartition | None = None) -> ColorableResult:
     """Largest union of two disjoint matchings in a bipartite graph.
 
     One maximum matching of Tutte's degree-constraint gadget: vertex u gets
@@ -59,9 +59,10 @@ def nu2_bipartite(g: Graph) -> ColorableResult:
     otherwise, so the gadget's maximum matching has |E| + nu2 edges.  An edge
     is chosen when its a and b are both matched, not to each other (a matched
     with b free is not chosen); the chosen edges have maximum degree two and
-    the witness splits them into two matchings.
+    the witness splits them into two matchings.  A given bipartition b is
+    checked against g instead of two-coloring g again.
     """
-    require_bipartite(g)
+    require_bipartite(g, b)
     n = g.vertex_count
     edges = g.sorted_edges()
     gadget: list[list[int]] = [[] for _ in range(2 * n + 2 * len(edges) + 1)]

@@ -263,12 +263,18 @@ def parse_graph_file(text: str) -> Graph:
 
 
 def emit_graph_file(g: Graph) -> str:
-    """Serialize g in canonical form: sorted records, no comments."""
+    """Serialize g in canonical form: sorted records, no comments.
+
+    Edge records come from the upper half (v > u) of each adjacency list in
+    vertex order: u rises from list to list and each list is sorted, so the
+    pairs come out in the order of sorted(g.edges) without a sort."""
     lines = [f"p mg {g.vertex_count} {g.edge_count}"]
     if g.coords is not None:
         for vid in sorted(g.coords):
             x, y = g.coords[vid]
             lines.append(f"v {vid} {x} {y}")
-    for u, v in g.sorted_edges():
-        lines.append(f"e {u} {v}")
+    for u, nbrs in enumerate(g.adjacency()):
+        for v in nbrs:
+            if v > u:
+                lines.append(f"e {u} {v}")
     return "\n".join(lines) + "\n"

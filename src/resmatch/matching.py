@@ -76,8 +76,10 @@ def _blossom(n: int, adj: list[list[int]], order, arrays, outer=None) -> list[in
     """Mate of every vertex of a maximum matching (0 = unmatched; slot 0 unused).
 
     A greedy pass over `order`, then one `_augment` from each still-free root
-    in `order`, with the caller's scratch arrays (`_search_arrays(n)`, no edge
-    skipped).  Ties fall to the order of `order` and of each adjacency list.
+    in `order` that has a neighbour, with the caller's scratch arrays
+    (`_search_arrays(n)`, no edge skipped): an isolated root's search would
+    reach only the root and fail.  Ties fall to the order of `order` and of
+    each adjacency list.
 
     The list outer, if given, goes to each root's search and so ends up
     holding D(G), the vertices some maximum matching misses.  A search from
@@ -99,7 +101,10 @@ def _blossom(n: int, adj: list[list[int]], order, arrays, outer=None) -> list[in
                     break
     for root in order:
         if match[root] == 0:
-            _augment(adj, match, root, 0, arrays, outer)
+            if adj[root]:
+                _augment(adj, match, root, 0, arrays, outer)
+            elif outer is not None:  # what its search would add: every matching misses it
+                outer.append(root)
     return match
 
 

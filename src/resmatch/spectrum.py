@@ -36,7 +36,8 @@ TOLERANCE_KINDS = ("constant", "linear", "log", "sqrt", "identity")
 
 DEFAULT_CAP = 10**6  # maximum matchings an enumeration reads before it truncates
 
-_RATIONAL = re.compile(r"\s*[-+]?(\d+(/\d+)?|\d*\.\d+|\d+\.)\s*")
+# ASCII digits and blanks only: Fraction would also read 1_0 and non-ASCII digits
+_RATIONAL = re.compile(r"\s*[-+]?(\d+(/\d+)?|\d*\.\d+|\d+\.)\s*", re.ASCII)
 
 
 class TruncatedSpectrumError(RuntimeError):

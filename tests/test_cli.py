@@ -29,6 +29,21 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _counting(monkeypatch, target: str) -> list:
+    """Replace target (a dotted path) by a wrapper that records each call's
+    first argument and then calls it; returns the record."""
+    module, _, name = target.rpartition(".")
+    real = getattr(__import__(module, fromlist=[name]), name)
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(target, wrapper)
+    return calls
+
+
 def test_compute_p5(capsys):
     code, out, _ = run(capsys, "compute", P5)
     assert code == 0
@@ -109,6 +124,16 @@ def test_compute_problem1_no(capsys):
     assert p1["witness"] is None
 
 
+def test_compute_two_colors_the_graph_once(capsys, monkeypatch):
+    """nu2_bipartite checks the bipartition compute found, rather than
+    finding one again."""
+    in_cli = _counting(monkeypatch, "resmatch.cli.bipartition")
+    in_graph = _counting(monkeypatch, "resmatch.graph.bipartition")  # require_bipartite's
+    code, out, _ = run(capsys, "compute", TWIN)
+    assert code == 0 and json.loads(out)["nu2"] == 8
+    assert len(in_cli) + len(in_graph) == 1
+
+
 def test_compute_parse_error_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.mg"
     bad.write_text("p mg 2 1\ne 1 1\n")
@@ -185,6 +210,13 @@ def test_out_of_memory_exits_2_without_traceback(capsys, monkeypatch):
     ("bench", "random:n=4,count=1,p=-1/2"),
     ("calibrate", "--epsilon", "1/0"),
     ("calibrate", "--epsilon", "1/100", "--c", "1/0"),
+    # ASCII digits and blanks, no separator: the pattern refuses what Fraction would read
+    ("calibrate", "--epsilon", "\u0663"),
+    ("calibrate", "--epsilon", "1/1_00"),
+    ("calibrate", "--epsilon", "1/100", "--c", "\uff13/4"),
+    ("calibrate", "--epsilon", "\u20031/100"),
+    ("compute", P5, "--k", "1", "--f", "linear:\uff13/4"),
+    ("bench", "random:n=4,count=1,p=1/\u0663"),
 ])
 def test_bad_rationals_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -302,6 +334,45 @@ def test_verify_needs_the_artifact_coordinates(tmp_path, capsys):
     d = json.loads(out)
     assert d["graph_matches_artifact"] is False
     assert d["discrepancies"] == ["input graph is not the compiled artifact"]
+
+
+@pytest.mark.parametrize("variant, cnf", [("L", CNF1), ("ell", CNF2)])
+def test_verify_parses_a_reordered_artifact_to_the_same_report(
+        tmp_path, capsys, monkeypatch, variant, cnf):
+    """The canonical file is recognised by its text and not parsed; the same
+    records reordered, with a comment and a blank line, go through the
+    parser and give the same report byte for byte."""
+    canonical = tmp_path / "art.mg"
+    run(capsys, "reduce", cnf, "--variant", variant, "--output", str(canonical))
+    lines = canonical.read_text().splitlines()
+    edges = [line for line in lines if line.startswith("e ")]
+    reordered = tmp_path / "reordered.mg"
+    reordered.write_text("\n".join([line for line in lines if not line.startswith("e ")]
+                                   + ["# edge records in reverse order", ""] + edges[::-1]) + "\n")
+    parsed = _counting(monkeypatch, "resmatch.cli.parse_graph_file")
+
+    want = run(capsys, "verify", str(canonical), cnf, "--variant", variant)
+    assert want[0] == 0 and json.loads(want[1])["graph_matches_artifact"] is True
+    assert parsed == []
+    assert run(capsys, "verify", str(reordered), cnf, "--variant", variant) == want
+    assert parsed == [reordered.read_text()]
+
+
+def test_verify_exhaustive_refuses_a_malformed_edge_record_before_the_census(
+        tmp_path, capsys, monkeypatch):
+    graph_path = tmp_path / "art.mg"
+    run(capsys, "reduce", CNF1, "--variant", "L", "--output", str(graph_path))
+    lines = graph_path.read_text().splitlines()
+    at = next(i for i, line in enumerate(lines) if line.startswith("e "))
+    lines[at] = "e 3 y"
+    graph_path.write_text("\n".join(lines) + "\n")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the census started")
+
+    monkeypatch.setattr("resmatch.reduction.CappedStream", refuse)
+    code, out, err = run(capsys, "verify", str(graph_path), CNF1, "--variant", "L", "--exhaustive")
+    assert (code, out, err) == (2, "", f"error: line {at + 1}: malformed edge record 'e 3 y'\n")
 
 
 def test_verify_exhaustive_limit(tmp_path, capsys):
@@ -455,6 +526,13 @@ BAD_FAMILIES = {
     ("random:n=",): "family parameter n '' is not an integer",
     ("random:n=5,count=x",): "family parameter count 'x' is not an integer",
     ("random:n=" + "9" * 5000,): f"family parameter n '{'9' * 40}' has too many digits",
+    # ASCII digits only, as in the rational reader: no separators, no other scripts
+    ("path:1_0",): "family size '1_0' is not an integer",
+    ("cycle:3..1_2",): "family range end '1_2' is not an integer",
+    ("random:n=\u0663,count=1",): "family parameter n '\u0663' is not an integer",
+    ("random:n=4,count=\uff12",): "family parameter count '\uff12' is not an integer",
+    ("path:3..6:\u00b2",): "family step '\u00b2' is not an integer",
+    ("path:\u20035",): "family size '\\u20035' is not an integer",  # repr escapes the blank
     ("random:n=4,p=",): "family parameter p: rational '' is not an integer, a decimal or p/q",
     # a repeated key is refused, not read as its last value
     ("random:n=5,n=6",): "family parameter n is given twice",

@@ -46,6 +46,18 @@ def test_same_stream_on_bipartite(seed):
     assert_same_stream(random_bipartite(rng.randint(2, 14), 40, rng))
 
 
+@pytest.mark.parametrize("seed", range(30))
+def test_same_stream_with_isolated_vertices(seed):
+    """A G(n, p) graph spread over a larger vertex set, so that isolated
+    vertices sit between, before and after its vertices: the root blossom
+    searches from no isolated root, and each must still be missable."""
+    rng = random.Random(700 + seed)
+    g = random_graph(rng.randint(1, 11), rng.choice((0.2, 0.35, 0.5)), rng)
+    total = g.vertex_count + rng.randint(1, 4)
+    label = [0, *sorted(rng.sample(range(1, total + 1), g.vertex_count))]
+    assert_same_stream(build_graph(total, [(label[u], label[v]) for u, v in g.edges]))
+
+
 def dense24(seed: int):
     """24 vertices, 68 edges drawn from all pairs: thousands of maximum matchings."""
     pairs = [(u, v) for u in range(1, 25) for v in range(u + 1, 25)]

@@ -166,6 +166,26 @@ def test_emit_without_coords_has_no_vertex_records():
     assert text == "p mg 2 1\ne 1 2\n"
 
 
+def test_emitted_edge_records_are_the_sorted_edges():
+    """The edge records come from the adjacency lists, not from a sort: they
+    must still be the sorted edge pairs, on the seeded graphs of
+    _helper_graphs (vertexless, edgeless, isolated vertices, no coordinates)
+    and on some of them with shuffled coordinates, and parse back to g."""
+    rng = random.Random("emit-order")
+    graphs = _helper_graphs()
+    for g in graphs[1::10]:
+        xs = list(range(g.vertex_count))
+        rng.shuffle(xs)
+        graphs.append(build_graph(g.vertex_count, list(g.edges),
+                                  {v: (xs[v - 1], v % 3) for v in range(1, g.vertex_count + 1)}))
+    assert graphs[0].vertex_count == 0 and graphs[-1].coords is not None
+    for g in graphs:
+        text = emit_graph_file(g)
+        assert [line for line in text.splitlines() if line[0] == "e"] == [
+            f"e {u} {v}" for u, v in sorted(g.edges)]
+        assert parse_graph_file(text) == g
+
+
 @pytest.mark.parametrize(
     "text, fragment",
     [
