@@ -15,6 +15,7 @@ import csv
 import dataclasses
 import functools
 import gc
+import io
 import json
 import os
 import random
@@ -179,13 +180,18 @@ def cmd_verify(args) -> int:
 _INTEGER = re.compile(r"\s*[-+]?\d+\s*", re.ASCII)
 
 
-def _int_field(text: str, field: str) -> int:
+def _int_field(text: str, field: str, error: type[Exception] = ValueError) -> int:
     if not _INTEGER.fullmatch(text):
-        raise ValueError(f"family {field} {text[:40]!r} is not an integer")
+        raise error(f"{field} {text[:40]!r} is not an integer")
     try:
         return int(text)
     except ValueError:  # more digits than int() converts
-        raise ValueError(f"family {field} {text[:40]!r} has too many digits") from None
+        raise error(f"{field} {text[:40]!r} has too many digits") from None
+
+
+def _int_option(text: str) -> int:
+    """The type of the integer options; argparse names the option in the error."""
+    return _int_field(text, "value", argparse.ArgumentTypeError)
 
 
 def _parse_sizes(text: str) -> range:
@@ -193,14 +199,14 @@ def _parse_sizes(text: str) -> range:
     step = 1
     if ":" in text:
         text, step_text = text.split(":", 1)
-        step = _int_field(step_text, "step")
+        step = _int_field(step_text, "family step")
         if step < 1:
             raise ValueError(f"step must be positive, got {step}")
     if ".." in text:
         lo_text, hi_text = text.split("..", 1)
-        lo, hi = _int_field(lo_text, "range start"), _int_field(hi_text, "range end")
+        lo, hi = _int_field(lo_text, "family range start"), _int_field(hi_text, "family range end")
     else:
-        lo = hi = _int_field(text, "size")
+        lo = hi = _int_field(text, "family size")
     if lo < 1 or hi < lo:
         raise ValueError(f"bad size range {text!r}")
     return range(lo, hi + 1, step)
@@ -260,8 +266,8 @@ def _family_graphs(spec: str, seed: int):
         unknown = set(params) - {"n", "count", "p"}
         if unknown:
             raise ValueError(f"unknown family parameter(s): {sorted(unknown)}")
-        n = _int_field(params.get("n", "8"), "parameter n")
-        count = _int_field(params.get("count", "10"), "parameter count")
+        n = _int_field(params.get("n", "8"), "family parameter n")
+        count = _int_field(params.get("count", "10"), "family parameter count")
         try:
             p = parse_rational(params.get("p", "1/3"))
         except ValueError as exc:
@@ -302,6 +308,13 @@ BENCH_COLUMNS = (
 )
 
 
+def _csv_text(cells) -> str:
+    """cells as csv.writer writes them in a row, without the line end."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(cells)
+    return buf.getvalue()[:-1]
+
+
 def cmd_bench(args) -> int:
     if args.trials < 1:  # no seeds, no rows: nothing would be checked
         raise ValueError(f"--trials must be positive, got {args.trials}")
@@ -325,15 +338,18 @@ def cmd_bench(args) -> int:
                 writer.writerow([label, g.vertex_count, g.edge_count,
                                  nu(g), "", "", True, "", "", "", "", False])
                 continue
-            head = [label, g.vertex_count, g.edge_count, trial.nu, trial.ell, trial.big_l, False]
-            cells = {}  # residual -> its ratio_ell, ratio_L and ok cells
+            # a row's other cells are fixed per graph (the first seven) or per
+            # residual (the last three): each is formatted once, by csv
+            head = _csv_text([label, g.vertex_count, g.edge_count,
+                              trial.nu, trial.ell, trial.big_l, False])
+            tails = {}  # residual -> its ratio_ell, ratio_L and ok cells
             for r, (r_ell, r_big_l, ok) in trial.verdicts.items():
                 if r_ell is not None:
                     observed_ell_ratios.add(r_ell)
-                cells[r] = ["" if x is None else _rat(x) for x in (r_ell, r_big_l)] + [ok]
-            for seed, r in trial.rows:
-                violations += not cells[r][2]
-                writer.writerow([*head, seed, r, *cells[r]])
+                if not ok:
+                    violations += sum(x == r for _, x in trial.rows)
+                tails[r] = _csv_text(["" if x is None else _rat(x) for x in (r_ell, r_big_l)] + [ok])
+            fh.writelines(f"{head},{seed},{r},{tails[r]}\n" for seed, r in trial.rows)
     ratio_note = ",".join(_rat(r) for r in sorted(observed_ell_ratios)[:12])
     print(f"bench: {violations} violation(s), {truncations} truncation(s),"
           f" ratios to ell observed: [{ratio_note}]", file=sys.stderr)
@@ -367,8 +383,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_compute = sub.add_parser("compute", help="spectrum report for a graph file")
     p_compute.add_argument("input")
     p_compute.add_argument("--output")
-    p_compute.add_argument("--cap", type=int, default=DEFAULT_CAP)
-    p_compute.add_argument("--k", type=int, default=None)
+    p_compute.add_argument("--cap", type=_int_option, default=DEFAULT_CAP)
+    p_compute.add_argument("--k", type=_int_option, default=None)
     p_compute.add_argument("--f", default="identity",
                            help="tolerance: identity, const:C, linear:C, log[:C], sqrt[:C];"
                                 " C is a rational: an integer, a decimal or p/q")
@@ -393,10 +409,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("family",
                          help="path:N, cycle:A..B[:STEP], random:n=,count=,p=,"
                               " random-bipartite:n=,count=,p=")
-    p_bench.add_argument("--trials", type=int, default=5,
+    p_bench.add_argument("--trials", type=_int_option, default=5,
                          help=f"seeded matchings per graph, 1..{MAX_TRIALS}")
-    p_bench.add_argument("--seed", type=int, default=1)
-    p_bench.add_argument("--cap", type=int, default=10**5)
+    p_bench.add_argument("--seed", type=_int_option, default=1)
+    p_bench.add_argument("--cap", type=_int_option, default=10**5)
     p_bench.add_argument("--output")
     p_bench.set_defaults(func=cmd_bench)
 

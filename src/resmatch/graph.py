@@ -110,7 +110,9 @@ def _assemble(
             raise ValueError("coords must cover every vertex when present")
         if len(set(coords.values())) != vertex_count:
             raise ValueError("coords must be injective")
-        coords = dict(sorted(coords.items()))
+        # an empty map (only a vertexless graph has one) is stored as no map,
+        # which is what parse_graph_file reads back from emit_graph_file
+        coords = dict(sorted(coords.items())) or None
     return Graph(vertex_count, seen, coords)
 
 

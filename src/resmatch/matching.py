@@ -24,6 +24,10 @@ serves a batch of seeds on one graph: it builds the lists, their shuffle plan
 (`_shuffle_plan`), the search arrays and one `random.Random` once, and per
 seed reseeds the generator (the stream of `random.Random(seed)`), shuffles
 copies (`_shuffled`) and runs `_blossom`; `max_matching` is one such seed.
+Every seed after a batch's first hands `_blossom` the first one's size, and
+`_blossom` starts no root search once its matching has that size: all
+maximum matchings have it, so the searches it skips would all fail, and a
+failing search writes nothing to the matching.
 `tests/golden/seeded_matchings.json` and the differential tests in
 `tests/test_matching.py` pin that equivalence.  Should a later CPython change
 its shuffle, both fail; the fix is then to drop the inline copy and call
@@ -72,7 +76,7 @@ class MatchingFlags:
     perfect: bool
 
 
-def _blossom(n: int, adj: list[list[int]], order, arrays, outer=None) -> list[int]:
+def _blossom(n: int, adj: list[list[int]], order, arrays, outer=None, size=None) -> list[int]:
     """Mate of every vertex of a maximum matching (0 = unmatched; slot 0 unused).
 
     A greedy pass over `order`, then one `_augment` from each still-free root
@@ -80,6 +84,16 @@ def _blossom(n: int, adj: list[list[int]], order, arrays, outer=None) -> list[in
     (`_search_arrays(n)`, no edge skipped): an isolated root's search would
     reach only the root and fail.  Ties fall to the order of `order` and of
     each adjacency list.
+
+    With size, the size of a maximum matching of the graph, no root search
+    starts once 2 * size vertices are matched, and the result is the same:
+    all maximum matchings of a graph have one size, so a matching of that
+    size is maximum; in a maximum matching there is no augmenting path
+    (Berge), so every search left would fail; and a failing `_augment` writes
+    nothing to match (only the final flip along a found path writes) and
+    leaves the arrays as it found them (it resets what it reached, and mark
+    is only ever compared with a fresh stamp).  size must not come with
+    outer: D(G) needs the outer vertices of every failing search.
 
     The list outer, if given, goes to each root's search and so ends up
     holding D(G), the vertices some maximum matching misses.  A search from
@@ -99,10 +113,14 @@ def _blossom(n: int, adj: list[list[int]], order, arrays, outer=None) -> list[in
                     match[v] = to
                     match[to] = v
                     break
+    # augmentations still to find; without size -1, which only falls and so never reaches 0
+    short = -1 if size is None else size - (n + 1 - match.count(0)) // 2
     for root in order:
         if match[root] == 0:
+            if not short:  # the matching has size: every search left would fail
+                break
             if adj[root]:
-                _augment(adj, match, root, 0, arrays, outer)
+                short -= _augment(adj, match, root, 0, arrays, outer)
             elif outer is not None:  # what its search would add: every matching misses it
                 outer.append(root)
     return match
@@ -241,17 +259,24 @@ def _shuffled(lists, plan, getrandbits):
 def _seeded_mates(g: Graph, seeds):
     """The mate array of `max_matching(g, seed)` for each of seeds in turn;
     the lists (each adjacency list, then the vertex order), their plan, the
-    search arrays and the generator are built once per call, not per seed."""
+    search arrays and the generator are built once per call, not per seed.
+    Every seed after the first passes the first one's size to `_blossom`,
+    which then starts no search once the matching has that size: the same
+    mate arrays, without the searches that would fail."""
     n = g.vertex_count
     lists = [*g.adjacency(), list(range(1, n + 1))]
     plan = _shuffle_plan(lists)
     arrays = _search_arrays(n)
     rng = random.Random()
     getrandbits = rng.getrandbits
+    size = None  # the size of every maximum matching of g, once the first seed has one
     for seed in seeds:
         rng.seed(seed)
         adj = _shuffled(lists, plan, getrandbits)
-        yield _blossom(n, adj, adj.pop(), arrays)  # the last list is the vertex order
+        mate = _blossom(n, adj, adj.pop(), arrays, size=size)  # the last list is the vertex order
+        if size is None:
+            size = (n + 1 - mate.count(0)) // 2
+        yield mate
 
 
 def max_matching(g: Graph, seed: int = 0) -> Matching:

@@ -405,17 +405,18 @@ def approx_trial(g: Graph, seeds, cap: int = DEFAULT_CAP) -> ApproxTrialReport:
 
     seeds may be a one-shot iterator; it is read once.  The seeded matchings
     come first, from one `_seeded_mates` batch (one set-up, one reseeded
-    generator), each distinct one in a slot keyed by its sorted edge tuple,
-    the enumeration's own leaf; the one pass over the enumeration that builds
-    the spectrum then reads off r for each slot, so the seeded pass runs
+    generator), each distinct one in a slot, in order of first appearance:
+    the seeds are keyed by mate array, and each distinct one is then keyed
+    by its sorted edge tuple, the enumeration's own leaf, built once per
+    slot rather than once per seed.  The one pass over the enumeration that
+    builds the spectrum reads off r for each slot, so the seeded pass runs
     even when the spectrum turns out truncated.
     """
     seeds = list(seeds)  # read once here; _seeded_mates reads the list again
-    slots: dict[tuple[tuple[int, int], ...], int] = {}
-    picks = []  # the slot of each seed's matching, in seed order
-    for mate in _seeded_mates(g, seeds):
-        edges = tuple([(v, w) for v, w in enumerate(mate) if w > v])
-        picks.append(slots.setdefault(edges, len(slots)))
+    firsts: dict[tuple[int, ...], int] = {}  # each distinct mate array -> its slot
+    picks = [firsts.setdefault(tuple(mate), len(firsts)) for mate in _seeded_mates(g, seeds)]
+    slots = {tuple([(v, w) for v, w in enumerate(mate) if w > v]): i
+             for mate, i in firsts.items()}
     residuals: list[int | None] = [None] * len(slots)
     bounds = _check_bounds(g, _spectrum(CappedStream(g, cap), slots, residuals))
     ell, big_l = bounds.ell, bounds.big_l

@@ -225,6 +225,37 @@ def test_bad_rationals_exit_2(capsys, argv):
     assert "Traceback" not in err
 
 
+# each integer option, after the arguments its command needs
+INTEGER_OPTIONS = [("compute", P5, "--k"), ("compute", P5, "--cap"),
+                   ("bench", "path:3", "--trials"), ("bench", "path:3", "--seed"),
+                   ("bench", "path:3", "--cap")]
+
+
+@pytest.mark.parametrize("text, error", [
+    # ASCII digits and blanks, no separator: the digit rule of the family fields
+    ("1_0", "is not an integer"),
+    ("\u0663", "is not an integer"),
+    ("\uff13", "is not an integer"),
+    ("\u20035", "is not an integer"),
+    ("x", "is not an integer"),
+    ("9" * 5000, "has too many digits"),
+])
+@pytest.mark.parametrize("argv", INTEGER_OPTIONS, ids=lambda argv: f"{argv[0]} {argv[-1]}")
+def test_integer_options_take_ascii_digits_only(capsys, argv, text, error):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, text])
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out) == (2, "")
+    assert captured.err.endswith(f"error: argument {argv[-1]}: value {text[:40]!r} {error}\n")
+
+
+@pytest.mark.parametrize("argv", INTEGER_OPTIONS, ids=lambda argv: f"{argv[0]} {argv[-1]}")
+def test_integer_options_read_signs_and_ascii_blanks(capsys, argv):
+    name = argv[-1][2:]
+    assert vars(build_parser().parse_args([*argv, " +3 "]))[name] == 3
+    assert vars(build_parser().parse_args([*argv, "-2"]))[name] == -2
+
+
 @pytest.mark.parametrize("exponent", ["1e5000", "1e999", "1e2000000", "1e-3"])
 def test_rationals_refuse_exponents(capsys, exponent):
     start = time.perf_counter()

@@ -106,6 +106,9 @@ CASES = {
     "bench-path": ["bench", "path:2..6"],
     "bench-cycle": ["bench", "cycle:3..7:2"],
     "bench-random": ["bench", "random:n=8,count=3,p=1/3", "--seed", "4"],
+    # the same rows written to a file: the streamed rows pinned with --output
+    "bench-random-output": ["bench", "random:n=8,count=3,p=1/3", "--seed", "4",
+                            "--output", "{out}"],
     "bench-random-bipartite": ["bench", "random-bipartite:n=8,count=2,p=1/2"],
     "bench-random-cap2-truncated": ["bench", "random:n=8,count=3,p=1/3", "--seed", "4",
                                     "--cap", "2"],

@@ -169,8 +169,9 @@ def test_emit_without_coords_has_no_vertex_records():
 def test_emitted_edge_records_are_the_sorted_edges():
     """The edge records come from the adjacency lists, not from a sort: they
     must still be the sorted edge pairs, on the seeded graphs of
-    _helper_graphs (vertexless, edgeless, isolated vertices, no coordinates)
-    and on some of them with shuffled coordinates, and parse back to g."""
+    _helper_graphs (vertexless, edgeless, isolated vertices, no coordinates),
+    on some of them with shuffled coordinates and on the vertexless graph
+    with an empty coordinate map, and parse back to g."""
     rng = random.Random("emit-order")
     graphs = _helper_graphs()
     for g in graphs[1::10]:
@@ -178,7 +179,8 @@ def test_emitted_edge_records_are_the_sorted_edges():
         rng.shuffle(xs)
         graphs.append(build_graph(g.vertex_count, list(g.edges),
                                   {v: (xs[v - 1], v % 3) for v in range(1, g.vertex_count + 1)}))
-    assert graphs[0].vertex_count == 0 and graphs[-1].coords is not None
+    graphs.append(build_graph(0, [], {}))  # an empty map round-trips as no map
+    assert graphs[0].vertex_count == 0 and graphs[-2].coords is not None
     for g in graphs:
         text = emit_graph_file(g)
         assert [line for line in text.splitlines() if line[0] == "e"] == [

@@ -243,15 +243,65 @@ def test_seeded_matching_is_the_shuffled_blossom():
             assert max_matching(g, seed) == _matching(reference_mates(g, seed))
 
 
-@pytest.mark.parametrize("g", [
-    build_graph(0, []),
-    build_graph(1, []),
-    build_graph(5, []),
-    build_graph(9, [(2, 3), (3, 4), (4, 2), (4, 7), (7, 8)]),  # 1, 5, 6 and 9 isolated
-    PETERSEN,
-], ids=["n0", "n1", "isolated5", "triangle-tail", "petersen"])
+# Graphs for a batch of seeds, each later seed of which stops searching at
+# the first seed's size: the empty graph, one vertex, an edgeless graph, a
+# triangle with a tail and isolated vertices (odd order), graphs whose first
+# seed's greedy pass is short of maximum (Petersen, P_13, odd order), and one
+# whose later seeds need up to two augmentations (P_12).
+BATCH_GRAPHS = {
+    "n0": build_graph(0, []),
+    "n1": build_graph(1, []),
+    "isolated5": build_graph(5, []),
+    "triangle-tail": build_graph(9, [(2, 3), (3, 4), (4, 2), (4, 7), (7, 8)]),  # 1, 5, 6, 9 isolated
+    "petersen": PETERSEN,
+    "p12": path(12),
+    "p13": path(13),
+}
+
+
+@pytest.mark.parametrize("g", BATCH_GRAPHS.values(), ids=BATCH_GRAPHS)
 def test_a_batch_of_seeds_is_the_shuffled_blossom_per_seed(g):
     assert list(_seeded_mates(g, BATCH)) == [reference_mates(g, seed) for seed in BATCH]
+
+
+def _searches_per_seed(g, monkeypatch) -> list:
+    """For each seed of BATCH in turn, (matched vertices, augmented) for each
+    search `_seeded_mates` starts."""
+    searches = []
+    real = _augment
+
+    def counted(adj, match, root, lo, arrays, outer=None):
+        matched = len(match) - match.count(0)
+        searches.append((matched, real(adj, match, root, lo, arrays, outer)))
+        return searches[-1][1]
+
+    monkeypatch.setattr("resmatch.matching._augment", counted)
+    per_seed = []
+    for _ in _seeded_mates(g, BATCH):
+        per_seed.append(searches[:])
+        searches.clear()
+    return per_seed
+
+
+@pytest.mark.parametrize("g", BATCH_GRAPHS.values(), ids=BATCH_GRAPHS)
+def test_a_batch_starts_no_search_at_the_first_seeds_size(g, monkeypatch):
+    # every seed after the first knows the size of a maximum matching, so no
+    # search starts once its matching has that size: such a search would fail
+    # (one could start only where a maximum matching leaves vertices free)
+    size = nu(g)
+    per_seed = _searches_per_seed(g, monkeypatch)
+    assert len(per_seed) == len(BATCH)
+    assert all(matched < 2 * size for later in per_seed[1:] for matched, _ in later)
+
+
+def test_the_batch_graphs_augment_after_the_greedy_pass(monkeypatch):
+    # the first seed of Petersen and of P_13 augments, and a later seed of
+    # P_12 augments twice: a batch reaches its size by searching too
+    augments = {name: [sum(augmented for _, augmented in seed)
+                       for seed in _searches_per_seed(BATCH_GRAPHS[name], monkeypatch)]
+                for name in ("petersen", "p12", "p13")}
+    assert augments["petersen"][0] >= 1 and augments["p13"][0] >= 1
+    assert max(augments["p12"][1:]) >= 2
 
 
 def test_a_batch_of_seeds_on_random_graphs():

@@ -416,6 +416,35 @@ def test_approx_trial_residuals_are_the_cold_residuals_up_to_14_vertices():
             (seed, residual(g, max_matching(g, seed))) for seed in seeds]
 
 
+@pytest.mark.parametrize("g", [
+    path(6),  # one maximum matching
+    cycle(6),  # two
+    path(5),  # three
+    build_graph(7, [(1, v) for v in range(2, 8)]),  # a star: six, one edge each
+    build_graph(8, [(1, 2), (3, 4), (4, 5), (5, 3), (6, 7)]),  # a triangle, isolated 8
+    build_graph(4, []),
+], ids=["p6", "c6", "p5", "star7", "triangle-isolated", "edgeless4"])
+def test_approx_trial_with_repeated_matchings_is_the_per_seed_reference(g):
+    # seeds are keyed by mate array, with one edge tuple per distinct
+    # matching; each row must still be the seed's own matching's residual
+    seeds = [*range(-40, 260), *range(30)]  # 330 seeds, 30 of them twice
+    distinct = {max_matching(g, seed) for seed in seeds}
+    assert len(distinct) <= 6
+    bounds = check_bounds(g)
+    ell, big_l = bounds.ell, bounds.big_l
+    want = [(seed, residual(g, max_matching(g, seed))) for seed in seeds]
+    trial = approx_trial(g, seeds)
+    assert list(trial.rows) == want
+    assert trial.verdicts == {
+        r: ((Fraction(r, ell), Fraction(r, big_l)) if ell else (None, None))
+        + (bounds.ok and ell <= r <= big_l,)
+        for _, r in want}
+    count = spectrum(g).enumerated
+    if count > 1:  # a cap below the count truncates the spectrum, which the bounds refuse
+        with pytest.raises(TruncatedSpectrumError):
+            approx_trial(g, seeds, cap=count - 1)
+
+
 def test_approx_trial_reads_a_one_shot_iterator_of_seeds():
     rng = random.Random(7)
     for _ in range(10):
