@@ -19,7 +19,6 @@ import io
 import json
 import os
 import random
-import re
 import sys
 import tempfile
 import warnings
@@ -34,6 +33,7 @@ from .graph import (
     emit_graph_file,
     is_connected,
     parse_graph_file,
+    parse_int,
 )
 from .matching import nu
 from .reduction import (
@@ -176,17 +176,11 @@ def cmd_verify(args) -> int:
     return EXIT_OK if cert.ok else EXIT_CHECK_FAILED
 
 
-# the digit rule of spectrum's rational reader: int() would also read 1_0 and non-ASCII digits
-_INTEGER = re.compile(r"\s*[-+]?\d+\s*", re.ASCII)
-
-
 def _int_field(text: str, field: str, error: type[Exception] = ValueError) -> int:
-    if not _INTEGER.fullmatch(text):
-        raise error(f"{field} {text[:40]!r} is not an integer")
     try:
-        return int(text)
-    except ValueError:  # more digits than int() converts
-        raise error(f"{field} {text[:40]!r} has too many digits") from None
+        return parse_int(text)
+    except ValueError as exc:
+        raise error(f"{field} {exc}") from None
 
 
 def _int_option(text: str) -> int:

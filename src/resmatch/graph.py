@@ -8,6 +8,7 @@ the artifact parity check, never for adjacency.
 
 from __future__ import annotations
 
+import re
 import warnings
 from collections import Counter, deque
 from dataclasses import dataclass, field
@@ -19,6 +20,22 @@ class DuplicateEdgeWarning(UserWarning):
 
 class GraphFormatError(ValueError):
     """Raised when a graph file does not follow the expected format."""
+
+
+# the one digit rule of every integer the package reads, in files and in CLI
+# fields: int() alone would also read 1_0 and non-ASCII digits and blanks
+_INTEGER = re.compile(r"\s*[-+]?\d+\s*", re.ASCII)
+
+
+def parse_int(text: str) -> int:
+    """int(text) for an optional sign and ASCII digits with ASCII blanks
+    around them; otherwise a ValueError that quotes the text."""
+    if not _INTEGER.fullmatch(text):
+        raise ValueError(f"{text[:40]!r} is not an integer")
+    try:
+        return int(text)
+    except ValueError:  # more digits than int() converts
+        raise ValueError(f"{text[:40]!r} has too many digits") from None
 
 
 def normalize_edge(u: int, v: int, vertex_count: int | None = None) -> tuple[int, int]:
@@ -214,7 +231,7 @@ def parse_graph_file(text: str) -> Graph:
         if tag == "e" and header is not None:
             try:
                 _, u_text, v_text = parts
-                u, v = int(u_text), int(v_text)
+                u, v = parse_int(u_text), parse_int(v_text)
             except ValueError:
                 raise GraphFormatError(
                     f"line {lineno}: malformed edge record {raw.strip()!r}") from None
@@ -227,7 +244,7 @@ def parse_graph_file(text: str) -> Graph:
         elif tag == "v" and header is not None:
             try:
                 _, vid_text, x_text, y_text = parts
-                vid, x, y = int(vid_text), int(x_text), int(y_text)
+                vid, x, y = parse_int(vid_text), parse_int(x_text), parse_int(y_text)
             except ValueError:
                 raise GraphFormatError(
                     f"line {lineno}: malformed vertex record {raw.strip()!r}") from None
@@ -245,7 +262,7 @@ def parse_graph_file(text: str) -> Graph:
                 _, kind, vertices, edge_records = parts
                 if kind != "mg":
                     raise ValueError(kind)
-                header = (int(vertices), int(edge_records))
+                header = (parse_int(vertices), parse_int(edge_records))
             except ValueError:
                 raise GraphFormatError(f"line {lineno}: malformed header {raw.strip()!r}") from None
             if header[0] < 0 or header[1] < 0:

@@ -9,11 +9,7 @@ entry and `resmatch.colorable.nu2_bipartite` run it in vertex order with
 sorted adjacency, lo = 0 and no skipped edge, and `resmatch.spectrum`'s
 enumerator calls `_augment` directly to repair the two matchings it carries:
 one of its undecided vertices, and one of the whole graph with the chosen
-edges skipped.  At its root it hands `_blossom` an optional list, which each
-root search passes on to `_augment`: a search that fails adds the outer
-vertices it reached, and as no later augmentation touches a failed search's
-(Hungarian) tree, the list ends up holding the vertices some maximum
-matching misses.  `max_matching` first lets a seed permute the scan order, so
+edges skipped.  `max_matching` first lets a seed permute the scan order, so
 different seeds may return different maximum matchings of the same size;
 results are deterministic for a fixed (graph, seed) pair.
 
@@ -76,7 +72,7 @@ class MatchingFlags:
     perfect: bool
 
 
-def _blossom(n: int, adj: list[list[int]], order, arrays, outer=None, size=None) -> list[int]:
+def _blossom(n: int, adj: list[list[int]], order, arrays, size=None) -> list[int]:
     """Mate of every vertex of a maximum matching (0 = unmatched; slot 0 unused).
 
     A greedy pass over `order`, then one `_augment` from each still-free root
@@ -92,18 +88,7 @@ def _blossom(n: int, adj: list[list[int]], order, arrays, outer=None, size=None)
     (Berge), so every search left would fail; and a failing `_augment` writes
     nothing to match (only the final flip along a found path writes) and
     leaves the arrays as it found them (it resets what it reached, and mark
-    is only ever compared with a fresh stamp).  size must not come with
-    outer: D(G) needs the outer vertices of every failing search.
-
-    The list outer, if given, goes to each root's search and so ends up
-    holding D(G), the vertices some maximum matching misses.  A search from
-    r that fails leaves a Hungarian tree (Edmonds, "Paths, trees, and
-    flowers", 1965): every neighbour of an outer vertex lies in the tree,
-    and every tree vertex but r is matched inside it.  A later augmenting
-    path that entered the tree could neither leave it nor end in it, so no
-    later augmentation touches it: the tree and its outer set are the same
-    under the final matching, whose free vertices are exactly the roots
-    left free.  So the failed searches' outer sets together are D(G).
+    is only ever compared with a fresh stamp).
     """
     match = [0] * (n + 1)
     for v in order:
@@ -120,9 +105,7 @@ def _blossom(n: int, adj: list[list[int]], order, arrays, outer=None, size=None)
             if not short:  # the matching has size: every search left would fail
                 break
             if adj[root]:
-                short -= _augment(adj, match, root, 0, arrays, outer)
-            elif outer is not None:  # what its search would add: every matching misses it
-                outer.append(root)
+                short -= _augment(adj, match, root, 0, arrays)
     return match
 
 
@@ -133,7 +116,7 @@ def _search_arrays(n: int):
     return [False] * (n + 1), [0] * (n + 1), list(range(n + 1)), [0] * (n + 1), [0] * (n + 1)
 
 
-def _augment(adj, match, root: int, lo: int, arrays, outer=None) -> bool:
+def _augment(adj, match, root: int, lo: int, arrays) -> bool:
     """Augment `match` along one augmenting path from the free vertex root,
     if there is one, contracting odd cycles (blossoms) as in Edmonds'
     algorithm.  True when it augmented.
@@ -145,10 +128,7 @@ def _augment(adj, match, root: int, lo: int, arrays, outer=None) -> bool:
     scratch arrays outlive the search, which resets only the vertices it
     reached; each contraction stamps mark twice, once for the lca walk and
     once for the bases of its petals, so no set is built per blossom.  An
-    edge's cheapest tests come first.  A failing search first extends
-    the list outer, if given, with the vertices it reached as outer (even)
-    ones, blossom-grown ones included: those joined to root by an even
-    alternating path.
+    edge's cheapest tests come first.
     """
     even, p, base, mark, skip = arrays
     even[root] = True
@@ -208,8 +188,6 @@ def _augment(adj, match, root: int, lo: int, arrays, outer=None) -> bool:
         if end:
             break
     found = end != 0
-    if outer is not None and not found:
-        outer += [x for x in tree if even[x]]
     while end != 0:
         pv = p[end]
         ppv = match[pv]

@@ -30,7 +30,7 @@ import re
 from dataclasses import dataclass, fields
 from fractions import Fraction
 
-from .graph import Graph, degree_profile, is_connected, normalize_edge
+from .graph import Graph, degree_profile, is_connected, normalize_edge, parse_int
 from .matching import Matching, _is_matching_of, matching_from_pairs, nu
 from .spectrum import CappedStream
 
@@ -114,7 +114,7 @@ def parse_dimacs(text: str) -> CnfInstance:
                 _, kind, vars_text, clauses_text = line.split()
                 if kind != "cnf":
                     raise ValueError(kind)
-                num_vars, num_clauses = int(vars_text), int(clauses_text)
+                num_vars, num_clauses = parse_int(vars_text), parse_int(clauses_text)
             except ValueError:
                 raise DimacsError(f"line {lineno}: malformed header {line!r}") from None
             if num_vars < 1 or num_clauses < 1:
@@ -124,7 +124,7 @@ def parse_dimacs(text: str) -> CnfInstance:
             raise DimacsError(f"line {lineno}: clause data before header")
         for tok in line.split():
             try:
-                lit = int(tok)
+                lit = parse_int(tok)
             except ValueError:
                 raise DimacsError(f"line {lineno}: bad token {tok!r}") from None
             if lit == 0:

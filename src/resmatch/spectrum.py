@@ -8,17 +8,14 @@ one (maximum matching, residual) stream in a single pass, so results are
 exact whenever the enumeration finishes under its positive cap; witnesses
 are first occurrences in that order.  The enumerator branches on vertices
 and carries one maximum matching of each node's remaining graph, which
-decides every child with at most two single-root augmenting searches.  Two
-counts skip children that cannot hold a leaf, with no search: when that
+decides every child with at most two single-root augmenting searches.  One
+count skips children that cannot hold a leaf, with no search: when that
 matching is perfect, leaving a vertex unmatched cannot keep its size (and
-a take child needs one search, not two); and a vertex that every maximum
-matching of G covers (outside D(G) of the Gallai-Edmonds decomposition,
-which the root blossom's own failing searches report: no later augmentation
-touches a failed search's Hungarian tree) is never left unmatched.  Neither
-changes the leaves or their order.  The enumerator carries a second
-matching, of G less the node's chosen edges, whose size each leaf yields
-as nu(G - F); a child that takes one of its edges repairs it with at most
-two more searches, so no leaf runs a blossom.
+a take child needs one search, not two).  It changes neither the leaves
+nor their order.  The enumerator carries a second matching, of G less the
+node's chosen edges, whose size each leaf yields as nu(G - F); a child
+that takes one of its edges repairs it with at most two more searches, so
+no leaf runs a blossom.
 """
 
 from __future__ import annotations
@@ -125,15 +122,12 @@ def _iter_maximum_matchings(g: Graph):
     Uno 1997): any augmenting path of a child's share of M ends at a vertex
     that branching freed, so two searches at most decide it.
 
-    Two counts decide some children with fewer searches; neither changes
-    the leaves or their order.  A node carries free = |V(H)| - 2|M|, the
+    One count decides some children with fewer searches; it changes neither
+    the leaves nor their order.  A node carries free = |V(H)| - 2|M|, the
     vertices M misses (a drop child has one fewer, a take child as many).
     When free is 0, M is perfect: H - u has fewer than 2|M| vertices, so
     the drop child holds no leaf, and the old mates of u and v are the only
     free vertices of a take child, so the search from u's alone decides it.
-    And when u is not missable (every maximum matching of g covers it: no
-    failing search of the root blossom reached u as an outer vertex; see
-    _blossom) the drop child holds no leaf either.
 
     A node also carries a maximum matching R of g less its chosen edges (all
     vertices kept) and its size r, which a leaf yields as its residual.  A
@@ -146,12 +140,8 @@ def _iter_maximum_matchings(g: Graph):
     adj = g.adjacency()
     arrays = _search_arrays(n)
     skip = arrays[-1]
-    outer: list[int] = []
-    mate = _blossom(n, adj, range(1, n + 1), arrays, outer)
+    mate = _blossom(n, adj, range(1, n + 1), arrays)
     target = sum(map(bool, mate)) // 2
-    missable = [False] * (n + 1)
-    for v in outer:
-        missable[v] = True
     stack = [((), 0, mate, mate, target, n - 2 * target)]
     applied = ()
     while stack:
@@ -177,9 +167,8 @@ def _iter_maximum_matchings(g: Graph):
         while skip[u]:
             u += 1
         mu = match[u]
-        # no leaf leaves u unmatched if every maximum matching covers u, or
-        # if M is perfect: H - u has fewer than 2|M| vertices
-        if free and missable[u]:
+        # no leaf leaves u unmatched if M is perfect: H - u has fewer than 2|M| vertices
+        if free:
             # leaving u unmatched frees its mate, the one end of any augmenting path
             drop = match
             if mu:

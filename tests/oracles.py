@@ -234,12 +234,12 @@ def iter_maximum_matchings_bounded(g: Graph):
         stack.append((chosen + ((u, v),), [f for f in rest if u not in f and v not in f]))
 
 
-def augment_reference(adj, match, root: int, lo: int, arrays, outer=None) -> bool:
+def augment_reference(adj, match, root: int, lo: int, arrays) -> bool:
     """The reference for `resmatch.matching._augment`: the same single-root
     blossom search, written plainly.  A head index walks the queue, every
     edge test reads base[v] afresh, and each contraction collects the bases
     of its petals in a set.  The package's search must agree with it on the
-    return value, the mate array, outer and the reset scratch arrays."""
+    return value, the mate array and the reset scratch arrays."""
     even, p, base, mark, skip = arrays
     even[root] = True
     tree = [root]
@@ -291,8 +291,6 @@ def augment_reference(adj, match, root: int, lo: int, arrays, outer=None) -> boo
                 tree.append(match[to])
                 queue.append(match[to])
     found = end != 0
-    if outer is not None and not found:
-        outer += [x for x in tree if even[x]]
     while end != 0:
         pv = p[end]
         ppv = match[pv]
@@ -307,32 +305,28 @@ def augment_reference(adj, match, root: int, lo: int, arrays, outer=None) -> boo
 
 
 def record_searches(monkeypatch, g):
-    """The (matching, residual) stream of g, (root, lo, augmented) of each
-    single-root search the enumerator made while branching, in order, and
-    the roots of its searches that were handed an outer list.  The root
-    blossom's searches, which find the missable vertices, are not seen."""
+    """The (matching, residual) stream of g and (root, lo, augmented) of each
+    single-root search the enumerator made while branching, in order.  The
+    root blossom's own searches are not seen."""
     enumerator = importlib.import_module("resmatch.spectrum")
-    searches, root_pass = [], []
+    searches = []
     search = enumerator._augment
 
-    def recorded(adj, match, root, lo, arrays, outer=None):
-        found = search(adj, match, root, lo, arrays, outer)
-        if outer is None:
-            searches.append((root, lo, found))
-        else:
-            root_pass.append(root)
+    def recorded(adj, match, root, lo, arrays):
+        found = search(adj, match, root, lo, arrays)
+        searches.append((root, lo, found))
         return found
 
     monkeypatch.setattr(enumerator, "_augment", recorded)
     items = [(list(chosen), r) for chosen, r in enumerator._iter_maximum_matchings(g)]
-    return items, searches, root_pass
+    return items, searches
 
 
 def count_searches(monkeypatch, g):
     """(maximum matchings, single-root searches, residual repairs) of g.  The
     enumerator's own searches see the vertices above a threshold lo > 0; the
     repairs of the carried residual matching see the whole graph (lo = 0)."""
-    items, searches, _ = record_searches(monkeypatch, g)
+    items, searches = record_searches(monkeypatch, g)
     repairs = sum(lo == 0 for _, lo, _ in searches)
     return len(items), len(searches) - repairs, repairs
 

@@ -20,7 +20,7 @@ import os
 import random
 
 import pytest
-from oracles import random_cnf
+from oracles import random_cnf, random_graph
 
 from resmatch.cli import main
 from resmatch.graph import degree_profile, emit_graph_file, parse_graph_file
@@ -34,13 +34,18 @@ GOLDEN = os.path.join(HERE, "golden", "cli_outputs.json")
 # witness is not always the first matching enumerated.
 RANDOM_SEEDS = (3, 7, 16)
 
+# A seeded sparse G(31, 2/25) graph: odd order, so no perfect matching, and
+# 63 maximum matchings over four residual values.
+G31 = random_graph(31, 0.08, random.Random("g31:9"))
+
 # A formula whose ell artifact has hybrid maximum matchings (10 in its
 # census, 2 of them hybrid).
 M2_MIXED = "p cnf 3 2\n1 -2 3 0\n2 -3 -1 0\n"
 
 # Formulas compiled for the verify cases: short name -> fixture file, or
 # DIMACS text written under the work directory.
-CNFS = {"m1": "example_m1.cnf", "m2": "example_m2.cnf", "mixed": M2_MIXED}
+CNFS = {"m1": "example_m1.cnf", "m2": "example_m2.cnf", "mixed": M2_MIXED,
+        "k3": "k3.cnf", "k3twin": "k3_twin.cnf"}
 
 # Inputs the parsers must reject, one per message: placeholder -> file text.
 BAD_INPUTS = {
@@ -56,9 +61,16 @@ BAD_INPUTS = {
     "bad_dimacs_arity": "p cnf 3\n1 2 3 0\n",
     "bad_dimacs_tag": "p dnf 3 1\n1 2 3 0\n",
     "bad_dimacs_field": "p cnf 3 x\n1 2 3 0\n",
+    # int() would read each of these: a digit separator, Arabic-Indic and
+    # fullwidth digits; the digit rule takes ASCII digits only
+    "bad_header_separator": "p mg 1_0 1\ne 1 2\n",
+    "bad_edge_digit": "p mg 3 1\ne 1 \u0662\n",
+    "bad_vertex_digit": "p mg 1 0\nv 1 0 \uff13\n",
+    "bad_dimacs_header_digit": "p cnf \u0663 1\n1 2 3 0\n",
+    "bad_dimacs_literal_digit": "p cnf 3 1\n1 -2 \uff13 0\n",
 }
 
-# name -> argv, with {p5}, {twin}, {r<seed>}, {cnf_<name>},
+# name -> argv, with {p5}, {twin}, {r<seed>}, {g31}, {cnf_<name>},
 # {art_<name>_<variant>}, {out} and the keys of BAD_INPUTS standing for files.
 CASES = {
     "p5": ["compute", "{p5}"],
@@ -78,6 +90,12 @@ CASES = {
     "r16-k1-log-yes": ["compute", "{r16}", "--k", "1", "--f", "log"],
     "r16-k0-linear-no": ["compute", "{r16}", "--k", "0", "--f", "linear:1/10"],
     "r16-k2-identity": ["compute", "{r16}", "--k", "2", "--f", "identity"],
+    "g31": ["compute", "{g31}"],
+    # the paper's gap on K3 (m = 8, 256 vertices): L is 86 on K3 and 87 on its
+    # twin, so k = 11m - 1 = 87 is missed by m/8 = 1 > 256/257 on K3 alone
+    "k3-L-k87-linear-no": ["compute", "{art_k3_L}", "--k", "87", "--f", "linear:1/257"],
+    "k3twin-L-k87-linear-yes": ["compute", "{art_k3twin_L}", "--k", "87",
+                                "--f", "linear:1/257"],
     # truncated reports: the exit status follows the report, whatever the answer
     "p5-k1-const0-cap2-truncated-yes": ["compute", "{p5}", "--cap", "2", "--k", "1",
                                         "--f", "const:0"],
@@ -145,14 +163,17 @@ def _run(argv) -> tuple[int, str, str]:
 
 
 def _files(workdir: str) -> dict:
-    """Placeholder -> path: the fixtures, the random graphs, the formulas
+    """Placeholder -> path: the fixtures, the random graphs, G31, the formulas
     of CNFS and both compiled artifacts of each, the bad inputs, and an
     output path, written under workdir."""
     files = {
         "p5": os.path.join(FIXTURES, "p5.mg"),
         "twin": os.path.join(FIXTURES, "twin_spider.mg"),
         "out": os.path.join(workdir, "out.mg"),
+        "g31": os.path.join(workdir, "g31.mg"),
     }
+    with open(files["g31"], "w") as fh:
+        fh.write(emit_graph_file(G31))
     for name, text in BAD_INPUTS.items():
         path = files[name] = os.path.join(workdir, name)
         with open(path, "w") as fh:

@@ -254,6 +254,20 @@ def test_parse_dispatch_messages(text, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("token", ["1_0", "\u0662", "\uff13"])
+def test_parse_reads_ascii_digits_only(token):
+    # int() reads each token as a number: a digit separator, an Arabic-Indic
+    # and a fullwidth digit
+    for text, kind in [(f"p mg {token} 0\n", "header"), (f"p mg 3 {token}\n", "header"),
+                       (f"p mg 3 0\nv {token} 0 0\n", "vertex record"),
+                       (f"p mg 3 0\nv 1 0 {token}\n", "vertex record"),
+                       (f"p mg 3 1\ne 1 {token}\n", "edge record")]:
+        lines = text.splitlines()
+        with pytest.raises(GraphFormatError) as exc:
+            parse_graph_file(text)
+        assert str(exc.value) == f"line {len(lines)}: malformed {kind} {lines[-1]!r}"
+
+
 def test_parse_ignores_blanks_tabs_and_carriage_returns():
     messy = "\r\n# c\r\n  p mg 3 2\r\n\tv 1 0 0\r\n v 2 1 0\nv 3 2 0 \r\n\n e 1 2\r\ne\t2 3\r\n"
     assert parse_graph_file(messy) == parse_graph_file(GOOD_FILE)

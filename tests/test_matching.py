@@ -137,13 +137,12 @@ def test_search_kernel_agrees_with_the_reference(case, seed):
             for w in adj[v]:
                 if not match[v] and not match[w] and sees(v, w):
                     match[v], match[w] = w, v
-        outer: list[int] = []
         log = []
         for root in range(lo + 1, n + 1):
             if not match[root] and (lo == 0 or not skip[root]):
                 # the arrays outlive each search, as in the package
-                log.append((root, search(adj, match, root, lo, arrays, outer), match[:],
-                            outer[:], [a[:] for a in arrays[:3]]))
+                log.append((root, search(adj, match, root, lo, arrays), match[:],
+                            [a[:] for a in arrays[:3]]))
         runs.append(log)
     assert runs[0] == runs[1]
 
@@ -270,9 +269,9 @@ def _searches_per_seed(g, monkeypatch) -> list:
     searches = []
     real = _augment
 
-    def counted(adj, match, root, lo, arrays, outer=None):
+    def counted(adj, match, root, lo, arrays):
         matched = len(match) - match.count(0)
-        searches.append((matched, real(adj, match, root, lo, arrays, outer)))
+        searches.append((matched, real(adj, match, root, lo, arrays)))
         return searches[-1][1]
 
     monkeypatch.setattr("resmatch.matching._augment", counted)

@@ -80,6 +80,19 @@ def test_parse_dimacs_errors(text, fragment):
         parse_dimacs(text)
 
 
+@pytest.mark.parametrize("token", ["1_0", "\u0663", "\uff13"])
+def test_parse_dimacs_reads_ascii_digits_only(token):
+    # int() reads each token as a number; the clause 1 -2 <token> read as (1, -2, 3)
+    for text, message in [
+        (f"p cnf {token} 1\n1 2 3 0\n", f"line 1: malformed header 'p cnf {token} 1'"),
+        (f"p cnf 3 {token}\n1 2 3 0\n", f"line 1: malformed header 'p cnf 3 {token}'"),
+        (f"p cnf 3 1\n1 -2 {token} 0\n", f"line 2: bad token {token!r}"),
+    ]:
+        with pytest.raises(DimacsError) as exc:
+            parse_dimacs(text)
+        assert str(exc.value) == message
+
+
 def test_parse_dimacs_lists_unused_variables():
     with pytest.raises(DimacsError) as exc:
         parse_dimacs("p cnf 5 1\n1 2 4 0\n")

@@ -19,7 +19,7 @@ from oracles import (
     spectrum_double_brute,
 )
 from resmatch.graph import bipartition, build_graph, delete_edges
-from resmatch.matching import _blossom, _search_arrays, max_matching, nu, validate_matching
+from resmatch.matching import max_matching, nu, validate_matching
 from resmatch.spectrum import (
     BoundsReport,
     ToleranceFunction,
@@ -185,22 +185,6 @@ def test_ladder_search_count(monkeypatch):
     assert count_searches(monkeypatch, g) == (34, 33, 21)
 
 
-def root_outer(g):
-    outer = []
-    n = g.vertex_count
-    _blossom(n, g.adjacency(), range(1, n + 1), _search_arrays(n), outer)
-    return outer
-
-
-def test_root_blossom_reports_the_missable_vertices(monkeypatch):
-    # the root blossom of P_5 leaves 5 free, and its failing search reaches
-    # 5, 3 and 1 as outer vertices; P_6 has a perfect matching
-    assert sorted(root_outer(path(5))) == [1, 3, 5]
-    assert root_outer(path(6)) == []
-    # the enumerator runs no search of its own before branching
-    assert record_searches(monkeypatch, path(5))[2] == []
-
-
 @pytest.mark.parametrize("n, items, repairs", [
     # R = {12}: taking 12 leaves 1 isolated, and 2-3 augments from the second end;
     # the drop child's matching {23} does not use R's edge 12, so it shares R
@@ -210,7 +194,7 @@ def test_root_blossom_reports_the_missable_vertices(monkeypatch):
     (4, [([(1, 2), (3, 4)], 1)], [(1, False), (2, False), (3, True)]),
 ])
 def test_residual_repairs_on_short_paths(monkeypatch, n, items, repairs):
-    stream, searches, _ = record_searches(monkeypatch, path(n))
+    stream, searches = record_searches(monkeypatch, path(n))
     assert stream == items
     assert [(root, found) for root, gone, found in searches if gone == 0] == repairs
 
@@ -218,7 +202,7 @@ def test_residual_repairs_on_short_paths(monkeypatch, n, items, repairs):
 @pytest.mark.parametrize("seed", range(15))
 def test_big_l_matches_the_milp_past_brute_force_sizes(seed):
     """G(n, p) with n 20-28 is past the exhaustive oracles; many of these
-    graphs have no perfect matching, so the D(G) pruning runs."""
+    graphs have no perfect matching, so drop children are searched too."""
     pytest.importorskip("scipy")
     rng = random.Random(f"milp:{seed}")
     g = random_graph(rng.randint(20, 28), rng.uniform(0.12, 0.25), rng)
