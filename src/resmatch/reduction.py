@@ -30,7 +30,8 @@ import re
 from dataclasses import dataclass, fields
 from fractions import Fraction
 
-from .graph import Graph, degree_profile, is_connected, normalize_edge, parse_int
+from .graph import (BLANKS, Graph, degree_profile, is_connected, normalize_edge, parse_int,
+                    record_lines)
 from .matching import Matching, _is_matching_of, matching_from_pairs, nu
 from .spectrum import CappedStream
 
@@ -98,20 +99,22 @@ def sat_count(cnf: CnfInstance, alpha: Assignment) -> int:
 
 def parse_dimacs(text: str) -> CnfInstance:
     """Parse DIMACS CNF restricted to exactly three distinct variables per
-    clause, with every declared variable used at least once."""
+    clause, with every declared variable used at least once; lines and
+    fields as `record_lines` reads them."""
     num_vars: int | None = None
     num_clauses: int | None = None
     clauses: list[tuple[int, ...]] = []
     current: list[int] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
+    lines, split = record_lines(text)
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip(BLANKS)
         if not line or line.startswith("c"):
             continue
         if line.startswith("p"):
             if num_vars is not None:
                 raise DimacsError(f"line {lineno}: duplicate header")
             try:
-                _, kind, vars_text, clauses_text = line.split()
+                _, kind, vars_text, clauses_text = split(line)
                 if kind != "cnf":
                     raise ValueError(kind)
                 num_vars, num_clauses = parse_int(vars_text), parse_int(clauses_text)
@@ -122,7 +125,7 @@ def parse_dimacs(text: str) -> CnfInstance:
             continue
         if num_vars is None:
             raise DimacsError(f"line {lineno}: clause data before header")
-        for tok in line.split():
+        for tok in split(line):
             try:
                 lit = parse_int(tok)
             except ValueError:

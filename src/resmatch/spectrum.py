@@ -14,8 +14,11 @@ matching is perfect, leaving a vertex unmatched cannot keep its size (and
 a take child needs one search, not two).  It changes neither the leaves
 nor their order.  The enumerator carries a second matching, of G less the
 node's chosen edges, whose size each leaf yields as nu(G - F); a child
-that takes one of its edges repairs it with at most two more searches, so
-no leaf runs a blossom.
+that takes one of its edges repairs it with a check for an augmenting path
+of length 1 or 3 from each end, then, if both fail, one search from each,
+so no leaf runs a blossom.  Any augmenting path is a correct repair: the
+stream reads only the matching's size, which every maximum matching of G
+less the chosen edges shares.
 """
 
 from __future__ import annotations
@@ -106,6 +109,27 @@ class EnumerationResult:
     truncated: bool
 
 
+def _short_augment(adj, res, a: int, skip) -> bool:
+    """Augment res along a path of length 1 or 3 from the free vertex a, in
+    the graph less the edges that the mate array skip hides, if there is
+    one: a-w, or a-x=y-w with y the mate of x in res, w free.  True when it
+    augmented; res is unchanged otherwise."""
+    hidden = skip[a]
+    for x in adj[a]:
+        if x != hidden and not res[x]:
+            res[a], res[x] = x, a
+            return True
+    for x in adj[a]:
+        if x == hidden:
+            continue
+        y = res[x]  # every visible neighbour of a is matched
+        for w in adj[y]:
+            if not res[w] and w != a and w != skip[y]:
+                res[a], res[x], res[y], res[w] = x, a, w, y
+                return True
+    return False
+
+
 def _iter_maximum_matchings(g: Graph):
     """Yield (edges, nu(g - F)) for every maximum matching F of g exactly
     once, edges being tuple(sorted(F)): the chosen edges in the order they
@@ -132,9 +156,14 @@ def _iter_maximum_matchings(g: Graph):
     A node also carries a maximum matching R of g less its chosen edges (all
     vertices kept) and its size r, which a leaf yields as its residual.  A
     child shares R; if its last chosen edge (a, b) is in R, it drops (a, b)
-    from its copy when popped, and a search from a, then one from b, with the
-    chosen edges skipped, decides whether r stays or drops by one: as R was
-    maximum, an augmenting path must end at a or at b.
+    from its copy when popped, and looks for an augmenting path with the
+    chosen edges skipped: as R was maximum, one must end at a or at b, so r
+    stays if one exists and drops by one if none does.  The short check
+    from a, then from b, finds one of length 1 or 3 without a search, and
+    only when both fail does a search from a, then one from b, decide.  Any
+    augmenting path will do, short or not: a leaf yields only r, and r is
+    nu(g - chosen) whichever maximum matching R is, so the leaves, their
+    order and every r are the same as with the searches alone.
     """
     n = g.vertex_count
     adj = g.adjacency()
@@ -157,7 +186,8 @@ def _iter_maximum_matchings(g: Graph):
             if res[a] == b:
                 res = res[:]
                 res[a] = res[b] = 0
-                if not (_augment(adj, res, a, 0, arrays) or _augment(adj, res, b, 0, arrays)):
+                if not (_short_augment(adj, res, a, skip) or _short_augment(adj, res, b, skip)
+                        or _augment(adj, res, a, 0, arrays) or _augment(adj, res, b, 0, arrays)):
                     r -= 1
         if len(chosen) == target:
             yield chosen, r

@@ -13,11 +13,11 @@ for the package's `_residual_of_sat`.  `milp_big_l` computes L(G), and
 `milp_ell` ell(G) of a bipartite G, by an integer program: references past
 brute-force sizes that need scipy.
 `record_searches` and `count_searches` log the enumerator's single-root
-searches, for the tests that pin how many it runs; `augment_reference` is
-the reference for that search kernel, `_augment`.  `adjacency_by_sorted_edges`
-and `degree_profile_by_edges` are the references for `Graph.adjacency` and
-`degree_profile`: one walks the globally sorted edge list, the other counts
-edge endpoints.
+searches and short repair checks, for the tests that pin how many it runs;
+`augment_reference` is the reference for that search kernel, `_augment`.
+`adjacency_by_sorted_edges` and `degree_profile_by_edges` are the references
+for `Graph.adjacency` and `degree_profile`: one walks the globally sorted edge
+list, the other counts edge endpoints.
 """
 
 from __future__ import annotations
@@ -305,30 +305,40 @@ def augment_reference(adj, match, root: int, lo: int, arrays) -> bool:
 
 
 def record_searches(monkeypatch, g):
-    """The (matching, residual) stream of g and (root, lo, augmented) of each
-    single-root search the enumerator made while branching, in order.  The
-    root blossom's own searches are not seen."""
+    """The (matching, residual) stream of g and (kind, root, found) of each
+    single-root search the enumerator made while branching, in order: kind
+    'branch' for an `_augment` above a threshold lo > 0, 'repair' for an
+    `_augment` of the carried residual matching (lo = 0, the whole graph) and
+    'short' for a `_short_augment` of it.  The root blossom's own searches are
+    not seen."""
     enumerator = importlib.import_module("resmatch.spectrum")
     searches = []
-    search = enumerator._augment
+    search, short = enumerator._augment, enumerator._short_augment
 
     def recorded(adj, match, root, lo, arrays):
         found = search(adj, match, root, lo, arrays)
-        searches.append((root, lo, found))
+        searches.append(("branch" if lo else "repair", root, found))
+        return found
+
+    def recorded_short(adj, res, a, skip):
+        found = short(adj, res, a, skip)
+        searches.append(("short", a, found))
         return found
 
     monkeypatch.setattr(enumerator, "_augment", recorded)
+    monkeypatch.setattr(enumerator, "_short_augment", recorded_short)
     items = [(list(chosen), r) for chosen, r in enumerator._iter_maximum_matchings(g)]
     return items, searches
 
 
 def count_searches(monkeypatch, g):
-    """(maximum matchings, single-root searches, residual repairs) of g.  The
-    enumerator's own searches see the vertices above a threshold lo > 0; the
-    repairs of the carried residual matching see the whole graph (lo = 0)."""
+    """(maximum matchings, branching searches, repair searches, short repair
+    checks) of g.  The enumerator's own searches see the vertices above a
+    threshold lo > 0; the repairs of the carried residual matching see the
+    whole graph (lo = 0), after a check for a path of length 1 or 3."""
     items, searches = record_searches(monkeypatch, g)
-    repairs = sum(lo == 0 for _, lo, _ in searches)
-    return len(items), len(searches) - repairs, repairs
+    kinds = [kind for kind, _, _ in searches]
+    return len(items), kinds.count("branch"), kinds.count("repair"), kinds.count("short")
 
 
 def expected_residual(art: ReductionArtifact, alpha: Assignment) -> int:

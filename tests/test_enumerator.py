@@ -17,9 +17,9 @@ from oracles import (
     residual,
 )
 from resmatch.graph import build_graph
-from resmatch.matching import Matching
+from resmatch.matching import Matching, max_matching
 from resmatch.reduction import build_artifact, parse_dimacs
-from resmatch.spectrum import _iter_maximum_matchings, spectrum
+from resmatch.spectrum import _iter_maximum_matchings, _short_augment, spectrum
 
 
 def assert_same_stream(g):
@@ -163,3 +163,64 @@ def test_spectrum_builds_a_matching_only_at_each_residuals_first_leaf(monkeypatc
             (r, pos, edges) for r, (pos, edges) in firsts.items()]
         assert all(m is b for (_, _, m), b in zip(report.first_seen, built))
     assert values == {1, 2, 3}
+
+
+def short_paths(g, res, hidden, a):
+    """Every augmenting path of length 1 or 3 from the free vertex a, by
+    brute force over the edges of g less the hidden ones: (a, w) with w free,
+    or (a, x, y, w) with (x, y) in the matching res and w free."""
+    visible = g.edges - hidden
+    free = {v for v in range(1, g.vertex_count + 1) if not res[v]}
+    ends = [(w,) for w in free if tuple(sorted((a, w))) in visible]
+    for x, y in [(x, res[x]) for x in range(1, g.vertex_count + 1) if res[x]]:
+        for w in free - {a}:
+            if tuple(sorted((a, x))) in visible and tuple(sorted((y, w))) in visible:
+                ends.append((x, y, w))
+    return ends
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_short_augment_takes_exactly_the_short_paths(seed):
+    """R is a random maximum matching less one of its edges (a, b), and the
+    hidden edges are a random matching that R does not hold, which in the
+    enumerator's repairs hides (a, b).  From a, b or a vertex that R missed
+    already, the check augments exactly when brute force finds a path of
+    length 1 or 3 that uses no hidden edge, and then only by one edge of the
+    graph that is not hidden; otherwise R is unchanged."""
+    rng = random.Random(f"short:{seed}")
+    found = set()
+    for _ in range(30):
+        g = random_graph(rng.randint(2, 10), rng.choice((0.2, 0.4, 0.6)), rng)
+        m = max_matching(g, seed=rng.randrange(100))
+        if not m.edges:
+            continue
+        removed = rng.choice(sorted(m.edges))
+        res = [0] * (g.vertex_count + 1)
+        for u, v in m.edges - {removed}:
+            res[u], res[v] = v, u
+        root = rng.choice([v for v in range(1, g.vertex_count + 1) if not res[v]])
+        adj = g.adjacency()
+        edges = [e for e in sorted(g.edges) if res[e[0]] != e[1]]
+        rng.shuffle(edges)
+        # the root's hidden edge, if any, comes first
+        edges.insert(0, rng.choice([None, *((root, c) for c in adj[root])]))
+        skip = [0] * (g.vertex_count + 1)
+        hidden = set()
+        for e in edges:
+            if e and not (skip[e[0]] or skip[e[1]]) and rng.random() < 0.6:
+                skip[e[0]], skip[e[1]] = e[1], e[0]
+                hidden.add(tuple(sorted(e)))
+        before = res[:]
+        paths = short_paths(g, before, hidden, root)
+        augmented = _short_augment(adj, res, root, skip)
+        found.add(augmented)
+        assert augmented == bool(paths)
+        if not augmented:
+            assert res == before
+            continue
+        pairs = {(v, w) for v, w in enumerate(res) if w > v}
+        assert all(res[w] == v for v, w in pairs)  # a mate array: each pair both ways
+        assert pairs <= g.edges - hidden
+        assert len(pairs) == len(m.edges)  # one edge more than R less (a, b)
+        assert res[root]
+    assert found == {True, False}

@@ -68,6 +68,13 @@ BAD_INPUTS = {
     "bad_vertex_digit": "p mg 1 0\nv 1 0 \uff13\n",
     "bad_dimacs_header_digit": "p cnf \u0663 1\n1 2 3 0\n",
     "bad_dimacs_literal_digit": "p cnf 3 1\n1 -2 \uff13 0\n",
+    # str.split() and str.splitlines() would read each of these as an edge or
+    # a clause: fields part at ASCII blanks and lines end at \n, \r\n or \r only
+    "bad_edge_em_space": "p mg 2 1\ne\u20031\u20032\n",
+    "bad_edge_unit_separator": "p mg 2 1\ne 1\x1f2\n",
+    "bad_header_line_separator": "p mg 2 1\u2028e 1 2\n",
+    "bad_dimacs_em_space": "p cnf 3 1\n1\u20032\u20033\u20030\n",
+    "bad_dimacs_line_separator": "p cnf 3 1\u20281 2 3 0\n",
 }
 
 # name -> argv, with {p5}, {twin}, {r<seed>}, {g31}, {cnf_<name>},

@@ -222,9 +222,10 @@ def test_parse_collapses_duplicate_edges_with_warning():
     assert g.edge_count == 1
 
 
-# Exact messages: records are split on any whitespace, so leading blanks,
-# tabs and '\r' do not change a record, a '#' opens a comment only as the
-# first character of its first field, and tags are compared whole.
+# Exact messages: lines end at '\n', '\r\n' or '\r' and records are split on
+# ASCII blanks, so leading blanks, tabs and form feeds do not change a record,
+# a '#' opens a comment only as the first character of its first field, and
+# tags are compared whole.
 @pytest.mark.parametrize(
     "text, message",
     [
@@ -245,7 +246,16 @@ def test_parse_collapses_duplicate_edges_with_warning():
         ("p mg 2 1\ne 1 3   \n", "line 2: edge endpoint out of range in 'e 1 3'"),
         ("\n\n   \np mg 2 1\n\n\t\ne 1 1\n", "line 7: self-loop at vertex 1"),
         ("\n\n\np mg 2\n", "line 4: malformed header 'p mg 2'"),
-        ("p mg 2 1\n\x0ce 1 2\n\x0ce 1 1\n", "line 5: self-loop at vertex 1"),  # \f ends a line
+        ("p mg 2 1\n\x0ce 1 2\n\x0ce 1 1\n", "line 3: self-loop at vertex 1"),  # \f is a blank
+        # str.split() and str.splitlines() would read each of these as a header
+        # and the edge (1, 2): an em space, a no-break space, a unit separator
+        # (an ASCII control that str.split() counts as a blank), a Unicode line
+        # separator and a next-line control
+        ("p mg 2 1\ne\u20031\u20032\n", "line 2: unknown record tag 'e\\u20031\\u20032'"),
+        ("p mg 2 1\ne 1 2\u00a0\n", "line 2: malformed edge record 'e 1 2\\xa0'"),
+        ("p mg 2 1\ne 1\x1f2\n", "line 2: malformed edge record 'e 1\\x1f2'"),
+        ("p mg 2 1\u2028e 1 2\n", "line 1: malformed header 'p mg 2 1\\u2028e 1 2'"),
+        ("# caf\u00e9\u2028\np mg 2 1\x85e 1 2\n", "line 2: malformed header 'p mg 2 1\\x85e 1 2'"),
     ],
 )
 def test_parse_dispatch_messages(text, message):
@@ -266,6 +276,11 @@ def test_parse_reads_ascii_digits_only(token):
         with pytest.raises(GraphFormatError) as exc:
             parse_graph_file(text)
         assert str(exc.value) == f"line {len(lines)}: malformed {kind} {lines[-1]!r}"
+
+
+def test_parse_reads_any_text_in_comments():
+    text = "# caf\u00e9 \u2003e 1 2\u2028e 2 3\n#\x1c\r\np mg 3 2\re 1 2\r\n\f# \x85\ne 2 3\n"
+    assert parse_graph_file(text) == parse_graph_file("p mg 3 2\ne 1 2\ne 2 3\n")
 
 
 def test_parse_ignores_blanks_tabs_and_carriage_returns():

@@ -73,6 +73,13 @@ def test_parse_dimacs_clause_spanning_lines():
         ("p cnf 3 1\n1 2 4 0\n", "clause 1: variable 4 out of range"),
         ("p cnf 4 1\n1 2 3 0\n", "never used"),
         ("", "missing 'p cnf' header"),
+        # read as the clause (1, 2, 3) if any Unicode blank parted fields and
+        # any Unicode line boundary ended lines: an em space, a record
+        # separator (an ASCII control that str.split() counts as a blank)
+        # and a Unicode line separator
+        ("p cnf 3 1\n1\u20032\u20033\u20030\n", "line 2: bad token '1"),
+        ("p cnf 3 1\n1 2 3\x1e0\n", "line 2: bad token '3"),
+        ("p cnf 3 1\u20281 2 3 0\n", "line 1: malformed header"),
     ],
 )
 def test_parse_dimacs_errors(text, fragment):
@@ -91,6 +98,11 @@ def test_parse_dimacs_reads_ascii_digits_only(token):
         with pytest.raises(DimacsError) as exc:
             parse_dimacs(text)
         assert str(exc.value) == message
+
+
+def test_parse_dimacs_reads_any_text_in_comments_and_every_line_end():
+    text = "c caf\u00e9 \u2028 1 2 3 0\r\np cnf 3 2\r1\t2 3 0\f\n\v-1 -2 -3 0\r\n"
+    assert parse_dimacs(text) == parse_dimacs("p cnf 3 2\n1 2 3 0\n-1 -2 -3 0\n")
 
 
 def test_parse_dimacs_lists_unused_variables():

@@ -170,10 +170,12 @@ def test_spectrum_depth_does_not_grow_with_edge_count():
 def test_path_needs_one_search_per_matched_edge(monkeypatch):
     # M is perfect, so every node leaves free = 0 vertices unmatched: no drop
     # child can hold a leaf, and each take (2i-1, 2i) keeps M minus that edge
-    # with no search at all.  Each take removes an edge of R: the first repair
-    # fails from both ends, every later one augments from 2i-1 to the vertex
-    # freed before it.
-    assert count_searches(monkeypatch, path(200)) == (1, 0, 101)
+    # with no search at all.  Each take removes an edge of R.  The first
+    # repair fails both short checks and both searches: 1 has no other
+    # neighbour, and 2 reaches only 3, whose mate 4 has no free neighbour.
+    # Each of the 99 later ones augments by the short check from 2i-1 to its
+    # neighbour 2i-2, which the take before it freed: 2 searches, 101 checks.
+    assert count_searches(monkeypatch, path(200)) == (1, 0, 2, 101)
 
 
 def test_ladder_search_count(monkeypatch):
@@ -181,22 +183,30 @@ def test_ladder_search_count(monkeypatch):
     rails = [(i, i + 1) for i in range(1, k)] + [(k + i, k + i + 1) for i in range(1, k)]
     g = build_graph(2 * k, rails + [(i, k + i) for i in range(1, k + 1)])
     # M is perfect, so the free count skips every drop child and the second
-    # search of every take child
-    assert count_searches(monkeypatch, g) == (34, 33, 21)
+    # search of every take child.  The root matches the rails in pairs, so R
+    # holds each square's (2i-1, 2i) and (k+2i-1, k+2i); each of the 21
+    # children that takes a top pair of R repairs R by the short check from
+    # a = 2i-1, along the square a, k+a, k+a+1, a+1 to the other freed end,
+    # so no repair needs a search
+    assert count_searches(monkeypatch, g) == (34, 33, 0, 21)
 
 
 @pytest.mark.parametrize("n, items, repairs", [
-    # R = {12}: taking 12 leaves 1 isolated, and 2-3 augments from the second end;
-    # the drop child's matching {23} does not use R's edge 12, so it shares R
-    (3, [([(1, 2)], 1), ([(2, 3)], 1)], [(1, False), (2, True)]),
-    # R = {12, 34}: taking 12 leaves 2-3-4 with 34 matched, so neither 1 nor
-    # 2 augments and r drops to 1; taking 34 then frees 3, and 3-2 augments
-    (4, [([(1, 2), (3, 4)], 1)], [(1, False), (2, False), (3, True)]),
+    # R = {12}: taking 12 leaves 1 isolated, and 2-3 augments by the short
+    # check from the second end; the drop child's matching {23} does not use
+    # R's edge 12, so it shares R
+    (3, [([(1, 2)], 1), ([(2, 3)], 1)], [("short", 1, False), ("short", 2, True)]),
+    # R = {12, 34}: taking 12 leaves 2-3-4 with 34 matched, so neither the
+    # short checks nor the searches from 1 and 2 augment and r drops to 1;
+    # taking 34 then frees 3, and the short check finds 3-2
+    (4, [([(1, 2), (3, 4)], 1)], [("short", 1, False), ("short", 2, False),
+                                  ("repair", 1, False), ("repair", 2, False),
+                                  ("short", 3, True)]),
 ])
 def test_residual_repairs_on_short_paths(monkeypatch, n, items, repairs):
     stream, searches = record_searches(monkeypatch, path(n))
     assert stream == items
-    assert [(root, found) for root, gone, found in searches if gone == 0] == repairs
+    assert [search for search in searches if search[0] != "branch"] == repairs
 
 
 @pytest.mark.parametrize("seed", range(15))
