@@ -39,25 +39,16 @@ def parse_int(text: str) -> int:
 
 
 BLANKS = " \t\f\v"  # the digit rule's ASCII blanks, less the line ends
-_BLANK_RUN = re.compile("[" + BLANKS + "]+")
+# the fields of one record line: its runs of anything but BLANKS
+record_fields = re.compile("[^" + BLANKS + "]+").findall
 
 
-def record_lines(text: str):
-    """(lines, split): the lines of a graph or DIMACS text, and the function
-    that parts one into its fields.  A line ends at \\n, \\r\\n or \\r only,
-    and fields part at runs of BLANKS only: str.splitlines() and str.split()
-    would also end and part them at other Unicode line boundaries and blanks."""
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    # str.split, a third faster than _fields on an artifact, parts ASCII text
-    # at BLANKS and at \x1c-\x1f only
-    if text.isascii() and not any(c in text for c in "\x1c\x1d\x1e\x1f"):
-        return lines, str.split
-    return lines, _fields
-
-
-def _fields(line: str) -> list[str]:
-    line = line.strip(BLANKS)
-    return _BLANK_RUN.split(line) if line else []
+def record_lines(text: str) -> list[str]:
+    """The lines of a graph or DIMACS text, to be parted by `record_fields`.
+    A line ends at \\n, \\r\\n or \\r only, and fields part at runs of
+    BLANKS only: str.splitlines() and str.split() would also end and part
+    them at other Unicode line boundaries and blanks and at \\x1c-\\x1f."""
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
 
 
 def normalize_edge(u: int, v: int, vertex_count: int | None = None) -> tuple[int, int]:
@@ -240,15 +231,14 @@ def parse_graph_file(text: str) -> Graph:
 
     Lines: '#' comments, one 'p mg <vertices> <edges>' header, optional
     'v <id> <x> <y>' coordinate records, and 'e <u> <v>' edge records, read
-    by `record_lines`.
+    by `record_lines` and `record_fields`.
     """
     header: tuple[int, int] | None = None
     edges: list[tuple[int, int]] = []
     coords: dict[int, tuple[int, int]] = {}
-    lines, split = record_lines(text)
-    for lineno, raw in enumerate(lines, start=1):
-        # split() drops the blanks strip(BLANKS) would, so only messages strip
-        parts = split(raw)
+    for lineno, raw in enumerate(record_lines(text), start=1):
+        # record_fields() drops what strip(BLANKS) would, so only messages strip
+        parts = record_fields(raw)
         if not parts:
             continue
         tag = parts[0]

@@ -31,7 +31,7 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .graph import (BLANKS, Graph, degree_profile, is_connected, normalize_edge, parse_int,
-                    record_lines)
+                    record_fields, record_lines)
 from .matching import Matching, _is_matching_of, matching_from_pairs, nu
 from .spectrum import CappedStream
 
@@ -100,13 +100,12 @@ def sat_count(cnf: CnfInstance, alpha: Assignment) -> int:
 def parse_dimacs(text: str) -> CnfInstance:
     """Parse DIMACS CNF restricted to exactly three distinct variables per
     clause, with every declared variable used at least once; lines and
-    fields as `record_lines` reads them."""
+    fields as `record_lines` and `record_fields` read them."""
     num_vars: int | None = None
     num_clauses: int | None = None
     clauses: list[tuple[int, ...]] = []
     current: list[int] = []
-    lines, split = record_lines(text)
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(record_lines(text), start=1):
         line = raw.strip(BLANKS)
         if not line or line.startswith("c"):
             continue
@@ -114,7 +113,7 @@ def parse_dimacs(text: str) -> CnfInstance:
             if num_vars is not None:
                 raise DimacsError(f"line {lineno}: duplicate header")
             try:
-                _, kind, vars_text, clauses_text = split(line)
+                _, kind, vars_text, clauses_text = record_fields(line)
                 if kind != "cnf":
                     raise ValueError(kind)
                 num_vars, num_clauses = parse_int(vars_text), parse_int(clauses_text)
@@ -125,7 +124,7 @@ def parse_dimacs(text: str) -> CnfInstance:
             continue
         if num_vars is None:
             raise DimacsError(f"line {lineno}: clause data before header")
-        for tok in split(line):
+        for tok in record_fields(line):
             try:
                 lit = parse_int(tok)
             except ValueError:

@@ -75,6 +75,10 @@ BAD_INPUTS = {
     "bad_header_line_separator": "p mg 2 1\u2028e 1 2\n",
     "bad_dimacs_em_space": "p cnf 3 1\n1\u20032\u20033\u20030\n",
     "bad_dimacs_line_separator": "p cnf 3 1\u20281 2 3 0\n",
+    # str.split() would skip the first as a blank line and read the second
+    # as a comment: a non-ASCII blank is a field, not a blank
+    "bad_blank_only_line": "p mg 2 1\n\u3000\ne 1 2\n",
+    "bad_dimacs_indented_comment": "p cnf 3 1\n\u2003c note\n1 2 3 0\n",
 }
 
 # name -> argv, with {p5}, {twin}, {r<seed>}, {g31}, {cnf_<name>},

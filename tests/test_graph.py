@@ -256,6 +256,11 @@ def test_parse_collapses_duplicate_edges_with_warning():
         ("p mg 2 1\ne 1\x1f2\n", "line 2: malformed edge record 'e 1\\x1f2'"),
         ("p mg 2 1\u2028e 1 2\n", "line 1: malformed header 'p mg 2 1\\u2028e 1 2'"),
         ("# caf\u00e9\u2028\np mg 2 1\x85e 1 2\n", "line 2: malformed header 'p mg 2 1\\x85e 1 2'"),
+        # str.split() would skip a line of non-ASCII blanks and read a comment
+        # indented by one or by \x1c-\x1f as a comment
+        ("p mg 2 1\n\u3000\ne 1 2\n", "line 2: unknown record tag '\\u3000'"),
+        ("p mg 2 1\n\u00a0# note\ne 1 2\n", "line 2: unknown record tag '\\xa0#'"),
+        ("p mg 2 1\n\x1c# note\ne 1 2\n", "line 2: unknown record tag '\\x1c#'"),
     ],
 )
 def test_parse_dispatch_messages(text, message):
