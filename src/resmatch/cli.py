@@ -69,18 +69,26 @@ def _rat(x: Fraction) -> str:
 def _output(path: str | None):
     """Standard output, or a temporary file beside path that replaces path
     only once the block has finished (and is removed if it raises).  The
-    file gets the mode open(path, "w") would create, not mkstemp's 0600."""
+    file gets the mode open(path, "w") would create, not mkstemp's 0600.
+    Failing to create or to place the file is an OSError naming path: the
+    temporary file's name is random, so naming it would vary stderr."""
     if path is None:
         yield sys.stdout
         return
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".resmatch-")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".resmatch-")
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
     try:
         with os.fdopen(fd, "w") as fh:
             yield fh
         umask = os.umask(0)  # reading the umask means setting it
         os.umask(umask)
         os.chmod(tmp, 0o666 & ~umask)
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, path) from None
     except BaseException:
         os.unlink(tmp)
         raise
@@ -141,6 +149,9 @@ def cmd_compute(args) -> int:
 
 
 def cmd_reduce(args) -> int:
+    if args.certificate is not None:  # it would replace the artifact it certifies
+        if os.path.abspath(args.certificate) == os.path.abspath(args.output):
+            raise ValueError("--output and --certificate name the same file")
     cnf = parse_dimacs(_read(args.input))
     art = build_artifact(cnf, args.variant)
     cert = verify_artifact(art, exhaustive=False)

@@ -299,16 +299,15 @@ def parse_graph_file(text: str) -> Graph:
 def emit_graph_file(g: Graph) -> str:
     """Serialize g in canonical form: sorted records, no comments.
 
-    Edge records come from the upper half (v > u) of each adjacency list in
-    vertex order: u rises from list to list and each list is sorted, so the
-    pairs come out in the order of sorted(g.edges) without a sort."""
+    Each record kind is one flat comprehension, with every vertex id
+    formatted once, and the lines are joined once.  Edge records come from
+    the upper half (v > u) of each adjacency list in vertex order: u rises
+    from list to list and each list is sorted, so the pairs come out in the
+    order of sorted(g.edges) without a sort."""
+    names = list(map(str, range(g.vertex_count + 1)))
+    coords = g.coords or {}
     lines = [f"p mg {g.vertex_count} {g.edge_count}"]
-    if g.coords is not None:
-        for vid in sorted(g.coords):
-            x, y = g.coords[vid]
-            lines.append(f"v {vid} {x} {y}")
-    for u, nbrs in enumerate(g.adjacency()):
-        for v in nbrs:
-            if v > u:
-                lines.append(f"e {u} {v}")
+    lines += [f"v {names[v]} {x} {y}" for v in sorted(coords) for x, y in (coords[v],)]
+    lines += [f"e {names[u]} {names[v]}"
+              for u, nbrs in enumerate(g.adjacency()) for v in nbrs if v > u]
     return "\n".join(lines) + "\n"

@@ -18,7 +18,8 @@ draw for draw from `getrandbits`: each adjacency list in vertex order, then
 the vertex order, from one generator seeded with the seed.  `_seeded_mates`
 serves a batch of seeds on one graph: it builds the lists, their shuffle plan
 (`_shuffle_plan`), the search arrays and one `random.Random` once, and per
-seed reseeds the generator (the stream of `random.Random(seed)`), shuffles
+seed reseeds the generator (the stream of `random.Random(seed)`; an int seed
+goes straight to the C `seed` under the Python wrapper), shuffles
 copies (`_shuffled`) and runs `_blossom`; `max_matching` is one such seed.
 Every seed after a batch's first hands `_blossom` the first one's size, and
 `_blossom` starts no root search once its matching has that size: all
@@ -247,9 +248,15 @@ def _seeded_mates(g: Graph, seeds):
     arrays = _search_arrays(n)
     rng = random.Random()
     getrandbits = rng.getrandbits
+    # an int seeds the C generator as the Python wrapper's seed would; the
+    # wrapper hashes str and bytes seeds first, so any other seed keeps it
+    seed_int = super(random.Random, rng).seed
     size = None  # the size of every maximum matching of g, once the first seed has one
     for seed in seeds:
-        rng.seed(seed)
+        if isinstance(seed, int):
+            seed_int(seed)
+        else:
+            rng.seed(seed)
         adj = _shuffled(lists, plan, getrandbits)
         mate = _blossom(n, adj, adj.pop(), arrays, size=size)  # the last list is the vertex order
         if size is None:

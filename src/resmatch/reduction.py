@@ -17,9 +17,12 @@ column 0, residual 10m-1+sat, maximum degree four) drives the upper end of
 the spectrum, the "ell" variant (in-clause port links, residual 11m-1-sat,
 maximum degree three) the lower end.
 
-All coordinates are metadata; adjacency is purely combinatorial.  Vertex
-ids are assigned by sorting lattice points, so rebuilding an artifact from
-the same input is byte-reproducible.
+All coordinates are metadata; adjacency is purely combinatorial.  The
+build lays out one int key per lattice point, (x + 1) * H + y for an odd H
+above every row, so that keys sort in lattice order and a key's parity is
+that of x + y + 1.  Vertex ids are assigned by sorting the keys, and each
+vertex's coordinates are decoded from its key, so rebuilding an artifact
+from the same input is byte-reproducible.
 """
 
 from __future__ import annotations
@@ -159,47 +162,36 @@ def parse_dimacs(text: str) -> CnfInstance:
     return CnfInstance(num_vars, tuple(clauses))  # type: ignore[arg-type]
 
 
-# (corner, corner, edge role) inside every gadget.  The one polarity-dependent
-# edge, the feed from u22, is added next to it: the anchor square sits below
-# the ports of a plain occurrence, so u22 feeds v22 vertically; it sits left
-# of the ports of a negated one, so u22 feeds v11 horizontally.
-_GADGET_EDGES = (
-    ("u11", "u12", "u"),
-    ("u21", "u22", "u"),
-    ("u12", "v21", "feed"),
-    ("v21", "v22", "port"),
-    ("v22", "v12", "port"),
-    ("v11", "v12", "port"),
-)
-
 # every encoded matching takes all edges of these roles; the cycle edges
 # ("port" and "join") it takes depend on the assignment
 ENCODED_ROLES = ("path", "u", "column")
 
 
-def _gadget_cells(i: int, j: int, positive: bool) -> dict[str, Point]:
-    left, right = 4 * i - 1, 4 * i
-    cells = {
-        "v21": (left, 4 * j - 1),
-        "v22": (right, 4 * j - 1),
-        "v11": (left, 4 * j),
-        "v12": (right, 4 * j),
-    }
+def _stride(m: int) -> int:
+    """H, the key stride of an m-clause layout: lattice point (x, y) has the
+    key (x + 1) * H + y.  H is above every row (1..4m), so keys sort as
+    their points do, and odd, so a key's parity is that of x + y + 1."""
+    return 4 * m + 1
+
+
+def _gadget(i: int, j: int, positive: bool, h: int) -> tuple[tuple[int, ...], list]:
+    """The corner keys (v21, v22, v11, v12, u11, u12, u21, u22) and the
+    (key, key, role) edges of variable i's gadget in clause j, for stride h.
+    The port square sits in columns 4i-1 and 4i, rows 4j-1 (v2*) and 4j
+    (v1*); the anchor square sits below it for a plain occurrence, where u22
+    feeds v22, and left of it for a negated one, where u22 feeds v11."""
+    v11 = 4 * i * h + 4 * j  # (4i - 1, 4j)
+    v21, v12 = v11 - 1, v11 + h
+    v22 = v12 - 1
     if positive:
-        cells.update(
-            u11=(left, 4 * j - 3),
-            u21=(right, 4 * j - 3),
-            u12=(left, 4 * j - 2),
-            u22=(right, 4 * j - 2),
-        )
+        u11, u12, u21, u22 = v11 - 3, v11 - 2, v12 - 3, v12 - 2
+        fed = v22
     else:
-        cells.update(
-            u11=(4 * i - 3, 4 * j - 1),
-            u12=(4 * i - 2, 4 * j - 1),
-            u21=(4 * i - 3, 4 * j),
-            u22=(4 * i - 2, 4 * j),
-        )
-    return cells
+        u11, u12, u21, u22 = v21 - 2 * h, v21 - h, v11 - 2 * h, v11 - h
+        fed = v11
+    return (v21, v22, v11, v12, u11, u12, u21, u22), [
+        (u11, u12, "u"), (u21, u22, "u"), (u12, v21, "feed"), (v21, v22, "port"),
+        (v22, v12, "port"), (v11, v12, "port"), (u22, fed, "feed")]
 
 
 @dataclass(frozen=True)
@@ -242,92 +234,92 @@ def expected_counts(m: int, variant: str) -> dict:
 def build_artifact(cnf: CnfInstance, variant: str) -> ReductionArtifact:
     """Lay out the artifact graph for cnf in the requested variant.
 
-    Lattice points and (point, point, role) edges are listed in build order,
-    and each layout invariant is checked once over the whole layout: points
-    are distinct (len(ids)), edges are distinct (len(roles)), every edge
-    crosses the parity classes, and the counts are the closed-form ones.  A
-    failed bulk check rescans the layout and names its first offender.
+    Lattice points are int keys (`_stride`), each gadget's from `_gadget`'s
+    arithmetic, and keys and (key, key, role) edges are listed in build
+    order.  Each layout invariant is checked once over the whole layout:
+    keys are distinct (len(ids)), edges are distinct (len(roles)), every
+    edge joins keys of both parities, and the counts are the closed-form
+    ones.  A failed bulk check rescans the layout and names its first
+    offender by its (x, y) point.
     """
     _check_variant(variant)
     m, n = cnf.num_clauses, cnf.num_vars
+    h = _stride(m)
 
-    # spine path in column -1; every other edge, from the first, is a path
-    # pair of the encoded matchings
-    points: list[Point] = [(-1, y) for y in range(1, 4 * m + 1)]
-    triples: list[tuple[Point, Point, str]] = [
-        (a, b, "spine" if k % 2 else "path") for k, (a, b) in enumerate(zip(points, points[1:]))]
-
-    gadget_cells: dict[tuple[int, int], dict[str, Point]] = {}
-    occurrences: dict[int, list[tuple[int, int]]] = {i: [] for i in range(1, n + 1)}
-
-    for j, clause in enumerate(cnf.clauses, start=1):
-        for t, lit in enumerate(clause, start=1):
-            i = abs(lit)
-            cells = _gadget_cells(i, j, lit > 0)
-            points += cells.values()
-            triples += [(cells[a], cells[b], role) for a, b, role in _GADGET_EDGES]
-            triples.append((cells["u22"], cells["v22" if lit > 0 else "v11"], "feed"))
-            gadget_cells[(j, t)] = cells
-            occurrences[i].append((j, t))
-        if variant == "L":
-            low0, low1, high0, high1 = column = [(0, y) for y in range(4 * j - 3, 4 * j + 1)]
-            points += column
-            triples += [(low0, low1, "column"), (high0, high1, "column")]
-            for t in (1, 2, 3):
-                v12 = gadget_cells[(j, t)]["v12"]
-                triples += [(low0, v12, "rail"), (high0, v12, "rail")]
-        else:
-            # Port links chain the three port squares.  The in-corner must be
-            # one the satisfied-side residual leaves free, which depends on
-            # where the anchor square sits: v11 for plain occurrences, v22
-            # for negated ones.
-            for t in (1, 2):
-                dst = gadget_cells[(j, t + 1)]["v11" if clause[t] > 0 else "v22"]
-                triples.append((gadget_cells[(j, t)]["v12"], dst, "link"))
-
+    # spine path in column -1, where a key is its row; every other edge, from
+    # the first, is a path pair of the encoded matchings
+    keys = list(range(1, 4 * m + 1))
+    triples: list[tuple[int, int, str]] = [
+        (y, y + 1, "path" if y % 2 else "spine") for y in range(1, 4 * m)]
     # one anchor edge per clause keeps the artifact connected; the spine end
     # it uses, (-1, 4j-2), is matched by a spine edge in every residual, so
     # anchors never enlarge a residual matching
-    triples += [((-1, 4 * j - 2), gadget_cells[(j, 1)]["u11"], "anchor") for j in range(1, m + 1)]
+    anchors = []
+    occurrences: list[list[tuple[int, ...]]] = [[] for _ in range(n + 1)]
+
+    for j, clause in enumerate(cnf.clauses, start=1):
+        gadgets = []  # corner tuples (v21, v22, v11, v12, u11, ...) in clause order
+        for lit in clause:
+            corners, edges = _gadget(abs(lit), j, lit > 0, h)
+            keys += corners
+            triples += edges
+            gadgets.append(corners)
+            occurrences[abs(lit)].append(corners)
+        anchors.append((4 * j - 2, gadgets[0][4], "anchor"))  # to the first u11
+        if variant == "L":
+            low0 = h + 4 * j - 3  # column 0, rows 4j-3..4j
+            high0 = low0 + 2
+            keys += (low0, low0 + 1, high0, high0 + 1)
+            triples += [(low0, low0 + 1, "column"), (high0, high0 + 1, "column")]
+            for v12 in (gadgets[0][3], gadgets[1][3], gadgets[2][3]):
+                triples += [(low0, v12, "rail"), (high0, v12, "rail")]
+        else:
+            # Port links chain the three port squares, each v12 to the next
+            # square.  The in-corner must be one the satisfied-side residual
+            # leaves free, which depends on where the anchor square sits: v11
+            # for plain occurrences, v22 for negated ones.
+            for t in (1, 2):
+                triples.append((gadgets[t - 1][3], gadgets[t][2 if clause[t] > 0 else 1], "link"))
+    triples += anchors
 
     # variable cycles: each port square contributes its three drawn edges;
     # consecutive occurrences (clause order, wrapping) are joined v11 -> v21
     # along the square's left column.  L encodes TRUE as the vertical cycle
     # matching, ell as the horizontal one; the two variants reward opposite
     # orientations in the residual.
-    cycle_pts: list[tuple[list[tuple[Point, Point]], list[tuple[Point, Point]]]] = []
+    cycle_keys: list[tuple[list[tuple[int, int]], list[tuple[int, int]]]] = []
     for i in range(1, n + 1):
         occs = occurrences[i]
         if not occs:
             raise ConstructionError(f"variable {i} has no occurrences")
-        vertical: list[tuple[Point, Point]] = []
-        horizontal: list[tuple[Point, Point]] = []
-        for idx, key in enumerate(occs):
-            cells = gadget_cells[key]
-            nxt = gadget_cells[occs[(idx + 1) % len(occs)]]
-            horizontal += [(cells["v21"], cells["v22"]), (cells["v12"], cells["v11"])]
-            vertical += [(cells["v22"], cells["v12"]), (cells["v11"], nxt["v21"])]
-            triples.append((cells["v11"], nxt["v21"], "join"))
-        cycle_pts.append((vertical, horizontal) if variant == "L" else (horizontal, vertical))
+        vertical: list[tuple[int, int]] = []
+        horizontal: list[tuple[int, int]] = []
+        for (v21, v22, v11, v12, *_), (nxt_v21, *_) in zip(occs, occs[1:] + occs[:1]):
+            horizontal += [(v21, v22), (v12, v11)]
+            vertical += [(v22, v12), (v11, nxt_v21)]
+            triples.append((v11, nxt_v21, "join"))
+        cycle_keys.append((vertical, horizontal) if variant == "L" else (horizontal, vertical))
 
-    # ids follow the lattice order, so the id pairs of an edge order like its points
-    order = sorted(points)
+    # ids follow the key order, so the id pairs of an edge order like its keys;
+    # a + b is odd exactly when the edge crosses the parity classes
+    order = sorted(keys)
     ids = dict(zip(order, range(1, len(order) + 1)))
     roles = {((ids[a], ids[b]) if a < b else (ids[b], ids[a])): role for a, b, role in triples}
-    if (len(ids) != len(points) or len(roles) != len(triples)
-            or 0 in {(x + y + p + q) % 2 for (x, y), (p, q), _ in triples}):
-        _first_offender(points, triples)
+    if (len(ids) != len(keys) or len(roles) != len(triples)
+            or 0 in {(a + b) % 2 for a, b, _ in triples}):
+        _first_offender(keys, triples, h)
     expected = expected_counts(m, variant)
-    if len(points) != expected["vertices"]:
-        raise ConstructionError(f"{len(points)} lattice points, expected {expected['vertices']}")
+    if len(keys) != expected["vertices"]:
+        raise ConstructionError(f"{len(keys)} lattice points, expected {expected['vertices']}")
     if len(roles) != expected["edges"]:
         raise ConstructionError(f"{len(roles)} edges, expected {expected['edges']}")
 
     # the bulk checks cover every edge, and the graph shares its edge tuples
     # with roles, where build_graph would copy each one
-    graph = Graph(len(points), frozenset(roles), dict(enumerate(order, start=1)))
+    coords = {v: (k // h - 1, k % h) for v, k in enumerate(order, start=1)}
+    graph = Graph(len(keys), frozenset(roles), coords)
 
-    def id_edges(walk: list[tuple[Point, Point]]) -> frozenset[Edge]:
+    def id_edges(walk: list[tuple[int, int]]) -> frozenset[Edge]:
         return frozenset((ids[a], ids[b]) if a < b else (ids[b], ids[a]) for a, b in walk)
 
     return ReductionArtifact(
@@ -335,24 +327,30 @@ def build_artifact(cnf: CnfInstance, variant: str) -> ReductionArtifact:
         cnf=cnf,
         variant=variant,
         roles=roles,
-        cycles=tuple((id_edges(t), id_edges(f)) for t, f in cycle_pts),
+        cycles=tuple((id_edges(t), id_edges(f)) for t, f in cycle_keys),
     )
 
 
-def _first_offender(points: list[Point], triples: list[tuple[Point, Point, str]]):
-    """Raise the ConstructionError of the first point, then of the first edge,
-    in build order, that breaks a layout invariant."""
+def _first_offender(keys: list[int], triples: list[tuple[int, int, str]], h: int):
+    """Raise the ConstructionError of the first key, then of the first edge,
+    in build order, that breaks a layout invariant, naming each key by its
+    (x, y) point for stride h."""
+    def point(key: int) -> Point:
+        q, y = divmod(key, h)
+        return q - 1, y
+
     seen: set = set()
-    for p in points:
-        if p in seen:
-            raise ConstructionError(f"lattice collision at {p}")
-        seen.add(p)
+    for k in keys:
+        if k in seen:
+            raise ConstructionError(f"lattice collision at {point(k)}")
+        seen.add(k)
     for a, b, _ in triples:
         e = normalize_edge(a, b)
+        named = point(e[0]), point(e[1])
         if e in seen:
-            raise ConstructionError(f"duplicate edge {e}")
-        if (a[0] + a[1] + b[0] + b[1]) % 2 == 0:
-            raise ConstructionError(f"edge {e} does not cross the parity classes")
+            raise ConstructionError(f"duplicate edge {named}")
+        if (a + b) % 2 == 0:
+            raise ConstructionError(f"edge {named} does not cross the parity classes")
         seen.add(e)
     raise AssertionError("a bulk layout check failed, but no point or edge breaks it")
 

@@ -9,9 +9,11 @@ at every node instead of a carried matching.  `census_certificate` is the
 reference for the exhaustive artifact census: it rebuilds every encoding
 with `encode_assignment` and compares it with the decoded matching;
 `expected_residual` restates the residual identity it checks, the reference
-for the package's `_residual_of_sat`.  `milp_big_l` computes L(G), and
-`milp_ell` ell(G) of a bipartite G, by an integer program: references past
-brute-force sizes that need scipy.
+for the package's `_residual_of_sat`.  `build_artifact_reference` lays the
+artifact out on (x, y) points, one dict of named corners per gadget: the
+reference for `build_artifact`, which lays out int keys.  `milp_big_l`
+computes L(G), and `milp_ell` ell(G) of a bipartite G, by an integer
+program: references past brute-force sizes that need scipy.
 `record_searches` and `count_searches` log the enumerator's single-root
 searches and short repair checks, for the tests that pin how many it runs;
 `augment_reference` is the reference for that search kernel, `_augment`.
@@ -31,6 +33,7 @@ from resmatch.matching import Matching, nu, validate_matching
 from resmatch.reduction import (
     Assignment,
     Certificate,
+    CnfInstance,
     MatchingCensus,
     ReductionArtifact,
     ResidualCheck,
@@ -38,6 +41,7 @@ from resmatch.reduction import (
     all_assignments,
     decode_matching,
     encode_assignment,
+    parse_dimacs,
     sat_count,
     verify_artifact,
 )
@@ -341,6 +345,89 @@ def count_searches(monkeypatch, g):
     return len(items), kinds.count("branch"), kinds.count("repair"), kinds.count("short")
 
 
+# (corner, corner, edge role) inside every gadget of the reference layout;
+# the feed from u22 depends on the polarity and is added next to them
+_GADGET_EDGES = (
+    ("u11", "u12", "u"),
+    ("u21", "u22", "u"),
+    ("u12", "v21", "feed"),
+    ("v21", "v22", "port"),
+    ("v22", "v12", "port"),
+    ("v11", "v12", "port"),
+)
+
+
+def _gadget_cells(i: int, j: int, positive: bool) -> dict[str, tuple[int, int]]:
+    left, right = 4 * i - 1, 4 * i
+    cells = {"v21": (left, 4 * j - 1), "v22": (right, 4 * j - 1),
+             "v11": (left, 4 * j), "v12": (right, 4 * j)}
+    if positive:
+        cells.update(u11=(left, 4 * j - 3), u21=(right, 4 * j - 3),
+                     u12=(left, 4 * j - 2), u22=(right, 4 * j - 2))
+    else:
+        cells.update(u11=(4 * i - 3, 4 * j - 1), u12=(4 * i - 2, 4 * j - 1),
+                     u21=(4 * i - 3, 4 * j), u22=(4 * i - 2, 4 * j))
+    return cells
+
+
+def build_artifact_reference(cnf: CnfInstance, variant: str) -> ReductionArtifact:
+    """The artifact laid out on (x, y) lattice points, one dict of named
+    corners per gadget: the reference for `build_artifact`, which lays out
+    integer keys.  It makes none of the layout checks."""
+    m, n = cnf.num_clauses, cnf.num_vars
+    points = [(-1, y) for y in range(1, 4 * m + 1)]
+    triples = [(a, b, "spine" if k % 2 else "path")
+               for k, (a, b) in enumerate(zip(points, points[1:]))]
+    gadget_cells = {}
+    occurrences: dict[int, list] = {i: [] for i in range(1, n + 1)}
+    for j, clause in enumerate(cnf.clauses, start=1):
+        for t, lit in enumerate(clause, start=1):
+            cells = _gadget_cells(abs(lit), j, lit > 0)
+            points += cells.values()
+            triples += [(cells[a], cells[b], role) for a, b, role in _GADGET_EDGES]
+            triples.append((cells["u22"], cells["v22" if lit > 0 else "v11"], "feed"))
+            gadget_cells[(j, t)] = cells
+            occurrences[abs(lit)].append((j, t))
+        if variant == "L":
+            low0, low1, high0, high1 = column = [(0, y) for y in range(4 * j - 3, 4 * j + 1)]
+            points += column
+            triples += [(low0, low1, "column"), (high0, high1, "column")]
+            for t in (1, 2, 3):
+                v12 = gadget_cells[(j, t)]["v12"]
+                triples += [(low0, v12, "rail"), (high0, v12, "rail")]
+        else:
+            for t in (1, 2):
+                dst = gadget_cells[(j, t + 1)]["v11" if clause[t] > 0 else "v22"]
+                triples.append((gadget_cells[(j, t)]["v12"], dst, "link"))
+    triples += [((-1, 4 * j - 2), gadget_cells[(j, 1)]["u11"], "anchor") for j in range(1, m + 1)]
+    cycle_pts = []
+    for i in range(1, n + 1):
+        occs = occurrences[i]
+        vertical, horizontal = [], []
+        for idx, key in enumerate(occs):
+            cells = gadget_cells[key]
+            nxt = gadget_cells[occs[(idx + 1) % len(occs)]]
+            horizontal += [(cells["v21"], cells["v22"]), (cells["v12"], cells["v11"])]
+            vertical += [(cells["v22"], cells["v12"]), (cells["v11"], nxt["v21"])]
+            triples.append((cells["v11"], nxt["v21"], "join"))
+        cycle_pts.append((vertical, horizontal) if variant == "L" else (horizontal, vertical))
+    order = sorted(points)
+    ids = dict(zip(order, range(1, len(order) + 1)))
+
+    def id_edge(a, b):
+        return (ids[a], ids[b]) if a < b else (ids[b], ids[a])
+
+    roles = {id_edge(a, b): role for a, b, role in triples}
+    return ReductionArtifact(
+        graph=Graph(len(points), frozenset(roles), dict(enumerate(order, start=1))),
+        cnf=cnf,
+        variant=variant,
+        roles=roles,
+        cycles=tuple((frozenset(id_edge(*e) for e in t), frozenset(id_edge(*e) for e in f))
+                     for t, f in cycle_pts),
+    )
+
+
 def expected_residual(art: ReductionArtifact, alpha: Assignment) -> int:
     """Residual matching number after deleting the encoding of alpha: 10m - 1 + sat
     on the L artifact and 11m - 1 - sat on the ell artifact, for m clauses of
@@ -453,6 +540,24 @@ def random_cnf(n: int, m: int, seed: int) -> str:
                    for _ in range(m)]
         if {abs(lit) for cl in clauses for lit in cl} == set(range(1, n + 1)):
             return f"p cnf {n} {m}\n" + "".join(f"{a} {b} {c} 0\n" for a, b, c in clauses)
+
+
+def covering_cnf(seed: int, num_vars: int, m: int) -> CnfInstance:
+    """Exact-3-SAT with every variable used: the first clauses cover the
+    variables in a shuffled order, the rest are drawn at random.  m must be
+    at least num_vars / 3 (and num_vars at least 3)."""
+    rng = random.Random(seed)
+    order = list(range(1, num_vars + 1))
+    rng.shuffle(order)
+    clauses = []
+    for at in range(0, num_vars, 3):
+        chunk = order[at:at + 3]
+        chunk += rng.sample([v for v in order if v not in chunk], 3 - len(chunk))
+        clauses.append(chunk)
+    while len(clauses) < m:
+        clauses.append(rng.sample(order, 3))
+    lines = [" ".join(str(v if rng.random() < 0.5 else -v) for v in cl) + " 0" for cl in clauses]
+    return parse_dimacs(f"p cnf {num_vars} {len(clauses)}\n" + "\n".join(lines) + "\n")
 
 
 def path(n):

@@ -327,6 +327,30 @@ def test_reduce_rejects_bad_cnf(tmp_path, capsys):
     assert "repeated variable" in err
 
 
+def test_reduce_refuses_one_path_for_both_outputs(tmp_path, capsys, monkeypatch):
+    # the certificate would replace the artifact; the paths are compared
+    # normalised, and the command stops before it builds anything
+    monkeypatch.chdir(tmp_path)
+    built = _counting(monkeypatch, "resmatch.cli.build_artifact")
+    assert run(capsys, "reduce", CNF1, "--variant", "L", "--output", "A.mg",
+               "--certificate", "./A.mg") == (
+        2, "", "error: --output and --certificate name the same file\n")
+    assert built == [] and os.listdir(tmp_path) == []
+
+
+def test_output_errors_name_the_requested_path(tmp_path, capsys, monkeypatch):
+    # not the temporary file beside it, whose random name would make stderr
+    # differ between identical runs; nothing is left behind
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "adir").mkdir()
+    for _ in range(2):
+        assert run(capsys, "compute", P5, "--output", "nodir/p5.json") == (
+            2, "", "error: [Errno 2] No such file or directory: 'nodir/p5.json'\n")
+        assert run(capsys, "compute", P5, "--output", "adir") == (
+            2, "", "error: [Errno 21] Is a directory: 'adir'\n")
+    assert os.listdir(tmp_path) == ["adir"] and os.listdir(tmp_path / "adir") == []
+
+
 def test_verify_detects_tampering(tmp_path, capsys):
     graph_path = tmp_path / "art.mg"
     run(capsys, "reduce", CNF1, "--variant", "L", "--output", str(graph_path))

@@ -11,6 +11,7 @@ import random
 import pytest
 
 from oracles import (
+    covering_cnf,
     iter_maximum_matchings_bounded,
     random_bipartite,
     random_graph,
@@ -72,27 +73,10 @@ def test_same_stream_on_dense_24_vertex_graphs(seed):
     assert_same_stream(dense24(seed))
 
 
-def random_cnf(seed: int, num_vars: int, m: int):
-    """Exact-3-SAT with every variable used: the first clauses cover the
-    variables in a shuffled order, the rest are drawn at random."""
-    rng = random.Random(seed)
-    order = list(range(1, num_vars + 1))
-    rng.shuffle(order)
-    clauses = []
-    for at in range(0, num_vars, 3):
-        chunk = order[at:at + 3]
-        chunk += rng.sample([v for v in order if v not in chunk], 3 - len(chunk))
-        clauses.append(chunk)
-    while len(clauses) < m:
-        clauses.append(rng.sample(order, 3))
-    lines = [" ".join(str(v if rng.random() < 0.5 else -v) for v in cl) + " 0" for cl in clauses]
-    return parse_dimacs(f"p cnf {num_vars} {len(clauses)}\n" + "\n".join(lines) + "\n")
-
-
 @pytest.mark.parametrize("variant", ["L", "ell"])
 @pytest.mark.parametrize("num_vars, m", [(3, 1), (3, 2), (4, 2), (5, 2), (5, 4), (6, 2), (6, 3)])
 def test_same_stream_on_artifacts(variant, num_vars, m):
-    assert_same_stream(build_artifact(random_cnf(10 * num_vars + m, num_vars, m), variant).graph)
+    assert_same_stream(build_artifact(covering_cnf(10 * num_vars + m, num_vars, m), variant).graph)
 
 
 # clause 1 2 3 three times and -1 -2 -3 three times: 3 or 6 clauses satisfied

@@ -204,8 +204,11 @@ def test_inline_shuffle_of_several_lists_from_one_generator():
 
 
 # seeds past one 32-bit word (init_by_array takes several key words), negative
-# seeds (the generator seeds from abs), and repeats within one batch
-BATCH = (0, 1, 2**32 - 1, 2**32, 2**32 + 1, 2**64 + 5, 3**70, -1, -7, -(2**40), 1, 0, 2**32, -7, 5)
+# seeds (the generator seeds from abs), repeats within one batch, str and
+# bytes seeds, which the Python seed of random.Random hashes, and True, an int
+# subclass (_seeded_mates hands ints straight to the C seed)
+BATCH = (0, 1, 2**32 - 1, 2**32, 2**32 + 1, 2**64 + 5, 3**70, -1, -7, -(2**40), 1, 0, 2**32, -7, 5,
+         "5", b"5", "seed", True)
 
 
 def test_one_reseeded_generator_shuffles_as_fresh_ones():

@@ -1,12 +1,14 @@
 import dataclasses
 import importlib
+import os
 import random
 import re
 from collections import Counter
 from fractions import Fraction
 
 import pytest
-from oracles import census_certificate, expected_residual, milp_ell, random_cnf
+from oracles import (build_artifact_reference, census_certificate, covering_cnf, expected_residual,
+                     milp_ell, random_cnf)
 
 from resmatch import matching, reduction
 from resmatch.graph import build_graph, delete_edges, emit_graph_file
@@ -40,6 +42,7 @@ M2_OPP = "p cnf 3 2\n1 2 3 0\n-1 -2 -3 0\n"
 M2_DISJOINT = "p cnf 6 2\n1 2 3 0\n4 5 6 0\n"
 M2_MIXED = "p cnf 3 2\n1 -2 3 0\n2 -3 -1 0\n"
 M3 = "p cnf 4 3\n1 2 3 0\n-2 3 -4 0\n1 -3 4 0\n"
+FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
 
 
 # --- DIMACS parsing ---
@@ -218,6 +221,45 @@ def test_build_is_deterministic():
     assert a.cycles == b.cycles
 
 
+def _assert_same_artifact(art, ref):
+    assert art.graph == ref.graph
+    assert art.graph.coords == ref.graph.coords  # coords take no part in ==
+    assert list(art.roles.items()) == list(ref.roles.items())
+    assert art.cycles == ref.cycles
+
+
+# (variables, clauses): the smallest and largest of both, then seeded draws
+# with n in 3..100 and m in n/3..400
+_rng = random.Random("build-shapes")
+BUILD_SHAPES = [(3, 1), (3, 400), (100, 34), (100, 400)] + [
+    (n, _rng.randint(-(-n // 3), 400)) for n in (_rng.randint(3, 100) for _ in range(8))]
+
+
+@pytest.mark.parametrize("variant", ["L", "ell"])
+@pytest.mark.parametrize("num_vars, m", BUILD_SHAPES)
+def test_build_matches_the_point_reference(variant, num_vars, m):
+    cnf = covering_cnf(num_vars * 1000 + m, num_vars, m)
+    _assert_same_artifact(build_artifact(cnf, variant), build_artifact_reference(cnf, variant))
+
+
+@pytest.mark.parametrize("variant", ["L", "ell"])
+@pytest.mark.parametrize("name", sorted(n for n in os.listdir(FIXTURES) if n.endswith(".cnf")))
+def test_build_matches_the_point_reference_on_fixtures(variant, name):
+    with open(os.path.join(FIXTURES, name)) as fh:
+        cnf = parse_dimacs(fh.read())
+    _assert_same_artifact(build_artifact(cnf, variant), build_artifact_reference(cnf, variant))
+
+
+@pytest.mark.parametrize("variant", ["L", "ell"])
+def test_build_does_not_depend_on_the_key_stride(monkeypatch, variant):
+    # any odd stride above the rows gives the lattice order; the planted
+    # faults below build at a wider one
+    cnf = parse_dimacs(M3)
+    art = build_artifact(cnf, variant)
+    monkeypatch.setattr(reduction, "_stride", lambda m: 4 * m + 2001)
+    _assert_same_artifact(build_artifact(cnf, variant), art)
+
+
 # --- layout invariants: each planted fault raises its ConstructionError ---
 
 # Clause 1 opens with variable 4, so its gadget is built first but sits to
@@ -225,20 +267,31 @@ def test_build_is_deterministic():
 PLANT_CNF = "p cnf 4 2\n4 -1 2 0\n3 1 -2 0\n"
 
 
+CORNERS = ("v21", "v22", "v11", "v12", "u11", "u12", "u21", "u22")  # _gadget's order
+
+
 def _plant(monkeypatch, gadgets=(), move=None, extra_edge=None):
-    """Build hooks: move(cells) edits the cells of each gadget (variable,
-    clause) in `gadgets`; extra_edge joins two corners in every gadget."""
-    real = reduction._gadget_cells
+    """Build hooks: move(cells) edits the named (x, y) corners of each gadget
+    (variable, clause) in `gadgets`; extra_edge joins two corners in every
+    gadget.  The key stride is widened so that the points planted off the
+    lattice, up to row 4m + 1001, keep keys that name them."""
+    real = reduction._gadget
+    monkeypatch.setattr(reduction, "_stride", lambda m: 4 * m + 2001)
 
-    def cells(i, j, positive):
-        c = real(i, j, positive)
+    def gadget(i, j, positive, h):
+        corners, edges = real(i, j, positive, h)
+        cells = {name: (k // h - 1, k % h) for name, k in zip(CORNERS, corners)}
         if (i, j) in gadgets:
-            move(c)
-        return c
+            move(cells)
+        keys = {name: (x + 1) * h + y for name, (x, y) in cells.items()}
+        moved = {k: keys[name] for name, k in zip(CORNERS, corners)}
+        edges = [(moved[a], moved[b], role) for a, b, role in edges]
+        if extra_edge is not None:
+            a, b, role = extra_edge
+            edges.append((keys[a], keys[b], role))
+        return tuple(keys.values()), edges
 
-    monkeypatch.setattr(reduction, "_gadget_cells", cells)
-    if extra_edge is not None:
-        monkeypatch.setattr(reduction, "_GADGET_EDGES", reduction._GADGET_EDGES + (extra_edge,))
+    monkeypatch.setattr(reduction, "_gadget", gadget)
 
 
 def _onto_v12(c):
