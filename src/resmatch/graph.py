@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 import warnings
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass, field
 
 
@@ -152,24 +152,24 @@ def bipartition(g: Graph) -> Bipartition | None:
     Component roots are visited in increasing vertex order and each root is
     placed on side0.  Coordinates are ignored.
     """
-    color: dict[int, int] = {}
+    n = g.vertex_count
     adj = g.adjacency()
-    for root in range(1, g.vertex_count + 1):
-        if root in color:
+    color = [-1] * (n + 1)
+    for root in range(1, n + 1):
+        if color[root] >= 0:
             continue
         color[root] = 0
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
+        queue = [root]
+        for u in queue:  # the queue grows while it is read
+            cu = color[u]
             for w in adj[u]:
-                if w not in color:
-                    color[w] = 1 - color[u]
+                if color[w] < 0:
+                    color[w] = 1 - cu
                     queue.append(w)
-                elif color[w] == color[u]:
+                elif color[w] == cu:
                     return None
-    side0 = frozenset(v for v, c in color.items() if c == 0)
-    side1 = frozenset(v for v, c in color.items() if c == 1)
-    return Bipartition(side0, side1)
+    return Bipartition(frozenset(v for v in range(1, n + 1) if not color[v]),
+                       frozenset(v for v in range(1, n + 1) if color[v] == 1))
 
 
 def is_valid_bipartition(g: Graph, b: Bipartition) -> bool:

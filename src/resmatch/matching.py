@@ -9,7 +9,15 @@ entry and `resmatch.colorable.nu2_bipartite` run it in vertex order with
 sorted adjacency, lo = 0 and no skipped edge, and `resmatch.spectrum`'s
 enumerator calls `_augment` directly to repair the two matchings it carries:
 one of its undecided vertices, and one of the whole graph with the chosen
-edges skipped.  `max_matching` first lets a seed permute the scan order, so
+edges skipped.  On a bipartite graph the enumerator first asks
+`_fixed_mates` for the edges of its root matching M that every maximum
+matching holds.  That reads D(M), the alternating digraph of M: one node
+per M-edge, its side-0 end x, and an arc x -> mate(w) for each other
+neighbour w of x, so that its directed cycles are the M-alternating
+cycles.  One search from the M-free vertices marks the M-edges that even
+alternating paths reach, and an iterative Tarjan pass over D(M) finds
+those on a cycle, both in O(V + E) and with no recursion; the rest are
+fixed.  `max_matching` first lets a seed permute the scan order, so
 different seeds may return different maximum matchings of the same size;
 results are deterministic for a fixed (graph, seed) pair.
 
@@ -200,6 +208,71 @@ def _augment(adj, match, root: int, lo: int, arrays) -> bool:
         p[x] = 0
         base[x] = x
     return found
+
+
+def _fixed_mates(n: int, adj, mate: list[int], side) -> list[int]:
+    """Mate array of the edges of mate, a maximum matching M of a bipartite
+    graph whose side-0 vertices are side, that every maximum matching holds
+    (0 elsewhere).  M ⊕ M' of a maximum matching M' splits into even
+    M-alternating paths from M-free vertices and M-alternating cycles
+    (Berge), so an M-edge is in every M' exactly when it lies on neither.
+
+    The search from the M-free vertices steps along a non-M edge to w, whose
+    mate is never 0 (x - w would close an augmenting path or an odd cycle),
+    and marks mate[w] reached; paths from side 0 reach side-0 ends only and
+    paths from side 1 side-1 ends only, so one queue serves both.  Tarjan's
+    pass over D(M) skips the reached nodes: a strongly connected component
+    is reached whole or not at all, as reach from side 0 follows the arcs of
+    D(M) and reach from side 1 follows them backwards."""
+    reached = [not m for m in mate]  # the M-free vertices, and slot 0
+    queue = [v for v in range(1, n + 1) if not mate[v]]
+    for x in queue:  # the queue grows while it is read
+        for w in adj[x]:
+            y = mate[w]
+            if not reached[y]:
+                reached[y] = True
+                queue.append(y)
+    for v in queue:  # an M-edge is reached when either end is
+        reached[mate[v]] = True
+    fixed = [0] * (n + 1)
+    order = [0] * (n + 1)  # Tarjan's visit number; n + 1 once the node's component is out
+    low = [0] * (n + 1)
+    component: list[int] = []  # Tarjan's stack of visited nodes not yet in a component
+    count = 0
+    for root in range(1, n + 1):
+        if order[root] or reached[root] or root not in side:
+            continue
+        count += 1
+        order[root] = low[root] = count
+        component.append(root)
+        work = [(root, iter(adj[root]))]
+        while work:
+            x, nbrs = work[-1]
+            for w in nbrs:
+                y = mate[w]
+                if y == x or reached[y]:  # w is x's mate, or y's component is reached
+                    continue
+                if not order[y]:
+                    count += 1
+                    order[y] = low[y] = count
+                    component.append(y)
+                    work.append((y, iter(adj[y])))
+                    break
+                if order[y] < low[x]:
+                    low[x] = order[y]
+            else:
+                work.pop()
+                if work and low[x] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[x]
+                if low[x] == order[x]:  # x roots a component: pop it
+                    if component[-1] == x:  # a single node: no cycle holds x's M-edge
+                        fixed[x], fixed[mate[x]] = mate[x], x
+                    while True:
+                        y = component.pop()
+                        order[y] = n + 1
+                        if y == x:
+                            break
+    return fixed
 
 
 def _matching(mate: list[int]) -> Matching:

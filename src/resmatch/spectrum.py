@@ -18,7 +18,13 @@ that takes one of its edges repairs it with a check for an augmenting path
 of length 1 or 3 from each end, then, if both fail, one search from each,
 so no leaf runs a blossom.  Any augmenting path is a correct repair: the
 stream reads only the matching's size, which every maximum matching of G
-less the chosen edges shares.
+less the chosen edges shares.  On a bipartite G the root first finds the
+fixed edges, those every maximum matching holds (`matching._fixed_mates`,
+from the alternating digraph D(M) of its maximum matching M), and
+enumerates without them: their ends start decided and both matchings
+start without them, so no node branches on a fixed edge and no take of
+one repairs the second matching.  Each leaf adds them back, and the leaves
+and their order stay as they were.
 """
 
 from __future__ import annotations
@@ -29,8 +35,9 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graph import Graph
-from .matching import Matching, _augment, _blossom, _search_arrays, _seeded_mates, max_matching
+from .graph import Graph, bipartition
+from .matching import (Matching, _augment, _blossom, _fixed_mates, _search_arrays,
+                       _seeded_mates, max_matching)
 
 TOLERANCE_KINDS = ("constant", "linear", "log", "sqrt", "identity")
 
@@ -133,7 +140,8 @@ def _short_augment(adj, res, a: int, skip) -> bool:
 def _iter_maximum_matchings(g: Graph):
     """Yield (edges, nu(g - F)) for every maximum matching F of g exactly
     once, edges being tuple(sorted(F)): the chosen edges in the order they
-    were taken, which is sorted as u rises along every path.  A caller that
+    were taken, which is sorted as u rises along every path, merged with
+    the fixed edges if there are any (see below).  A caller that
     keeps a leaf wraps it (Matching(frozenset(edges), n)); the rest cost no
     set and no Matching.
 
@@ -164,6 +172,40 @@ def _iter_maximum_matchings(g: Graph):
     augmenting path will do, short or not: a leaf yields only r, and r is
     nu(g - chosen) whichever maximum matching R is, so the leaves, their
     order and every r are the same as with the searches alone.
+
+    On a bipartite g the root takes out the set F of fixed edges, those of
+    the root's M that every maximum matching holds (`_fixed_mates`).  Their
+    ends start decided in skip, which the unwinding of chosen edges never
+    clears; M and R start without them; the leaf test counts chosen edges
+    only, and a leaf yields tuple(sorted(chosen + F)).  Three things make
+    this the same stream.
+    - The rule: M ⊕ M' of a maximum matching M' splits into M-alternating
+      cycles and even M-alternating paths from M-free vertices (Berge), so
+      an edge of M is in every maximum matching exactly when it is on
+      neither.  M less F is maximum in g - V(F), for an augmenting path
+      there would augment M in g, so the maximum matchings of g are F plus
+      those of g - V(F), and the nodes search g - V(F) through skip.
+    - The residual: R starts as M less F, a matching of g less F, and is
+      completed from each end of F that it leaves free, by the short check
+      and then a search.  Any augmenting path of M less F there ends at two
+      ends of F: one at an M-free vertex x and an end a of (a, b) in F
+      would, with (a, b), be an even M-alternating path from x to an edge
+      of F, and one with two M-free ends would augment M.  That stays so
+      after augmenting along a path P between ends of F: a path Q after it
+      with an end y elsewhere would give, from P ⊕ Q, two earlier
+      augmenting paths that pair the four ends, and the one at y would not
+      end at two ends of F.  A search that fails still fails after later
+      augmentations, as in `_blossom`, so one try from each end leaves R
+      maximum in g less F; each repair below then keeps R maximum in g less
+      F and the chosen edges, whose size is nu(g - chosen - F).
+    - The order: in the tree that branches at the ends of F too, every
+      node that holds a leaf is part of a maximum matching, which holds F,
+      so no end of F is left unmatched or matched elsewhere there.  At a
+      lower end u of (u, v) in F the only child holding a leaf takes
+      (u, v), and a higher end is decided before it is the lowest.  That
+      tree is this one with a chain of single children spliced in at each
+      lower end of F, so both reach the same leaves in the same order, and
+      the sorted edges of each are its chosen edges and F sorted together.
     """
     n = g.vertex_count
     adj = g.adjacency()
@@ -171,7 +213,20 @@ def _iter_maximum_matchings(g: Graph):
     skip = arrays[-1]
     mate = _blossom(n, adj, range(1, n + 1), arrays)
     target = sum(map(bool, mate)) // 2
-    stack = [((), 0, mate, mate, target, n - 2 * target)]
+    free = n - 2 * target
+    sides = bipartition(g)  # a graph with an odd cycle gets no fixed edges
+    held = _fixed_mates(n, adj, mate, sides.side0) if sides else []
+    fixed = tuple([(v, w) for v, w in enumerate(held) if w > v])
+    res = mate
+    if fixed:
+        skip[:] = held  # the unwinding below clears chosen edges only
+        mate = [0 if h else m for m, h in zip(mate, held)]
+        target -= len(fixed)
+        res = mate[:]
+        for a in range(1, n + 1):
+            if held[a] and not res[a] and not _short_augment(adj, res, a, skip):
+                _augment(adj, res, a, 0, arrays)
+    stack = [((), 0, mate, res, sum(map(bool, res)) // 2, free)]
     applied = ()
     while stack:
         chosen, u, match, res, r, free = stack.pop()
@@ -190,7 +245,7 @@ def _iter_maximum_matchings(g: Graph):
                         or _augment(adj, res, a, 0, arrays) or _augment(adj, res, b, 0, arrays)):
                     r -= 1
         if len(chosen) == target:
-            yield chosen, r
+            yield (tuple(sorted(chosen + fixed)) if fixed else chosen), r
             continue
         # M is not empty, so an undecided vertex lies above u
         u += 1

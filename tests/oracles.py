@@ -13,7 +13,8 @@ for the package's `_residual_of_sat`.  `build_artifact_reference` lays the
 artifact out on (x, y) points, one dict of named corners per gadget: the
 reference for `build_artifact`, which lays out int keys.  `milp_big_l`
 computes L(G), and `milp_ell` ell(G) of a bipartite G, by an integer
-program: references past brute-force sizes that need scipy.
+program with nu(G) from networkx: references past brute-force sizes that
+need scipy.
 `record_searches` and `count_searches` log the enumerator's single-root
 searches and short repair checks, for the tests that pin how many it runs;
 `augment_reference` is the reference for that search kernel, `_augment`.
@@ -159,12 +160,20 @@ def spectrum_double_brute(g: Graph) -> tuple[int, list[int]]:
     return best, residuals
 
 
+def _nu_networkx(g: Graph) -> int:
+    """nu(g) by networkx's maximum-cardinality matching, no engine call."""
+    import networkx as nx
+
+    host = nx.Graph(list(g.edges))
+    return len(nx.max_weight_matching(host, maxcardinality=True))
+
+
 def milp_big_l(g: Graph) -> int:
     """L(g) by an integer program (scipy's `milp`), with no enumeration and no
     engine call: binary x and y over the edges, each a matching, with
-    x_e + y_e <= 1; maximize (|E| + 1) * sum(x) + sum(y).  As sum(y) <= |E|,
-    every optimum has sum(x) = nu, so it maximizes sum(y) over the maximum
-    matchings x, and that maximum is L."""
+    x_e + y_e <= 1 and sum(x) = nu(g) (from networkx), so that x is a maximum
+    matching; maximize sum(y).  The objective is at most |E|, so the solver's
+    default relative gap is below one unit on every graph under 10^4 edges."""
     import numpy as np
     from scipy.optimize import LinearConstraint, milp
 
@@ -177,8 +186,11 @@ def milp_big_l(g: Graph) -> int:
         for w in (u, v):  # vertex w meets at most one x edge (row w - 1) and one y edge
             rows[w - 1, i] = rows[g.vertex_count + w - 1, m + i] = 1
         rows[2 * g.vertex_count + i, [i, m + i]] = 1
-    weights = np.concatenate([np.full(m, -(m + 1.0)), np.full(m, -1.0)])  # milp minimizes
-    result = milp(weights, constraints=LinearConstraint(rows, ub=1),
+    size = np.concatenate([np.ones(m), np.zeros(m)])  # sum(x)
+    nu_g = _nu_networkx(g)
+    weights = np.concatenate([np.zeros(m), np.full(m, -1.0)])  # milp minimizes
+    result = milp(weights, constraints=[LinearConstraint(rows, ub=1),
+                                        LinearConstraint(size, lb=nu_g, ub=nu_g)],
                   integrality=np.ones(2 * m), bounds=(0, 1))
     assert result.success, result.message
     return round(sum(result.x[m:]))
@@ -188,10 +200,10 @@ def milp_ell(g: Graph) -> int:
     """ell(g) of a bipartite g by an integer program (scipy's `milp`), with no
     enumeration and no engine call.  By Koenig, nu(g - F) is the size of a
     smallest vertex cover of g - F, so ell is the least sum(c) over binary x
-    on the edges and c on the vertices where x is a maximum matching and
-    x_e + c_u + c_v >= 1 on every edge (u, v).  Minimizing
-    sum(c) - (|V| + 1) * sum(x) makes sum(x) = nu at every optimum, as
-    sum(c) <= |V|."""
+    on the edges and c on the vertices where x is a matching with
+    sum(x) = nu(g) (from networkx) and x_e + c_u + c_v >= 1 on every edge
+    (u, v).  The objective is at most |V|, so the solver's default relative
+    gap is below one unit on every graph under 10^4 vertices."""
     import numpy as np
     from scipy.optimize import LinearConstraint, milp
 
@@ -204,9 +216,12 @@ def milp_ell(g: Graph) -> int:
     for i, (u, v) in enumerate(edges):
         matched[[u - 1, v - 1], i] = 1
         covered[i, [i, m + u - 1, m + v - 1]] = 1
-    weights = np.concatenate([np.full(m, -(n + 1.0)), np.ones(n)])
+    size = np.concatenate([np.ones(m), np.zeros(n)])  # sum(x)
+    nu_g = _nu_networkx(g)
+    weights = np.concatenate([np.zeros(m), np.ones(n)])
     result = milp(weights, constraints=[LinearConstraint(matched, ub=1),
-                                        LinearConstraint(covered, lb=1)],
+                                        LinearConstraint(covered, lb=1),
+                                        LinearConstraint(size, lb=nu_g, ub=nu_g)],
                   integrality=np.ones(m + n), bounds=(0, 1))
     assert result.success, result.message
     return round(sum(result.x[m:]))
@@ -313,8 +328,10 @@ def record_searches(monkeypatch, g):
     single-root search the enumerator made while branching, in order: kind
     'branch' for an `_augment` above a threshold lo > 0, 'repair' for an
     `_augment` of the carried residual matching (lo = 0, the whole graph) and
-    'short' for a `_short_augment` of it.  The root blossom's own searches are
-    not seen."""
+    'short' for a `_short_augment` of it.  On a bipartite g with fixed edges
+    the root completes that matching from the fixed ends before it branches:
+    those checks and searches come first, logged as 'short' and 'repair'.
+    The root blossom's own searches are not seen."""
     enumerator = importlib.import_module("resmatch.spectrum")
     searches = []
     search, short = enumerator._augment, enumerator._short_augment
@@ -532,14 +549,23 @@ def degree_profile_by_edges(g: Graph) -> dict:
     }
 
 
+RANDOM_CNF_DRAWS = 1000  # draws of all m clauses before random_cnf gives up
+
+
 def random_cnf(n: int, m: int, seed: int) -> str:
-    """A seeded exact-3 CNF with n variables and m clauses that uses every variable."""
+    """A seeded exact-3 CNF with n variables and m clauses that uses every
+    variable: m clauses are drawn again until a draw uses them all, and a
+    ValueError naming n and m ends the redraws after RANDOM_CNF_DRAWS draws
+    (with m near n / 3 almost no draw covers; `covering_cnf` builds such
+    shapes at once)."""
     rng = random.Random(f"{n}:{m}:{seed}")
-    while True:
+    for _ in range(RANDOM_CNF_DRAWS):
         clauses = [[v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n + 1), 3)]
                    for _ in range(m)]
         if {abs(lit) for cl in clauses for lit in cl} == set(range(1, n + 1)):
             return f"p cnf {n} {m}\n" + "".join(f"{a} {b} {c} 0\n" for a, b, c in clauses)
+    raise ValueError(f"random_cnf: none of {RANDOM_CNF_DRAWS} draws of m = {m} clauses"
+                     f" used all n = {n} variables")
 
 
 def covering_cnf(seed: int, num_vars: int, m: int) -> CnfInstance:

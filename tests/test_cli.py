@@ -33,14 +33,16 @@ def _counting(monkeypatch, target: str) -> list:
     """Replace target (a dotted path) by a wrapper that records each call's
     first argument and then calls it; returns the record."""
     module, _, name = target.rpartition(".")
-    real = getattr(__import__(module, fromlist=[name]), name)
+    # the module itself: the package's attribute resmatch.spectrum is the function
+    home = __import__(module, fromlist=[name])
+    real = getattr(home, name)
     calls = []
 
     def wrapper(*args, **kwargs):
         calls.append(args[0])
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(target, wrapper)
+    monkeypatch.setattr(home, name, wrapper)
     return calls
 
 
@@ -126,12 +128,15 @@ def test_compute_problem1_no(capsys):
 
 def test_compute_two_colors_the_graph_once(capsys, monkeypatch):
     """nu2_bipartite checks the bipartition compute found, rather than
-    finding one again."""
+    finding one again.  The enumerator colours the graph once itself, to
+    find its fixed edges."""
     in_cli = _counting(monkeypatch, "resmatch.cli.bipartition")
     in_graph = _counting(monkeypatch, "resmatch.graph.bipartition")  # require_bipartite's
+    in_spectrum = _counting(monkeypatch, "resmatch.spectrum.bipartition")
     code, out, _ = run(capsys, "compute", TWIN)
     assert code == 0 and json.loads(out)["nu2"] == 8
     assert len(in_cli) + len(in_graph) == 1
+    assert len(in_spectrum) == 1
 
 
 def test_compute_parse_error_exits_2(tmp_path, capsys):

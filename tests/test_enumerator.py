@@ -12,13 +12,15 @@ import pytest
 
 from oracles import (
     covering_cnf,
+    cycle,
     iter_maximum_matchings_bounded,
+    path,
     random_bipartite,
     random_graph,
     residual,
 )
-from resmatch.graph import build_graph
-from resmatch.matching import Matching, max_matching
+from resmatch.graph import bipartition, build_graph
+from resmatch.matching import Matching, _blossom, _fixed_mates, _search_arrays, max_matching
 from resmatch.reduction import build_artifact, parse_dimacs
 from resmatch.spectrum import _iter_maximum_matchings, _short_augment, spectrum
 
@@ -77,6 +79,71 @@ def test_same_stream_on_dense_24_vertex_graphs(seed):
 @pytest.mark.parametrize("num_vars, m", [(3, 1), (3, 2), (4, 2), (5, 2), (5, 4), (6, 2), (6, 3)])
 def test_same_stream_on_artifacts(variant, num_vars, m):
     assert_same_stream(build_artifact(covering_cnf(10 * num_vars + m, num_vars, m), variant).graph)
+
+
+def assert_fixed_edges(g):
+    """_fixed_mates of the root matching M is the set of edges of M that every
+    matching of the reference stream holds; returns that set."""
+    n = g.vertex_count
+    adj = g.adjacency()
+    mate = _blossom(n, adj, range(1, n + 1), _search_arrays(n))
+    held = _fixed_mates(n, adj, mate, bipartition(g).side0)
+    want = {(v, w) for v, w in enumerate(mate) if w > v}
+    for m, _ in iter_maximum_matchings_bounded(g):
+        want &= m.edges
+    assert {(v, w) for v, w in enumerate(held) if w > v} == want
+    assert all(held[w] == v for v, w in enumerate(held) if w)  # a mate array
+    return want
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_fixed_edges_on_bipartite(seed):
+    rng = random.Random(500 + seed)
+    assert_fixed_edges(random_bipartite(rng.randint(2, 14), 40, rng))
+
+
+@pytest.mark.parametrize("variant", ["L", "ell"])
+@pytest.mark.parametrize("num_vars, m", [(3, 1), (3, 2), (4, 2), (5, 2), (5, 4), (6, 2), (6, 3)])
+def test_fixed_edges_on_artifacts(variant, num_vars, m):
+    """An L artifact's perfect matchings have 16m edges, 10m of them fixed;
+    an ell artifact's have 14m, 8m of them fixed."""
+    g = build_artifact(covering_cnf(10 * num_vars + m, num_vars, m), variant).graph
+    assert len(assert_fixed_edges(g)) == (10 if variant == "L" else 8) * m
+
+
+# a tree whose maximum matchings leave 1 or 3 free: (2, 4) is on the even
+# alternating path from 1 or 3, so only (4, 5) and (6, 7) are fixed
+FORK = build_graph(7, [(1, 2), (2, 3), (2, 4), (4, 5), (5, 6), (6, 7)])
+
+
+@pytest.mark.parametrize("g, fixed", [
+    (path(8), {(1, 2), (3, 4), (5, 6), (7, 8)}),  # the only maximum matching
+    (cycle(8), set()),  # two perfect matchings, each the other's alternating cycle
+    (path(7), set()),  # each maximum matching misses one odd vertex
+    (FORK, {(4, 5), (6, 7)}),
+])
+def test_fixed_edges_by_hand(g, fixed):
+    assert assert_fixed_edges(g) == fixed
+
+
+def test_a_graph_with_an_odd_cycle_gets_no_fixed_edges(monkeypatch):
+    """A triangle beside a path on four vertices: (4, 5) and (6, 7) are in
+    all three maximum matchings, but the graph is not bipartite, so the
+    enumerator does not look for them.  With a square in place of the
+    triangle it does."""
+    spectrum_module = importlib.import_module("resmatch.spectrum")
+    calls = []
+
+    def counted(*args):
+        calls.append(args[0])
+        return _fixed_mates(*args)
+
+    monkeypatch.setattr(spectrum_module, "_fixed_mates", counted)
+    tail = [(4, 5), (5, 6), (6, 7)]
+    assert_same_stream(build_graph(7, [(1, 2), (2, 3), (1, 3)] + tail))
+    assert calls == []
+    assert_same_stream(build_graph(8, [(1, 2), (2, 3), (3, 8), (1, 8)] + tail))
+    assert calls == [8]
 
 
 # clause 1 2 3 three times and -1 -2 -3 three times: 3 or 6 clauses satisfied

@@ -1,10 +1,12 @@
-"""Matching, nu2 and the structural certificate far above brute-force sizes.
+"""Matching, nu2, compute and the structural certificate far above
+brute-force sizes.
 
 Every search here is iterative, so path length does not meet Python's
 recursion limit.
 """
 
 import ast
+import json
 import pathlib
 import random
 
@@ -12,8 +14,9 @@ import pytest
 
 import resmatch
 from oracles import count_searches, path
+from resmatch.cli import main
 from resmatch.colorable import nu2_bipartite
-from resmatch.graph import build_graph
+from resmatch.graph import build_graph, emit_graph_file
 from resmatch.matching import max_matching, max_matching_bipartite, nu, validate_matching
 from resmatch.reduction import build_artifact, parse_dimacs, verify_artifact
 from resmatch.spectrum import spectrum
@@ -58,15 +61,25 @@ def test_ladder_of_ten_thousand_vertices():
 
 
 def test_spectrum_of_the_path_on_3000_vertices(monkeypatch):
-    """One maximum matching, and it is perfect: every node of the enumerator
-    leaves no vertex free, so it skips each drop child and takes each edge
-    (2i-1, 2i) without a single branching search."""
+    """One maximum matching, and it is perfect: each of its edges is fixed,
+    so the enumeration is its root alone, with no branching search."""
     g = path(3000)
     rep = spectrum(g)
     assert rep.enumerated == 1
     assert rep.ell == rep.big_l == 1499
     assert not rep.truncated
     assert count_searches(monkeypatch, g)[:2] == (1, 0)
+
+
+def test_compute_on_the_path_of_100000_vertices(tmp_path):
+    """The largest input compute accepts: its one maximum matching's 50,000
+    edges are fixed, so the enumeration does no branching, and the path
+    less them is 49,999 disjoint edges."""
+    graph, report = tmp_path / "p100000.mg", tmp_path / "p100000.json"
+    graph.write_text(emit_graph_file(path(100000)))
+    assert main(["compute", str(graph), "--output", str(report)]) == 0
+    out = json.loads(report.read_text())
+    assert (out["nu"], out["ell"], out["L"], out["enumerated"]) == (50000, 49999, 49999, 1)
 
 
 def test_odd_path_needs_one_search_per_matching(monkeypatch):

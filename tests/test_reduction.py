@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 from oracles import (build_artifact_reference, census_certificate, covering_cnf, expected_residual,
-                     milp_ell, random_cnf)
+                     milp_big_l, milp_ell, random_cnf)
 
 from resmatch import matching, reduction
 from resmatch.graph import build_graph, delete_edges, emit_graph_file
@@ -34,7 +34,7 @@ from resmatch.reduction import (
     sat_count,
     verify_artifact,
 )
-from resmatch.spectrum import CappedStream, enumerate_maximum_matchings
+from resmatch.spectrum import CappedStream, enumerate_maximum_matchings, spectrum
 
 M1 = "p cnf 3 1\n1 2 3 0\n"
 M1_NEG = "p cnf 3 1\n-1 -2 -3 0\n"
@@ -473,6 +473,20 @@ def test_ell_census_minimum_matches_the_milp(text, ell):
     assert census.residual_min == milp_ell(art.graph) == ell
 
 
+def test_big_l_past_the_census_limit_matches_the_milp_and_the_closed_form():
+    """Seven variables, one past the exhaustive limit: L of the L artifact
+    from the enumeration, from the fixed-size integer program and as
+    10m - 1 + maxsat, with maxsat over all 2^7 assignments, agree."""
+    pytest.importorskip("scipy")
+    pytest.importorskip("networkx")
+    cnf = covering_cnf(7, EXHAUSTIVE_VAR_LIMIT + 1, 20)
+    art = build_artifact(cnf, "L")
+    report = spectrum(art.graph)
+    maxsat = max(sat_count(cnf, alpha) for alpha in all_assignments(cnf.num_vars))
+    assert not report.truncated and report.enumerated == 2**cnf.num_vars
+    assert report.big_l == milp_big_l(art.graph) == 10 * 20 - 1 + maxsat
+
+
 def test_hybrid_census_is_recorded():
     art = build_artifact(parse_dimacs(M2_MIXED), "ell")
     cert = verify_artifact(art, exhaustive=True)
@@ -717,3 +731,12 @@ def test_calibration_rational_types():
     d = calibration("L", Fraction(1, 100))
     assert isinstance(d, Fraction)
     assert d.denominator == 200
+
+
+@pytest.mark.parametrize("n, m", [(30, 10), (30, 5)])
+def test_random_cnf_gives_up_on_a_shape_it_cannot_cover(n, m):
+    """m clauses of three variables use all n only if 3m >= n, and at 3m = n
+    only if no two share one: the redraws end in an error that names the
+    shape instead of running on."""
+    with pytest.raises(ValueError, match=f"draws of m = {m} clauses used all n = {n} variables"):
+        random_cnf(n, m, 0)

@@ -168,13 +168,15 @@ def test_spectrum_depth_does_not_grow_with_edge_count():
 
 
 def test_path_needs_one_search_per_matched_edge(monkeypatch):
-    # M is perfect, so every node leaves free = 0 vertices unmatched: no drop
-    # child can hold a leaf, and each take (2i-1, 2i) keeps M minus that edge
-    # with no search at all.  Each take removes an edge of R.  The first
-    # repair fails both short checks and both searches: 1 has no other
-    # neighbour, and 2 reaches only 3, whose mate 4 has no free neighbour.
-    # Each of the 99 later ones augments by the short check from 2i-1 to its
-    # neighbour 2i-2, which the take before it freed: 2 searches, 101 checks.
+    # The path's one maximum matching is perfect, so all 100 of its edges are
+    # fixed: the root is the leaf, with no branching search.  R starts empty
+    # and is completed from the fixed ends in vertex order.  1's only edge is
+    # fixed, so its short check and its search fail; 2i augments along
+    # (2i, 2i+1) by the short check for i = 1..99, which matches each odd
+    # vertex above 1; 200 fails as 1 did: 2 searches, 101 checks.  These are
+    # the counts of branching on the fixed edges too, where each take (2i-1,
+    # 2i) repaired R at once, by other checks: there the first repair failed
+    # from 1 and 2, and each later one augmented from 2i-1 to 2i-2.
     assert count_searches(monkeypatch, path(200)) == (1, 0, 2, 101)
 
 
@@ -196,12 +198,14 @@ def test_ladder_search_count(monkeypatch):
     # check from the second end; the drop child's matching {23} does not use
     # R's edge 12, so it shares R
     (3, [([(1, 2)], 1), ([(2, 3)], 1)], [("short", 1, False), ("short", 2, True)]),
-    # R = {12, 34}: taking 12 leaves 2-3-4 with 34 matched, so neither the
-    # short checks nor the searches from 1 and 2 augment and r drops to 1;
-    # taking 34 then frees 3, and the short check finds 3-2
-    (4, [([(1, 2), (3, 4)], 1)], [("short", 1, False), ("short", 2, False),
-                                  ("repair", 1, False), ("repair", 2, False),
-                                  ("short", 3, True)]),
+    # 12 and 34 are fixed, so R starts empty on the path less them, 1 2-3 4:
+    # the fixed ends, in order, find nothing from 1, the edge 2-3 from 2,
+    # and nothing from 4, whose only edge is fixed; 3 is matched by then.
+    # (Branching on 12 and 34 made as many, from other roots: checks from 1
+    # and 2, searches from 1 and 2, then a check from 3.)
+    (4, [([(1, 2), (3, 4)], 1)], [("short", 1, False), ("repair", 1, False),
+                                  ("short", 2, True), ("short", 4, False),
+                                  ("repair", 4, False)]),
 ])
 def test_residual_repairs_on_short_paths(monkeypatch, n, items, repairs):
     stream, searches = record_searches(monkeypatch, path(n))
