@@ -9,17 +9,14 @@ entry and `resmatch.colorable.nu2_bipartite` run it in vertex order with
 sorted adjacency, lo = 0 and no skipped edge, and `resmatch.spectrum`'s
 enumerator calls `_augment` directly to repair the two matchings it carries:
 one of its undecided vertices, and one of the whole graph with the chosen
-edges skipped.  On a bipartite graph the enumerator first asks
-`_fixed_mates` for the edges of its root matching M that every maximum
-matching holds.  That reads D(M), the alternating digraph of M: one node
-per M-edge, its side-0 end x, and an arc x -> mate(w) for each other
-neighbour w of x, so that its directed cycles are the M-alternating
-cycles.  One search from the M-free vertices marks the M-edges that even
-alternating paths reach, and an iterative Tarjan pass over D(M) finds
-those on a cycle, both in O(V + E) and with no recursion; the rest are
-fixed.  `max_matching` first lets a seed permute the scan order, so
-different seeds may return different maximum matchings of the same size;
-results are deterministic for a fixed (graph, seed) pair.
+edges skipped.  The enumerator first asks `_fixed_mates` for edges of its
+root matching M that every maximum matching holds, all of them on a
+bipartite graph: one search from the M-free vertices and an iterative
+Tarjan pass over the digraph with an arc x -> mate(w) for each edge x - w,
+with no sides, in O(V + E) and with no recursion.  `max_matching` first
+lets a seed permute the scan order, so different seeds may return
+different maximum matchings of the same size; results are deterministic
+for a fixed (graph, seed) pair.
 
 The seed's permutations are those of CPython's `random.shuffle`, reproduced
 draw for draw from `getrandbits`: each adjacency list in vertex order, then
@@ -210,37 +207,43 @@ def _augment(adj, match, root: int, lo: int, arrays) -> bool:
     return found
 
 
-def _fixed_mates(n: int, adj, mate: list[int], side) -> list[int]:
-    """Mate array of the edges of mate, a maximum matching M of a bipartite
-    graph whose side-0 vertices are side, that every maximum matching holds
-    (0 elsewhere).  M ⊕ M' of a maximum matching M' splits into even
-    M-alternating paths from M-free vertices and M-alternating cycles
-    (Berge), so an M-edge is in every M' exactly when it lies on neither.
+def _fixed_mates(n: int, adj, mate: list[int]) -> list[int]:
+    """Mate array of edges of mate, a maximum matching M, that every maximum
+    matching holds (0 elsewhere): all such edges if the graph is bipartite.
 
-    The search from the M-free vertices steps along a non-M edge to w, whose
-    mate is never 0 (x - w would close an augmenting path or an odd cycle),
-    and marks mate[w] reached; paths from side 0 reach side-0 ends only and
-    paths from side 1 side-1 ends only, so one queue serves both.  Tarjan's
-    pass over D(M) skips the reached nodes: a strongly connected component
-    is reached whole or not at all, as reach from side 0 follows the arcs of
-    D(M) and reach from side 1 follows them backwards."""
-    reached = [not m for m in mate]  # the M-free vertices, and slot 0
+    An M-edge missing from a maximum matching M' lies on a component of
+    M ⊕ M' (Berge): an even alternating path from an M-free vertex, whose
+    ends the search from the M-free vertices reaches (x - w leads on to
+    mate[w]; slot 0, the mate of an M-free w, counts as reached), or an
+    alternating cycle x1 = y1 - x2 = y2 ... - x1, whose ends yi form the
+    directed cycle yi -> yi+1 in the digraph with an arc x -> mate[w] for
+    each neighbour w of x.  So an M-edge is fixed if neither end is reached
+    nor lies in a strongly connected component of two or more nodes, which
+    an iterative Tarjan pass finds (the loop x -> mate[mate[x]] = x and
+    slot 0, which starts finished, change no low link).
+
+    On a bipartite graph each step x - w = mate[w] stays on x's side, so
+    the walk f - w1 = y1 - ... - wk = yk by which the search reached yk has
+    its yi, each reached once, on the free root f's side and their mates wi
+    on the other: it is an even alternating path.  A directed cycle
+    y1 -> ... -> yk -> y1 gives the alternating cycle
+    y1 - mate[y2] = y2 - ... - mate[y1] = y1.  So every M-edge left out
+    lies on one of the two, and M ⊕ it is a maximum matching without it."""
+    loose = [not m for m in mate]  # ends whose M-edge is not fixed; the M-free vertices, slot 0
     queue = [v for v in range(1, n + 1) if not mate[v]]
     for x in queue:  # the queue grows while it is read
         for w in adj[x]:
             y = mate[w]
-            if not reached[y]:
-                reached[y] = True
+            if not loose[y]:
+                loose[y] = True
                 queue.append(y)
-    for v in queue:  # an M-edge is reached when either end is
-        reached[mate[v]] = True
-    fixed = [0] * (n + 1)
     order = [0] * (n + 1)  # Tarjan's visit number; n + 1 once the node's component is out
+    order[0] = n + 1  # slot 0 is no node
     low = [0] * (n + 1)
     component: list[int] = []  # Tarjan's stack of visited nodes not yet in a component
     count = 0
     for root in range(1, n + 1):
-        if order[root] or reached[root] or root not in side:
+        if order[root]:
             continue
         count += 1
         order[root] = low[root] = count
@@ -250,8 +253,6 @@ def _fixed_mates(n: int, adj, mate: list[int], side) -> list[int]:
             x, nbrs = work[-1]
             for w in nbrs:
                 y = mate[w]
-                if y == x or reached[y]:  # w is x's mate, or y's component is reached
-                    continue
                 if not order[y]:
                     count += 1
                     order[y] = low[y] = count
@@ -265,14 +266,14 @@ def _fixed_mates(n: int, adj, mate: list[int], side) -> list[int]:
                 if work and low[x] < low[work[-1][0]]:
                     low[work[-1][0]] = low[x]
                 if low[x] == order[x]:  # x roots a component: pop it
-                    if component[-1] == x:  # a single node: no cycle holds x's M-edge
-                        fixed[x], fixed[mate[x]] = mate[x], x
+                    cycle = component[-1] != x  # two or more nodes: each is on a directed cycle
                     while True:
                         y = component.pop()
                         order[y] = n + 1
+                        loose[y] = loose[y] or cycle
                         if y == x:
                             break
-    return fixed
+    return [0 if loose[v] or loose[m] else m for v, m in enumerate(mate)]  # either end rules it out
 
 
 def _matching(mate: list[int]) -> Matching:

@@ -18,13 +18,12 @@ that takes one of its edges repairs it with a check for an augmenting path
 of length 1 or 3 from each end, then, if both fail, one search from each,
 so no leaf runs a blossom.  Any augmenting path is a correct repair: the
 stream reads only the matching's size, which every maximum matching of G
-less the chosen edges shares.  On a bipartite G the root first finds the
-fixed edges, those every maximum matching holds (`matching._fixed_mates`,
-from the alternating digraph D(M) of its maximum matching M), and
-enumerates without them: their ends start decided and both matchings
-start without them, so no node branches on a fixed edge and no take of
-one repairs the second matching.  Each leaf adds them back, and the leaves
-and their order stay as they were.
+less the chosen edges shares.  The root first finds fixed edges, which
+every maximum matching holds (`matching._fixed_mates`, all of them on a
+bipartite G), and enumerates without them: their ends start decided and
+both matchings start without them, so no node branches on a fixed edge
+and no take of one repairs the second matching.  Each leaf adds them
+back, and the leaves and their order stay as they were.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graph import Graph, bipartition
+from .graph import Graph
 from .matching import (Matching, _augment, _blossom, _fixed_mates, _search_arrays,
                        _seeded_mates, max_matching)
 
@@ -173,26 +172,24 @@ def _iter_maximum_matchings(g: Graph):
     nu(g - chosen) whichever maximum matching R is, so the leaves, their
     order and every r are the same as with the searches alone.
 
-    On a bipartite g the root takes out the set F of fixed edges, those of
-    the root's M that every maximum matching holds (`_fixed_mates`).  Their
-    ends start decided in skip, which the unwinding of chosen edges never
-    clears; M and R start without them; the leaf test counts chosen edges
-    only, and a leaf yields tuple(sorted(chosen + F)).  Three things make
-    this the same stream.
-    - The rule: M ⊕ M' of a maximum matching M' splits into M-alternating
-      cycles and even M-alternating paths from M-free vertices (Berge), so
-      an edge of M is in every maximum matching exactly when it is on
-      neither.  M less F is maximum in g - V(F), for an augmenting path
-      there would augment M in g, so the maximum matchings of g are F plus
-      those of g - V(F), and the nodes search g - V(F) through skip.
+    On any g the root takes out a set F of fixed edges, edges of the root's
+    M that every maximum matching holds (`_fixed_mates`: all of them on a
+    bipartite g, and possibly none).  Their ends start decided in skip,
+    which the unwinding of chosen edges never clears; M and R start without
+    them; the leaf test counts chosen edges only, and a leaf yields
+    tuple(sorted(chosen + F)).  Three things make this the same stream.
+    - The rule: every maximum matching holds F (`_fixed_mates` proves
+      it).  M less F is maximum in g - V(F), for an augmenting path there
+      would augment M in g, so the maximum matchings of g are F plus those
+      of g - V(F), and the nodes search g - V(F) through skip.
     - The residual: R starts as M less F, a matching of g less F, and is
       completed from each end of F that it leaves free, by the short check
       and then a search.  Any augmenting path of M less F there ends at two
       ends of F: one at an M-free vertex x and an end a of (a, b) in F
-      would, with (a, b), be an even M-alternating path from x to an edge
-      of F, and one with two M-free ends would augment M.  That stays so
-      after augmenting along a path P between ends of F: a path Q after it
-      with an end y elsewhere would give, from P ⊕ Q, two earlier
+      would, with (a, b), be an even M-alternating path from x whose flip
+      drops (a, b), and one with two M-free ends would augment M.  That
+      stays so after augmenting along a path P between ends of F: a path Q
+      after it with an end y elsewhere would give, from P ⊕ Q, two earlier
       augmenting paths that pair the four ends, and the one at y would not
       end at two ends of F.  A search that fails still fails after later
       augmentations, as in `_blossom`, so one try from each end leaves R
@@ -214,18 +211,15 @@ def _iter_maximum_matchings(g: Graph):
     mate = _blossom(n, adj, range(1, n + 1), arrays)
     target = sum(map(bool, mate)) // 2
     free = n - 2 * target
-    sides = bipartition(g)  # a graph with an odd cycle gets no fixed edges
-    held = _fixed_mates(n, adj, mate, sides.side0) if sides else []
+    held = _fixed_mates(n, adj, mate)
     fixed = tuple([(v, w) for v, w in enumerate(held) if w > v])
-    res = mate
-    if fixed:
-        skip[:] = held  # the unwinding below clears chosen edges only
-        mate = [0 if h else m for m, h in zip(mate, held)]
-        target -= len(fixed)
-        res = mate[:]
-        for a in range(1, n + 1):
-            if held[a] and not res[a] and not _short_augment(adj, res, a, skip):
-                _augment(adj, res, a, 0, arrays)
+    skip[:] = held  # the unwinding below clears chosen edges only
+    mate = [0 if h else m for m, h in zip(mate, held)]
+    target -= len(fixed)
+    res = mate[:]
+    for a in range(1, n + 1):
+        if held[a] and not res[a] and not _short_augment(adj, res, a, skip):
+            _augment(adj, res, a, 0, arrays)
     stack = [((), 0, mate, res, sum(map(bool, res)) // 2, free)]
     applied = ()
     while stack:

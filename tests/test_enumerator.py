@@ -82,18 +82,20 @@ def test_same_stream_on_artifacts(variant, num_vars, m):
 
 
 def assert_fixed_edges(g):
-    """_fixed_mates of the root matching M is the set of edges of M that every
-    matching of the reference stream holds; returns that set."""
+    """_fixed_mates of the root matching M, a mate array, is the set of edges
+    of M that every matching of the reference stream holds if g is
+    bipartite, and a subset of that set otherwise; returns it."""
     n = g.vertex_count
     adj = g.adjacency()
     mate = _blossom(n, adj, range(1, n + 1), _search_arrays(n))
-    held = _fixed_mates(n, adj, mate, bipartition(g).side0)
+    held = _fixed_mates(n, adj, mate)
+    got = {(v, w) for v, w in enumerate(held) if w > v}
     want = {(v, w) for v, w in enumerate(mate) if w > v}
     for m, _ in iter_maximum_matchings_bounded(g):
         want &= m.edges
-    assert {(v, w) for v, w in enumerate(held) if w > v} == want
+    assert got == want if bipartition(g) else got <= want
     assert all(held[w] == v for v, w in enumerate(held) if w)  # a mate array
-    return want
+    return got
 
 
 @pytest.mark.parametrize("seed", range(60))
@@ -121,29 +123,27 @@ FORK = build_graph(7, [(1, 2), (2, 3), (2, 4), (4, 5), (5, 6), (6, 7)])
     (cycle(8), set()),  # two perfect matchings, each the other's alternating cycle
     (path(7), set()),  # each maximum matching misses one odd vertex
     (FORK, {(4, 5), (6, 7)}),
+    # a triangle beside a path on four vertices: in all three maximum matchings
+    (build_graph(7, [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (6, 7)]), {(4, 5), (6, 7)}),
+    # P_10 and the chord (1, 3): the triangle 1 2 3 leaves the one perfect matching alone
+    (build_graph(10, [(i, i + 1) for i in range(1, 10)] + [(1, 3)]),
+     {(1, 2), (3, 4), (5, 6), (7, 8), (9, 10)}),
+    # triangles 1 2 4 and 3 5 6 joined by (2, 5): all three edges of the one
+    # perfect matching are fixed, but the arcs 2 -> 1 -> 5 -> 3 -> 2 close a
+    # directed cycle through the ends of all three, which is no alternating cycle
+    (build_graph(6, [(1, 2), (1, 4), (2, 4), (2, 5), (3, 5), (3, 6), (5, 6)]), set()),
 ])
 def test_fixed_edges_by_hand(g, fixed):
     assert assert_fixed_edges(g) == fixed
+    assert_same_stream(g)
 
 
-def test_a_graph_with_an_odd_cycle_gets_no_fixed_edges(monkeypatch):
-    """A triangle beside a path on four vertices: (4, 5) and (6, 7) are in
-    all three maximum matchings, but the graph is not bipartite, so the
-    enumerator does not look for them.  With a square in place of the
-    triangle it does."""
-    spectrum_module = importlib.import_module("resmatch.spectrum")
-    calls = []
-
-    def counted(*args):
-        calls.append(args[0])
-        return _fixed_mates(*args)
-
-    monkeypatch.setattr(spectrum_module, "_fixed_mates", counted)
-    tail = [(4, 5), (5, 6), (6, 7)]
-    assert_same_stream(build_graph(7, [(1, 2), (2, 3), (1, 3)] + tail))
-    assert calls == []
-    assert_same_stream(build_graph(8, [(1, 2), (2, 3), (3, 8), (1, 8)] + tail))
-    assert calls == [8]
+@pytest.mark.parametrize("seed", range(60))
+def test_fixed_edges_on_gnp(seed):
+    rng = random.Random(f"fixed:{seed}")
+    g = random_graph(rng.randint(1, 13), rng.choice((0.15, 0.3, 0.45, 0.6)), rng)
+    assert_fixed_edges(g)
+    assert_same_stream(g)
 
 
 # clause 1 2 3 three times and -1 -2 -3 three times: 3 or 6 clauses satisfied

@@ -82,6 +82,20 @@ def test_compute_on_the_path_of_100000_vertices(tmp_path):
     assert (out["nu"], out["ell"], out["L"], out["enumerated"]) == (50000, 49999, 49999, 1)
 
 
+def test_compute_on_the_path_of_100000_vertices_with_a_chord(tmp_path):
+    """P_100000 and the chord (1, 3) close a triangle, so the graph is not
+    bipartite, and its one maximum matching is still the path's, since a
+    perfect matching that held (1, 3) would leave 2 unmatched.  Every edge
+    of it is fixed, so the enumeration does no branching."""
+    chorded = build_graph(100000, [*path(100000).edges, (1, 3)])
+    graph, report = tmp_path / "p100000-chord.mg", tmp_path / "p100000-chord.json"
+    graph.write_text(emit_graph_file(chorded))
+    assert main(["compute", str(graph), "--output", str(report)]) == 0
+    out = json.loads(report.read_text())
+    assert (out["nu"], out["ell"], out["L"], out["enumerated"]) == (50000, 49999, 49999, 1)
+    assert out["bipartite"] is False and "nu2" not in out
+
+
 def test_odd_path_needs_one_search_per_matching(monkeypatch):
     """P_1001 has 501 maximum matchings, one missing each odd vertex.  One
     vertex is free at the root, so only the drop child of an odd vertex
