@@ -3,20 +3,25 @@
 One engine finds every maximum matching here: `_augment`, a single-root
 augmenting-path search with odd-cycle (blossom) contraction in the whole
 graph less the edges of a skipped-edge mate array, or, above a threshold
-lo > 0, in the vertices above lo that end no skipped edge.  `_blossom` is a
-greedy pass followed by one `_augment` per free root; `nu`, the bipartite
-entry and `resmatch.colorable.nu2_bipartite` run it in vertex order with
-sorted adjacency, lo = 0 and no skipped edge, and `resmatch.spectrum`'s
-enumerator calls `_augment` directly to repair the two matchings it carries:
-one of its undecided vertices, and one of the whole graph with the chosen
-edges skipped.  The enumerator first asks `_fixed_mates` for edges of its
-root matching M that every maximum matching holds, all of them on a
-bipartite graph: one search from the M-free vertices and an iterative
-Tarjan pass over the digraph with an arc x -> mate(w) for each edge x - w,
-with no sides, in O(V + E) and with no recursion.  `max_matching` first
-lets a seed permute the scan order, so different seeds may return
-different maximum matchings of the same size; results are deterministic
-for a fixed (graph, seed) pair.
+lo > 0, in the vertices above lo that end no skipped edge, and before it
+`_short_augment`, a check for an augmenting path of length 1 or 3 from a
+free vertex that runs no search.  `_blossom` is a greedy pass followed, for
+each free root, by the check and, if it finds no path, one `_augment`: the
+check takes the path that the search would find first, so the mate arrays
+are those of the searches alone.  `nu`, the bipartite entry and
+`resmatch.colorable.nu2_bipartite` run it in vertex order with sorted
+adjacency, lo = 0 and no skipped edge, and so do the enumerator's root
+matching and every seeded matching.  `resmatch.spectrum`'s enumerator calls
+`_augment` directly to repair the two matchings it carries: one of its
+undecided vertices, and one of the whole graph with the chosen edges
+skipped, whose repairs try `_short_augment` first.  The enumerator first
+asks `_fixed_mates` for edges of its root matching M that every maximum
+matching holds, all of them on a bipartite graph: one search from the
+M-free vertices and an iterative Tarjan pass over the digraph with an arc
+x -> mate(w) for each edge x - w, with no sides, in O(V + E) and with no
+recursion.  `max_matching` first lets a seed permute the scan order, so
+different seeds may return different maximum matchings of the same size;
+results are deterministic for a fixed (graph, seed) pair.
 
 The seed's permutations are those of CPython's `random.shuffle`, reproduced
 draw for draw from `getrandbits`: each adjacency list in vertex order, then
@@ -81,11 +86,30 @@ class MatchingFlags:
 def _blossom(n: int, adj: list[list[int]], order, arrays, size=None) -> list[int]:
     """Mate of every vertex of a maximum matching (0 = unmatched; slot 0 unused).
 
-    A greedy pass over `order`, then one `_augment` from each still-free root
-    in `order` that has a neighbour, with the caller's scratch arrays
-    (`_search_arrays(n)`, no edge skipped): an isolated root's search would
-    reach only the root and fail.  Ties fall to the order of `order` and of
-    each adjacency list.
+    A greedy pass over `order`, then for each still-free root in `order` that
+    has a neighbour a `_short_augment` and, if it finds no path, one
+    `_augment`, with the caller's scratch arrays (`_search_arrays(n)`, no edge
+    skipped): an isolated root's search would reach only the root and fail.
+    Ties fall to the order of `order` and of each adjacency list.
+
+    The short check augments along the path the search would take first, so
+    the mate array is the one the searches alone give.
+    - After the greedy pass every neighbour of a free vertex is matched, and
+      augmenting matches vertices and never frees one, so a search never
+      stops at a neighbour of its root r.
+    - While it scans r, `_augment` queues mate(x) for each neighbour x in
+      adj[r] order: a new odd x queues its mate, and if the mate y of x is
+      already odd, x closes the triangle r - y = x - r, whose contraction
+      makes y even and queues it.  So the first even vertices it queues are
+      the y that `_short_augment` scans, in the same order, and every vertex
+      grown later is queued after them.
+    - Contractions write p only on even vertices, and a free w is never in
+      the tree (base[w] = w, p[w] = 0).  So when a scanned y has a free
+      neighbour w other than r, the search ends on r - x = y - w with
+      x = mate(y), and the first such y and its first such w are the ones
+      `_short_augment` takes.
+    - When there is no such y, `_short_augment` writes nothing and the search
+      runs as it would alone.
 
     With size, the size of a maximum matching of the graph, no root search
     starts once 2 * size vertices are matched, and the result is the same:
@@ -104,6 +128,7 @@ def _blossom(n: int, adj: list[list[int]], order, arrays, size=None) -> list[int
                     match[v] = to
                     match[to] = v
                     break
+    skip = arrays[-1]  # all 0: the checks hide no edge
     # augmentations still to find; without size -1, which only falls and so never reaches 0
     short = -1 if size is None else size - (n + 1 - match.count(0)) // 2
     for root in order:
@@ -111,7 +136,8 @@ def _blossom(n: int, adj: list[list[int]], order, arrays, size=None) -> list[int
             if not short:  # the matching has size: every search left would fail
                 break
             if adj[root]:
-                short -= _augment(adj, match, root, 0, arrays)
+                short -= (_short_augment(adj, match, root, skip)
+                          or _augment(adj, match, root, 0, arrays))
     return match
 
 
@@ -120,6 +146,27 @@ def _search_arrays(n: int):
     parents, blossom bases, lca and petal marks (mark[0] holds the last
     stamp), and the skipped-edge mates (all 0: no edge is skipped)."""
     return [False] * (n + 1), [0] * (n + 1), list(range(n + 1)), [0] * (n + 1), [0] * (n + 1)
+
+
+def _short_augment(adj, res, a: int, skip) -> bool:
+    """Augment res along a path of length 1 or 3 from the free vertex a, in
+    the graph less the edges that the mate array skip hides, if there is
+    one: a-w, or a-x=y-w with y the mate of x in res, w free.  True when it
+    augmented; res is unchanged otherwise."""
+    hidden = skip[a]
+    for x in adj[a]:
+        if x != hidden and not res[x]:
+            res[a], res[x] = x, a
+            return True
+    for x in adj[a]:
+        if x == hidden:
+            continue
+        y = res[x]  # every visible neighbour of a is matched
+        for w in adj[y]:
+            if not res[w] and w != a and w != skip[y]:
+                res[a], res[x], res[y], res[w] = x, a, w, y
+                return True
+    return False
 
 
 def _augment(adj, match, root: int, lo: int, arrays) -> bool:

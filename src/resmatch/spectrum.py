@@ -14,16 +14,18 @@ matching is perfect, leaving a vertex unmatched cannot keep its size (and
 a take child needs one search, not two).  It changes neither the leaves
 nor their order.  The enumerator carries a second matching, of G less the
 node's chosen edges, whose size each leaf yields as nu(G - F); a child
-that takes one of its edges repairs it with a check for an augmenting path
-of length 1 or 3 from each end, then, if both fail, one search from each,
-so no leaf runs a blossom.  Any augmenting path is a correct repair: the
-stream reads only the matching's size, which every maximum matching of G
-less the chosen edges shares.  The root first finds fixed edges, which
-every maximum matching holds (`matching._fixed_mates`, all of them on a
-bipartite G), and enumerates without them: their ends start decided and
-both matchings start without them, so no node branches on a fixed edge
-and no take of one repairs the second matching.  Each leaf adds them
-back, and the leaves and their order stay as they were.
+that takes one of its edges repairs it with the matching engine's check for
+an augmenting path of length 1 or 3 (`matching._short_augment`, which the
+engine's `_blossom` runs before each of its searches) from each end, then,
+if both fail, one search from each, so no leaf runs a blossom.  Any
+augmenting path is a correct repair: the stream reads only the matching's
+size, which every maximum matching of G less the chosen edges shares.  The
+root first finds fixed edges, which every maximum matching holds
+(`matching._fixed_mates`, all of them on a bipartite G), and enumerates
+without them: their ends start decided and both matchings start without
+them, so no node branches on a fixed edge and no take of one repairs the
+second matching.  Each leaf adds them back, and the leaves and their order
+stay as they were.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from fractions import Fraction
 
 from .graph import Graph
 from .matching import (Matching, _augment, _blossom, _fixed_mates, _search_arrays,
-                       _seeded_mates, max_matching)
+                       _seeded_mates, _short_augment, max_matching)
 
 TOLERANCE_KINDS = ("constant", "linear", "log", "sqrt", "identity")
 
@@ -115,27 +117,6 @@ class EnumerationResult:
     truncated: bool
 
 
-def _short_augment(adj, res, a: int, skip) -> bool:
-    """Augment res along a path of length 1 or 3 from the free vertex a, in
-    the graph less the edges that the mate array skip hides, if there is
-    one: a-w, or a-x=y-w with y the mate of x in res, w free.  True when it
-    augmented; res is unchanged otherwise."""
-    hidden = skip[a]
-    for x in adj[a]:
-        if x != hidden and not res[x]:
-            res[a], res[x] = x, a
-            return True
-    for x in adj[a]:
-        if x == hidden:
-            continue
-        y = res[x]  # every visible neighbour of a is matched
-        for w in adj[y]:
-            if not res[w] and w != a and w != skip[y]:
-                res[a], res[x], res[y], res[w] = x, a, w, y
-                return True
-    return False
-
-
 def _iter_maximum_matchings(g: Graph):
     """Yield (edges, nu(g - F)) for every maximum matching F of g exactly
     once, edges being tuple(sorted(F)): the chosen edges in the order they
@@ -165,12 +146,13 @@ def _iter_maximum_matchings(g: Graph):
     child shares R; if its last chosen edge (a, b) is in R, it drops (a, b)
     from its copy when popped, and looks for an augmenting path with the
     chosen edges skipped: as R was maximum, one must end at a or at b, so r
-    stays if one exists and drops by one if none does.  The short check
-    from a, then from b, finds one of length 1 or 3 without a search, and
-    only when both fail does a search from a, then one from b, decide.  Any
-    augmenting path will do, short or not: a leaf yields only r, and r is
-    nu(g - chosen) whichever maximum matching R is, so the leaves, their
-    order and every r are the same as with the searches alone.
+    stays if one exists and drops by one if none does.  The engine's short
+    check (`_short_augment`) from a, then from b, finds one of length 1 or 3
+    without a search, and only when both fail does a search from a, then one
+    from b, decide.  Any augmenting path will do, short or not: a leaf
+    yields only r, and r is nu(g - chosen) whichever maximum matching R is,
+    so the leaves, their order and every r are the same as with the searches
+    alone.
 
     On any g the root takes out a set F of fixed edges, edges of the root's
     M that every maximum matching holds (`_fixed_mates`: all of them on a

@@ -17,7 +17,9 @@ program with nu(G) from networkx: references past brute-force sizes that
 need scipy.
 `record_searches` and `count_searches` log the enumerator's single-root
 searches and short repair checks, for the tests that pin how many it runs;
-`augment_reference` is the reference for that search kernel, `_augment`.
+`augment_reference` is the reference for that search kernel, `_augment`, and
+`blossom_reference` for `_blossom`: a greedy pass and one search per free
+root, with no check for a short path first.
 `adjacency_by_sorted_edges` and `degree_profile_by_edges` are the references
 for `Graph.adjacency` and `degree_profile`: one walks the globally sorted edge
 list, the other counts edge endpoints.
@@ -323,15 +325,37 @@ def augment_reference(adj, match, root: int, lo: int, arrays) -> bool:
     return found
 
 
+def blossom_reference(n: int, adj, order, arrays) -> list[int]:
+    """The reference for `resmatch.matching._blossom`: its greedy pass over
+    order, then one `augment_reference` search from each still-free root in
+    order that has a neighbour, without the package's check for a path of
+    length 1 or 3 before each search and without its stop at a known size.
+    The package must return the same mate array."""
+    match = [0] * (n + 1)
+    for v in order:
+        if match[v] == 0:
+            for to in adj[v]:
+                if match[to] == 0:
+                    match[v] = to
+                    match[to] = v
+                    break
+    for root in order:
+        if match[root] == 0 and adj[root]:
+            augment_reference(adj, match, root, 0, arrays)
+    return match
+
+
 def record_searches(monkeypatch, g):
     """The (matching, residual) stream of g and (kind, root, found) of each
     single-root search the enumerator made while branching, in order: kind
     'branch' for an `_augment` above a threshold lo > 0, 'repair' for an
     `_augment` of the carried residual matching (lo = 0, the whole graph) and
-    'short' for a `_short_augment` of it.  On a bipartite g with fixed edges
+    'short' for a `_short_augment` of it.  On a g with fixed edges
     the root completes that matching from the fixed ends before it branches:
     those checks and searches come first, logged as 'short' and 'repair'.
-    The root blossom's own searches are not seen."""
+    The root blossom's own searches, and the short checks it makes before
+    them, are not seen: `_blossom` calls the engine's names, not the
+    enumerator's."""
     enumerator = importlib.import_module("resmatch.spectrum")
     searches = []
     search, short = enumerator._augment, enumerator._short_augment

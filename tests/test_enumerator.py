@@ -20,9 +20,10 @@ from oracles import (
     residual,
 )
 from resmatch.graph import bipartition, build_graph
-from resmatch.matching import Matching, _blossom, _fixed_mates, _search_arrays, max_matching
+from resmatch.matching import (Matching, _blossom, _fixed_mates, _search_arrays, _short_augment,
+                               max_matching)
 from resmatch.reduction import build_artifact, parse_dimacs
-from resmatch.spectrum import _iter_maximum_matchings, _short_augment, spectrum
+from resmatch.spectrum import _iter_maximum_matchings, spectrum
 
 
 def assert_same_stream(g):

@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import random
 
@@ -6,6 +7,8 @@ import pytest
 from oracles import (
     CapExceededError,
     augment_reference,
+    blossom_reference,
+    covering_cnf,
     cycle,
     iter_all_matchings,
     nu_bruteforce,
@@ -13,7 +16,7 @@ from oracles import (
     random_bipartite,
     random_graph,
 )
-from resmatch.graph import Bipartition, build_graph
+from resmatch.graph import Bipartition, bipartition, build_graph
 from resmatch.matching import (
     Matching,
     MatchingFlags,
@@ -22,6 +25,7 @@ from resmatch.matching import (
     _matching,
     _search_arrays,
     _seeded_mates,
+    _short_augment,
     _shuffle_plan,
     _shuffled,
     matching_from_pairs,
@@ -30,6 +34,7 @@ from resmatch.matching import (
     nu,
     validate_matching,
 )
+from resmatch.reduction import build_artifact
 
 
 def complete(n):
@@ -267,16 +272,23 @@ def test_a_batch_of_seeds_is_the_shuffled_blossom_per_seed(g):
 
 
 def _searches_per_seed(g, monkeypatch) -> list:
-    """For each seed of BATCH in turn, (matched vertices, augmented) for each
-    search `_seeded_mates` starts."""
+    """For each seed of BATCH in turn, (kind, matched vertices, augmented)
+    for each short check ('short') and each search ('search') that
+    `_seeded_mates` makes, in order."""
     searches = []
-    real = _augment
+    real_short, real_search = _short_augment, _augment
+
+    def counted_short(adj, match, root, skip):
+        matched = len(match) - match.count(0)
+        searches.append(("short", matched, real_short(adj, match, root, skip)))
+        return searches[-1][2]
 
     def counted(adj, match, root, lo, arrays):
         matched = len(match) - match.count(0)
-        searches.append((matched, real(adj, match, root, lo, arrays)))
-        return searches[-1][1]
+        searches.append(("search", matched, real_search(adj, match, root, lo, arrays)))
+        return searches[-1][2]
 
+    monkeypatch.setattr("resmatch.matching._short_augment", counted_short)
     monkeypatch.setattr("resmatch.matching._augment", counted)
     per_seed = []
     for _ in _seeded_mates(g, BATCH):
@@ -288,22 +300,175 @@ def _searches_per_seed(g, monkeypatch) -> list:
 @pytest.mark.parametrize("g", BATCH_GRAPHS.values(), ids=BATCH_GRAPHS)
 def test_a_batch_starts_no_search_at_the_first_seeds_size(g, monkeypatch):
     # every seed after the first knows the size of a maximum matching, so no
-    # search starts once its matching has that size: such a search would fail
+    # check or search starts once its matching has that size: it would fail
     # (one could start only where a maximum matching leaves vertices free)
     size = nu(g)
     per_seed = _searches_per_seed(g, monkeypatch)
     assert len(per_seed) == len(BATCH)
-    assert all(matched < 2 * size for later in per_seed[1:] for matched, _ in later)
+    assert all(matched < 2 * size for later in per_seed[1:] for _, matched, _ in later)
+    # a search runs only after a short check from its root has failed
+    for seed in per_seed:
+        kinds = [kind for kind, _, _ in seed]
+        assert all(kinds[i - 1:i] == ["short"] and not seed[i - 1][2]
+                   for i, kind in enumerate(kinds) if kind == "search")
 
 
 def test_the_batch_graphs_augment_after_the_greedy_pass(monkeypatch):
     # the first seed of Petersen and of P_13 augments, and a later seed of
-    # P_12 augments twice: a batch reaches its size by searching too
-    augments = {name: [sum(augmented for _, augmented in seed)
+    # P_12 augments twice: a batch reaches its size by a short check or a
+    # search after the greedy pass
+    augments = {name: [sum(augmented for _, _, augmented in seed)
                        for seed in _searches_per_seed(BATCH_GRAPHS[name], monkeypatch)]
                 for name in ("petersen", "p12", "p13")}
     assert augments["petersen"][0] >= 1 and augments["p13"][0] >= 1
     assert max(augments["p12"][1:]) >= 2
+
+
+# (short checks, searches) per seed of BATCH: every failed check is followed
+# by a search from the same root, so the searches are the checks that failed.
+# Petersen's seeds all reach size 5 by short checks; P_13's first seed, which
+# has no size to stop at, runs one search that fails.
+BATCH_COUNTS = {
+    "petersen": [(1, 0), (1, 0), (1, 0), (1, 0), (1, 0), (0, 0), (0, 0), (1, 0), (0, 0), (1, 0),
+                 (1, 0), (1, 0), (1, 0), (0, 0), (1, 0), (1, 0), (1, 0), (0, 0), (1, 0)],
+    "p12": [(0, 0), (2, 0), (1, 1), (1, 0), (1, 1), (1, 1), (1, 0), (2, 0), (1, 0), (1, 1),
+            (2, 0), (0, 0), (1, 0), (1, 0), (1, 1), (1, 0), (1, 0), (1, 1), (2, 0)],
+    "p13": [(2, 1), (1, 0), (0, 0), (0, 0), (1, 0), (1, 1), (1, 0), (1, 0), (0, 0), (0, 0),
+            (1, 0), (1, 0), (0, 0), (0, 0), (0, 0), (0, 0), (0, 0), (0, 0), (1, 0)],
+}
+
+
+@pytest.mark.parametrize("name", BATCH_COUNTS)
+def test_the_short_checks_and_searches_per_seed(name, monkeypatch):
+    per_seed = _searches_per_seed(BATCH_GRAPHS[name], monkeypatch)
+    counts = [tuple(sum(kind == want for kind, _, _ in seed) for want in ("short", "search"))
+              for seed in per_seed]
+    assert counts == BATCH_COUNTS[name]
+
+
+def _with_the_reference(n, adj, order):
+    """`_blossom`'s mate array on (adj, order), asserted equal to that of
+    `blossom_reference`, which runs a search where `_blossom` first tries a
+    path of length 1 or 3; each gets fresh search arrays."""
+    mate = _blossom(n, adj, order, _search_arrays(n))
+    assert mate == blossom_reference(n, adj, order, _search_arrays(n))
+    return mate
+
+
+def _short_checks(monkeypatch) -> list:
+    """The results of the short checks `_blossom` makes from here on."""
+    found = []
+
+    def counted(adj, match, root, skip):
+        found.append(_short_augment(adj, match, root, skip))
+        return found[-1]
+
+    monkeypatch.setattr("resmatch.matching._short_augment", counted)
+    return found
+
+
+def test_the_short_check_keeps_the_seeded_matchings(monkeypatch):
+    # random graphs with an odd cycle, n <= 30, each under a batch of seeds:
+    # `_seeded_mates` against the reference on the lists shuffled as it
+    # shuffles them
+    rng = random.Random("short-seeded")
+    found = _short_checks(monkeypatch)
+    graphs = 0
+    while graphs < 60:
+        n = rng.randint(3, 30)
+        g = random_graph(n, rng.uniform(1.5, 4) / n, rng)
+        if bipartition(g) is not None:
+            continue
+        graphs += 1
+        lists = [*g.adjacency(), list(range(1, n + 1))]
+        plan = _shuffle_plan(lists)
+        seeds = range(graphs * 100, graphs * 100 + 20)
+        for seed, mate in zip(seeds, _seeded_mates(g, seeds)):
+            adj = _shuffled(lists, plan, random.Random(seed).getrandbits)
+            assert mate == _with_the_reference(n, adj, adj.pop()), (g.sorted_edges(), seed)
+    assert True in found and False in found
+
+
+def test_the_short_check_keeps_the_vertex_order_matchings(monkeypatch):
+    # what nu, the bipartite entry and the enumerator's root matching run
+    rng = random.Random("short-plain")
+    found = _short_checks(monkeypatch)
+    for _ in range(300):
+        n = rng.randint(1, 40)
+        if rng.random() < 0.7:
+            g = random_graph(n, rng.uniform(1, 4) / n, rng)
+        else:
+            g = random_bipartite(n, 2 * n, rng)
+        _with_the_reference(n, g.adjacency(), range(1, n + 1))
+    assert True in found and False in found
+
+
+def test_the_short_check_keeps_the_tutte_gadget_matchings(monkeypatch):
+    # the gadgets as nu2_bipartite builds them
+    rng = random.Random("short-gadget")
+    colorable = importlib.import_module("resmatch.colorable")
+    found = _short_checks(monkeypatch)
+    calls = []
+
+    def recorded(n, adj, order, arrays):
+        calls.append(n)
+        return _with_the_reference(n, adj, order)
+
+    monkeypatch.setattr(colorable, "_blossom", recorded)
+    for _ in range(60):
+        n = rng.randint(2, 16)
+        colorable.nu2_bipartite(random_bipartite(n, 2 * n, rng))
+    assert len(calls) == 60
+    assert True in found
+
+
+@pytest.mark.parametrize("variant", ["L", "ell"])
+@pytest.mark.parametrize("num_vars, m", [(3, 1), (4, 2), (5, 4)])
+def test_the_short_check_keeps_the_artifact_matchings(variant, num_vars, m):
+    g = build_artifact(covering_cnf(10 * num_vars + m, num_vars, m), variant).graph
+    n = g.vertex_count
+    _with_the_reference(n, g.adjacency(), range(1, n + 1))
+    lists = [*g.adjacency(), list(range(1, n + 1))]
+    plan = _shuffle_plan(lists)
+    for seed, mate in zip(range(5), _seeded_mates(g, range(5))):
+        adj = _shuffled(lists, plan, random.Random(seed).getrandbits)
+        assert mate == _with_the_reference(n, adj, adj.pop()), seed
+
+
+@pytest.mark.parametrize("first", [2, 4])
+def test_the_first_neighbours_short_path_wins(first):
+    # the root 1 has two paths of length 3, 1 - 2 = 3 - 6 and 1 - 4 = 5 - 7;
+    # the greedy pass over this order matches 3 - 2 and 5 - 4 and leaves 1,
+    # 6 and 7 free, and the check takes the path through adj[1][0]
+    g = build_graph(7, [(1, 2), (1, 4), (2, 3), (4, 5), (3, 6), (5, 7)])
+    adj = [lst[:] for lst in g.adjacency()]
+    adj[1].sort(key=lambda x: x != first)
+    mate = _with_the_reference(7, adj, [3, 5, 1, 2, 4, 6, 7])
+    y, w = {2: (3, 6), 4: (5, 7)}[first]
+    assert mate[1] == first and mate[y] == w
+    assert sum(map(bool, mate)) == 6
+
+
+def test_a_triangle_at_the_root_is_contracted_before_the_check_reaches_it(monkeypatch):
+    # greedy matches 1 - 2 and leaves 4 (a triangle 4 - 1 = 2 - 4) and 3 free;
+    # from 4 the check scans 1's mate 2 (no free neighbour), then 2's mate 1,
+    # which the search reaches only by contracting the triangle: 4 - 2 = 1 - 3
+    found = _short_checks(monkeypatch)
+    g = build_graph(4, [(1, 2), (1, 3), (1, 4), (2, 4)])
+    assert _with_the_reference(4, g.adjacency(), [1, 2, 4, 3]) == [0, 3, 4, 1, 2]
+    assert found == [True]
+
+
+def test_a_path_of_length_five_is_left_to_the_search():
+    # the path 5 - 1 - 2 - 3 - 4 - 6: greedy over this order matches 1 - 2 and
+    # 3 - 4, and the only augmenting path, 5 - 1 = 2 - 3 = 4 - 6, has length 5
+    g = build_graph(6, [(5, 1), (1, 2), (2, 3), (3, 4), (4, 6)])
+    adj = g.adjacency()
+    match = [0, 2, 1, 4, 3, 0, 0]
+    before = match[:]
+    assert not _short_augment(adj, match, 5, [0] * 7)
+    assert match == before
+    assert _with_the_reference(6, adj, [1, 3, 5, 6, 2, 4]) == [0, 5, 3, 2, 6, 1, 4]
 
 
 def test_a_batch_of_seeds_on_random_graphs():
