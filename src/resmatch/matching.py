@@ -1,20 +1,19 @@
 """Maximum matchings in general and bipartite graphs.
 
-One engine finds every maximum matching here: `_augment`, a single-root
-augmenting-path search with odd-cycle (blossom) contraction in the whole
-graph less the edges of a skipped-edge mate array, or, above a threshold
-lo > 0, in the vertices above lo that end no skipped edge, and before it
-`_short_augment`, a check for an augmenting path of length 1 or 3 from a
-free vertex that runs no search.  `_blossom` is a greedy pass followed, for
-each free root, by the check and, if it finds no path, one `_augment`: the
-check takes the path that the search would find first, so the mate arrays
-are those of the searches alone.  `nu`, the bipartite entry and
-`resmatch.colorable.nu2_bipartite` run it in vertex order with sorted
-adjacency, lo = 0 and no skipped edge, and so do the enumerator's root
-matching and every seeded matching.  `resmatch.spectrum`'s enumerator calls
-`_augment` directly to repair the two matchings it carries: one of its
-undecided vertices, and one of the whole graph with the chosen edges
-skipped, whose repairs try `_short_augment` first.  The enumerator first
+One engine finds every maximum matching here, and every augmentation goes
+through one entry: `_augment`, a single-root augmenting-path search with
+odd-cycle (blossom) contraction in the whole graph less the edges of a
+skipped-edge mate array, or, above a threshold lo > 0, in the vertices above
+lo that end no skipped edge.  With lo = 0 it first takes a path of length 1
+or 3 from the root if there is one, the path its search would find first,
+and runs no search.  It is called with lo = 0 by `_blossom`, a greedy pass
+followed by one `_augment` from each free root, which `nu`, the bipartite
+entry and `resmatch.colorable.nu2_bipartite` run in vertex order with sorted
+adjacency and no skipped edge, as do the enumerator's root matching and
+every seeded matching; and by `resmatch.spectrum`'s enumerator, which
+completes and repairs its matching of the whole graph with the chosen edges
+skipped.  The enumerator's other matching, of its undecided vertices, is
+repaired by `_augment` above a threshold lo > 0.  The enumerator first
 asks `_fixed_mates` for edges of its root matching M that every maximum
 matching holds, all of them on a bipartite graph: one search from the
 M-free vertices and an iterative Tarjan pass over the digraph with an arc
@@ -86,30 +85,11 @@ class MatchingFlags:
 def _blossom(n: int, adj: list[list[int]], order, arrays, size=None) -> list[int]:
     """Mate of every vertex of a maximum matching (0 = unmatched; slot 0 unused).
 
-    A greedy pass over `order`, then for each still-free root in `order` that
-    has a neighbour a `_short_augment` and, if it finds no path, one
-    `_augment`, with the caller's scratch arrays (`_search_arrays(n)`, no edge
-    skipped): an isolated root's search would reach only the root and fail.
-    Ties fall to the order of `order` and of each adjacency list.
-
-    The short check augments along the path the search would take first, so
-    the mate array is the one the searches alone give.
-    - After the greedy pass every neighbour of a free vertex is matched, and
-      augmenting matches vertices and never frees one, so a search never
-      stops at a neighbour of its root r.
-    - While it scans r, `_augment` queues mate(x) for each neighbour x in
-      adj[r] order: a new odd x queues its mate, and if the mate y of x is
-      already odd, x closes the triangle r - y = x - r, whose contraction
-      makes y even and queues it.  So the first even vertices it queues are
-      the y that `_short_augment` scans, in the same order, and every vertex
-      grown later is queued after them.
-    - Contractions write p only on even vertices, and a free w is never in
-      the tree (base[w] = w, p[w] = 0).  So when a scanned y has a free
-      neighbour w other than r, the search ends on r - x = y - w with
-      x = mate(y), and the first such y and its first such w are the ones
-      `_short_augment` takes.
-    - When there is no such y, `_short_augment` writes nothing and the search
-      runs as it would alone.
+    A greedy pass over `order`, then one `_augment` with lo = 0 from each
+    still-free root in `order` that has a neighbour, with the caller's
+    scratch arrays (`_search_arrays(n)`, no edge skipped): an isolated root's
+    search would reach only the root and fail.  Ties fall to the order of
+    `order` and of each adjacency list.
 
     With size, the size of a maximum matching of the graph, no root search
     starts once 2 * size vertices are matched, and the result is the same:
@@ -128,7 +108,6 @@ def _blossom(n: int, adj: list[list[int]], order, arrays, size=None) -> list[int
                     match[v] = to
                     match[to] = v
                     break
-    skip = arrays[-1]  # all 0: the checks hide no edge
     # augmentations still to find; without size -1, which only falls and so never reaches 0
     short = -1 if size is None else size - (n + 1 - match.count(0)) // 2
     for root in order:
@@ -136,8 +115,7 @@ def _blossom(n: int, adj: list[list[int]], order, arrays, size=None) -> list[int
             if not short:  # the matching has size: every search left would fail
                 break
             if adj[root]:
-                short -= (_short_augment(adj, match, root, skip)
-                          or _augment(adj, match, root, 0, arrays))
+                short -= _augment(adj, match, root, 0, arrays)
     return match
 
 
@@ -146,27 +124,6 @@ def _search_arrays(n: int):
     parents, blossom bases, lca and petal marks (mark[0] holds the last
     stamp), and the skipped-edge mates (all 0: no edge is skipped)."""
     return [False] * (n + 1), [0] * (n + 1), list(range(n + 1)), [0] * (n + 1), [0] * (n + 1)
-
-
-def _short_augment(adj, res, a: int, skip) -> bool:
-    """Augment res along a path of length 1 or 3 from the free vertex a, in
-    the graph less the edges that the mate array skip hides, if there is
-    one: a-w, or a-x=y-w with y the mate of x in res, w free.  True when it
-    augmented; res is unchanged otherwise."""
-    hidden = skip[a]
-    for x in adj[a]:
-        if x != hidden and not res[x]:
-            res[a], res[x] = x, a
-            return True
-    for x in adj[a]:
-        if x == hidden:
-            continue
-        y = res[x]  # every visible neighbour of a is matched
-        for w in adj[y]:
-            if not res[w] and w != a and w != skip[y]:
-                res[a], res[x], res[y], res[w] = x, a, w, y
-                return True
-    return False
 
 
 def _augment(adj, match, root: int, lo: int, arrays) -> bool:
@@ -182,8 +139,45 @@ def _augment(adj, match, root: int, lo: int, arrays) -> bool:
     reached; each contraction stamps mark twice, once for the lca walk and
     once for the bases of its petals, so no set is built per blossom.  An
     edge's cheapest tests come first.
+
+    With lo = 0 it first takes a path of length 1, root - w with w the first
+    free visible neighbour in adj[root] order, or else one of length 3,
+    root - x = y - w with x the first in adj[root] order whose mate y has a
+    free neighbour w other than root and skip[y] (the first such w), and
+    then runs no search and leaves the scratch arrays alone.  That is the
+    path the search would find first, for any matching and skipped edges.
+    - While it scans root, the search stops at the first free visible
+      neighbour before it scans any other vertex: a free vertex is never in
+      the tree (base[w] = w, p[w] = 0), and a contraction writes p only on
+      vertices of the tree.  That neighbour gives the path of length 1.
+    - If root has no free visible neighbour, the search queues mate(x) for
+      each visible neighbour x in adj[root] order: a new odd x queues its
+      mate, and if the mate y of x is already odd, x closes the triangle
+      root - y = x - root, whose contraction makes y even and queues it.  So
+      the first even vertices it queues are those y, in that order, and
+      every vertex grown later is queued after them.  The first y with a
+      free neighbour w other than root (and not skip[y]) ends the search on
+      root - x = y - w at its first such w.
+    - If there is no such y, the check writes nothing and the search runs as
+      it would alone.  A short path skips the search's contractions, so
+      mark[0] can differ afterwards; that does not matter, since mark is
+      only ever compared with a fresh stamp.
     """
     even, p, base, mark, skip = arrays
+    if not lo:
+        hidden = skip[root]
+        for x in adj[root]:
+            if x != hidden and not match[x]:
+                match[root], match[x] = x, root
+                return True
+        for x in adj[root]:
+            if x == hidden:
+                continue
+            y = match[x]  # every visible neighbour of root is matched
+            for w in adj[y]:
+                if not match[w] and w != root and w != skip[y]:
+                    match[root], match[x], match[y], match[w] = x, root, w, y
+                    return True
     even[root] = True
     tree = [root]
     queue = [root]

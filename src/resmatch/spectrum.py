@@ -14,12 +14,12 @@ matching is perfect, leaving a vertex unmatched cannot keep its size (and
 a take child needs one search, not two).  It changes neither the leaves
 nor their order.  The enumerator carries a second matching, of G less the
 node's chosen edges, whose size each leaf yields as nu(G - F); a child
-that takes one of its edges repairs it with the matching engine's check for
-an augmenting path of length 1 or 3 (`matching._short_augment`, which the
-engine's `_blossom` runs before each of its searches) from each end, then,
-if both fail, one search from each, so no leaf runs a blossom.  Any
-augmenting path is a correct repair: the stream reads only the matching's
-size, which every maximum matching of G less the chosen edges shares.  The
+that takes one of its edges repairs it with one `matching._augment` from
+its first end and, if that fails, one from its second, so no leaf runs a
+blossom.  Each first tries a path of length 1 or 3 and searches only if
+there is none, as in the engine's `_blossom`.  Any augmenting path is a
+correct repair: the stream reads only the matching's size, which every
+maximum matching of G less the chosen edges shares.  The
 root first finds fixed edges, which every maximum matching holds
 (`matching._fixed_mates`, all of them on a bipartite G), and enumerates
 without them: their ends start decided and both matchings start without
@@ -38,7 +38,7 @@ from fractions import Fraction
 
 from .graph import Graph
 from .matching import (Matching, _augment, _blossom, _fixed_mates, _search_arrays,
-                       _seeded_mates, _short_augment, max_matching)
+                       _seeded_mates, max_matching)
 
 TOLERANCE_KINDS = ("constant", "linear", "log", "sqrt", "identity")
 
@@ -146,13 +146,12 @@ def _iter_maximum_matchings(g: Graph):
     child shares R; if its last chosen edge (a, b) is in R, it drops (a, b)
     from its copy when popped, and looks for an augmenting path with the
     chosen edges skipped: as R was maximum, one must end at a or at b, so r
-    stays if one exists and drops by one if none does.  The engine's short
-    check (`_short_augment`) from a, then from b, finds one of length 1 or 3
-    without a search, and only when both fail does a search from a, then one
-    from b, decide.  Any augmenting path will do, short or not: a leaf
-    yields only r, and r is nu(g - chosen) whichever maximum matching R is,
-    so the leaves, their order and every r are the same as with the searches
-    alone.
+    stays if one exists and drops by one if none does.  One `_augment`
+    from a, then, if it fails, one from b decides; each takes a path of
+    length 1 or 3 without a search if there is one.  Any augmenting path
+    will do: a leaf yields only r, and r is nu(g - chosen) whichever maximum
+    matching R is, so the leaves, their order and every r are the same
+    whichever path each repair takes.
 
     On any g the root takes out a set F of fixed edges, edges of the root's
     M that every maximum matching holds (`_fixed_mates`: all of them on a
@@ -165,11 +164,11 @@ def _iter_maximum_matchings(g: Graph):
       would augment M in g, so the maximum matchings of g are F plus those
       of g - V(F), and the nodes search g - V(F) through skip.
     - The residual: R starts as M less F, a matching of g less F, and is
-      completed from each end of F that it leaves free, by the short check
-      and then a search.  Any augmenting path of M less F there ends at two
-      ends of F: one at an M-free vertex x and an end a of (a, b) in F
-      would, with (a, b), be an even M-alternating path from x whose flip
-      drops (a, b), and one with two M-free ends would augment M.  That
+      completed by one `_augment` from each end of F that it leaves free.
+      Any augmenting path of M less F there ends at two ends of F: one at
+      an M-free vertex x and an end a of (a, b) in F would, with (a, b), be
+      an even M-alternating path from x whose flip drops (a, b), and one
+      with two M-free ends would augment M.  That
       stays so after augmenting along a path P between ends of F: a path Q
       after it with an end y elsewhere would give, from P ⊕ Q, two earlier
       augmenting paths that pair the four ends, and the one at y would not
@@ -200,7 +199,7 @@ def _iter_maximum_matchings(g: Graph):
     target -= len(fixed)
     res = mate[:]
     for a in range(1, n + 1):
-        if held[a] and not res[a] and not _short_augment(adj, res, a, skip):
+        if held[a] and not res[a]:
             _augment(adj, res, a, 0, arrays)
     stack = [((), 0, mate, res, sum(map(bool, res)) // 2, free)]
     applied = ()
@@ -217,8 +216,7 @@ def _iter_maximum_matchings(g: Graph):
             if res[a] == b:
                 res = res[:]
                 res[a] = res[b] = 0
-                if not (_short_augment(adj, res, a, skip) or _short_augment(adj, res, b, skip)
-                        or _augment(adj, res, a, 0, arrays) or _augment(adj, res, b, 0, arrays)):
+                if not (_augment(adj, res, a, 0, arrays) or _augment(adj, res, b, 0, arrays)):
                     r -= 1
         if len(chosen) == target:
             yield (tuple(sorted(chosen + fixed)) if fixed else chosen), r

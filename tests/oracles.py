@@ -15,11 +15,14 @@ reference for `build_artifact`, which lays out int keys.  `milp_big_l`
 computes L(G), and `milp_ell` ell(G) of a bipartite G, by an integer
 program with nu(G) from networkx: references past brute-force sizes that
 need scipy.
-`record_searches` and `count_searches` log the enumerator's single-root
-searches and short repair checks, for the tests that pin how many it runs;
-`augment_reference` is the reference for that search kernel, `_augment`, and
-`blossom_reference` for `_blossom`: a greedy pass and one search per free
-root, with no check for a short path first.
+`record_searches` and `count_searches` log the enumerator's calls of the
+package's one augmentation entry, `_augment`, for the tests that pin how
+many searches it runs; `took_short_path` is their rule for telling a call
+that took a path of length 1 or 3 from one that searched.
+`augment_reference` is the reference for `_augment`: with lo = 0 the package
+must do what this search alone does, its check for a short path included.
+`blossom_reference` is the reference for `_blossom`: a greedy pass and one
+`augment_reference` per free root.
 `adjacency_by_sorted_edges` and `degree_profile_by_edges` are the references
 for `Graph.adjacency` and `degree_profile`: one walks the globally sorted edge
 list, the other counts edge endpoints.
@@ -329,7 +332,7 @@ def blossom_reference(n: int, adj, order, arrays) -> list[int]:
     """The reference for `resmatch.matching._blossom`: its greedy pass over
     order, then one `augment_reference` search from each still-free root in
     order that has a neighbour, without the package's check for a path of
-    length 1 or 3 before each search and without its stop at a known size.
+    length 1 or 3 inside `_augment` and without its stop at a known size.
     The package must return the same mate array."""
     match = [0] * (n + 1)
     for v in order:
@@ -345,33 +348,43 @@ def blossom_reference(n: int, adj, order, arrays) -> list[int]:
     return match
 
 
+def took_short_path(before, after) -> bool:
+    """Whether an `_augment` with lo = 0 that turned the mate array before
+    into after took a path of length 1 or 3 and ran no search.  Flipping a
+    path of length k changes k + 1 entries; the check for a short path tries
+    every one from the root, so a search after it finds a path of length 5
+    or more (6 or more entries) or none (0 entries)."""
+    return sum(a != b for a, b in zip(before, after)) in (2, 4)
+
+
 def record_searches(monkeypatch, g):
     """The (matching, residual) stream of g and (kind, root, found) of each
     single-root search the enumerator made while branching, in order: kind
-    'branch' for an `_augment` above a threshold lo > 0, 'repair' for an
-    `_augment` of the carried residual matching (lo = 0, the whole graph) and
-    'short' for a `_short_augment` of it.  On a g with fixed edges
-    the root completes that matching from the fixed ends before it branches:
-    those checks and searches come first, logged as 'short' and 'repair'.
-    The root blossom's own searches, and the short checks it makes before
-    them, are not seen: `_blossom` calls the engine's names, not the
+    'branch' for an `_augment` above a threshold lo > 0; an `_augment` of the
+    carried residual matching (lo = 0, the whole graph) first checks for a
+    path of length 1 or 3, logged as 'short' with whether it took one, and
+    if it did not, searches, logged next as 'repair'.  On a g with fixed
+    edges the root completes that matching from the fixed ends before it
+    branches: those checks and searches come first.  The root blossom's own
+    calls are not seen: `_blossom` calls the engine's name, not the
     enumerator's."""
     enumerator = importlib.import_module("resmatch.spectrum")
     searches = []
-    search, short = enumerator._augment, enumerator._short_augment
+    search = enumerator._augment
 
     def recorded(adj, match, root, lo, arrays):
+        before = match[:]
         found = search(adj, match, root, lo, arrays)
-        searches.append(("branch" if lo else "repair", root, found))
-        return found
-
-    def recorded_short(adj, res, a, skip):
-        found = short(adj, res, a, skip)
-        searches.append(("short", a, found))
+        if lo:
+            searches.append(("branch", root, found))
+        else:
+            short = took_short_path(before, match)
+            searches.append(("short", root, short))
+            if not short:
+                searches.append(("repair", root, found))
         return found
 
     monkeypatch.setattr(enumerator, "_augment", recorded)
-    monkeypatch.setattr(enumerator, "_short_augment", recorded_short)
     items = [(list(chosen), r) for chosen, r in enumerator._iter_maximum_matchings(g)]
     return items, searches
 
@@ -380,7 +393,8 @@ def count_searches(monkeypatch, g):
     """(maximum matchings, branching searches, repair searches, short repair
     checks) of g.  The enumerator's own searches see the vertices above a
     threshold lo > 0; the repairs of the carried residual matching see the
-    whole graph (lo = 0), after a check for a path of length 1 or 3."""
+    whole graph (lo = 0): each such call counts one check for a path of
+    length 1 or 3, and one repair search too if the check found none."""
     items, searches = record_searches(monkeypatch, g)
     kinds = [kind for kind, _, _ in searches]
     return len(items), kinds.count("branch"), kinds.count("repair"), kinds.count("short")

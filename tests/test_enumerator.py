@@ -18,9 +18,10 @@ from oracles import (
     random_bipartite,
     random_graph,
     residual,
+    took_short_path,
 )
 from resmatch.graph import bipartition, build_graph
-from resmatch.matching import (Matching, _blossom, _fixed_mates, _search_arrays, _short_augment,
+from resmatch.matching import (Matching, _augment, _blossom, _fixed_mates, _search_arrays,
                                max_matching)
 from resmatch.reduction import build_artifact, parse_dimacs
 from resmatch.spectrum import _iter_maximum_matchings, spectrum
@@ -236,9 +237,10 @@ def test_short_augment_takes_exactly_the_short_paths(seed):
     """R is a random maximum matching less one of its edges (a, b), and the
     hidden edges are a random matching that R does not hold, which in the
     enumerator's repairs hides (a, b).  From a, b or a vertex that R missed
-    already, the check augments exactly when brute force finds a path of
-    length 1 or 3 that uses no hidden edge, and then only by one edge of the
-    graph that is not hidden; otherwise R is unchanged."""
+    already, `_augment` with lo = 0 takes a path of length 1 or 3 exactly
+    when brute force finds one that uses no hidden edge, and then gains one
+    edge of the graph that is not hidden; otherwise it searches, and
+    augments along a longer path or leaves R unchanged."""
     rng = random.Random(f"short:{seed}")
     found = set()
     for _ in range(30):
@@ -264,9 +266,11 @@ def test_short_augment_takes_exactly_the_short_paths(seed):
                 hidden.add(tuple(sorted(e)))
         before = res[:]
         paths = short_paths(g, before, hidden, root)
-        augmented = _short_augment(adj, res, root, skip)
-        found.add(augmented)
-        assert augmented == bool(paths)
+        arrays = (*_search_arrays(g.vertex_count)[:-1], skip)
+        augmented = _augment(adj, res, root, 0, arrays)
+        short = took_short_path(before, res)
+        found.add(short)
+        assert short == bool(paths)
         if not augmented:
             assert res == before
             continue

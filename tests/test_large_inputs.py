@@ -8,17 +8,16 @@ recursion limit.
 import ast
 import json
 import pathlib
-import random
 
 import pytest
 
 import resmatch
-from oracles import count_searches, path
+from oracles import count_searches, covering_cnf, path
 from resmatch.cli import main
 from resmatch.colorable import nu2_bipartite
 from resmatch.graph import build_graph, emit_graph_file
 from resmatch.matching import max_matching, max_matching_bipartite, nu, validate_matching
-from resmatch.reduction import build_artifact, parse_dimacs, verify_artifact
+from resmatch.reduction import build_artifact, verify_artifact
 from resmatch.spectrum import spectrum
 
 
@@ -104,21 +103,9 @@ def test_odd_path_needs_one_search_per_matching(monkeypatch):
     assert (matchings, searches) == (501, 500)
 
 
-def _random_cnf_text(seed: int, num_vars: int, m: int) -> str:
-    """Exact-3-SAT with every variable used."""
-    rng = random.Random(seed)
-    order = list(range(1, num_vars + 1))
-    rng.shuffle(order)
-    clauses = [order[at:at + 3] for at in range(0, num_vars - num_vars % 3, 3)]
-    while len(clauses) < m:
-        clauses.append(rng.sample(range(1, num_vars + 1), 3))
-    lines = [" ".join(str(v if rng.random() < 0.5 else -v) for v in cl) + " 0" for cl in clauses]
-    return f"p cnf {num_vars} {m}\n" + "\n".join(lines) + "\n"
-
-
 @pytest.mark.parametrize("variant", ["L", "ell"])
 def test_structural_certificate_at_800_clauses(variant):
-    cnf = parse_dimacs(_random_cnf_text(8, 201, 800))
+    cnf = covering_cnf(8, 201, 800)
     art = build_artifact(cnf, variant)
     assert art.graph.vertex_count > 10000
     assert verify_artifact(art, exhaustive=False).ok

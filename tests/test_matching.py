@@ -15,6 +15,7 @@ from oracles import (
     path,
     random_bipartite,
     random_graph,
+    took_short_path,
 )
 from resmatch.graph import Bipartition, bipartition, build_graph
 from resmatch.matching import (
@@ -25,7 +26,6 @@ from resmatch.matching import (
     _matching,
     _search_arrays,
     _seeded_mates,
-    _short_augment,
     _shuffle_plan,
     _shuffled,
     matching_from_pairs,
@@ -99,57 +99,80 @@ def test_blossom_matches_bruteforce_random():
 
 
 def _kernel_inputs(rng, case):
-    """(graph, lo, chosen) for one of the three ways the package runs its
-    search: lo = 0 and nothing skipped (the root blossom, `nu`), lo > 0 with
-    chosen edges skipped (the enumerator's mask searches), and lo = 0 with
-    chosen edges skipped (its residual repairs).  Sparse general graphs of up
-    to 120 vertices grow blossoms that absorb several vertices at once, whose
-    queue order decides the path found."""
+    """(graph, lo, skip, match) for one of the four ways the package runs
+    its search: lo = 0 and nothing skipped (the root blossom, `nu`), lo > 0
+    with chosen edges skipped (the enumerator's mask searches), lo = 0 with
+    chosen edges skipped (its residual repairs), and 'residual', the last
+    with a random share of the matching's edges taken out, so that roots
+    have free neighbours and free vertices two steps away, as after a repair
+    frees the ends of an edge.  skip is the mate array of the chosen edges
+    and match a greedy matching of the graph the search sees, less that
+    share.  Sparse general graphs of up to 120 vertices grow blossoms that
+    absorb several vertices at once, whose queue order decides the path
+    found."""
     n = rng.randint(40, 120)
     if rng.random() < 0.75:
         g = random_graph(n, rng.uniform(2.5, 4) / n, rng)
     else:
         g = random_bipartite(n, 2 * n, rng)
-    chosen = []
+    skip = [0] * (n + 1)
     if case != "plain":
-        ends: set[int] = set()
         for u, v in rng.sample(g.sorted_edges(), g.edge_count):
-            if u not in ends and v not in ends and rng.random() < 0.3:
-                chosen.append((u, v))
-                ends.update((u, v))
+            if not skip[u] and not skip[v] and rng.random() < 0.3:
+                skip[u], skip[v] = v, u
     lo = rng.randint(1, n // 2) if case == "mask" else 0
-    return g, lo, chosen
+
+    def sees(v, w):
+        return skip[v] != w if lo == 0 else min(v, w) > lo and not skip[v] and not skip[w]
+
+    match = [0] * (n + 1)
+    for v in range(1, n + 1):
+        for w in g.adjacency()[v]:
+            if not match[v] and not match[w] and sees(v, w):
+                match[v], match[w] = w, v
+    if case == "residual":
+        share = rng.uniform(0.1, 0.6)
+        for v, w in enumerate(match):
+            if v < w and rng.random() < share:
+                match[v] = match[w] = 0
+    return g, lo, skip, match
 
 
-@pytest.mark.parametrize("case", ["plain", "mask", "repair"])
+def _kernel_log(search, g, lo, skip, match):
+    """(root, found, mate array, arrays[:3]) after each call of search from
+    each vertex in turn that is free then and above lo (and ends no chosen
+    edge if lo > 0), on a copy of match; the arrays outlive each call, as in
+    the package."""
+    n, adj = g.vertex_count, g.adjacency()
+    arrays = (*_search_arrays(n)[:-1], skip)  # no search writes skip
+    match = match[:]
+    log = []
+    for root in range(lo + 1, n + 1):
+        if not match[root] and (lo == 0 or not skip[root]):
+            log.append((root, search(adj, match, root, lo, arrays), match[:],
+                        [a[:] for a in arrays[:3]]))
+    return log
+
+
+@pytest.mark.parametrize("case", ["plain", "mask", "repair", "residual"])
 @pytest.mark.parametrize("seed", range(40))
 def test_search_kernel_agrees_with_the_reference(case, seed):
-    rng = random.Random(f"kernel:{case}:{seed}")
-    g, lo, chosen = _kernel_inputs(rng, case)
-    n, adj = g.vertex_count, g.adjacency()
-    runs = []
-    for search in (_augment, augment_reference):
-        arrays = _search_arrays(n)
-        skip = arrays[-1]
-        for a, b in chosen:
-            skip[a], skip[b] = b, a
+    inputs = _kernel_inputs(random.Random(f"kernel:{case}:{seed}"), case)
+    assert _kernel_log(_augment, *inputs) == _kernel_log(augment_reference, *inputs)
 
-        def sees(v, w):
-            return skip[v] != w if lo == 0 else min(v, w) > lo and not skip[v] and not skip[w]
 
-        match = [0] * (n + 1)  # a greedy matching of the graph the search sees
-        for v in range(1, n + 1):
-            for w in adj[v]:
-                if not match[v] and not match[w] and sees(v, w):
-                    match[v], match[w] = w, v
-        log = []
-        for root in range(lo + 1, n + 1):
-            if not match[root] and (lo == 0 or not skip[root]):
-                # the arrays outlive each search, as in the package
-                log.append((root, search(adj, match, root, lo, arrays), match[:],
-                            [a[:] for a in arrays[:3]]))
-        runs.append(log)
-    assert runs[0] == runs[1]
+def test_the_residual_kernel_case_reaches_every_outcome():
+    # over the residual case's 40 seeds, `_augment` takes a path of length 1
+    # (2 mate entries change), of length 3 (4), a longer one (6 or more) and
+    # none (0): each way out of the kernel is compared with the reference
+    changed = set()
+    for seed in range(40):
+        g, lo, skip, match = _kernel_inputs(random.Random(f"kernel:residual:{seed}"), "residual")
+        before = match
+        for _, _, after, _ in _kernel_log(_augment, g, lo, skip, match):
+            changed.add(min(sum(a != b for a, b in zip(before, after)), 6))
+            before = after
+    assert changed == {0, 2, 4, 6}
 
 
 def test_max_matching_is_deterministic_per_seed():
@@ -273,22 +296,21 @@ def test_a_batch_of_seeds_is_the_shuffled_blossom_per_seed(g):
 
 def _searches_per_seed(g, monkeypatch) -> list:
     """For each seed of BATCH in turn, (kind, matched vertices, augmented)
-    for each short check ('short') and each search ('search') that
-    `_seeded_mates` makes, in order."""
+    for the check for a short path ('short') that begins each `_augment`
+    that `_seeded_mates` makes and, when the check finds none, for the
+    search after it ('search'), in order."""
     searches = []
-    real_short, real_search = _short_augment, _augment
-
-    def counted_short(adj, match, root, skip):
-        matched = len(match) - match.count(0)
-        searches.append(("short", matched, real_short(adj, match, root, skip)))
-        return searches[-1][2]
 
     def counted(adj, match, root, lo, arrays):
+        before = match[:]
         matched = len(match) - match.count(0)
-        searches.append(("search", matched, real_search(adj, match, root, lo, arrays)))
-        return searches[-1][2]
+        found = _augment(adj, match, root, lo, arrays)
+        short = took_short_path(before, match)
+        searches.append(("short", matched, short))
+        if not short:
+            searches.append(("search", matched, found))
+        return found
 
-    monkeypatch.setattr("resmatch.matching._short_augment", counted_short)
     monkeypatch.setattr("resmatch.matching._augment", counted)
     per_seed = []
     for _ in _seeded_mates(g, BATCH):
@@ -306,7 +328,7 @@ def test_a_batch_starts_no_search_at_the_first_seeds_size(g, monkeypatch):
     per_seed = _searches_per_seed(g, monkeypatch)
     assert len(per_seed) == len(BATCH)
     assert all(matched < 2 * size for later in per_seed[1:] for _, matched, _ in later)
-    # a search runs only after a short check from its root has failed
+    # a search runs only in a call whose short check has failed
     for seed in per_seed:
         kinds = [kind for kind, _, _ in seed]
         assert all(kinds[i - 1:i] == ["short"] and not seed[i - 1][2]
@@ -324,8 +346,9 @@ def test_the_batch_graphs_augment_after_the_greedy_pass(monkeypatch):
     assert max(augments["p12"][1:]) >= 2
 
 
-# (short checks, searches) per seed of BATCH: every failed check is followed
-# by a search from the same root, so the searches are the checks that failed.
+# (short checks, searches) per seed of BATCH: each `_augment` checks for a
+# short path first and searches only if the check fails, so the checks are
+# the calls and the searches are the checks that failed.
 # Petersen's seeds all reach size 5 by short checks; P_13's first seed, which
 # has no size to stop at, runs one search that fails.
 BATCH_COUNTS = {
@@ -356,14 +379,17 @@ def _with_the_reference(n, adj, order):
 
 
 def _short_checks(monkeypatch) -> list:
-    """The results of the short checks `_blossom` makes from here on."""
+    """Whether each `_augment` that `_blossom` makes from here on took a
+    path of length 1 or 3 (True) or searched (False)."""
     found = []
 
-    def counted(adj, match, root, skip):
-        found.append(_short_augment(adj, match, root, skip))
-        return found[-1]
+    def counted(adj, match, root, lo, arrays):
+        before = match[:]
+        augmented = _augment(adj, match, root, lo, arrays)
+        found.append(took_short_path(before, match))
+        return augmented
 
-    monkeypatch.setattr("resmatch.matching._short_augment", counted)
+    monkeypatch.setattr("resmatch.matching._augment", counted)
     return found
 
 
@@ -461,13 +487,15 @@ def test_a_triangle_at_the_root_is_contracted_before_the_check_reaches_it(monkey
 
 def test_a_path_of_length_five_is_left_to_the_search():
     # the path 5 - 1 - 2 - 3 - 4 - 6: greedy over this order matches 1 - 2 and
-    # 3 - 4, and the only augmenting path, 5 - 1 = 2 - 3 = 4 - 6, has length 5
+    # 3 - 4, and the only augmenting path, 5 - 1 = 2 - 3 = 4 - 6, has length 5:
+    # the check finds no short path, and the search flips all six mates
     g = build_graph(6, [(5, 1), (1, 2), (2, 3), (3, 4), (4, 6)])
     adj = g.adjacency()
     match = [0, 2, 1, 4, 3, 0, 0]
     before = match[:]
-    assert not _short_augment(adj, match, 5, [0] * 7)
-    assert match == before
+    assert _augment(adj, match, 5, 0, _search_arrays(6))
+    assert not took_short_path(before, match)
+    assert match == [0, 5, 3, 2, 6, 1, 4]
     assert _with_the_reference(6, adj, [1, 3, 5, 6, 2, 4]) == [0, 5, 3, 2, 6, 1, 4]
 
 

@@ -194,10 +194,12 @@ def test_ladder_search_count(monkeypatch):
 
 
 @pytest.mark.parametrize("n, items, repairs", [
-    # R = {12}: taking 12 leaves 1 isolated, and 2-3 augments by the short
-    # check from the second end; the drop child's matching {23} does not use
-    # R's edge 12, so it shares R
-    (3, [([(1, 2)], 1), ([(2, 3)], 1)], [("short", 1, False), ("short", 2, True)]),
+    # R = {12}: taking 12 leaves 1 isolated, so the repair from the first end
+    # finds no short path and its search fails, and the one from the second
+    # end takes 2-3 by its short check; the drop child's matching {23} does
+    # not use R's edge 12, so it shares R
+    (3, [([(1, 2)], 1), ([(2, 3)], 1)], [("short", 1, False), ("repair", 1, False),
+                                         ("short", 2, True)]),
     # 12 and 34 are fixed, so R starts empty on the path less them, 1 2-3 4:
     # the fixed ends, in order, find nothing from 1, the edge 2-3 from 2,
     # and nothing from 4, whose only edge is fixed; 3 is matched by then.
