@@ -19,13 +19,13 @@ its first end and, if that fails, one from its second, so no leaf runs a
 blossom.  Each first tries a path of length 1 or 3 and searches only if
 there is none, as in the engine's `_blossom`.  Any augmenting path is a
 correct repair: the stream reads only the matching's size, which every
-maximum matching of G less the chosen edges shares.  The
-root first finds fixed edges, which every maximum matching holds
-(`matching._fixed_mates`, all of them on a bipartite G), and enumerates
-without them: their ends start decided and both matchings start without
-them, so no node branches on a fixed edge and no take of one repairs the
-second matching.  Each leaf adds them back, and the leaves and their order
-stay as they were.
+maximum matching of G less the chosen edges shares.  The root first finds
+fixed edges, which every maximum matching holds (`matching._fixed_mates`,
+all of them on a bipartite G): the one working list of chosen edges starts
+with them, their ends start decided and both matchings start without them,
+so no node branches on a fixed edge and no take of one repairs the second
+matching.  Each leaf yields that list sorted, and the leaves and their
+order stay as they were.
 """
 
 from __future__ import annotations
@@ -118,12 +118,10 @@ class EnumerationResult:
 
 
 def _iter_maximum_matchings(g: Graph):
-    """Yield (edges, nu(g - F)) for every maximum matching F of g exactly
-    once, edges being tuple(sorted(F)): the chosen edges in the order they
-    were taken, which is sorted as u rises along every path, merged with
-    the fixed edges if there are any (see below).  A caller that
-    keeps a leaf wraps it (Matching(frozenset(edges), n)); the rest cost no
-    set and no Matching.
+    """Yield (edges, nu(g - F)) once for each maximum matching F of g, edges
+    being tuple(sorted(F)), the leaf's working list of chosen edges sorted.
+    A caller that keeps a leaf wraps it (Matching(frozenset(edges), n));
+    the rest cost no set and no Matching.
 
     Branch on the lowest undecided vertex u: match it to each neighbour in
     increasing order, then leave it unmatched; pending nodes wait on an
@@ -132,7 +130,12 @@ def _iter_maximum_matchings(g: Graph):
     its undecided vertices, those above u that end no chosen edge; so a
     child is kept or pruned without a fresh bound (Fukuda and Matsui 1994,
     Uno 1997): any augmenting path of a child's share of M ends at a vertex
-    that branching freed, so two searches at most decide it.
+    that branching freed, so two searches at most decide it.  The chosen
+    edges live in one working list and in skip (skip[a] = b for each
+    (a, b)); a stack entry holds depth, its parent's list length, and the v
+    it matches u to (0 to leave u unmatched).  The node popped before it is
+    its parent or lies below it, so a pop cuts the list and skip back to
+    depth, and a take child appends (u, v).
 
     One count decides some children with fewer searches; it changes neither
     the leaves nor their order.  A node carries free = |V(H)| - 2|M|, the
@@ -143,11 +146,11 @@ def _iter_maximum_matchings(g: Graph):
 
     A node also carries a maximum matching R of g less its chosen edges (all
     vertices kept) and its size r, which a leaf yields as its residual.  A
-    child shares R; if its last chosen edge (a, b) is in R, it drops (a, b)
+    child shares R; if a take child's edge (u, v) is in R, it drops (u, v)
     from its copy when popped, and looks for an augmenting path with the
-    chosen edges skipped: as R was maximum, one must end at a or at b, so r
+    chosen edges skipped: as R was maximum, one must end at u or at v, so r
     stays if one exists and drops by one if none does.  One `_augment`
-    from a, then, if it fails, one from b decides; each takes a path of
+    from u, then, if it fails, one from v decides; each takes a path of
     length 1 or 3 without a search if there is one.  Any augmenting path
     will do: a leaf yields only r, and r is nu(g - chosen) whichever maximum
     matching R is, so the leaves, their order and every r are the same
@@ -155,10 +158,10 @@ def _iter_maximum_matchings(g: Graph):
 
     On any g the root takes out a set F of fixed edges, edges of the root's
     M that every maximum matching holds (`_fixed_mates`: all of them on a
-    bipartite g, and possibly none).  Their ends start decided in skip,
-    which the unwinding of chosen edges never clears; M and R start without
-    them; the leaf test counts chosen edges only, and a leaf yields
-    tuple(sorted(chosen + F)).  Three things make this the same stream.
+    bipartite g, and possibly none).  The list starts as F and skip with
+    their ends, below every depth, so no pop unwinds them; M and R start
+    without them; a node is a leaf when its list holds nu(g) edges.  Three
+    things make this the stream of the tree that branches on F too.
     - The rule: every maximum matching holds F (`_fixed_mates` proves
       it).  M less F is maximum in g - V(F), for an augmenting path there
       would augment M in g, so the maximum matchings of g are F plus those
@@ -168,22 +171,22 @@ def _iter_maximum_matchings(g: Graph):
       Any augmenting path of M less F there ends at two ends of F: one at
       an M-free vertex x and an end a of (a, b) in F would, with (a, b), be
       an even M-alternating path from x whose flip drops (a, b), and one
-      with two M-free ends would augment M.  That
-      stays so after augmenting along a path P between ends of F: a path Q
-      after it with an end y elsewhere would give, from P ⊕ Q, two earlier
-      augmenting paths that pair the four ends, and the one at y would not
-      end at two ends of F.  A search that fails still fails after later
+      with two M-free ends would augment M.  That stays so after
+      augmenting along a path P between ends of F: a path Q after it with
+      an end y elsewhere would give, from P ⊕ Q, two earlier augmenting
+      paths that pair the four ends, and the one at y would not end at two
+      ends of F.  A search that fails still fails after later
       augmentations, as in `_blossom`, so one try from each end leaves R
       maximum in g less F; each repair below then keeps R maximum in g less
-      F and the chosen edges, whose size is nu(g - chosen - F).
+      the chosen edges, F among them: its size is nu(g - chosen).
     - The order: in the tree that branches at the ends of F too, every
       node that holds a leaf is part of a maximum matching, which holds F,
       so no end of F is left unmatched or matched elsewhere there.  At a
       lower end u of (u, v) in F the only child holding a leaf takes
       (u, v), and a higher end is decided before it is the lowest.  That
       tree is this one with a chain of single children spliced in at each
-      lower end of F, so both reach the same leaves in the same order, and
-      the sorted edges of each are its chosen edges and F sorted together.
+      lower end of F, so both reach the same leaves, with the same edges,
+      in the same order.
     """
     n = g.vertex_count
     adj = g.adjacency()
@@ -193,33 +196,30 @@ def _iter_maximum_matchings(g: Graph):
     target = sum(map(bool, mate)) // 2
     free = n - 2 * target
     held = _fixed_mates(n, adj, mate)
-    fixed = tuple([(v, w) for v, w in enumerate(held) if w > v])
-    skip[:] = held  # the unwinding below clears chosen edges only
+    chosen = [(v, w) for v, w in enumerate(held) if w > v]  # the fixed edges, never unwound
+    skip[:] = held
     mate = [0 if h else m for m, h in zip(mate, held)]
-    target -= len(fixed)
     res = mate[:]
     for a in range(1, n + 1):
         if held[a] and not res[a]:
             _augment(adj, res, a, 0, arrays)
-    stack = [((), 0, mate, res, sum(map(bool, res)) // 2, free)]
-    applied = ()
+    stack = [(len(chosen), 0, 0, mate, res, sum(map(bool, res)) // 2, free)]
     while stack:
-        chosen, u, match, res, r, free = stack.pop()
-        # skip holds the node's chosen edges, whose ends are its decided vertices above u:
-        # all but its last are its parent's, a prefix of those of the node popped before it
-        for a, b in applied[max(len(chosen) - 1, 0):]:
+        depth, u, v, match, res, r, free = stack.pop()
+        # chosen and skip hold the edges of the node popped before: keep the parent's
+        for a, b in chosen[depth:]:
             skip[a] = skip[b] = 0
-        applied = chosen
-        if chosen:
-            a, b = chosen[-1]
-            skip[a], skip[b] = b, a
-            if res[a] == b:
+        del chosen[depth:]
+        if v:
+            chosen.append((u, v))
+            skip[u], skip[v] = v, u
+            if res[u] == v:
                 res = res[:]
-                res[a] = res[b] = 0
-                if not (_augment(adj, res, a, 0, arrays) or _augment(adj, res, b, 0, arrays)):
+                res[u] = res[v] = 0
+                if not (_augment(adj, res, u, 0, arrays) or _augment(adj, res, v, 0, arrays)):
                     r -= 1
         if len(chosen) == target:
-            yield (tuple(sorted(chosen + fixed)) if fixed else chosen), r
+            yield tuple(sorted(chosen)), r
             continue
         # M is not empty, so an undecided vertex lies above u
         u += 1
@@ -234,7 +234,7 @@ def _iter_maximum_matchings(g: Graph):
                 drop = match[:]
                 drop[u] = drop[mu] = 0
             if not mu or _augment(adj, drop, mu, u, arrays):
-                stack.append((chosen, u, drop, res, r, free - 1))
+                stack.append((len(chosen), u, 0, drop, res, r, free - 1))
         # pushed last to first, so (u, v) pops in increasing v; adj[u] is sorted
         for v in reversed(adj[u]):
             if v < u:
@@ -249,7 +249,7 @@ def _iter_maximum_matchings(g: Graph):
             skip[v] = u  # the searches hide v, as the child will
             if not (mu and mv and mu != v) or _augment(adj, take, mu, u, arrays) or (
                     free and _augment(adj, take, mv, u, arrays)):
-                stack.append((chosen + ((u, v),), u, take, res, r, free))
+                stack.append((len(chosen), u, v, take, res, r, free))
             skip[v] = 0
 
 

@@ -4,15 +4,17 @@ import importlib
 import io
 import json
 import os
+import random
 import sys
 import time
 import tracemalloc
 from fractions import Fraction
 
 import pytest
-from oracles import path, random_cnf
+from oracles import path, random_bipartite, random_cnf
 
 from resmatch.cli import COMPUTE_VERTEX_LIMIT, build_parser, main
+from resmatch.colorable import upper_bound_L
 from resmatch.graph import emit_graph_file, parse_graph_file
 from resmatch.reduction import VARIANTS
 from resmatch.spectrum import ApproxTrialReport, approx_trial, spectrum
@@ -66,6 +68,24 @@ def test_compute_twin_spider(capsys):
     assert d["enumerated"] == 1
     assert d["upper_bound_L"] == 3
     assert d["degree_profile"]["max"] == 3
+
+
+def test_compute_upper_bound_is_colorables_bound(tmp_path, capsys):
+    """compute writes nu2 - nu from its own report's nu, and
+    `colorable.upper_bound_L` computes it afresh: the two must agree on
+    every bipartite graph, and L must not exceed it (L <= nu2 - nu)."""
+    rng = random.Random("compute-upper-bound")
+    for i in range(20):
+        n = rng.randint(6, 14)
+        g = random_bipartite(n, 3 * n, rng)
+        graph = tmp_path / f"g{i}.mg"
+        graph.write_text(emit_graph_file(g))
+        code, out, _ = run(capsys, "compute", str(graph))
+        assert code == 0
+        d = json.loads(out)
+        assert d["bipartite"]
+        assert d["upper_bound_L"] == upper_bound_L(g)
+        assert d["L"] <= d["upper_bound_L"]
 
 
 def _commands(parser: argparse.ArgumentParser) -> argparse._SubParsersAction:

@@ -98,9 +98,11 @@ def test_compute_on_the_path_of_100000_vertices_with_a_chord(tmp_path):
 def test_odd_path_needs_one_search_per_matching(monkeypatch):
     """P_1001 has 501 maximum matchings, one missing each odd vertex.  One
     vertex is free at the root, so only the drop child of an odd vertex
-    needs a search, and below it none is free: 500 searches in all."""
-    matchings, searches = count_searches(monkeypatch, path(1001))[:2]
-    assert (matchings, searches) == (501, 500)
+    needs a search, and below it none is free: 500 searches in all.  The
+    last two counts are the residual repairs: 1,000 repair searches, and
+    125,251 checks for a path of length 1 or 3, one per `_augment` of the
+    carried residual matching."""
+    assert count_searches(monkeypatch, path(1001)) == (501, 500, 1000, 125251)
 
 
 @pytest.mark.parametrize("variant", ["L", "ell"])
