@@ -6,26 +6,26 @@ residual matching numbers nu(G - F) over every maximum matching F; its
 minimum and maximum are written ell(G) and L(G).  Everything here reads
 one (maximum matching, residual) stream in a single pass, so results are
 exact whenever the enumeration finishes under its positive cap; witnesses
-are first occurrences in that order.  The enumerator branches on vertices
-and carries one maximum matching of each node's remaining graph, which
-decides every child with at most two single-root augmenting searches.  One
-count skips children that cannot hold a leaf, with no search: when that
-matching is perfect, leaving a vertex unmatched cannot keep its size (and
-a take child needs one search, not two).  It changes neither the leaves
-nor their order.  The enumerator carries a second matching, of G less the
-node's chosen edges, whose size each leaf yields as nu(G - F); a child
-that takes one of its edges repairs it with one `matching._augment` from
-its first end and, if that fails, one from its second, so no leaf runs a
-blossom.  Each first tries a path of length 1 or 3 and searches only if
-there is none, as in the engine's `_blossom`.  Any augmenting path is a
-correct repair: the stream reads only the matching's size, which every
-maximum matching of G less the chosen edges shares.  The root first finds
-fixed edges, which every maximum matching holds (`matching._fixed_mates`,
-all of them on a bipartite G): the one working list of chosen edges starts
-with them, their ends start decided and both matchings start without them,
-so no node branches on a fixed edge and no take of one repairs the second
-matching.  Each leaf yields that list sorted, and the leaves and their
-order stay as they were.
+are first occurrences in that order.  The enumerator branches on vertices.
+A child is pushed with no search, holding its parent's maximum matching of
+the remaining graph, and is decided when it pops by at most two
+single-root augmenting searches.  One count skips children that cannot
+hold a leaf: when that matching is perfect, leaving a vertex unmatched
+cannot keep its size (and a take child needs one search, not two).  A
+second matching, of G less the node's chosen edges, gives each leaf its
+nu(G - F); a child that takes one of its edges repairs it with one
+`matching._augment` from its first end and, if that fails, one from its
+second, each trying a path of length 1 or 3 before it searches, so no leaf
+runs a blossom.  Any augmenting path will do, for a leaf reads only the
+size.  A node writes either matching in place unless the stack entry below
+it holds the same list, and then copies it: the entries holding one list
+form one run of the stack.  The root first finds fixed edges, which every
+maximum matching holds (`matching._fixed_mates`, all of them on a
+bipartite G).  The one working list of chosen edges starts with them,
+their ends start decided and both matchings start without them, so no
+node branches on a fixed edge and no take of one repairs the second
+matching; a pop cuts the list back to its parent's length.  Each leaf
+yields that list sorted, and the leaves and their order stay as they were.
 """
 
 from __future__ import annotations
@@ -134,8 +134,21 @@ def _iter_maximum_matchings(g: Graph):
     edges live in one working list and in skip (skip[a] = b for each
     (a, b)); a stack entry holds depth, its parent's list length, and the v
     it matches u to (0 to leave u unmatched).  The node popped before it is
-    its parent or lies below it, so a pop cuts the list and skip back to
-    depth, and a take child appends (u, v).
+    its parent or lies below it, so a pop pops edges off the list, clearing
+    skip at their ends, until depth are left.
+
+    A node pushes its children unsearched, holding its own M and R, and a
+    child is decided at its pop: it zeroes u, v and their mates in M, a take
+    child appends (u, v), and it runs its searches on that M, which see
+    neither u nor v, and is pruned if they fail.  A node writes M or R in
+    place unless the entry just below it on the stack holds that list; then
+    it copies it first.  The test is exact: the pending entries holding any
+    one list form one run of the stack.  That holds at the root; a pop takes
+    the top entry, so any other holder of its list lies in the run just
+    below, and the children it pushes on top hold a list no pending entry
+    holds (a copy, or one it held alone) or that run's, so every run stays
+    one.  So no node writes a list a pending entry holds: each child finds M
+    and R as its parent left them, and the stream is unchanged.
 
     One count decides some children with fewer searches; it changes neither
     the leaves nor their order.  A node carries free = |V(H)| - 2|M|, the
@@ -147,14 +160,14 @@ def _iter_maximum_matchings(g: Graph):
     A node also carries a maximum matching R of g less its chosen edges (all
     vertices kept) and its size r, which a leaf yields as its residual.  A
     child shares R; if a take child's edge (u, v) is in R, it drops (u, v)
-    from its copy when popped, and looks for an augmenting path with the
-    chosen edges skipped: as R was maximum, one must end at u or at v, so r
-    stays if one exists and drops by one if none does.  One `_augment`
-    from u, then, if it fails, one from v decides; each takes a path of
-    length 1 or 3 without a search if there is one.  Any augmenting path
-    will do: a leaf yields only r, and r is nu(g - chosen) whichever maximum
-    matching R is, so the leaves, their order and every r are the same
-    whichever path each repair takes.
+    from R when popped, and looks for an augmenting path with the chosen
+    edges skipped: as R was maximum, one must end at u or at v, so r stays
+    if one exists and drops by one if none does.  One `_augment` from u,
+    then, if it fails, one from v decides; each takes a path of length 1 or
+    3 without a search if there is one.  Any augmenting path will do: a leaf
+    yields only r, and r is nu(g - chosen) whichever maximum matching R is,
+    so the leaves, their order and every r are the same whichever path each
+    repair takes.
 
     On any g the root takes out a set F of fixed edges, edges of the root's
     M that every maximum matching holds (`_fixed_mates`: all of them on a
@@ -207,17 +220,31 @@ def _iter_maximum_matchings(g: Graph):
     while stack:
         depth, u, v, match, res, r, free = stack.pop()
         # chosen and skip hold the edges of the node popped before: keep the parent's
-        for a, b in chosen[depth:]:
+        while len(chosen) > depth:
+            a, b = chosen.pop()
             skip[a] = skip[b] = 0
-        del chosen[depth:]
+        # the child removes u and v (0 if it leaves u unmatched) and frees their mates;
+        # the root (u = v = 0) reads and writes only the unused entry 0
+        mu, mv = match[u], match[v]
+        if stack and stack[-1][3] is match:  # a pending entry holds M: keep it
+            match = match[:]
+        match[u] = match[v] = match[mu] = match[mv] = 0
         if v:
-            chosen.append((u, v))
+            chosen.append((u, v))  # hidden from the searches; a prune is cut at the next pop
             skip[u], skip[v] = v, u
+            # with free == 0, mu and mv are the only free vertices, so a path from mv ends at mu
+            if mu and mv and mu != v and not _augment(adj, match, mu, u, arrays) and not (
+                    free and _augment(adj, match, mv, u, arrays)):
+                continue
             if res[u] == v:
-                res = res[:]
+                if stack and stack[-1][4] is res:  # a pending entry holds R: keep it
+                    res = res[:]
                 res[u] = res[v] = 0
                 if not (_augment(adj, res, u, 0, arrays) or _augment(adj, res, v, 0, arrays)):
                     r -= 1
+        # leaving u unmatched frees its mate, the one end of any augmenting path
+        elif mu and not _augment(adj, match, mu, u, arrays):
+            continue
         if len(chosen) == target:
             yield tuple(sorted(chosen)), r
             continue
@@ -225,32 +252,15 @@ def _iter_maximum_matchings(g: Graph):
         u += 1
         while skip[u]:
             u += 1
-        mu = match[u]
         # no leaf leaves u unmatched if M is perfect: H - u has fewer than 2|M| vertices
         if free:
-            # leaving u unmatched frees its mate, the one end of any augmenting path
-            drop = match
-            if mu:
-                drop = match[:]
-                drop[u] = drop[mu] = 0
-            if not mu or _augment(adj, drop, mu, u, arrays):
-                stack.append((len(chosen), u, 0, drop, res, r, free - 1))
+            stack.append((len(chosen), u, 0, match, res, r, free - 1))
         # pushed last to first, so (u, v) pops in increasing v; adj[u] is sorted
         for v in reversed(adj[u]):
             if v < u:
                 break
-            if skip[v]:
-                continue
-            # taking (u, v) removes u and v and frees their mates
-            mv = match[v]
-            take = match[:]
-            take[u] = take[v] = take[mu] = take[mv] = 0
-            # with free == 0, mu and mv are the only free vertices, so a path from mv ends at mu
-            skip[v] = u  # the searches hide v, as the child will
-            if not (mu and mv and mu != v) or _augment(adj, take, mu, u, arrays) or (
-                    free and _augment(adj, take, mv, u, arrays)):
-                stack.append((len(chosen), u, v, take, res, r, free))
-            skip[v] = 0
+            if not skip[v]:
+                stack.append((len(chosen), u, v, match, res, r, free))
 
 
 class CappedStream:

@@ -624,6 +624,9 @@ BAD_FAMILIES = {
     # a repeated key is refused, not read as its last value
     ("random:n=5,n=6",): "family parameter n is given twice",
     ("random-bipartite:p=1/2,count=2,p=1/3",): "family parameter p is given twice",
+    ("path:3..6:0",): "step must be positive, got 0",
+    ("random:n",): "bad family parameter 'n', expected key=value",
+    ("random:n=4,q=1",): "unknown family parameter(s): ['q']",
 }
 
 

@@ -550,6 +550,19 @@ def test_exhaustive_reports_artifact_without_perfect_matching():
     assert any(msg.startswith("nu:") for msg in cert.discrepancies)
 
 
+def test_verify_reports_coordinates_that_do_not_two_color():
+    with open(os.path.join(FIXTURES, "example_m1.cnf")) as fh:
+        art = build_artifact(parse_dimacs(fh.read()), "L")
+    g = art.graph
+    a, b = min(g.edges)
+    coords = dict(g.coords)
+    coords[a], coords[b] = coords[b], coords[a]  # (a, b) still crosses; the other edges at a do not
+    cert = verify_artifact(dataclasses.replace(art, graph=build_graph(g.vertex_count, list(g.edges),
+                                                                      coords)))
+    assert cert.bipartite is False
+    assert cert.discrepancies == ("bipartite: parity classes do not two-color the artifact",)
+
+
 @pytest.mark.parametrize("variant, text, broken", [("L", M1, False), ("L", M1, True),
                                                   ("ell", M2_MIXED, False)],
                          ids=["intact", "path-edge-deleted", "ell-with-hybrids"])

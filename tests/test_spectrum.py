@@ -22,8 +22,10 @@ from resmatch.graph import bipartition, build_graph, delete_edges
 from resmatch.matching import max_matching, nu, validate_matching
 from resmatch.spectrum import (
     BoundsReport,
+    SpectrumReport,
     ToleranceFunction,
     TruncatedSpectrumError,
+    _check_bounds,
     approx_trial,
     check_bounds,
     decide_problem1,
@@ -358,6 +360,21 @@ def test_check_bounds_random():
 def test_check_bounds_raises_on_truncation():
     with pytest.raises(TruncatedSpectrumError):
         check_bounds(path(9), cap=1)
+
+
+@pytest.mark.parametrize("ell, big_l, want", [
+    (3, 7, ("L <= 2*ell failed: 7 > 6", "2L <= 3*ell failed with perfect matching: 14 > 9")),
+    (2, 1, ("ell <= L failed: 2 > 1",)),
+])
+def test_check_bounds_reports_each_violation(ell, big_l, want):
+    # the bounds are theorems, so the report is built by hand over a graph with a perfect matching
+    g = build_graph(4, [(1, 2), (3, 4)])
+    m = max_matching(g)
+    report = SpectrumReport(2, ell, big_l, frozenset({ell, big_l}), m, m, 1, False, ())
+    bounds = _check_bounds(g, report)
+    assert bounds.has_perfect_matching
+    assert bounds.violations == want
+    assert not bounds.ok
 
 
 def test_approx_trial_p5_hits_both_extremes():
