@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import dataclasses
 import functools
 import gc
 import io
@@ -180,7 +179,7 @@ def cmd_verify(args) -> int:
         if not same_graph:
             mismatches.append("input graph is not the compiled artifact")
     cert = verify_artifact(art, exhaustive=args.exhaustive)
-    cert = dataclasses.replace(cert, discrepancies=cert.discrepancies + tuple(mismatches))
+    cert = cert._replace(discrepancies=cert.discrepancies + tuple(mismatches))
     out = cert.to_json_dict()
     out["graph_matches_artifact"] = same_graph
     _emit_json(out, args.output)

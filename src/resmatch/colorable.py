@@ -11,14 +11,13 @@ of `resmatch.matching` computes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graph import Bipartition, Graph, require_bipartite
 from .matching import _blossom, _search_arrays, nu
 
 
-@dataclass(frozen=True)
-class ColorableResult:
+class ColorableResult(NamedTuple):
     size: int
     classes: tuple[frozenset[tuple[int, int]], ...]
 

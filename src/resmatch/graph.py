@@ -12,6 +12,7 @@ import re
 import warnings
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
 class DuplicateEdgeWarning(UserWarning):
@@ -64,6 +65,8 @@ def normalize_edge(u: int, v: int, vertex_count: int | None = None) -> tuple[int
 
 @dataclass(frozen=True)
 class Graph:
+    """A dataclass: adjacency() caches in the instance __dict__, and coords stays out of hash."""
+
     vertex_count: int
     edges: frozenset[tuple[int, int]]
     coords: dict[int, tuple[int, int]] | None = field(default=None, hash=False)
@@ -93,8 +96,7 @@ class Graph:
         return adj
 
 
-@dataclass(frozen=True)
-class Bipartition:
+class Bipartition(NamedTuple):
     side0: frozenset[int]
     side1: frozenset[int]
 

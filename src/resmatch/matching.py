@@ -45,12 +45,15 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graph import Bipartition, Graph, normalize_edge, require_bipartite
 
 
 @dataclass(frozen=True)
 class Matching:
+    """A dataclass, not a NamedTuple: len(m) is its edge count, where a tuple's len reads 2."""
+
     edges: frozenset[tuple[int, int]]
     host_size: int
 
@@ -74,8 +77,7 @@ def matching_from_pairs(pairs, host_size: int) -> Matching:
     return Matching(edges, host_size)
 
 
-@dataclass(frozen=True)
-class MatchingFlags:
+class MatchingFlags(NamedTuple):
     valid: bool
     maximal: bool
     maximum: bool

@@ -22,7 +22,7 @@ build lays out one int key per lattice point, (x + 1) * H + y for an odd H
 above every row, so that keys sort in lattice order and a key's parity is
 that of x + y + 1.  Vertex ids are assigned by sorting the keys, and each
 vertex's coordinates are decoded from its key, so rebuilding an artifact
-from the same input is byte-reproducible.
+from the same input is byte-reproducible.  Its six records are NamedTuples.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ from __future__ import annotations
 import functools
 import itertools
 import re
-from dataclasses import dataclass, fields
 from fractions import Fraction
+from typing import NamedTuple
 
 from .graph import (BLANKS, Graph, degree_profile, is_connected, normalize_edge, parse_int,
                     record_fields, record_lines)
@@ -67,8 +67,7 @@ def _check_variant(variant: str):
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
 
 
-@dataclass(frozen=True)
-class CnfInstance:
+class CnfInstance(NamedTuple):
     num_vars: int
     clauses: tuple[tuple[int, int, int], ...]
 
@@ -77,8 +76,7 @@ class CnfInstance:
         return len(self.clauses)
 
 
-@dataclass(frozen=True)
-class Assignment:
+class Assignment(NamedTuple):
     values: tuple[bool, ...]
 
     def of(self, var: int) -> bool:
@@ -194,8 +192,7 @@ def _gadget(i: int, j: int, positive: bool, h: int) -> tuple[tuple[int, ...], li
         (v22, v12, "port"), (v11, v12, "port"), (u22, fed, "feed")]
 
 
-@dataclass(frozen=True)
-class ReductionArtifact:
+class ReductionArtifact(NamedTuple):
     """An artifact graph and the record that encodes assignments into it.
 
     `roles` maps every edge of `graph` (an id pair) to its role.  `cycles[i - 1]`
@@ -407,8 +404,7 @@ def _residual_of_sat(art: ReductionArtifact, s: int) -> int:
     return 10 * m - 1 + s if art.variant == "L" else 11 * m - 1 - s
 
 
-@dataclass(frozen=True)
-class ResidualCheck:
+class ResidualCheck(NamedTuple):
     assignment: str
     sat: int
     expected: int
@@ -420,8 +416,7 @@ class ResidualCheck:
         return self.expected == self.actual and self.decode_ok
 
 
-@dataclass(frozen=True)
-class MatchingCensus:
+class MatchingCensus(NamedTuple):
     """Census of all maximum matchings of an artifact, each read as pure or hybrid.
 
     Pure matchings decode (perfect, pure cycle orientations); the rest are
@@ -445,8 +440,7 @@ class MatchingCensus:
     residuals_ok: bool
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     """What `verify_artifact` measured and found wrong; `to_json_dict` adds the
     closed-form values it was held to, from `expected_counts(m, variant)`."""
 
@@ -491,14 +485,14 @@ class Certificate:
 
 
 @functools.cache
-def _camel_keys(cls) -> tuple[tuple[str, str], ...]:
-    """(field name, its camelCase key) for each field of a dataclass, in order."""
-    return tuple((f.name, re.sub(r"_([a-z])", lambda c: c[1].upper(), f.name)) for f in fields(cls))
+def _camel_keys(cls) -> tuple[str, ...]:
+    """The camelCase key of each field of a record class, in order."""
+    return tuple(re.sub(r"_([a-z])", lambda c: c[1].upper(), f) for f in cls._fields)
 
 
 def _camel_case(record) -> dict:
-    """A dataclass record's fields, in order, keyed by their camelCase names."""
-    return {key: getattr(record, name) for name, key in _camel_keys(type(record))}
+    """A record's fields, in order, keyed by their camelCase names."""
+    return dict(zip(_camel_keys(type(record)), record))
 
 
 def check_exhaustive_limits(cnf: CnfInstance, variant: str):

@@ -26,6 +26,7 @@ their ends start decided and both matchings start without them, so no
 node branches on a fixed edge and no take of one repairs the second
 matching; a pop cuts the list back to its parent's length.  Each leaf
 yields that list sorted, and the leaves and their order stay as they were.
+The result records are NamedTuples; ToleranceFunction stays a dataclass.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ import re
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .graph import Graph
 from .matching import (Matching, _augment, _blossom, _fixed_mates, _search_arrays,
@@ -58,7 +60,8 @@ class ToleranceFunction:
 
     kind 'log' means coefficient * floor(log2 x) (0 at x = 0) and 'sqrt'
     means coefficient * isqrt(x); both stay rational-valued on integers.
-    'identity' is exactly f(x) = x and admits no coefficient.
+    'identity' is exactly f(x) = x and admits no coefficient.  A dataclass, so
+    that `__post_init__` validates it: `typing.NamedTuple` forbids a `__new__`.
     """
 
     kind: str
@@ -111,8 +114,7 @@ def parse_tolerance(spec: str) -> ToleranceFunction:
     return ToleranceFunction(kind, coefficient)
 
 
-@dataclass(frozen=True)
-class EnumerationResult:
+class EnumerationResult(NamedTuple):
     matchings: tuple[Matching, ...]
     truncated: bool
 
@@ -294,8 +296,7 @@ def enumerate_maximum_matchings(g: Graph, cap: int = DEFAULT_CAP) -> Enumeration
                              stream.truncated)
 
 
-@dataclass(frozen=True)
-class SpectrumReport:
+class SpectrumReport(NamedTuple):
     nu: int
     ell: int
     big_l: int
@@ -358,8 +359,7 @@ def _spectrum(stream: CappedStream, slots: dict | None = None, residuals=None) -
     )
 
 
-@dataclass(frozen=True)
-class Problem1Result:
+class Problem1Result(NamedTuple):
     answer: str  # yes / no / unknown
     witness: Matching | None
     enumerated: int
@@ -400,8 +400,7 @@ def decide_problem1(
     return answer_problem1(g, k, f, lambda: spectrum(g, cap))
 
 
-@dataclass(frozen=True)
-class BoundsReport:
+class BoundsReport(NamedTuple):
     nu: int
     ell: int
     big_l: int
@@ -437,8 +436,7 @@ def _check_bounds(g: Graph, report: SpectrumReport) -> BoundsReport:
     return BoundsReport(report.nu, ell, big_l, perfect, tuple(violations))
 
 
-@dataclass(frozen=True)
-class ApproxTrialReport:
+class ApproxTrialReport(NamedTuple):
     nu: int
     ell: int
     big_l: int

@@ -30,7 +30,6 @@ list, the other counts edge endpoints.
 
 from __future__ import annotations
 
-import dataclasses
 import importlib
 import random
 
@@ -555,8 +554,8 @@ def census_certificate(art: ReductionArtifact, cap: int | None = None) -> Certif
                              f" encoded minimum {census.encoded_min}")
     if not census.residuals_ok:
         discrepancies.append("census: a decodable matching misses its residual value")
-    return dataclasses.replace(cert, residual_checks=tuple(checks), census=census,
-                               discrepancies=tuple(discrepancies))
+    return cert._replace(residual_checks=tuple(checks), census=census,
+                         discrepancies=tuple(discrepancies))
 
 
 def adjacency_by_sorted_edges(g: Graph) -> list[list[int]]:

@@ -5,7 +5,8 @@ Every module but `__init__.py` reads each name it imports, and
 each once.  A deleted function or field that leaves its import or its
 export behind fails here.  Dead private code fails too: every top-level
 private function is read somewhere in the package outside its own body,
-and every private function reads each parameter it declares.
+and every private function reads each parameter it declares.  The only
+dataclasses are the three that a NamedTuple cannot stand in for.
 """
 
 import ast
@@ -88,6 +89,17 @@ def unread_parameters(module: str, tree: ast.Module) -> list[str]:
     return faults
 
 
+def _decorator_name(node: ast.expr) -> str | None:
+    node = getattr(node, "func", node)  # @dataclass(frozen=True) is a call
+    return getattr(node, "id", None) or getattr(node, "attr", None)
+
+
+def dataclass_names(tree: ast.Module) -> list[str]:
+    """The classes decorated with `dataclass`, bare, called or as `dataclasses.dataclass`."""
+    return [node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+            and "dataclass" in map(_decorator_name, node.decorator_list)]
+
+
 MODULES = sorted(f for f in os.listdir(PACKAGE) if f.endswith(".py") and f != "__init__.py")
 
 
@@ -103,6 +115,17 @@ def test_all_lists_each_public_import_once():
 def test_every_private_function_is_referenced():
     trees = {name: _tree(name) for name in [*MODULES, "__init__.py"]}
     assert unreferenced_private_functions(trees) == []
+
+
+def test_only_graph_matching_and_tolerance_function_are_dataclasses():
+    """Every other record is a `typing.NamedTuple`, which compiles no methods
+    at import.  These three need what a tuple cannot give: `Graph` caches its
+    adjacency in the instance `__dict__` and leaves `coords` out of its hash;
+    `len(Matching)` is its edge count, where a tuple's `len` would read 2; and
+    `ToleranceFunction` validates in `__post_init__`, while `typing.NamedTuple`
+    forbids overriding `__new__`.  A new dataclass must state its reason here."""
+    found = sorted(name for module in MODULES for name in dataclass_names(_tree(module)))
+    assert found == ["Graph", "Matching", "ToleranceFunction"]
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -123,6 +146,11 @@ def test_checks_catch_planted_faults():
     assert unread_parameters("m.py", unread) == [
         "m.py:_f(b)", "m.py:_f(d)", "m.py:_f(c)", "m.py:_m(self)", "m.py:_m(x)"
     ]
+    records = ast.parse("@dataclass(frozen=True)\nclass A:\n    x: int\n\n@dataclasses.dataclass\n"
+                        "class B:\n    y: int\n\n@dataclass\nclass C:\n    z: int\n\n"
+                        "class D(NamedTuple):\n    w: int\n\n@functools.total_ordering\n"
+                        "class E:\n    pass\n")
+    assert dataclass_names(records) == ["A", "B", "C"]
     warning_hook = ast.parse("def _show_warning(message, category):\n    print(message)\n")
     assert unread_parameters("cli.py", warning_hook) == []
     assert unread_parameters("graph.py", warning_hook) == ["graph.py:_show_warning(category)"]

@@ -1,4 +1,3 @@
-import dataclasses
 import importlib
 import os
 import random
@@ -536,7 +535,7 @@ def test_exhaustive_ell_certifies_every_sweep_formula_at_its_clause_limit(n):
 
 def _without_a_path_edge(art):
     path_edge = next(e for e, role in art.roles.items() if role == "path")
-    return dataclasses.replace(art, graph=delete_edges(art.graph, [path_edge]))
+    return art._replace(graph=delete_edges(art.graph, [path_edge]))
 
 
 def test_exhaustive_reports_artifact_without_perfect_matching():
@@ -557,8 +556,7 @@ def test_verify_reports_coordinates_that_do_not_two_color():
     a, b = min(g.edges)
     coords = dict(g.coords)
     coords[a], coords[b] = coords[b], coords[a]  # (a, b) still crosses; the other edges at a do not
-    cert = verify_artifact(dataclasses.replace(art, graph=build_graph(g.vertex_count, list(g.edges),
-                                                                      coords)))
+    cert = verify_artifact(art._replace(graph=build_graph(g.vertex_count, list(g.edges), coords)))
     assert cert.bipartite is False
     assert cert.discrepancies == ("bipartite: parity classes do not two-color the artifact",)
 
@@ -608,7 +606,7 @@ def _close_anchor_square(art):
     # the square spans (x, y)..(x + 1, y + 1): u12 is one unit step from u11, u21 the other
     u21, u22 = ids[(x + 1 - (x2 - x), y + 1 - (y2 - y))], ids[(x + 1, y + 1)]
     closed = build_graph(g.vertex_count, [*g.edges, (u11, u21), (u12, u22)], g.coords)
-    return dataclasses.replace(art, graph=closed)
+    return art._replace(graph=closed)
 
 
 def _census_inputs(art):
@@ -617,7 +615,7 @@ def _census_inputs(art):
     yield "intact", art
     for role in sorted(set(art.roles.values())):
         e = next(e for e, r in art.roles.items() if r == role)
-        yield f"no {role} edge {e}", dataclasses.replace(art, graph=delete_edges(art.graph, [e]))
+        yield f"no {role} edge {e}", art._replace(graph=delete_edges(art.graph, [e]))
     yield "closed anchor square", _close_anchor_square(art)
 
 
