@@ -17,9 +17,10 @@ nu(G - F); a child that takes one of its edges repairs it with one
 `matching._augment` from its first end and, if that fails, one from its
 second, each trying a path of length 1 or 3 before it searches, so no leaf
 runs a blossom.  Any augmenting path will do, for a leaf reads only the
-size.  A node writes either matching in place unless the stack entry below
-it holds the same list, and then copies it: the entries holding one list
-form one run of the stack.  The root first finds fixed edges, which every
+size.  The first matching is one working list: a pop that cuts a take edge
+off the chosen edges writes it back, and a pruned child writes back what it
+zeroed.  The second is written in place by each repair that succeeds and
+copied only by one that fails.  The root first finds fixed edges, which every
 maximum matching holds (`matching._fixed_mates`, all of them on a
 bipartite G).  The one working list of chosen edges starts with them,
 their ends start decided and both matchings start without them, so no
@@ -137,20 +138,30 @@ def _iter_maximum_matchings(g: Graph):
     (a, b)); a stack entry holds depth, its parent's list length, and the v
     it matches u to (0 to leave u unmatched).  The node popped before it is
     its parent or lies below it, so a pop pops edges off the list, clearing
-    skip at their ends, until depth are left.
+    skip at their ends and writing them back into M, until depth are left.
 
-    A node pushes its children unsearched, holding its own M and R, and a
-    child is decided at its pop: it zeroes u, v and their mates in M, a take
-    child appends (u, v), and it runs its searches on that M, which see
-    neither u nor v, and is pruned if they fail.  A node writes M or R in
-    place unless the entry just below it on the stack holds that list; then
-    it copies it first.  The test is exact: the pending entries holding any
-    one list form one run of the stack.  That holds at the root; a pop takes
-    the top entry, so any other holder of its list lies in the run just
-    below, and the children it pushes on top hold a list no pending entry
-    holds (a copy, or one it held alone) or that run's, so every run stays
-    one.  So no node writes a list a pending entry holds: each child finds M
-    and R as its parent left them, and the stream is unchanged.
+    A node pushes its children unsearched, holding its R and r, and a child
+    is decided at its pop: it zeroes u, v and their mates in M, a take child
+    hides (u, v) in skip, and it runs its searches on that M, which see
+    neither u nor v, and is pruned if they fail.  Three local facts give
+    each child, as it pops, a maximum matching of its parent's H in the one
+    working M, and one of g less its parent's chosen edges in its R.
+    - A cut edge (a, b) goes back into M: a kept take child's M plus (a, b)
+      is maximum in its parent's H, and a kept drop child's M already is.
+      It need not be the parent's own M, but every decision is exact for
+      any maximum M (free is the same for each), so no child changes.
+    - A pruned child's failed searches wrote nothing, so it writes back the
+      at most four entries of M it zeroed and clears its skip.
+    - A repair that succeeds leaves in R a matching of size r of g less the
+      child's chosen edges.  Every node popped while an entry waits lies
+      below that entry's parent, so that graph lies inside g less the
+      parent's chosen edges, and R stays maximum for each entry sharing it.
+      One that fails wrote nothing: the child gives (u, v) back to the
+      shared list and goes on with a copy, its r one less.
+    So the stream is unchanged.  One R list is alive per drop of r on the
+    current path, plus one, and r falls from at most nu(g) to no less than
+    ell(g); the stack holds at most deg(u) + 1 entries per u on the path.
+    So memory is O(|E| + |V|·(nu(g) - ell(g) + 1)).
 
     One count decides some children with fewer searches; it changes neither
     the leaves nor their order.  A node carries free = |V(H)| - 2|M|, the
@@ -207,45 +218,49 @@ def _iter_maximum_matchings(g: Graph):
     adj = g.adjacency()
     arrays = _search_arrays(n)
     skip = arrays[-1]
-    mate = _blossom(n, adj, range(1, n + 1), arrays)
-    target = sum(map(bool, mate)) // 2
+    match = _blossom(n, adj, range(1, n + 1), arrays)
+    target = sum(map(bool, match)) // 2
     free = n - 2 * target
-    held = _fixed_mates(n, adj, mate)
+    held = _fixed_mates(n, adj, match)
     chosen = [(v, w) for v, w in enumerate(held) if w > v]  # the fixed edges, never unwound
     skip[:] = held
-    mate = [0 if h else m for m, h in zip(mate, held)]
-    res = mate[:]
+    match = [0 if h else m for m, h in zip(match, held)]
+    res = match[:]
     for a in range(1, n + 1):
         if held[a] and not res[a]:
             _augment(adj, res, a, 0, arrays)
-    stack = [(len(chosen), 0, 0, mate, res, sum(map(bool, res)) // 2, free)]
+    stack = [(len(chosen), 0, 0, res, sum(map(bool, res)) // 2, free)]
     while stack:
-        depth, u, v, match, res, r, free = stack.pop()
-        # chosen and skip hold the edges of the node popped before: keep the parent's
+        depth, u, v, res, r, free = stack.pop()
+        # chosen, skip and M hold the node popped before: unwind them to the parent's
         while len(chosen) > depth:
             a, b = chosen.pop()
             skip[a] = skip[b] = 0
+            match[a], match[b] = b, a
         # the child removes u and v (0 if it leaves u unmatched) and frees their mates;
         # the root (u = v = 0) reads and writes only the unused entry 0
         mu, mv = match[u], match[v]
-        if stack and stack[-1][3] is match:  # a pending entry holds M: keep it
-            match = match[:]
         match[u] = match[v] = match[mu] = match[mv] = 0
         if v:
-            chosen.append((u, v))  # hidden from the searches; a prune is cut at the next pop
-            skip[u], skip[v] = v, u
+            skip[u], skip[v] = v, u  # hidden from the searches
             # with free == 0, mu and mv are the only free vertices, so a path from mv ends at mu
             if mu and mv and mu != v and not _augment(adj, match, mu, u, arrays) and not (
                     free and _augment(adj, match, mv, u, arrays)):
+                # pruned: the failed searches wrote nothing, so undo what the child wrote
+                skip[u] = skip[v] = 0
+                match[u], match[v], match[mu], match[mv] = mu, mv, u, v
                 continue
+            chosen.append((u, v))
             if res[u] == v:
-                if stack and stack[-1][4] is res:  # a pending entry holds R: keep it
-                    res = res[:]
                 res[u] = res[v] = 0
                 if not (_augment(adj, res, u, 0, arrays) or _augment(adj, res, v, 0, arrays)):
+                    # r drops: the failed repairs wrote nothing, so the shared list gets
+                    # (u, v) back, and this child goes on with a copy taken before that
+                    res[u], res[v], res = v, u, res[:]
                     r -= 1
         # leaving u unmatched frees its mate, the one end of any augmenting path
         elif mu and not _augment(adj, match, mu, u, arrays):
+            match[u], match[mu] = mu, u  # pruned: the failed search wrote nothing
             continue
         if len(chosen) == target:
             yield tuple(sorted(chosen)), r
@@ -256,13 +271,13 @@ def _iter_maximum_matchings(g: Graph):
             u += 1
         # no leaf leaves u unmatched if M is perfect: H - u has fewer than 2|M| vertices
         if free:
-            stack.append((len(chosen), u, 0, match, res, r, free - 1))
+            stack.append((len(chosen), u, 0, res, r, free - 1))
         # pushed last to first, so (u, v) pops in increasing v; adj[u] is sorted
         for v in reversed(adj[u]):
             if v < u:
                 break
             if not skip[v]:
-                stack.append((len(chosen), u, v, match, res, r, free))
+                stack.append((len(chosen), u, v, res, r, free))
 
 
 class CappedStream:

@@ -18,7 +18,8 @@ need scipy.
 `record_searches` and `count_searches` log the enumerator's calls of the
 package's one augmentation entry, `_augment`, for the tests that pin how
 many searches it runs; `took_short_path` is their rule for telling a call
-that took a path of length 1 or 3 from one that searched.
+that took a path of length 1 or 3 from one that searched, and `mates_near`
+the few mates it reads of the array before the call.
 `augment_reference` is the reference for `_augment`: with lo = 0 the package
 must do what this search alone does, its check for a short path included.
 `blossom_reference` is the reference for `_blossom`: a greedy pass and one
@@ -347,13 +348,33 @@ def blossom_reference(n: int, adj, order, arrays) -> list[int]:
     return match
 
 
-def took_short_path(before, after) -> bool:
-    """Whether an `_augment` with lo = 0 that turned the mate array before
-    into after took a path of length 1 or 3 and ran no search.  Flipping a
-    path of length k changes k + 1 entries; the check for a short path tries
-    every one from the root, so a search after it finds a path of length 5
-    or more (6 or more entries) or none (0 entries)."""
-    return sum(a != b for a, b in zip(before, after)) in (2, 4)
+def mates_near(adj, match, root) -> dict[int, int]:
+    """The mates of root's neighbours and of their mates' neighbours: all of
+    the mate array before an `_augment` from root that `took_short_path`
+    reads, at the cost of a degree or two rather than of the whole array."""
+    near = {x: match[x] for x in adj[root]}
+    for y in list(near.values()):
+        if y:
+            near.update((w, match[w]) for w in adj[y])
+    return near
+
+
+def took_short_path(before, after, root) -> bool:
+    """Whether an `_augment` with lo = 0 from the free vertex root, which
+    turned the mate array before into after, took a path of length 1 or 3
+    and ran no search.  before is the whole array or its `mates_near`.
+
+    An augmenting path root - x = y - w ... gives root the new mate x and
+    x's old mate y the new mate w.  It has length 1 exactly when x was free,
+    and length 3 exactly when w was free: otherwise it goes on along w's old
+    matched edge.  A failed call writes nothing, so root is still free.  The
+    check for a short path tries every one from the root, so any other path
+    came from the search."""
+    x = after[root]
+    if not x:
+        return False
+    y = before[x]
+    return not y or not before[after[y]]
 
 
 def record_searches(monkeypatch, g):
@@ -372,12 +393,12 @@ def record_searches(monkeypatch, g):
     search = enumerator._augment
 
     def recorded(adj, match, root, lo, arrays):
-        before = match[:]
+        before = None if lo else mates_near(adj, match, root)
         found = search(adj, match, root, lo, arrays)
         if lo:
             searches.append(("branch", root, found))
         else:
-            short = took_short_path(before, match)
+            short = took_short_path(before, match, root)
             searches.append(("short", root, short))
             if not short:
                 searches.append(("repair", root, found))

@@ -268,7 +268,7 @@ def test_short_augment_takes_exactly_the_short_paths(seed):
         paths = short_paths(g, before, hidden, root)
         arrays = (*_search_arrays(g.vertex_count)[:-1], skip)
         augmented = _augment(adj, res, root, 0, arrays)
-        short = took_short_path(before, res)
+        short = took_short_path(before, res, root)
         found.add(short)
         assert short == bool(paths)
         if not augmented:

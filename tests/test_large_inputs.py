@@ -1,5 +1,5 @@
-"""Matching, nu2, compute and the structural certificate far above
-brute-force sizes.
+"""Matching, nu2, compute, the enumerator's memory and the structural
+certificate far above brute-force sizes.
 
 Every search here is iterative, so path length does not meet Python's
 recursion limit.
@@ -8,6 +8,7 @@ recursion limit.
 import ast
 import json
 import pathlib
+import tracemalloc
 
 import pytest
 
@@ -18,7 +19,7 @@ from resmatch.colorable import nu2_bipartite
 from resmatch.graph import build_graph, emit_graph_file
 from resmatch.matching import max_matching, max_matching_bipartite, nu, validate_matching
 from resmatch.reduction import build_artifact, verify_artifact
-from resmatch.spectrum import spectrum
+from resmatch.spectrum import _iter_maximum_matchings, spectrum
 
 
 def labelled_path(k: int):
@@ -57,6 +58,47 @@ def test_ladder_of_ten_thousand_vertices():
     assert result.size == 10000  # the boundary cycle is Hamiltonian
     class0, class1 = result.classes
     assert len(class0) == len(class1) == 5000
+
+
+def four_cycles(count: int):
+    """count disjoint 4-cycles: 2^count maximum matchings, none of them fixed."""
+    edges = []
+    for a in range(0, 4 * count, 4):
+        edges += [(a + 1, a + 2), (a + 2, a + 3), (a + 3, a + 4), (a + 1, a + 4)]
+    return build_graph(4 * count, edges)
+
+
+def first_leaf_peak_mb(g) -> float:
+    """The tracemalloc peak, in MiB, of the enumeration of g up to its first
+    leaf; g's adjacency lists are built before, and not counted.  While it
+    runs, 2,000 tuples of each length up to 20 are held, so that CPython's
+    free lists of small tuples start empty: a tuple taken from one is not
+    counted, and up to 2,000 of each length would otherwise hide."""
+    g.adjacency()
+    held = [tuple(range(k)) for k in range(1, 21) for _ in range(2000)]
+    tracemalloc.start()
+    try:
+        next(_iter_maximum_matchings(g))
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+        del held
+
+
+@pytest.mark.parametrize("family, size", [(lambda k: path(2 * k + 1), 5000), (four_cycles, 2500),
+                                          (ladder, 2500)], ids=["odd-path", "4-cycles", "ladder"])
+def test_memory_to_the_first_leaf_grows_linearly(family, size):
+    """The first leaf of P_10001 and of 2,500 disjoint 4-cycles lies 5,000
+    levels down, and that of the 2 x 2500 ladder 2,500.  The enumerator keeps
+    one working M and copies R only where r drops, so each doubling of the
+    input about doubles its peak, which stays under 16 MiB at twice these
+    sizes.  (A copy of M or R per pending level took 96-384 MiB at these
+    sizes, 4x per doubling.)  The larger input runs only once the smaller
+    has passed its bound."""
+    small = first_leaf_peak_mb(family(size))
+    assert small <= 16
+    large = first_leaf_peak_mb(family(2 * size))
+    assert large <= 16 and large <= 2.2 * small
 
 
 def test_spectrum_of_the_path_on_3000_vertices(monkeypatch):
@@ -100,9 +142,12 @@ def test_odd_path_needs_one_search_per_matching(monkeypatch):
     vertex is free at the root, so only the drop child of an odd vertex
     needs a search, and below it none is free: 500 searches in all.  The
     last two counts are the residual repairs: 1,000 repair searches, and
-    125,251 checks for a path of length 1 or 3, one per `_augment` of the
-    carried residual matching."""
-    assert count_searches(monkeypatch, path(1001)) == (501, 500, 1000, 125251)
+    125,751 checks for a path of length 1 or 3, one per `_augment` of the
+    carried residual matching.  R is written in place, so the last leaf,
+    which leaves 1 unmatched, finds each of its takes (2i, 2i+1) in R, where
+    the repairs of the leaves before it put them, and repairs each by one
+    check: 500 of those checks, where a copy of the root's R had none."""
+    assert count_searches(monkeypatch, path(1001)) == (501, 500, 1000, 125751)
 
 
 @pytest.mark.parametrize("variant", ["L", "ell"])

@@ -305,7 +305,7 @@ def _searches_per_seed(g, monkeypatch) -> list:
         before = match[:]
         matched = len(match) - match.count(0)
         found = _augment(adj, match, root, lo, arrays)
-        short = took_short_path(before, match)
+        short = took_short_path(before, match, root)
         searches.append(("short", matched, short))
         if not short:
             searches.append(("search", matched, found))
@@ -386,7 +386,7 @@ def _short_checks(monkeypatch) -> list:
     def counted(adj, match, root, lo, arrays):
         before = match[:]
         augmented = _augment(adj, match, root, lo, arrays)
-        found.append(took_short_path(before, match))
+        found.append(took_short_path(before, match, root))
         return augmented
 
     monkeypatch.setattr("resmatch.matching._augment", counted)
@@ -494,7 +494,7 @@ def test_a_path_of_length_five_is_left_to_the_search():
     match = [0, 2, 1, 4, 3, 0, 0]
     before = match[:]
     assert _augment(adj, match, 5, 0, _search_arrays(6))
-    assert not took_short_path(before, match)
+    assert not took_short_path(before, match, 5)
     assert match == [0, 5, 3, 2, 6, 1, 4]
     assert _with_the_reference(6, adj, [1, 3, 5, 6, 2, 4]) == [0, 5, 3, 2, 6, 1, 4]
 

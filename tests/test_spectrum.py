@@ -1,3 +1,4 @@
+import importlib
 import inspect
 import random
 import sys
@@ -10,13 +11,16 @@ from oracles import (
     count_searches,
     cycle,
     iter_all_matchings,
+    mates_near,
     milp_big_l,
     milp_ell,
     path,
+    random_bipartite,
     random_graph,
     record_searches,
     residual,
     spectrum_double_brute,
+    took_short_path,
 )
 from resmatch.graph import bipartition, build_graph, delete_edges
 from resmatch.matching import max_matching, nu, validate_matching
@@ -182,26 +186,33 @@ def test_path_needs_one_search_per_matched_edge(monkeypatch):
     assert count_searches(monkeypatch, path(200)) == (1, 0, 2, 101)
 
 
-def test_ladder_search_count(monkeypatch):
-    k = 8
+def ladder(k):
     rails = [(i, i + 1) for i in range(1, k)] + [(k + i, k + i + 1) for i in range(1, k)]
-    g = build_graph(2 * k, rails + [(i, k + i) for i in range(1, k + 1)])
+    return build_graph(2 * k, rails + [(i, k + i) for i in range(1, k + 1)])
+
+
+def test_ladder_search_count(monkeypatch):
     # M is perfect, so the free count skips every drop child and the second
-    # search of every take child.  The root matches the rails in pairs, so R
-    # holds each square's (2i-1, 2i) and (k+2i-1, k+2i); each of the 21
-    # children that takes a top pair of R repairs R by the short check from
-    # a = 2i-1, along the square a, k+a, k+a+1, a+1 to the other freed end,
-    # so no repair needs a search
-    assert count_searches(monkeypatch, g) == (34, 33, 0, 21)
+    # search of every take child, and no child is pruned: the 125 branching
+    # nodes have 158 take children, 33 of them with two, (u, u+1) and then
+    # the rung (u, k+u).  A take child searches unless u's mate in the one
+    # working M is v.  Each second child searches, for the first wrote its
+    # (u, u+1) back into M when it was cut off; 29 first children search
+    # too, where the subtree popped before left u on its rung: 62 searches.
+    # The root matches the rails in pairs, and R is written in place, so a
+    # child finds the edges that earlier repairs put into R: 50 children
+    # take an edge of R, 42 repair it by the short check from u and 8 by a
+    # search from u after the check finds nothing, so r never drops
+    assert count_searches(monkeypatch, ladder(8)) == (34, 62, 8, 50)
 
 
 @pytest.mark.parametrize("n, items, repairs", [
     # R = {12}: taking 12 leaves 1 isolated, so the repair from the first end
     # finds no short path and its search fails, and the one from the second
-    # end takes 2-3 by its short check; the drop child's matching {23} does
-    # not use R's edge 12, so it shares R
+    # end takes 2-3 by its short check, in the list the drop child holds too:
+    # its take of 23 finds 23 in R and takes 2-1 by the short check from 2
     (3, [([(1, 2)], 1), ([(2, 3)], 1)], [("short", 1, False), ("repair", 1, False),
-                                         ("short", 2, True)]),
+                                         ("short", 2, True), ("short", 2, True)]),
     # 12 and 34 are fixed, so R starts empty on the path less them, 1 2-3 4:
     # the fixed ends, in order, find nothing from 1, the edge 2-3 from 2,
     # and nothing from 4, whose only edge is fixed; 3 is matched by then.
@@ -215,6 +226,36 @@ def test_residual_repairs_on_short_paths(monkeypatch, n, items, repairs):
     stream, searches = record_searches(monkeypatch, path(n))
     assert stream == items
     assert [search for search in searches if search[0] != "branch"] == repairs
+
+
+def test_the_short_path_rule_agrees_with_counting_changed_mates(monkeypatch):
+    """`took_short_path` reads a few mates near the root.  A rule on the
+    whole array: a path of length k flips k + 1 entries, so a short path
+    changes 2 or 4 of them.  Both rules give the same answer on every
+    residual `_augment` of the enumerator, on the pinned graphs above (P_101
+    stands in for P_1001) and on 200 random graphs."""
+    enumerator = importlib.import_module("resmatch.spectrum")
+    search = enumerator._augment
+    answers = []
+
+    def both(adj, match, root, lo, arrays):
+        whole, near = match[:], mates_near(adj, match, root)
+        found = search(adj, match, root, lo, arrays)
+        if not lo:
+            changed = sum(a != b for a, b in zip(whole, match))
+            answers.append((took_short_path(near, match, root), changed in (2, 4)))
+        return found
+
+    monkeypatch.setattr(enumerator, "_augment", both)
+    rng = random.Random("short-path rule")
+    graphs = [path(200), ladder(8), path(3), path(4), path(101)] + [
+        random_bipartite(rng.randint(2, 14), 30, rng) if i % 3 == 2
+        else random_graph(rng.randint(2, 12), rng.uniform(0.15, 0.5), rng) for i in range(200)]
+    for g in graphs:
+        for _ in enumerator._iter_maximum_matchings(g):
+            pass
+    assert all(near == whole for near, whole in answers)
+    assert {near for near, _ in answers} == {True, False}
 
 
 @pytest.mark.parametrize("seed", range(15))
