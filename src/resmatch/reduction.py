@@ -36,7 +36,7 @@ from typing import NamedTuple
 from .graph import (BLANKS, Graph, degree_profile, is_connected, normalize_edge, parse_int,
                     record_fields, record_lines)
 from .matching import Matching, _is_matching_of, matching_from_pairs, nu
-from .spectrum import CappedStream
+from .spectrum import _pass
 
 VARIANTS = ("L", "ell")
 
@@ -513,14 +513,17 @@ def verify_artifact(art: ReductionArtifact, exhaustive: bool = False) -> Certifi
     Structural: vertex/edge census against the closed-form expectations,
     parity bipartiteness, connectivity, maximum degree, and nu = |V|/2 via
     the matching engine.  Exhaustive (check_exhaustive_limits first): one
-    census pass reads each maximum matching F as the stream's edge tuple and
-    re-validates none: F is pure when it is perfect (2|F| = |V|) and
+    `spectrum._pass`, the capped read every enumeration consumer shares,
+    hands each maximum matching F to a classifier as the stream's edge tuple
+    and re-validates none: F is pure when it is perfect (2|F| = |V|) and
     `_orientation` reads a side off every cycle, as in `decode_matching`,
     and a hybrid otherwise.  The pure matchings must be the 2^n encodings,
     and each assignment's residual check reads the residual of the pure
     matching that decodes to it.  A pure F is its assignment's encoding
     exactly when core <= F, core being the ENCODED_ROLES edges, so no
     encoding or Matching is built and no blossom runs beyond the structural nu.
+    residual_min and residual_max are ell and L of that same pass, the least
+    and greatest residual it read.
 
     The census stops after max(256, 8 * 2^n) matchings; EXHAUSTIVE_VAR_LIMIT
     does not bound it, as ell hybrid counts grow with m (worst count / 2^n on
@@ -560,24 +563,20 @@ def verify_artifact(art: ReductionArtifact, exhaustive: bool = False) -> Certifi
         pure_expected = 2**n
         # a pure matching is perfect with one side per cycle: an encoding iff it holds core
         core = frozenset(e for e, role in art.roles.items() if role in ENCODED_ROLES)
-        stream = CappedStream(g, cap=max(256, 8 * pure_expected))
-        residual_min, residual_max = g.vertex_count, 0  # every residual lies in 0..|V|/2
         pure: list[tuple[tuple[bool, ...], int, bool]] = []  # (values, residual, is their encoding)
-        for edges, r in stream:
-            if r < residual_min:
-                residual_min = r
-            if r > residual_max:
-                residual_max = r
-            if 2 * len(edges) != g.vertex_count:  # leaves are maximum matchings: a hybrid
-                continue
-            f = frozenset(edges)
-            values = _orientation(art, f)
-            if isinstance(values, tuple):  # else a cycle carries neither side: a hybrid
-                pure.append((values, r, core <= f))
+
+        def classify(edges, r):
+            if 2 * len(edges) == g.vertex_count:  # else a hybrid: leaves are maximum matchings
+                f = frozenset(edges)
+                values = _orientation(art, f)
+                if isinstance(values, tuple):  # else a cycle carries neither side: a hybrid
+                    pure.append((values, r, core <= f))
+
+        first, count, truncated = _pass(g, max(256, 8 * pure_expected), classify)
         decoded = {values: (r, is_encoding) for values, r, is_encoding in pure}
         for alpha in all_assignments(n):
             if alpha.values not in decoded:
-                if not stream.truncated:
+                if not truncated:
                     discrepancies.append(f"residual({alpha.bits()}): no matching decodes to it")
                 continue
             actual, decode_ok = decoded[alpha.values]
@@ -593,12 +592,12 @@ def verify_artifact(art: ReductionArtifact, exhaustive: bool = False) -> Certifi
         encoded = [rc.actual for rc in residual_checks.values()]
         census = MatchingCensus(
             pure_expected=pure_expected,
-            count=stream.count,
-            truncated=stream.truncated,
+            count=count,
+            truncated=truncated,
             pure_count=len(pure),
-            hybrid_count=stream.count - len(pure),
-            residual_min=residual_min,
-            residual_max=residual_max,
+            hybrid_count=count - len(pure),
+            residual_min=min(first),
+            residual_max=max(first),
             encoded_min=min(encoded, default=None),
             encoded_max=max(encoded, default=None),
             residuals_ok=all(r == residual_checks[values].expected for values, r, _ in pure),

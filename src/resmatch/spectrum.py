@@ -3,31 +3,34 @@
 For a maximum matching F of G, deleting the edges of F (keeping all
 vertices) leaves a residual graph G - F.  The spectrum of G is the set of
 residual matching numbers nu(G - F) over every maximum matching F; its
-minimum and maximum are written ell(G) and L(G).  Everything here reads
-one (maximum matching, residual) stream in a single pass, so results are
-exact whenever the enumeration finishes under its positive cap; witnesses
-are first occurrences in that order.  The enumerator branches on vertices.
-A child is pushed with no search, holding its parent's maximum matching of
-the remaining graph, and is decided when it pops by at most two
-single-root augmenting searches.  One count skips children that cannot
-hold a leaf: when that matching is perfect, leaving a vertex unmatched
-cannot keep its size (and a take child needs one search, not two).  A
-second matching, of G less the node's chosen edges, gives each leaf its
-nu(G - F); a child that takes one of its edges repairs it with one
-`matching._augment` from its first end and, if that fails, one from its
-second, each trying a path of length 1 or 3 before it searches, so no leaf
-runs a blossom.  Any augmenting path will do, for a leaf reads only the
-size.  The first matching is one working list: a pop that cuts a take edge
-off the chosen edges writes it back, and a pruned child writes back what it
-zeroed.  The second is written in place by each repair that succeeds and
-copied only by one that fails.  The root first finds fixed edges, which every
-maximum matching holds (`matching._fixed_mates`, all of them on a
-bipartite G).  The one working list of chosen edges starts with them,
-their ends start decided and both matchings start without them, so no
-node branches on a fixed edge and no take of one repairs the second
-matching; a pop cuts the list back to its parent's length.  Each leaf
-yields that list sorted, and the leaves and their order stay as they were.
-The result records are NamedTuples; ToleranceFunction stays a dataclass.
+minimum and maximum are written ell(G) and L(G).  Every consumer reads
+one (maximum matching, residual) stream through `_pass`, which alone
+refuses a cap below 1, counts, flags truncation and records each
+residual's first leaf, so results are exact whenever the enumeration
+finishes under its cap; witnesses are first occurrences in that order, and
+ell and L are the least and greatest residual read.  The enumerator
+branches on vertices.  A child is pushed with no search, holding its
+parent's maximum matching of the remaining graph, and is decided when it
+pops by at most two single-root augmenting searches.  One count skips
+children that cannot hold a leaf: when that matching is perfect, leaving
+a vertex unmatched cannot keep its size (and a take child needs one
+search, not two).  A second matching, of G less the node's chosen edges,
+gives each leaf its nu(G - F); a child that takes one of its edges
+repairs it with one `matching._augment` from its first end and, if that
+fails, one from its second, each trying a path of length 1 or 3 before it
+searches, so no leaf runs a blossom.  Any augmenting path will do, for a
+leaf reads only the size.  The first matching is one working list: a
+pop that cuts a take edge off the chosen edges writes it back, and a
+pruned child writes back what it zeroed.  The second is written in place
+by each repair that succeeds and copied only by one that fails.  The root
+first finds fixed edges, which every maximum matching holds
+(`matching._fixed_mates`, all of them on a bipartite G).  The one working
+list of chosen edges starts with them, their ends start decided and both
+matchings start without them, so no node branches on a fixed edge and no
+take of one repairs the second matching; a pop cuts the list back to its
+parent's length.  Each leaf yields that list sorted, and the leaves and
+their order stay as they were.  The result records are NamedTuples;
+ToleranceFunction stays a dataclass.
 """
 
 from __future__ import annotations
@@ -280,35 +283,33 @@ def _iter_maximum_matchings(g: Graph):
                 stack.append((len(chosen), u, v, res, r, free))
 
 
-class CappedStream:
-    """The (edges, residual) stream of g, cut after cap items: edges is the
-    sorted tuple of a maximum matching's edges, as _iter_maximum_matchings
-    yields it.  Once iterated, count is the number yielded and truncated
-    says whether the stream held more."""
-
-    def __init__(self, g: Graph, cap: int):
-        if cap < 1:
-            raise ValueError("cap must be positive")
-        self.g = g
-        self.cap = cap
-        self.count = 0
-        self.truncated = False
-
-    def __iter__(self):
-        for item in _iter_maximum_matchings(self.g):
-            if self.count == self.cap:
-                self.truncated = True
-                return
-            self.count += 1
-            yield item
+def _pass(g: Graph, cap: int, visit: Callable[[tuple, int], None] | None = None):
+    """(first, count, truncated) of one read of g's (edges, residual) stream,
+    cut after cap items (ValueError unless cap is positive): first maps each
+    residual to its 1-based first position and leaf, count is the number
+    read, and truncated says whether the stream held more.  visit, if given,
+    gets each (edges, residual) read."""
+    if cap < 1:
+        raise ValueError("cap must be positive")
+    first: dict[int, tuple[int, tuple]] = {}
+    count = 0
+    for edges, r in _iter_maximum_matchings(g):
+        if count == cap:
+            return first, count, True
+        count += 1
+        if r not in first:
+            first[r] = (count, edges)
+        if visit is not None:
+            visit(edges, r)
+    return first, count, False
 
 
 def enumerate_maximum_matchings(g: Graph, cap: int = DEFAULT_CAP) -> EnumerationResult:
     """All maximum matchings of g, stopping (and flagging) after cap of them."""
-    stream = CappedStream(g, cap)
     n = g.vertex_count
-    return EnumerationResult(tuple(Matching(frozenset(c), n) for c, _ in stream),
-                             stream.truncated)
+    kept: list[Matching] = []
+    _, _, truncated = _pass(g, cap, lambda edges, r: kept.append(Matching(frozenset(edges), n)))
+    return EnumerationResult(tuple(kept), truncated)
 
 
 class SpectrumReport(NamedTuple):
@@ -345,32 +346,25 @@ def spectrum(g: Graph, cap: int = DEFAULT_CAP) -> SpectrumReport:
     enumerated prefix and are upper/lower estimates rather than exact
     extremes.
     """
-    return _spectrum(CappedStream(g, cap))
+    return _spectrum(g, *_pass(g, cap))
 
 
-def _spectrum(stream: CappedStream, slots: dict | None = None, residuals=None) -> SpectrumReport:
-    """spectrum() over stream.  slots, if given, maps sorted edge tuples (the
-    stream's own leaves) to indices of the list residuals, and each matching
-    in slots stores its r there.  Only the first matching with each residual
-    becomes a Matching."""
-    first: dict[int, tuple[int, Matching]] = {}
-    n = stream.g.vertex_count
-    for chosen, r in stream:
-        if r not in first:
-            first[r] = (stream.count, Matching(frozenset(chosen), n))
-        if slots is not None and chosen in slots:
-            residuals[slots[chosen]] = r
-    ell, big_l = min(first), max(first)
+def _spectrum(g: Graph, first: dict, count: int, truncated: bool) -> SpectrumReport:
+    """The report of a _pass over g that returned (first, count, truncated).
+    Only the first leaf with each residual becomes a Matching."""
+    n = g.vertex_count
+    seen = {r: (pos, Matching(frozenset(edges), n)) for r, (pos, edges) in first.items()}
+    ell, big_l = min(seen), max(seen)
     return SpectrumReport(
-        nu=len(first[ell][1]),
+        nu=len(seen[ell][1]),
         ell=ell,
         big_l=big_l,
-        achieved=frozenset(first),
-        witness_min=first[ell][1],
-        witness_max=first[big_l][1],
-        enumerated=stream.count,
-        truncated=stream.truncated,
-        first_seen=tuple((r, pos, m) for r, (pos, m) in first.items()),
+        achieved=frozenset(seen),
+        witness_min=seen[ell][1],
+        witness_max=seen[big_l][1],
+        enumerated=count,
+        truncated=truncated,
+        first_seen=tuple((r, pos, m) for r, (pos, m) in seen.items()),
     )
 
 
@@ -489,7 +483,12 @@ def approx_trial(g: Graph, seeds, cap: int = DEFAULT_CAP) -> ApproxTrialReport:
     slots = {tuple([(v, w) for v, w in enumerate(mate) if w > v]): i
              for mate, i in firsts.items()}
     residuals: list[int | None] = [None] * len(slots)
-    bounds = _check_bounds(g, _spectrum(CappedStream(g, cap), slots, residuals))
+
+    def record(edges, r):
+        if edges in slots:
+            residuals[slots[edges]] = r
+
+    bounds = _check_bounds(g, _spectrum(g, *_pass(g, cap, record)))
     ell, big_l = bounds.ell, bounds.big_l
     verdicts = {r: (Fraction(r, ell) if ell else None, Fraction(r, big_l) if ell else None,
                     bounds.ok and ell <= r <= big_l)

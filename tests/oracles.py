@@ -32,6 +32,7 @@ list, the other counts edge endpoints.
 from __future__ import annotations
 
 import importlib
+import itertools
 import random
 
 from resmatch.graph import Graph, build_graph, delete_edges
@@ -51,7 +52,7 @@ from resmatch.reduction import (
     sat_count,
     verify_artifact,
 )
-from resmatch.spectrum import CappedStream
+from resmatch.spectrum import _iter_maximum_matchings
 
 
 class CapExceededError(RuntimeError):
@@ -513,19 +514,23 @@ def expected_residual(art: ReductionArtifact, alpha: Assignment) -> int:
 
 def census_certificate(art: ReductionArtifact, cap: int | None = None) -> Certificate:
     """What `verify_artifact(art, exhaustive=True)` must return, from public
-    functions only: the structural certificate plus one census pass.  A
-    matching is pure when `validate_matching` finds it valid and perfect and
-    `decode_matching` reads an assignment from it; its check is decode_ok
-    when `encode_assignment` of that assignment rebuilds it.  cap defaults to
-    the census cap, max(256, 8 * 2^n)."""
+    functions and the enumerator's raw stream: the structural certificate
+    plus one census pass.  A matching is pure when `validate_matching` finds
+    it valid and perfect and `decode_matching` reads an assignment from it;
+    its check is decode_ok when `encode_assignment` of that assignment
+    rebuilds it.  The first cap matchings are read, cap defaulting to the
+    census cap, max(256, 8 * 2^n), by slicing the stream here, so that no
+    capping code is shared with the census under test."""
     n = art.cnf.num_vars
     cert = verify_artifact(art)
     discrepancies = list(cert.discrepancies)
-    stream = CappedStream(art.graph, max(256, 8 * 2**n) if cap is None else cap)
-    residuals: list[int] = []
+    cap = max(256, 8 * 2**n) if cap is None else cap
+    items = list(itertools.islice(_iter_maximum_matchings(art.graph), cap + 1))
+    truncated = len(items) > cap
+    items = items[:cap]
+    residuals = [r for _, r in items]
     pure: list[tuple] = []  # (alpha, residual, is encode(alpha))
-    for chosen, r in stream:
-        residuals.append(r)
+    for chosen, r in items:
         f = Matching(frozenset(chosen), art.graph.vertex_count)
         flags = validate_matching(art.graph, f)
         if not (flags.valid and flags.perfect):
@@ -539,7 +544,7 @@ def census_certificate(art: ReductionArtifact, cap: int | None = None) -> Certif
     checks = []
     for alpha in all_assignments(n):
         if alpha not in decoded:
-            if not stream.truncated:
+            if not truncated:
                 discrepancies.append(f"residual({alpha.bits()}): no matching decodes to it")
             continue
         actual, decode_ok = decoded[alpha]
@@ -552,10 +557,10 @@ def census_certificate(art: ReductionArtifact, cap: int | None = None) -> Certif
     encoded = [rc.actual for rc in checks]
     census = MatchingCensus(
         pure_expected=2**n,
-        count=stream.count,
-        truncated=stream.truncated,
+        count=len(items),
+        truncated=truncated,
         pure_count=len(pure),
-        hybrid_count=stream.count - len(pure),
+        hybrid_count=len(items) - len(pure),
         residual_min=min(residuals),
         residual_max=max(residuals),
         encoded_min=min(encoded, default=None),

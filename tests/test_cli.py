@@ -457,9 +457,18 @@ def test_verify_exhaustive_refuses_a_malformed_edge_record_before_the_census(
     def refuse(*args, **kwargs):
         raise AssertionError("the census started")
 
-    monkeypatch.setattr("resmatch.reduction.CappedStream", refuse)
+    monkeypatch.setattr("resmatch.reduction._pass", refuse)
     code, out, err = run(capsys, "verify", str(graph_path), CNF1, "--variant", "L", "--exhaustive")
     assert (code, out, err) == (2, "", f"error: line {at + 1}: malformed edge record 'e 3 y'\n")
+
+
+@pytest.mark.parametrize("extra", [(), ("--k", "1", "--f", "const:0")],
+                         ids=["spectrum", "problem1"])
+def test_compute_refuses_a_cap_of_zero(tmp_path, capsys, extra):
+    target = tmp_path / "report.json"
+    code, out, err = run(capsys, "compute", P5, "--cap", "0", *extra, "--output", str(target))
+    assert (code, out, err) == (2, "", "error: cap must be positive\n")
+    assert not target.exists()
 
 
 def test_verify_exhaustive_limit(tmp_path, capsys):

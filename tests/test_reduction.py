@@ -33,7 +33,7 @@ from resmatch.reduction import (
     sat_count,
     verify_artifact,
 )
-from resmatch.spectrum import CappedStream, enumerate_maximum_matchings, spectrum
+from resmatch.spectrum import _pass, enumerate_maximum_matchings, spectrum
 
 M1 = "p cnf 3 1\n1 2 3 0\n"
 M1_NEG = "p cnf 3 1\n-1 -2 -3 0\n"
@@ -644,7 +644,7 @@ def test_closed_anchor_square_gives_two_matchings_per_assignment(variant):
 
 @pytest.mark.parametrize("variant", ["L", "ell"])
 def test_truncated_census_reports_only_what_a_prefix_shows(monkeypatch, variant):
-    monkeypatch.setattr(reduction, "CappedStream", lambda g, cap: CappedStream(g, 4))
+    monkeypatch.setattr(reduction, "_pass", lambda g, cap, visit: _pass(g, 4, visit))
     art = build_artifact(parse_dimacs(M1), variant)
     cert = verify_artifact(art, exhaustive=True)
     assert cert.census.truncated and cert.census.count == 4

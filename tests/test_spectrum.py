@@ -1,5 +1,6 @@
 import importlib
 import inspect
+import os
 import random
 import sys
 from fractions import Fraction
@@ -22,14 +23,17 @@ from oracles import (
     spectrum_double_brute,
     took_short_path,
 )
+from resmatch import reduction
 from resmatch.graph import bipartition, build_graph, delete_edges
 from resmatch.matching import max_matching, nu, validate_matching
+from resmatch.reduction import build_artifact, parse_dimacs, verify_artifact
 from resmatch.spectrum import (
     BoundsReport,
     SpectrumReport,
     ToleranceFunction,
     TruncatedSpectrumError,
     _check_bounds,
+    _pass,
     approx_trial,
     check_bounds,
     decide_problem1,
@@ -101,6 +105,49 @@ def test_enumerate_respects_cap():
         spectrum(path(5), cap=0)
     with pytest.raises(ValueError, match="positive"):
         decide_problem1(path(5), 0, parse_tolerance("const:0"), cap=0)
+    with pytest.raises(ValueError, match="positive"):
+        check_bounds(path(5), cap=0)
+    with pytest.raises(ValueError, match="positive"):
+        approx_trial(path(5), [1], cap=0)
+
+
+@pytest.mark.parametrize("name", ["P5", "twin spider", "C6", "L artifact"])
+def test_every_consumer_caps_the_same_way(monkeypatch, name):
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "fixtures",
+                           "example_m1.cnf")) as fh:
+        art = build_artifact(parse_dimacs(fh.read()), "L")
+    g = {"P5": path(5), "twin spider": TWIN_SPIDER, "C6": cycle(6), "L artifact": art.graph}[name]
+    if g.coords is None:  # the census reads g's stream whatever g's layout: any coordinates do
+        g = build_graph(g.vertex_count, g.edges, {v: (v, 0) for v in range(1, g.vertex_count + 1)})
+    art = art._replace(graph=g)
+    spectrum_module = importlib.import_module("resmatch.spectrum")
+    real = spectrum_module._iter_maximum_matchings
+    total = sum(1 for _ in real(g))
+    entered = []
+
+    def counted(h):
+        entered.append(h)
+        return real(h)
+
+    monkeypatch.setattr(spectrum_module, "_iter_maximum_matchings", counted)
+    for cap in range(1, total + 2):
+        # the census's own cap is max(256, 8 * 2^n): the same seam as the truncated census test
+        monkeypatch.setattr(reduction, "_pass", lambda h, _, visit: _pass(h, cap, visit))
+        entered.clear()
+        want = (min(cap, total), cap < total)
+        rep = spectrum(g, cap)
+        assert (rep.enumerated, rep.truncated) == want
+        res = enumerate_maximum_matchings(g, cap)
+        assert (len(res.matchings), res.truncated) == want
+        census = verify_artifact(art, exhaustive=True).census
+        assert (census.count, census.truncated) == want
+        for exact in (lambda: check_bounds(g, cap), lambda: approx_trial(g, range(5), cap)):
+            if cap < total:
+                with pytest.raises(TruncatedSpectrumError):
+                    exact()
+            else:
+                exact()
+        assert entered == [g] * 5, cap  # one pass per call
 
 
 def test_enumerate_counts_match_oracle():
