@@ -37,6 +37,7 @@ from .graph import (
 from .matching import nu
 from .reduction import (
     VARIANTS,
+    CnfInstance,
     additive_bound,
     additive_threshold,
     build_artifact,
@@ -110,6 +111,10 @@ def _read(path: str) -> str:
 # vertices of one compute input: the report costs about 440 bytes per vertex
 # even without edges, and p mg 100000 0 takes about 0.5 s and 60 MB
 COMPUTE_VERTEX_LIMIT = 10**5
+# clauses of one reduce or verify formula: an L artifact has 32 vertices per
+# clause, so the largest has 96,000, which compute accepts; at the limit reduce
+# and verify each take about 0.9 s and 100 MB, and memory grows linearly past it
+ARTIFACT_CLAUSE_LIMIT = 3000
 
 
 def cmd_compute(args) -> int:
@@ -126,11 +131,10 @@ def cmd_compute(args) -> int:
     report = enumerate_once()
     out = report.to_json_dict()
     out["degree_profile"] = degree_profile(g)
-    b = bipartition(g)
-    out["bipartite"] = b is not None
+    out["bipartite"] = bipartite = bipartition(g) is not None
     out["connected"] = is_connected(g)
-    if b is not None:
-        out["nu2"] = nu2 = nu2_bipartite(g, b).size
+    if bipartite:  # nu2_bipartite colors g again: cheaper than checking a given coloring
+        out["nu2"] = nu2 = nu2_bipartite(g).size
         out["upper_bound_L"] = nu2 - report.nu
     if result is not None:
         out["problem1"] = {
@@ -147,11 +151,21 @@ def cmd_compute(args) -> int:
     return EXIT_CHECK_FAILED if report.truncated else EXIT_OK  # a truncated answer implies it
 
 
+def _read_cnf(path: str, command: str) -> CnfInstance:
+    """The formula at path, refused before anything is built from it when
+    it has more than ARTIFACT_CLAUSE_LIMIT clauses."""
+    cnf = parse_dimacs(_read(path))
+    if cnf.num_clauses > ARTIFACT_CLAUSE_LIMIT:
+        raise ValueError(f"{command} accepts at most {ARTIFACT_CLAUSE_LIMIT} clauses,"
+                         f" got {cnf.num_clauses}")
+    return cnf
+
+
 def cmd_reduce(args) -> int:
     if args.certificate is not None:  # it would replace the artifact it certifies
         if os.path.abspath(args.certificate) == os.path.abspath(args.output):
             raise ValueError("--output and --certificate name the same file")
-    cnf = parse_dimacs(_read(args.input))
+    cnf = _read_cnf(args.input, "reduce")
     art = build_artifact(cnf, args.variant)
     cert = verify_artifact(art, exhaustive=False)
     _emit_text(emit_graph_file(art.graph), args.output)
@@ -160,7 +174,7 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cnf = parse_dimacs(_read(args.cnf))
+    cnf = _read_cnf(args.cnf, "verify")
     if args.exhaustive:  # before the graph is read or the artifact built
         check_exhaustive_limits(cnf, args.variant)
     text = _read(args.input)

@@ -182,7 +182,10 @@ def is_valid_bipartition(g: Graph, b: Bipartition) -> bool:
 
 
 def require_bipartite(g: Graph, b: Bipartition | None = None) -> None:
-    """Raise ValueError unless g is bipartite and b, when given, two-colors it."""
+    """Raise ValueError unless g is bipartite and b, when given, two-colors it.
+
+    Only `max_matching_bipartite` is handed a b, and only by the benchmark
+    harness; every other caller lets this two-color g."""
     if b is None:
         if bipartition(g) is None:
             raise ValueError("graph is not bipartite")

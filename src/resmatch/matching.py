@@ -394,7 +394,9 @@ def max_matching(g: Graph, seed: int = 0) -> Matching:
 def max_matching_bipartite(g: Graph, b: Bipartition | None = None) -> Matching:
     """Maximum matching of a bipartite graph (the blossom engine, unshuffled).
 
-    Which maximum matching is returned is unspecified.
+    Which maximum matching is returned is unspecified.  A given bipartition
+    b is checked against g in place of two-coloring it; only the benchmark
+    harness passes one.
     """
     require_bipartite(g, b)
     return _matching(_unshuffled(g))

@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 from oracles import path, random_bipartite, random_cnf
 
-from resmatch.cli import COMPUTE_VERTEX_LIMIT, build_parser, main
+from resmatch.cli import ARTIFACT_CLAUSE_LIMIT, COMPUTE_VERTEX_LIMIT, build_parser, main
 from resmatch.colorable import upper_bound_L
 from resmatch.graph import emit_graph_file, parse_graph_file
 from resmatch.reduction import VARIANTS
@@ -147,15 +147,18 @@ def test_compute_problem1_no(capsys):
     assert p1["witness"] is None
 
 
-def test_compute_two_colors_the_graph_once(capsys, monkeypatch):
-    """nu2_bipartite checks the bipartition compute found, rather than
-    finding one again, and the enumerator colours nothing: its fixed edges
-    need no sides."""
+def test_compute_two_colors_the_graph_once_per_question(capsys, monkeypatch):
+    """compute two-colors a bipartite graph twice, once per question: for
+    the report's bipartite key, and inside nu2_bipartite, which colors g
+    itself because that costs less than checking a given coloring.  So no
+    compute path calls is_valid_bipartition.  The enumerator colours
+    nothing: its fixed edges need no sides."""
     in_cli = _counting(monkeypatch, "resmatch.cli.bipartition")
     in_graph = _counting(monkeypatch, "resmatch.graph.bipartition")  # require_bipartite's
+    checks = _counting(monkeypatch, "resmatch.graph.is_valid_bipartition")
     code, out, _ = run(capsys, "compute", TWIN)
     assert code == 0 and json.loads(out)["nu2"] == 8
-    assert len(in_cli) + len(in_graph) == 1
+    assert (len(in_cli), len(in_graph), len(checks)) == (1, 1, 0)
     in_graph.clear()
     with open(TWIN) as f:
         g = parse_graph_file(f.read())
@@ -522,6 +525,42 @@ def test_verify_exhaustive_limits_come_before_the_graph_and_the_build(
         code, out, err = run(capsys, "verify", graph_path, str(cnf),
                              "--variant", "L", "--exhaustive")
         assert (code, out, err) == (2, "", f"error: exhaustive verification supports {message}\n")
+
+
+@pytest.mark.parametrize("command", ["reduce", "verify"])
+def test_clause_limit_comes_before_the_graph_and_the_build(tmp_path, capsys, monkeypatch,
+                                                           command):
+    """A formula one clause over ARTIFACT_CLAUSE_LIMIT exits 2 within a
+    second, before the graph file is opened or the artifact built, and
+    writes no file; a formula at the limit reaches the build."""
+    built = []
+
+    def refuse(cnf, variant):
+        built.append(cnf.num_clauses)
+        raise ValueError("build refused")
+
+    monkeypatch.setattr("resmatch.cli.build_artifact", refuse)
+    cnf, output, cert = (tmp_path / name for name in ("long.cnf", "out", "cert.json"))
+
+    def outcome(m: int, graph_path: str):
+        cnf.write_text(f"p cnf 3 {m}\n" + "1 2 3 0\n" * m)
+        if command == "reduce":
+            argv = ["reduce", str(cnf), "--variant", "L", "--output", str(output),
+                    "--certificate", str(cert)]
+        else:
+            argv = ["verify", graph_path, str(cnf), "--variant", "L", "--output", str(output)]
+        start = time.perf_counter()
+        result = run(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert not output.exists() and not cert.exists()
+        return result
+
+    over = ARTIFACT_CLAUSE_LIMIT + 1
+    assert outcome(over, str(tmp_path / "no-such-graph.mg")) == (
+        2, "", f"error: {command} accepts at most {ARTIFACT_CLAUSE_LIMIT} clauses, got {over}\n")
+    assert built == []
+    assert outcome(ARTIFACT_CLAUSE_LIMIT, P5) == (2, "", "error: build refused\n")
+    assert built == [ARTIFACT_CLAUSE_LIMIT]
 
 
 def test_verify_reports_a_bad_cnf_before_a_bad_graph(tmp_path, capsys):

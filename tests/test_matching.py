@@ -564,6 +564,7 @@ def test_nu_and_bipartite_entries_use_no_randomness(monkeypatch):
         raise AssertionError("only a seeded matching may shuffle")
 
     assert list(inspect.signature(nu).parameters) == ["g"]
+    assert list(inspect.signature(nu2_bipartite).parameters) == ["g"]
     monkeypatch.setattr("resmatch.matching.random.Random", refuse)
     assert nu(PETERSEN) == 5
     assert len(max_matching_bipartite(cycle(8))) == 4
