@@ -40,11 +40,18 @@ from .spectrum import _pass
 
 VARIANTS = ("L", "ell")
 
-EXHAUSTIVE_VAR_LIMIT = 6  # variables; exhaustive verify enumerates 2^n matchings
-# clauses, per variant.  L: a census leaf costs about O(V^2), V grows with m.
-# ell: hybrid counts grow about 1.8x per clause past the census cap, so the
-# limit is the largest m at which all 20 seeded formulas at each n in 3..6 certify
-EXHAUSTIVE_CLAUSE_LIMITS = {"L": 50, "ell": 6}
+# clauses of one DIMACS formula: an L artifact has 32 vertices per clause, so
+# the largest has 96,000, which GRAPH_VERTEX_LIMIT admits; at the limit reduce
+# and verify each take about 0.9 s and 100 MB, and memory grows linearly past it
+DIMACS_CLAUSE_LIMIT = 3000
+
+# what exhaustive verify accepts, per variant.  Variables: the census
+# enumerates 2^n matchings.  Clauses, L: a census leaf costs about O(V^2), and
+# V grows with m.  Clauses, ell: hybrid counts grow about 1.8x per clause past
+# the census cap, so the limit is the largest m at which all 20 seeded
+# formulas at each n in 3..6 certify
+EXHAUSTIVE_LIMITS = {"L": {"variables": 6, "clauses": 50},
+                     "ell": {"variables": 6, "clauses": 6}}
 
 Point = tuple[int, int]
 Edge = tuple[int, int]
@@ -101,7 +108,9 @@ def sat_count(cnf: CnfInstance, alpha: Assignment) -> int:
 def parse_dimacs(text: str) -> CnfInstance:
     """Parse DIMACS CNF restricted to exactly three distinct variables per
     clause, with every declared variable used at least once; lines and
-    fields as `record_lines` and `record_fields` read them."""
+    fields as `record_lines` and `record_fields` read them.  A header
+    declaring more than DIMACS_CLAUSE_LIMIT clauses is refused before any
+    line after it is read."""
     num_vars: int | None = None
     num_clauses: int | None = None
     clauses: list[tuple[int, ...]] = []
@@ -122,6 +131,9 @@ def parse_dimacs(text: str) -> CnfInstance:
                 raise DimacsError(f"line {lineno}: malformed header {line!r}") from None
             if num_vars < 1 or num_clauses < 1:
                 raise DimacsError(f"line {lineno}: header counts must be positive")
+            if num_clauses > DIMACS_CLAUSE_LIMIT:
+                raise DimacsError(f"line {lineno}: header declares {num_clauses} clauses,"
+                                  f" at most {DIMACS_CLAUSE_LIMIT} are accepted")
             continue
         if num_vars is None:
             raise DimacsError(f"line {lineno}: clause data before header")
@@ -500,10 +512,10 @@ def check_exhaustive_limits(cnf: CnfInstance, variant: str):
     variables or clauses than an exhaustive verification of its artifact in
     variant supports."""
     _check_variant(variant)
-    for noun, limit, count in (("variables", EXHAUSTIVE_VAR_LIMIT, cnf.num_vars),
-                               ("clauses", EXHAUSTIVE_CLAUSE_LIMITS[variant], cnf.num_clauses)):
-        if count > limit:
-            raise ValueError(f"exhaustive verification supports at most {limit}"
+    limits = EXHAUSTIVE_LIMITS[variant]
+    for noun, count in (("variables", cnf.num_vars), ("clauses", cnf.num_clauses)):
+        if count > limits[noun]:
+            raise ValueError(f"exhaustive verification supports at most {limits[noun]}"
                              f" {noun}, instance has {count}")
 
 
@@ -525,9 +537,10 @@ def verify_artifact(art: ReductionArtifact, exhaustive: bool = False) -> Certifi
     residual_min and residual_max are ell and L of that same pass, the least
     and greatest residual it read.
 
-    The census stops after max(256, 8 * 2^n) matchings; EXHAUSTIVE_VAR_LIMIT
-    does not bound it, as ell hybrid counts grow with m (worst count / 2^n on
-    random formulas: 37.5 at n=3, m=8; 12.7 at n=5, m=8; 19.4 at n=6, m=12).
+    The census stops after max(256, 8 * 2^n) matchings; the variable limit
+    of EXHAUSTIVE_LIMITS does not bound it, as ell hybrid counts grow with m
+    (worst count / 2^n on random formulas: 37.5 at n=3, m=8; 12.7 at n=5,
+    m=8; 19.4 at n=6, m=12).
     A truncated census fails and skips the checks a prefix cannot decide.
     """
     n, m = art.cnf.num_vars, art.cnf.num_clauses

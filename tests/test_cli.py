@@ -13,10 +13,10 @@ from fractions import Fraction
 import pytest
 from oracles import path, random_bipartite, random_cnf
 
-from resmatch.cli import ARTIFACT_CLAUSE_LIMIT, COMPUTE_VERTEX_LIMIT, build_parser, main
+from resmatch.cli import build_parser, main
 from resmatch.colorable import upper_bound_L
-from resmatch.graph import emit_graph_file, parse_graph_file
-from resmatch.reduction import VARIANTS
+from resmatch.graph import GRAPH_VERTEX_LIMIT, emit_graph_file, parse_graph_file
+from resmatch.reduction import DIMACS_CLAUSE_LIMIT, VARIANTS
 from resmatch.spectrum import ApproxTrialReport, approx_trial, spectrum
 
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
@@ -207,22 +207,30 @@ def test_compute_checks_f_without_k(capsys, monkeypatch, spec, err):
     assert run(capsys, "compute", P5, "--f", spec) == (2, "", err)
 
 
+OVER_VERTICES = GRAPH_VERTEX_LIMIT + 1
+VERTEX_LIMIT_ERROR = (f"error: line 1: header declares {OVER_VERTICES} vertices,"
+                      f" at most {GRAPH_VERTEX_LIMIT} are accepted\n")
+
+
 def test_compute_refuses_inputs_above_the_vertex_limit(capsys, monkeypatch, tmp_path):
+    """The parser refuses the header: a self-loop after it is never read,
+    duplicate edges after it draw no warning, and no report is written."""
     def no_spectrum(g, cap):
         raise AssertionError("spectrum ran before the vertex limit")
 
     monkeypatch.setattr("resmatch.cli.spectrum", no_spectrum)
-    graph = tmp_path / "huge.mg"
-    graph.write_text(f"p mg {COMPUTE_VERTEX_LIMIT + 1} 0\n")
-    for extra in ([], ["--k", "1", "--f", "const:0"]):
-        assert run(capsys, "compute", str(graph), *extra) == (
-            2, "", f"error: compute accepts at most {COMPUTE_VERTEX_LIMIT} vertices,"
-                   f" got {COMPUTE_VERTEX_LIMIT + 1}\n")
+    graph, report = tmp_path / "huge.mg", tmp_path / "report.json"
+    for body in ("", "e 1 1\n", "e 1 2\n" * 3):
+        graph.write_text(f"p mg {OVER_VERTICES} {len(body.splitlines())}\n" + body)
+        for extra in ([], ["--k", "1", "--f", "const:0"]):
+            assert run(capsys, "compute", str(graph), *extra, "--output", str(report)) == (
+                2, "", VERTEX_LIMIT_ERROR)
+            assert not report.exists()
 
 
 def test_compute_accepts_inputs_at_the_vertex_limit(capsys, tmp_path):
     graph = tmp_path / "limit.mg"
-    graph.write_text(f"p mg {COMPUTE_VERTEX_LIMIT} 1\ne 1 {COMPUTE_VERTEX_LIMIT}\n")
+    graph.write_text(f"p mg {GRAPH_VERTEX_LIMIT} 1\ne 1 {GRAPH_VERTEX_LIMIT}\n")
     code, out, _ = run(capsys, "compute", str(graph))
     assert code == 0
     assert json.loads(out)["nu"] == 1
@@ -530,9 +538,10 @@ def test_verify_exhaustive_limits_come_before_the_graph_and_the_build(
 @pytest.mark.parametrize("command", ["reduce", "verify"])
 def test_clause_limit_comes_before_the_graph_and_the_build(tmp_path, capsys, monkeypatch,
                                                            command):
-    """A formula one clause over ARTIFACT_CLAUSE_LIMIT exits 2 within a
+    """A formula one clause over DIMACS_CLAUSE_LIMIT exits 2 within a
     second, before the graph file is opened or the artifact built, and
-    writes no file; a formula at the limit reaches the build."""
+    writes no file; the parser refuses its header, so a malformed line
+    after it is never read.  A formula at the limit reaches the build."""
     built = []
 
     def refuse(cnf, variant):
@@ -542,8 +551,8 @@ def test_clause_limit_comes_before_the_graph_and_the_build(tmp_path, capsys, mon
     monkeypatch.setattr("resmatch.cli.build_artifact", refuse)
     cnf, output, cert = (tmp_path / name for name in ("long.cnf", "out", "cert.json"))
 
-    def outcome(m: int, graph_path: str):
-        cnf.write_text(f"p cnf 3 {m}\n" + "1 2 3 0\n" * m)
+    def outcome(m: int, graph_path: str, body: str | None = None):
+        cnf.write_text(f"p cnf 3 {m}\n" + ("1 2 3 0\n" * m if body is None else body))
         if command == "reduce":
             argv = ["reduce", str(cnf), "--variant", "L", "--output", str(output),
                     "--certificate", str(cert)]
@@ -555,12 +564,25 @@ def test_clause_limit_comes_before_the_graph_and_the_build(tmp_path, capsys, mon
         assert not output.exists() and not cert.exists()
         return result
 
-    over = ARTIFACT_CLAUSE_LIMIT + 1
-    assert outcome(over, str(tmp_path / "no-such-graph.mg")) == (
-        2, "", f"error: {command} accepts at most {ARTIFACT_CLAUSE_LIMIT} clauses, got {over}\n")
+    over = DIMACS_CLAUSE_LIMIT + 1
+    refused = (2, "", f"error: line 1: header declares {over} clauses,"
+                      f" at most {DIMACS_CLAUSE_LIMIT} are accepted\n")
+    assert outcome(over, str(tmp_path / "no-such-graph.mg")) == refused
+    assert outcome(over, str(tmp_path / "no-such-graph.mg"), body="x 0\n") == refused
     assert built == []
-    assert outcome(ARTIFACT_CLAUSE_LIMIT, P5) == (2, "", "error: build refused\n")
-    assert built == [ARTIFACT_CLAUSE_LIMIT]
+    assert outcome(DIMACS_CLAUSE_LIMIT, P5) == (2, "", "error: build refused\n")
+    assert built == [DIMACS_CLAUSE_LIMIT]
+
+
+def test_verify_refuses_a_graph_file_above_the_vertex_limit(tmp_path, capsys):
+    """A file that is not the canonical artifact text is parsed, and one
+    whose header is over GRAPH_VERTEX_LIMIT is an input error (exit 2), not
+    a mismatch with the artifact (exit 1); no report is written."""
+    graph, report = tmp_path / "huge.mg", tmp_path / "report.json"
+    graph.write_text(f"p mg {OVER_VERTICES} 1\ne 1 1\n")
+    assert run(capsys, "verify", str(graph), CNF1, "--variant", "L",
+               "--output", str(report)) == (2, "", VERTEX_LIMIT_ERROR)
+    assert not report.exists()
 
 
 def test_verify_reports_a_bad_cnf_before_a_bad_graph(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import random
+import warnings
 
 import pytest
 from oracles import adjacency_by_sorted_edges, degree_profile_by_edges
@@ -7,6 +8,7 @@ from resmatch.graph import (
     Bipartition,
     DuplicateEdgeWarning,
     Graph,
+    GRAPH_VERTEX_LIMIT,
     GraphFormatError,
     bipartition,
     build_graph,
@@ -214,6 +216,26 @@ def test_parse_errors_name_the_line(text, fragment):
 def test_parse_reports_line_numbers():
     with pytest.raises(GraphFormatError, match="line 3"):
         parse_graph_file("# c\np mg 2 1\ne 1 1\n")
+
+
+@pytest.mark.parametrize("body", ["", "e 1 1\n", "x 1 2\n", "e 1 2\n" * 3],
+                         ids=["no-records", "self-loop", "unknown-tag", "duplicates"])
+def test_parse_refuses_a_header_over_the_vertex_limit_before_its_records(body):
+    """The header's vertex count is checked on its line: a malformed record
+    after it is never read, and duplicate edges after it draw no warning."""
+    assert GRAPH_VERTEX_LIMIT == 10**5
+    over = GRAPH_VERTEX_LIMIT + 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(GraphFormatError) as exc:
+            parse_graph_file(f"# c\np mg {over} 3\n" + body)
+    assert str(exc.value) == (f"line 2: header declares {over} vertices,"
+                              f" at most {GRAPH_VERTEX_LIMIT} are accepted")
+
+
+def test_parse_accepts_a_header_at_the_vertex_limit():
+    g = parse_graph_file(f"p mg {GRAPH_VERTEX_LIMIT} 1\ne 1 {GRAPH_VERTEX_LIMIT}\n")
+    assert (g.vertex_count, g.edges) == (GRAPH_VERTEX_LIMIT, {(1, GRAPH_VERTEX_LIMIT)})
 
 
 def test_parse_collapses_duplicate_edges_with_warning():

@@ -8,6 +8,7 @@ recursion limit.
 import ast
 import json
 import pathlib
+import time
 import tracemalloc
 
 import pytest
@@ -16,7 +17,7 @@ import resmatch
 from oracles import count_searches, covering_cnf, path
 from resmatch.cli import main
 from resmatch.colorable import nu2_bipartite
-from resmatch.graph import build_graph, emit_graph_file
+from resmatch.graph import GRAPH_VERTEX_LIMIT, build_graph, emit_graph_file
 from resmatch.matching import max_matching, max_matching_bipartite, nu, validate_matching
 from resmatch.reduction import build_artifact, verify_artifact
 from resmatch.spectrum import _iter_maximum_matchings, spectrum
@@ -135,6 +136,35 @@ def test_compute_on_the_path_of_100000_vertices_with_a_chord(tmp_path):
     out = json.loads(report.read_text())
     assert (out["nu"], out["ell"], out["L"], out["enumerated"]) == (50000, 49999, 49999, 1)
     assert out["bipartite"] is False and "nu2" not in out
+
+
+@pytest.mark.parametrize("command, over", [("reduce", "cnf"), ("verify", "cnf"),
+                                           ("compute", "graph"), ("verify", "graph")])
+def test_a_million_records_after_an_over_bound_header_are_never_read(tmp_path, capsys,
+                                                                     command, over):
+    """A formula of 10^6 clauses, and a file declaring GRAPH_VERTEX_LIMIT + 1
+    vertices with 10^6 edge records (the path's 10^5 edges ten times), are
+    refused at their header line: exit 2 within 2 s, no warning and no
+    output file.  Parsing either file whole took 2.6-4.8 s."""
+    cnf, graph, output = tmp_path / "in.cnf", tmp_path / "in.mg", tmp_path / "out"
+    if over == "cnf":
+        cnf.write_text(f"p cnf 3 {10**6}\n" + "1 2 3 0\n" * 10**6)
+        graph.write_text(emit_graph_file(path(5)))
+    else:
+        cnf.write_text("p cnf 3 1\n1 2 3 0\n")
+        n = GRAPH_VERTEX_LIMIT + 1
+        graph.write_text(f"p mg {n} {10 * (n - 1)}\n"
+                         + "".join(f"e {i} {i + 1}\n" for i in range(1, n)) * 10)
+    argv = {"reduce": ["reduce", str(cnf), "--variant", "L"],
+            "verify": ["verify", str(graph), str(cnf), "--variant", "L"],
+            "compute": ["compute", str(graph)]}[command]
+    start = time.perf_counter()
+    code = main([*argv, "--output", str(output)])
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("error: line 1: header declares ")
+    assert "warning:" not in err and not output.exists()
+    assert elapsed < 2
 
 
 def test_odd_path_needs_one_search_per_matching(monkeypatch):

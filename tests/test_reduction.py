@@ -16,9 +16,9 @@ from resmatch.reduction import (
     Assignment,
     CnfInstance,
     ConstructionError,
+    DIMACS_CLAUSE_LIMIT,
     DimacsError,
-    EXHAUSTIVE_CLAUSE_LIMITS,
-    EXHAUSTIVE_VAR_LIMIT,
+    EXHAUSTIVE_LIMITS,
     ReductionArtifact,
     StructuralDecodeError,
     additive_threshold,
@@ -126,6 +126,24 @@ def test_parse_dimacs_unused_message_is_bounded():
         "declared variable(s) never used: [4, 5, 6, 7, 8, 9, 10, 11, 12, 13] (999997 in all)"
     )
     assert len(str(exc.value)) < 200
+
+
+@pytest.mark.parametrize("body", ["", "x 0\n", "1 2 0\n", "1 2 3 0\n" * 3],
+                         ids=["no-clauses", "bad-token", "short-clause", "too-few"])
+def test_parse_dimacs_refuses_a_header_over_the_clause_limit_before_its_clauses(body):
+    """The header's clause count is checked on its line, so no line after
+    it is read, malformed or not."""
+    assert DIMACS_CLAUSE_LIMIT == 3000
+    over = DIMACS_CLAUSE_LIMIT + 1
+    with pytest.raises(DimacsError) as exc:
+        parse_dimacs(f"c c\np cnf 3 {over}\n" + body)
+    assert str(exc.value) == (f"line 2: header declares {over} clauses,"
+                              f" at most {DIMACS_CLAUSE_LIMIT} are accepted")
+
+
+def test_parse_dimacs_accepts_a_header_at_the_clause_limit():
+    cnf = parse_dimacs(f"p cnf 3 {DIMACS_CLAUSE_LIMIT}\n" + "1 2 3 0\n" * DIMACS_CLAUSE_LIMIT)
+    assert cnf.num_clauses == DIMACS_CLAUSE_LIMIT
 
 
 def test_parse_dimacs_names_later_clause():
@@ -478,7 +496,7 @@ def test_big_l_past_the_census_limit_matches_the_milp_and_the_closed_form():
     10m - 1 + maxsat, with maxsat over all 2^7 assignments, agree."""
     pytest.importorskip("scipy")
     pytest.importorskip("networkx")
-    cnf = covering_cnf(7, EXHAUSTIVE_VAR_LIMIT + 1, 20)
+    cnf = covering_cnf(7, EXHAUSTIVE_LIMITS["L"]["variables"] + 1, 20)
     art = build_artifact(cnf, "L")
     report = spectrum(art.graph)
     maxsat = max(sat_count(cnf, alpha) for alpha in all_assignments(cnf.num_vars))
@@ -499,7 +517,7 @@ def test_hybrid_census_is_recorded():
 def test_exhaustive_raises_above_limit():
     wide = "p cnf 7 3\n1 2 3 0\n4 5 6 0\n7 1 2 0\n"
     art = build_artifact(parse_dimacs(wide), "L")
-    assert art.cnf.num_vars == EXHAUSTIVE_VAR_LIMIT + 1
+    assert art.cnf.num_vars == EXHAUSTIVE_LIMITS["L"]["variables"] + 1
     with pytest.raises(ValueError, match="at most 6 variables, instance has 7"):
         verify_artifact(art, exhaustive=True)
     assert verify_artifact(art, exhaustive=False).ok
@@ -509,7 +527,7 @@ def test_exhaustive_raises_above_limit():
 def test_exhaustive_raises_above_clause_limit(variant):
     # the census time grows with m; the variable limit does not bound m
     limit = {"L": 50, "ell": 6}[variant]
-    assert EXHAUSTIVE_CLAUSE_LIMITS[variant] == limit
+    assert EXHAUSTIVE_LIMITS[variant] == {"variables": 6, "clauses": limit}
     art = build_artifact(parse_dimacs(random_cnf(3, limit + 1, 0)), variant)
     with pytest.raises(ValueError, match=f"at most {limit} clauses, instance has {limit + 1}$"):
         verify_artifact(art, exhaustive=True)
@@ -517,7 +535,7 @@ def test_exhaustive_raises_above_clause_limit(variant):
 
 
 def test_exhaustive_runs_at_clause_limit():
-    art = build_artifact(parse_dimacs(random_cnf(3, EXHAUSTIVE_CLAUSE_LIMITS["L"], 0)), "L")
+    art = build_artifact(parse_dimacs(random_cnf(3, EXHAUSTIVE_LIMITS["L"]["clauses"], 0)), "L")
     cert = verify_artifact(art, exhaustive=True)
     assert cert.ok and cert.census.count == 8
 
@@ -526,7 +544,7 @@ def test_exhaustive_runs_at_clause_limit():
 def test_exhaustive_ell_certifies_every_sweep_formula_at_its_clause_limit(n):
     # the ell limit is the largest m at which all 20 seeded formulas at each
     # n from 3 to 6 certify; at m = 7 one at n = 5 hits the census cap
-    m = EXHAUSTIVE_CLAUSE_LIMITS["ell"]
+    m = EXHAUSTIVE_LIMITS["ell"]["clauses"]
     for seed in range(20):
         cert = verify_artifact(build_artifact(parse_dimacs(random_cnf(n, m, seed)), "ell"),
                                exhaustive=True)
