@@ -130,7 +130,7 @@ def cmd_compute(args) -> int:
             "answer": result.answer,
             "witness": None
             if result.witness is None
-            else [list(e) for e in result.witness.sorted_edges()],
+            else [list(e) for e in sorted(result.witness)],
             "enumerated": result.enumerated,
             "truncated": result.truncated,
         }

@@ -234,6 +234,9 @@ def delete_edges(g: Graph, removed) -> Graph:
 # vertices of one graph file: compute's report costs about 440 bytes per vertex
 # even without edges, and p mg 100000 0 takes about 0.5 s and 60 MB to compute
 GRAPH_VERTEX_LIMIT = 10**5
+# edge records of one graph file, ten per vertex at the vertex limit: 10^6
+# distinct records parse in about 2 s at 240 MB; the largest L artifact has 110,999
+GRAPH_EDGE_LIMIT = 10**6
 
 
 def parse_graph_file(text: str) -> Graph:
@@ -242,7 +245,8 @@ def parse_graph_file(text: str) -> Graph:
     Lines: '#' comments, one 'p mg <vertices> <edges>' header, optional
     'v <id> <x> <y>' coordinate records, and 'e <u> <v>' edge records, read
     by `record_lines` and `record_fields`.  A header declaring more than
-    GRAPH_VERTEX_LIMIT vertices is refused before any record after it is read.
+    GRAPH_VERTEX_LIMIT vertices or GRAPH_EDGE_LIMIT edge records is refused
+    before any record after it is read.
     """
     header: tuple[int, int] | None = None
     edges: list[tuple[int, int]] = []
@@ -296,6 +300,9 @@ def parse_graph_file(text: str) -> Graph:
             if header[0] > GRAPH_VERTEX_LIMIT:
                 raise GraphFormatError(f"line {lineno}: header declares {header[0]} vertices,"
                                        f" at most {GRAPH_VERTEX_LIMIT} are accepted")
+            if header[1] > GRAPH_EDGE_LIMIT:
+                raise GraphFormatError(f"line {lineno}: header declares {header[1]} edges,"
+                                       f" at most {GRAPH_EDGE_LIMIT} are accepted")
         elif tag in ("v", "e"):
             raise GraphFormatError(f"line {lineno}: record before header")
         else:

@@ -44,37 +44,23 @@ residual column) on that CPython.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .graph import Bipartition, Graph, normalize_edge, require_bipartite
 
 
-@dataclass(frozen=True)
-class Matching:
-    """A dataclass, not a NamedTuple: len(m) is its edge count, where a tuple's len reads 2."""
-
-    edges: frozenset[tuple[int, int]]
-    host_size: int
-
-    def __len__(self) -> int:
-        return len(self.edges)
-
-    def covered(self) -> frozenset[int]:
-        return frozenset(v for e in self.edges for v in e)
-
-    def sorted_edges(self) -> list[tuple[int, int]]:
-        return sorted(self.edges)
+Matching = frozenset[tuple[int, int]]  # a matching is its edge set, each edge (u, v) with u < v
 
 
-def matching_from_pairs(pairs, host_size: int) -> Matching:
-    edges = frozenset(normalize_edge(u, v, host_size) for u, v in pairs)
+def matching_from_pairs(pairs, vertex_count: int) -> Matching:
+    """pairs as a matching on 1..vertex_count; ValueError if two share a vertex."""
+    edges = frozenset(normalize_edge(u, v, vertex_count) for u, v in pairs)
     seen: set[int] = set()
     for u, v in edges:
         if u in seen or v in seen:
             raise ValueError(f"edges share vertex {u if u in seen else v}")
         seen.update((u, v))
-    return Matching(edges, host_size)
+    return edges
 
 
 class MatchingFlags(NamedTuple):
@@ -320,7 +306,7 @@ def _fixed_mates(n: int, adj, mate: list[int]) -> list[int]:
 
 
 def _matching(mate: list[int]) -> Matching:
-    return Matching(frozenset((v, w) for v, w in enumerate(mate) if w > v), len(mate) - 1)
+    return frozenset((v, w) for v, w in enumerate(mate) if w > v)
 
 
 def _unshuffled(g: Graph) -> list[int]:
@@ -407,16 +393,19 @@ def nu(g: Graph) -> int:
     return sum(map(bool, _unshuffled(g))) // 2
 
 
+def _covered(m: Matching) -> frozenset[int]:
+    return frozenset(v for e in m for v in e)
+
+
 def _is_matching_of(g: Graph, m: Matching, cov: frozenset[int]) -> bool:
-    """Whether m, which covers cov, is a matching of g: hosted on g's
-    vertices, edges of g, pairwise disjoint."""
+    """Whether m, which covers cov, is a matching of g: edges of g, pairwise disjoint."""
     # edges of g have two distinct ends, so they are disjoint iff they cover 2|m| vertices
-    return m.host_size == g.vertex_count and m.edges <= g.edges and len(cov) == 2 * len(m)
+    return m <= g.edges and len(cov) == 2 * len(m)
 
 
 def validate_matching(g: Graph, m: Matching) -> MatchingFlags:
     """Check m against g: validity, maximality, maximumness, perfection."""
-    cov = m.covered()
+    cov = _covered(m)
     if not _is_matching_of(g, m, cov):
         return MatchingFlags(False, False, False, False)
     maximal = all(u in cov or v in cov for u, v in g.edges)

@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 from .graph import (BLANKS, Graph, degree_profile, is_connected, normalize_edge, parse_int,
                     record_fields, record_lines)
-from .matching import Matching, _is_matching_of, matching_from_pairs, nu
+from .matching import Matching, _covered, _is_matching_of, matching_from_pairs, nu
 from .spectrum import _pass
 
 VARIANTS = ("L", "ell")
@@ -401,9 +401,9 @@ def decode_matching(art: ReductionArtifact, f: Matching) -> Assignment:
     purely.  Perfection is a size and subset test, so decoding runs no
     blossom.
     """
-    if 2 * len(f) != art.graph.vertex_count or not _is_matching_of(art.graph, f, f.covered()):
+    if 2 * len(f) != art.graph.vertex_count or not _is_matching_of(art.graph, f, _covered(f)):
         raise ValueError("decode requires a valid perfect matching of the artifact")
-    values = _orientation(art, f.edges)
+    values = _orientation(art, f)
     if isinstance(values, int):
         raise StructuralDecodeError(f"cycle of variable {values} is not purely oriented"
                                     " in this matching")
@@ -533,7 +533,7 @@ def verify_artifact(art: ReductionArtifact, exhaustive: bool = False) -> Certifi
     and each assignment's residual check reads the residual of the pure
     matching that decodes to it.  A pure F is its assignment's encoding
     exactly when core <= F, core being the ENCODED_ROLES edges, so no
-    encoding or Matching is built and no blossom runs beyond the structural nu.
+    encoding is built and no blossom runs beyond the structural nu.
     residual_min and residual_max are ell and L of that same pass, the least
     and greatest residual it read.
 

@@ -126,8 +126,8 @@ class EnumerationResult(NamedTuple):
 def _iter_maximum_matchings(g: Graph):
     """Yield (edges, nu(g - F)) once for each maximum matching F of g, edges
     being tuple(sorted(F)), the leaf's working list of chosen edges sorted.
-    A caller that keeps a leaf wraps it (Matching(frozenset(edges), n));
-    the rest cost no set and no Matching.
+    A caller that keeps a leaf makes it a matching (frozenset(edges)); the
+    rest cost no set.
 
     Branch on the lowest undecided vertex u: match it to each neighbour in
     increasing order, then leave it unmatched; pending nodes wait on an
@@ -306,9 +306,8 @@ def _pass(g: Graph, cap: int, visit: Callable[[tuple, int], None] | None = None)
 
 def enumerate_maximum_matchings(g: Graph, cap: int = DEFAULT_CAP) -> EnumerationResult:
     """All maximum matchings of g, stopping (and flagging) after cap of them."""
-    n = g.vertex_count
     kept: list[Matching] = []
-    _, _, truncated = _pass(g, cap, lambda edges, r: kept.append(Matching(frozenset(edges), n)))
+    _, _, truncated = _pass(g, cap, lambda edges, r: kept.append(frozenset(edges)))
     return EnumerationResult(tuple(kept), truncated)
 
 
@@ -331,8 +330,8 @@ class SpectrumReport(NamedTuple):
             "ell": self.ell,
             "L": self.big_l,
             "achieved": sorted(self.achieved),
-            "witness_min": [list(e) for e in sorted(self.witness_min.edges)],
-            "witness_max": [list(e) for e in sorted(self.witness_max.edges)],
+            "witness_min": [list(e) for e in sorted(self.witness_min)],
+            "witness_max": [list(e) for e in sorted(self.witness_max)],
             "enumerated": self.enumerated,
             "truncated": self.truncated,
         }
@@ -346,14 +345,13 @@ def spectrum(g: Graph, cap: int = DEFAULT_CAP) -> SpectrumReport:
     enumerated prefix and are upper/lower estimates rather than exact
     extremes.
     """
-    return _spectrum(g, *_pass(g, cap))
+    return _spectrum(*_pass(g, cap))
 
 
-def _spectrum(g: Graph, first: dict, count: int, truncated: bool) -> SpectrumReport:
-    """The report of a _pass over g that returned (first, count, truncated).
-    Only the first leaf with each residual becomes a Matching."""
-    n = g.vertex_count
-    seen = {r: (pos, Matching(frozenset(edges), n)) for r, (pos, edges) in first.items()}
+def _spectrum(first: dict, count: int, truncated: bool) -> SpectrumReport:
+    """The report of a _pass that returned (first, count, truncated).
+    Only the first leaf with each residual becomes a matching's edge set."""
+    seen = {r: (pos, frozenset(edges)) for r, (pos, edges) in first.items()}
     ell, big_l = min(seen), max(seen)
     return SpectrumReport(
         nu=len(seen[ell][1]),
@@ -488,7 +486,7 @@ def approx_trial(g: Graph, seeds, cap: int = DEFAULT_CAP) -> ApproxTrialReport:
         if edges in slots:
             residuals[slots[edges]] = r
 
-    bounds = _check_bounds(g, _spectrum(g, *_pass(g, cap, record)))
+    bounds = _check_bounds(g, _spectrum(*_pass(g, cap, record)))
     ell, big_l = bounds.ell, bounds.big_l
     verdicts = {r: (Fraction(r, ell) if ell else None, Fraction(r, big_l) if ell else None,
                     bounds.ok and ell <= r <= big_l)

@@ -151,7 +151,7 @@ def nu_k_bruteforce(g: Graph, k: int, cap: int = 20) -> int:
 
 def residual(g: Graph, f: Matching) -> int:
     """nu(g - F), cold: a fresh blossom on g less the edges of f."""
-    return nu(delete_edges(g, f.edges))
+    return nu(delete_edges(g, f))
 
 
 def spectrum_double_brute(g: Graph) -> tuple[int, list[int]]:
@@ -247,7 +247,7 @@ def iter_maximum_matchings_bounded(g: Graph):
     while stack:
         chosen, avail = stack.pop()
         if len(chosen) == target:
-            m = Matching(frozenset(chosen), n)
+            m = frozenset(chosen)
             yield m, residual(g, m)
             continue
         if len(chosen) + len(avail) < target:
@@ -531,7 +531,7 @@ def census_certificate(art: ReductionArtifact, cap: int | None = None) -> Certif
     residuals = [r for _, r in items]
     pure: list[tuple] = []  # (alpha, residual, is encode(alpha))
     for chosen, r in items:
-        f = Matching(frozenset(chosen), art.graph.vertex_count)
+        f = frozenset(chosen)
         flags = validate_matching(art.graph, f)
         if not (flags.valid and flags.perfect):
             continue

@@ -210,7 +210,7 @@ def test_criterion_7_residual_identities(acceptance_report):
             art = build_artifact(cnf, variant)
             for alpha in all_assignments(cnf.num_vars):
                 f = encode_assignment(art, alpha)
-                r = nu(delete_edges(art.graph, f.edges))
+                r = nu(delete_edges(art.graph, f))
                 s = sat_count(cnf, alpha)
                 want = 10 * m - 1 + s if variant == "L" else 11 * m - 1 - s
                 if r != want or want != expected_residual(art, alpha):
@@ -231,7 +231,7 @@ def test_criterion_8_satisfiable_reaches_k_param(acceptance_report):
         m = cnf.num_clauses
         found = any(
             sat_count(cnf, alpha) == m
-            and nu(delete_edges(art.graph, encode_assignment(art, alpha).edges))
+            and nu(delete_edges(art.graph, encode_assignment(art, alpha)))
             == 11 * m - 1
             == expected_counts(m, "L")["k_param"]
             for alpha in all_assignments(cnf.num_vars)

@@ -21,15 +21,14 @@ from oracles import (
     took_short_path,
 )
 from resmatch.graph import bipartition, build_graph
-from resmatch.matching import (Matching, _augment, _blossom, _fixed_mates, _search_arrays,
-                               max_matching)
+from resmatch.matching import _augment, _blossom, _fixed_mates, _search_arrays, max_matching
 from resmatch.reduction import build_artifact, parse_dimacs
 from resmatch.spectrum import _iter_maximum_matchings, spectrum
 
 
 def assert_same_stream(g):
     # the package yields each matching as its sorted edge tuple
-    want = [(tuple(m.sorted_edges()), r) for m, r in iter_maximum_matchings_bounded(g)]
+    want = [(tuple(sorted(m)), r) for m, r in iter_maximum_matchings_bounded(g)]
     assert list(_iter_maximum_matchings(g)) == want
 
 
@@ -94,7 +93,7 @@ def assert_fixed_edges(g):
     got = {(v, w) for v, w in enumerate(held) if w > v}
     want = {(v, w) for v, w in enumerate(mate) if w > v}
     for m, _ in iter_maximum_matchings_bounded(g):
-        want &= m.edges
+        want &= m
     assert got == want if bipartition(g) else got <= want
     assert all(held[w] == v for v, w in enumerate(held) if w)  # a mate array
     return got
@@ -189,30 +188,31 @@ def test_leaf_residual_needs_no_nu_or_delete_edges(monkeypatch):
     assert len(items) == 4316
     # one blossom at the root; each leaf yields the residual it carried
     assert calls == {"nu": 0, "delete_edges": 0, "_blossom": 1}
-    assert all(r == residual(g, Matching(frozenset(c), g.vertex_count)) for c, r in items)
+    assert all(r == residual(g, frozenset(c)) for c, r in items)
 
 
 def test_spectrum_builds_a_matching_only_at_each_residuals_first_leaf(monkeypatch):
     spectrum_module = importlib.import_module("resmatch.spectrum")
     built = []
 
-    def counted(edges, host_size):
-        built.append(Matching(edges, host_size))
+    def counted(*args):
+        built.append(frozenset(*args))
         return built[-1]
 
-    monkeypatch.setattr(spectrum_module, "Matching", counted)
+    # the module's frozenset builds each witness edge set, then the achieved set
+    monkeypatch.setattr(spectrum_module, "frozenset", counted, raising=False)
     values = set()
     for seed in range(10):  # seed 4 reaches three residual values in 27 matchings
         g = random_graph(20, 0.15, random.Random(seed))
         built.clear()
         report = spectrum(g)
         values.add(len(report.achieved))
-        assert len(built) == len(report.achieved)
+        assert len(built) == len(report.achieved) + 1 and built[-1] is report.achieved
         # each is its residual's witness: the first leaf of the stream with that residual
         firsts = {}
         for pos, (chosen, r) in enumerate(_iter_maximum_matchings(g), start=1):
             firsts.setdefault(r, (pos, frozenset(chosen)))
-        assert [(r, pos, m.edges) for r, pos, m in report.first_seen] == [
+        assert list(report.first_seen) == [
             (r, pos, edges) for r, (pos, edges) in firsts.items()]
         assert all(m is b for (_, _, m), b in zip(report.first_seen, built))
     assert values == {1, 2, 3}
@@ -246,11 +246,11 @@ def test_short_augment_takes_exactly_the_short_paths(seed):
     for _ in range(30):
         g = random_graph(rng.randint(2, 10), rng.choice((0.2, 0.4, 0.6)), rng)
         m = max_matching(g, seed=rng.randrange(100))
-        if not m.edges:
+        if not m:
             continue
-        removed = rng.choice(sorted(m.edges))
+        removed = rng.choice(sorted(m))
         res = [0] * (g.vertex_count + 1)
-        for u, v in m.edges - {removed}:
+        for u, v in m - {removed}:
             res[u], res[v] = v, u
         root = rng.choice([v for v in range(1, g.vertex_count + 1) if not res[v]])
         adj = g.adjacency()
@@ -277,6 +277,6 @@ def test_short_augment_takes_exactly_the_short_paths(seed):
         pairs = {(v, w) for v, w in enumerate(res) if w > v}
         assert all(res[w] == v for v, w in pairs)  # a mate array: each pair both ways
         assert pairs <= g.edges - hidden
-        assert len(pairs) == len(m.edges)  # one edge more than R less (a, b)
+        assert len(pairs) == len(m)  # one edge more than R less (a, b)
         assert res[root]
     assert found == {True, False}

@@ -8,6 +8,7 @@ from resmatch.graph import (
     Bipartition,
     DuplicateEdgeWarning,
     Graph,
+    GRAPH_EDGE_LIMIT,
     GRAPH_VERTEX_LIMIT,
     GraphFormatError,
     bipartition,
@@ -231,6 +232,30 @@ def test_parse_refuses_a_header_over_the_vertex_limit_before_its_records(body):
             parse_graph_file(f"# c\np mg {over} 3\n" + body)
     assert str(exc.value) == (f"line 2: header declares {over} vertices,"
                               f" at most {GRAPH_VERTEX_LIMIT} are accepted")
+
+
+@pytest.mark.parametrize("body", ["", "e 1 1\n", "x 1 2\n", "e 1 2\n" * 3],
+                         ids=["no-records", "self-loop", "unknown-tag", "duplicates"])
+def test_parse_refuses_a_header_over_the_edge_limit_before_its_records(body):
+    """The header's edge count is checked on its line too, after its vertex
+    count: no record after it is read, and duplicates draw no warning."""
+    assert GRAPH_EDGE_LIMIT == 10**6
+    over = GRAPH_EDGE_LIMIT + 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(GraphFormatError) as exc:
+            parse_graph_file(f"# c\np mg 10 {over}\n" + body)
+    assert str(exc.value) == (f"line 2: header declares {over} edges,"
+                              f" at most {GRAPH_EDGE_LIMIT} are accepted")
+    with pytest.raises(GraphFormatError, match=f"declares {GRAPH_VERTEX_LIMIT + 1} vertices"):
+        parse_graph_file(f"p mg {GRAPH_VERTEX_LIMIT + 1} {over}\n" + body)
+
+
+def test_parse_accepts_a_header_at_the_edge_limit():
+    """At the bound the header is read, and only the record count refuses it."""
+    with pytest.raises(GraphFormatError) as exc:
+        parse_graph_file(f"p mg 10 {GRAPH_EDGE_LIMIT}\n")
+    assert str(exc.value) == f"header declares {GRAPH_EDGE_LIMIT} edges but 0 edge records found"
 
 
 def test_parse_accepts_a_header_at_the_vertex_limit():

@@ -117,15 +117,16 @@ def test_every_private_function_is_referenced():
     assert unreferenced_private_functions(trees) == []
 
 
-def test_only_graph_matching_and_tolerance_function_are_dataclasses():
+def test_only_graph_and_tolerance_function_are_dataclasses():
     """Every other record is a `typing.NamedTuple`, which compiles no methods
-    at import.  These three need what a tuple cannot give: `Graph` caches its
-    adjacency in the instance `__dict__` and leaves `coords` out of its hash;
-    `len(Matching)` is its edge count, where a tuple's `len` would read 2; and
-    `ToleranceFunction` validates in `__post_init__`, while `typing.NamedTuple`
-    forbids overriding `__new__`.  A new dataclass must state its reason here."""
+    at import.  These two need what a tuple cannot give: `Graph` caches its
+    adjacency in the instance `__dict__` and leaves `coords` out of its hash,
+    and `ToleranceFunction` validates in `__post_init__`, while
+    `typing.NamedTuple` forbids overriding `__new__`.  A matching is no record:
+    it is the frozenset of its edges, as `Graph.edges` is, so its `len` is its
+    edge count and it needs no class.  A new dataclass must state its reason here."""
     found = sorted(name for module in MODULES for name in dataclass_names(_tree(module)))
-    assert found == ["Graph", "Matching", "ToleranceFunction"]
+    assert found == ["Graph", "ToleranceFunction"]
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -19,10 +19,10 @@ from oracles import (
 )
 from resmatch.graph import Bipartition, bipartition, build_graph
 from resmatch.matching import (
-    Matching,
     MatchingFlags,
     _augment,
     _blossom,
+    _covered,
     _matching,
     _search_arrays,
     _seeded_mates,
@@ -52,8 +52,8 @@ PETERSEN = build_graph(
 def test_matching_container():
     m = matching_from_pairs([(3, 1), (2, 4)], 5)
     assert len(m) == 2
-    assert m.covered() == frozenset({1, 2, 3, 4})
-    assert m.sorted_edges() == [(1, 3), (2, 4)]
+    assert m == frozenset({(1, 3), (2, 4)})
+    assert _covered(m) == frozenset({1, 2, 3, 4})
     with pytest.raises(ValueError, match="share"):
         matching_from_pairs([(1, 2), (2, 3)], 3)
     with pytest.raises(ValueError, match="outside"):
@@ -184,7 +184,7 @@ def test_max_matching_is_deterministic_per_seed():
 
 
 def test_seeds_reach_different_matchings_on_p5():
-    found = {max_matching(path(5), seed=s).edges for s in range(20)}
+    found = {max_matching(path(5), seed=s) for s in range(20)}
     assert len(found) > 1
 
 
@@ -192,7 +192,7 @@ def test_seeded_shuffles_leave_the_shared_adjacency_alone():
     g = build_graph(10, PETERSEN.sorted_edges())
     adj = g.adjacency()
     before = [lst[:] for lst in adj]
-    assert len({max_matching(g, seed=s).edges for s in range(8)}) > 1
+    assert len({max_matching(g, seed=s) for s in range(8)}) > 1
     assert g.adjacency() is adj
     assert adj == before and all(lst == sorted(lst) for lst in adj)
     fresh = build_graph(10, PETERSEN.sorted_edges())
@@ -589,11 +589,9 @@ def test_validate_matching_flags():
     flags = validate_matching(g, not_maximal)
     assert flags.valid and not flags.maximal
 
-    foreign = Matching(frozenset({(1, 5)}), 5)
+    foreign = frozenset({(1, 5)})
     assert not validate_matching(g, foreign).valid
-    wrong_host = matching_from_pairs([(1, 2)], 4)
-    assert not validate_matching(g, wrong_host).valid
-    sharing = Matching(frozenset({(1, 2), (2, 3)}), 5)
+    sharing = frozenset({(1, 2), (2, 3)})
     assert validate_matching(g, sharing) == MatchingFlags(False, False, False, False)
 
 
@@ -617,14 +615,13 @@ def test_validate_perfect_matching_needs_no_nu(monkeypatch):
 @pytest.mark.parametrize("pairs, valid", [([(1, 2), (3, 4)], True), ([(1, 2), (2, 3)], False)])
 def test_validate_matching_builds_the_covered_set_once(monkeypatch, pairs, valid):
     calls = []
-    covered = Matching.covered
 
-    def counted(self):
-        calls.append(self)
-        return covered(self)
+    def counted(m):
+        calls.append(m)
+        return _covered(m)
 
-    monkeypatch.setattr(Matching, "covered", counted)
-    m = Matching(frozenset(pairs), 5)
+    monkeypatch.setattr("resmatch.matching._covered", counted)
+    m = frozenset(pairs)
     assert validate_matching(path(5), m).valid is valid
     assert calls == [m]
 

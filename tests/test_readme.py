@@ -31,4 +31,4 @@ def test_readme_examples_hold():
     with open(README) as fh:
         blocks = BLOCK.findall(fh.read())
     checked = [want for code in blocks for want in _run_block(code)]
-    assert checked == [(2, 1, 2), [1, 2], True, 8]
+    assert checked == [(2, 1, 2), [1, 2], [(1, 2), (4, 5)], True, 8]

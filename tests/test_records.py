@@ -1,9 +1,9 @@
-"""The result records are NamedTuples; Graph, Matching and ToleranceFunction
-stay frozen dataclasses.
+"""The result records are NamedTuples; Graph and ToleranceFunction stay
+frozen dataclasses, and a matching is a frozenset of edges.
 
 Each record is built through the call that returns it, twice, and checked
 for its declared fields in order, equality and hashing by value, refused
-assignment, its `Name(field=value, ...)` repr and `_replace`.  The three
+assignment, its `Name(field=value, ...)` repr and `_replace`.  The two
 dataclasses keep what a tuple could not give them.
 """
 
@@ -14,8 +14,10 @@ import pytest
 
 from resmatch.graph import bipartition, build_graph, parse_graph_file
 from resmatch.colorable import nu2_bipartite
-from resmatch.matching import max_matching, validate_matching
-from resmatch.reduction import build_artifact, decode_matching, parse_dimacs, verify_artifact
+from resmatch.matching import (matching_from_pairs, max_matching, max_matching_bipartite,
+                               validate_matching)
+from resmatch.reduction import (all_assignments, build_artifact, decode_matching,
+                                encode_assignment, parse_dimacs, verify_artifact)
 from resmatch.spectrum import (ToleranceFunction, approx_trial, check_bounds, decide_problem1,
                                enumerate_maximum_matchings, spectrum)
 
@@ -141,10 +143,44 @@ def test_graph_stays_a_dataclass_hashed_without_coords():
     assert g.adjacency() is g.adjacency()
 
 
-def test_matching_stays_a_dataclass_whose_len_is_its_edge_count():
-    m = max_matching(_p5())
-    assert dataclasses.is_dataclass(m) and not isinstance(m, tuple)
-    assert len(m) == len(m.edges) == 2
+def _twin_spider():
+    return parse_graph_file(_read("twin_spider.mg"))
+
+
+def _first_seen(g):
+    return g, [m for _, _, m in spectrum(g).first_seen]
+
+
+def _problem1(g, k, kind, coefficient=1):
+    return g, [decide_problem1(g, k, ToleranceFunction(kind, coefficient)).witness]
+
+
+# case -> a call giving (g, matchings of g that an entry returned)
+MATCHINGS = {
+    "max_matching": lambda: (_twin_spider(), [max_matching(_twin_spider(), s) for s in range(6)]),
+    "max_matching_bipartite": lambda: (_p5(), [max_matching_bipartite(_p5())]),
+    "matching_from_pairs": lambda: (_p5(), [matching_from_pairs([(4, 3), (1, 2)], 5)]),
+    "encode_assignment": lambda: (_artifact().graph, [encode_assignment(_artifact(), a)
+                                                      for a in all_assignments(3)]),
+    "spectrum_witnesses": lambda: (_twin_spider(), [spectrum(_twin_spider()).witness_min,
+                                                    spectrum(_twin_spider()).witness_max]),
+    "spectrum_first_seen": lambda: _first_seen(_twin_spider()),
+    "decide_problem1": lambda: _problem1(_p5(), 2, "constant", 0),
+    "decide_problem1_identity": lambda: _problem1(_twin_spider(), 0, "identity"),
+    "enumerate_maximum_matchings": lambda: (_p5(), enumerate_maximum_matchings(_p5()).matchings),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MATCHINGS))
+def test_an_entry_returns_each_matching_as_a_frozenset_of_edges(case):
+    g, matchings = MATCHINGS[case]()
+    assert matchings
+    for m in matchings:
+        assert type(m) is frozenset
+        assert all(type(e) is tuple and len(e) == 2 and e[0] < e[1] for e in m)
+        assert m <= g.edges
+        ends = [v for e in m for v in e]
+        assert len(set(ends)) == len(ends) == 2 * len(m)  # no shared vertex; len counts edges
 
 
 def test_tolerance_function_stays_a_dataclass_that_validates():

@@ -11,7 +11,7 @@ from oracles import (build_artifact_reference, census_certificate, covering_cnf,
 
 from resmatch import matching, reduction
 from resmatch.graph import build_graph, delete_edges, emit_graph_file
-from resmatch.matching import Matching, nu
+from resmatch.matching import nu
 from resmatch.reduction import (
     Assignment,
     CnfInstance,
@@ -379,7 +379,7 @@ def test_artifact_record(variant, text):
     fixed = {e for e, role in art.roles.items() if role in ("path", "u", "column")}
     for alpha in all_assignments(cnf.num_vars):
         chosen = [t if value else f for value, (t, f) in zip(alpha.values, art.cycles)]
-        assert encode_assignment(art, alpha).edges == fixed.union(*chosen)
+        assert encode_assignment(art, alpha) == fixed.union(*chosen)
 
 
 @pytest.mark.parametrize("variant, axis", [("L", 0), ("ell", 1)])
@@ -417,15 +417,15 @@ def test_encode_rejects_wrong_arity():
 def test_decode_requires_perfect_matching():
     art = build_artifact(parse_dimacs(M1), "L")
     with pytest.raises(ValueError, match="perfect"):
-        decode_matching(art, Matching(frozenset(), art.graph.vertex_count))
+        decode_matching(art, frozenset())
 
 
 def test_decode_flags_hybrid_matchings():
     # this instance admits perfect matchings that thread through port links
     art = build_artifact(parse_dimacs(M2_MIXED), "ell")
     enum = enumerate_maximum_matchings(art.graph, cap=1000)
-    encodings = {encode_assignment(art, a).edges for a in all_assignments(3)}
-    hybrids = [f for f in enum.matchings if f.edges not in encodings]
+    encodings = {encode_assignment(art, a) for a in all_assignments(3)}
+    hybrids = [f for f in enum.matchings if f not in encodings]
     assert len(hybrids) == 2
     for f in hybrids:
         with pytest.raises(StructuralDecodeError, match="not purely oriented"):
@@ -443,7 +443,7 @@ def test_residual_identity_exhaustive(variant, text):
     m = cnf.num_clauses
     for alpha in all_assignments(cnf.num_vars):
         f = encode_assignment(art, alpha)
-        r = nu(delete_edges(art.graph, f.edges))
+        r = nu(delete_edges(art.graph, f))
         s = sat_count(cnf, alpha)
         want = 10 * m - 1 + s if variant == "L" else 11 * m - 1 - s
         assert r == want == expected_residual(art, alpha), (variant, alpha.bits())
@@ -597,16 +597,18 @@ def test_exhaustive_verify_is_one_census_pass(monkeypatch, variant, text, broken
 
     for module, name in ((reduction, "nu"), (matching, "nu"), (reduction, "decode_matching"),
                          (reduction, "sat_count"), (matching, "validate_matching"),
-                         (spectrum_module, "_iter_maximum_matchings")):
+                         (spectrum_module, "_iter_maximum_matchings"),
+                         (reduction, "_covered"), (matching, "_covered"),
+                         (reduction, "_is_matching_of"), (matching, "_is_matching_of")):
         monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
-    monkeypatch.setattr(Matching, "__init__", counted("Matching", Matching.__init__))
     cert = verify_artifact(art, exhaustive=True)
     assert cert.ok is not broken
     assert calls["_iter_maximum_matchings"] == 1  # one census pass
     assert calls["nu"] == 1  # the structural nu; residuals come from the census
     assert calls["sat_count"] == len(cert.residual_checks)  # one per checked assignment
-    # each leaf is read as the stream's edge tuple: nothing builds or checks a Matching
-    assert calls["Matching"] == calls["decode_matching"] == calls["validate_matching"] == 0
+    # each leaf is read as the stream's edge tuple: nothing re-checks it as a matching
+    assert calls["_covered"] == calls["_is_matching_of"] == 0
+    assert calls["decode_matching"] == calls["validate_matching"] == 0
     if not broken:
         assert cert.census.pure_count == 2**art.cnf.num_vars
         assert cert.census.hybrid_count == (variant == "ell") * 2
@@ -687,7 +689,7 @@ def test_satisfying_assignment_hits_k_param():
         assert hits
         for alpha in hits:
             f = encode_assignment(art, alpha)
-            assert (nu(delete_edges(art.graph, f.edges)) == 11 * m - 1
+            assert (nu(delete_edges(art.graph, f)) == 11 * m - 1
                     == expected_counts(m, "L")["k_param"])
 
 
