@@ -12,7 +12,7 @@ import re
 import warnings
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 
 class DuplicateEdgeWarning(UserWarning):
@@ -40,16 +40,33 @@ def parse_int(text: str) -> int:
 
 
 BLANKS = " \t\f\v"  # the digit rule's ASCII blanks, less the line ends
-# the fields of one record line: its runs of anything but BLANKS
-record_fields = re.compile("[^" + BLANKS + "]+").findall
+_fields = re.compile("[^" + BLANKS + "]+").findall
+_LINE_END = re.compile(r"\r\n?|\n")
+_BLOCK = 1 << 14  # characters a block of lines takes before the line end that closes it
 
 
-def record_lines(text: str) -> list[str]:
-    """The lines of a graph or DIMACS text, to be parted by `record_fields`.
-    A line ends at \\n, \\r\\n or \\r only, and fields part at runs of
-    BLANKS only: str.splitlines() and str.split() would also end and part
-    them at other Unicode line boundaries and blanks and at \\x1c-\\x1f."""
-    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+def records(text: str, comment: str) -> Iterator[tuple[int, list[str], str]]:
+    """Yield (line number, fields, line) for each line of a graph or DIMACS
+    text that has a field and whose first field does not start with
+    `comment`; `line` is the line stripped of BLANKS.  A line ends at \\n,
+    \\r\\n or \\r only, and its fields are its runs of anything but BLANKS:
+    str.splitlines() and str.split() would also part at other Unicode line
+    ends and blanks and at \\x1c-\\x1f.  Lines are split a block at a time as
+    the caller reads on, so a parser that stops at a refused header splits no further."""
+    lineno, start = 1, 0
+    while start < len(text):
+        end = _LINE_END.search(text, start + _BLOCK)
+        cut = end.end() if end else len(text)
+        block = text[start:cut].replace("\r\n", "\n").replace("\r", "\n")
+        # where it parts at BLANKS alone, str.split() gives the same fields faster
+        split = (str.split if block.isascii() and not any(c in block for c in "\x1c\x1d\x1e\x1f")
+                 else _fields)
+        # a block ends with a line end, so its last line, empty, is the next one's first
+        for lineno, line in enumerate(block.split("\n"), lineno):
+            line = line.strip(BLANKS)
+            if line and line[0] != comment:
+                yield lineno, split(line), line
+        start = cut
 
 
 def normalize_edge(u: int, v: int, vertex_count: int | None = None) -> tuple[int, int]:
@@ -243,78 +260,67 @@ def parse_graph_file(text: str) -> Graph:
     """Parse the plain-text graph format.
 
     Lines: '#' comments, one 'p mg <vertices> <edges>' header, optional
-    'v <id> <x> <y>' coordinate records, and 'e <u> <v>' edge records, read
-    by `record_lines` and `record_fields`.  A header declaring more than
+    'v <id> <x> <y>' coordinate records, and 'e <u> <v>' edge records, as
+    `records` reads them.  The header is read first: one declaring more than
     GRAPH_VERTEX_LIMIT vertices or GRAPH_EDGE_LIMIT edge records is refused
-    before any record after it is read.
+    on its line, and no line after it is read.
     """
-    header: tuple[int, int] | None = None
+    rows = records(text, "#")
+    lineno, parts, line = next(rows, (0, None, ""))
+    if parts is None:
+        raise GraphFormatError("missing 'p mg' header")
+    if parts[0] != "p":
+        raise GraphFormatError(f"line {lineno}: record before header" if parts[0] in ("v", "e")
+                               else f"line {lineno}: unknown record tag {parts[0]!r}")
+    try:
+        _, kind, vertices, edge_records = parts
+        if kind != "mg":
+            raise ValueError(kind)
+        n, m = parse_int(vertices), parse_int(edge_records)
+    except ValueError:
+        raise GraphFormatError(f"line {lineno}: malformed header {line!r}") from None
+    if n < 0 or m < 0:
+        raise GraphFormatError(f"line {lineno}: negative count in header")
+    if n > GRAPH_VERTEX_LIMIT:
+        raise GraphFormatError(f"line {lineno}: header declares {n} vertices,"
+                               f" at most {GRAPH_VERTEX_LIMIT} are accepted")
+    if m > GRAPH_EDGE_LIMIT:
+        raise GraphFormatError(f"line {lineno}: header declares {m} edges,"
+                               f" at most {GRAPH_EDGE_LIMIT} are accepted")
     edges: list[tuple[int, int]] = []
     coords: dict[int, tuple[int, int]] = {}
-    for lineno, raw in enumerate(record_lines(text), start=1):
-        # record_fields() drops what strip(BLANKS) would, so only messages strip
-        parts = record_fields(raw)
-        if not parts:
-            continue
+    for lineno, parts, line in rows:
         tag = parts[0]
-        if tag == "e" and header is not None:
+        if tag == "e":
             try:
                 _, u_text, v_text = parts
                 u, v = parse_int(u_text), parse_int(v_text)
             except ValueError:
-                raise GraphFormatError(
-                    f"line {lineno}: malformed edge record {raw.strip(BLANKS)!r}") from None
-            if not (1 <= u <= header[0]) or not (1 <= v <= header[0]):
-                raise GraphFormatError(
-                    f"line {lineno}: edge endpoint out of range in {raw.strip(BLANKS)!r}")
+                raise GraphFormatError(f"line {lineno}: malformed edge record {line!r}") from None
+            if not (1 <= u <= n) or not (1 <= v <= n):
+                raise GraphFormatError(f"line {lineno}: edge endpoint out of range in {line!r}")
             if u == v:
                 raise GraphFormatError(f"line {lineno}: self-loop at vertex {u}")
             edges.append((u, v) if u < v else (v, u))
-        elif tag == "v" and header is not None:
+        elif tag == "v":
             try:
                 _, vid_text, x_text, y_text = parts
                 vid, x, y = parse_int(vid_text), parse_int(x_text), parse_int(y_text)
             except ValueError:
-                raise GraphFormatError(
-                    f"line {lineno}: malformed vertex record {raw.strip(BLANKS)!r}") from None
-            if not (1 <= vid <= header[0]):
+                raise GraphFormatError(f"line {lineno}: malformed vertex record {line!r}") from None
+            if not (1 <= vid <= n):
                 raise GraphFormatError(f"line {lineno}: vertex id {vid} out of range")
             if vid in coords:
                 raise GraphFormatError(f"line {lineno}: duplicate coordinates for vertex {vid}")
             coords[vid] = (x, y)
-        elif tag[0] == "#":
-            continue
         elif tag == "p":
-            if header is not None:
-                raise GraphFormatError(f"line {lineno}: duplicate header")
-            try:
-                _, kind, vertices, edge_records = parts
-                if kind != "mg":
-                    raise ValueError(kind)
-                header = (parse_int(vertices), parse_int(edge_records))
-            except ValueError:
-                raise GraphFormatError(
-                    f"line {lineno}: malformed header {raw.strip(BLANKS)!r}") from None
-            if header[0] < 0 or header[1] < 0:
-                raise GraphFormatError(f"line {lineno}: negative count in header")
-            if header[0] > GRAPH_VERTEX_LIMIT:
-                raise GraphFormatError(f"line {lineno}: header declares {header[0]} vertices,"
-                                       f" at most {GRAPH_VERTEX_LIMIT} are accepted")
-            if header[1] > GRAPH_EDGE_LIMIT:
-                raise GraphFormatError(f"line {lineno}: header declares {header[1]} edges,"
-                                       f" at most {GRAPH_EDGE_LIMIT} are accepted")
-        elif tag in ("v", "e"):
-            raise GraphFormatError(f"line {lineno}: record before header")
+            raise GraphFormatError(f"line {lineno}: duplicate header")
         else:
             raise GraphFormatError(f"line {lineno}: unknown record tag {tag!r}")
-    if header is None:
-        raise GraphFormatError("missing 'p mg' header")
-    if len(edges) != header[1]:
+    if len(edges) != m:
         # count duplicates once: the header declares record count, so compare raw
-        raise GraphFormatError(
-            f"header declares {header[1]} edges but {len(edges)} edge records found"
-        )
-    return _assemble(header[0], edges, coords or None)
+        raise GraphFormatError(f"header declares {m} edges but {len(edges)} edge records found")
+    return _assemble(n, edges, coords or None)
 
 
 def emit_graph_file(g: Graph) -> str:

@@ -33,8 +33,7 @@ import re
 from fractions import Fraction
 from typing import NamedTuple
 
-from .graph import (BLANKS, Graph, degree_profile, is_connected, normalize_edge, parse_int,
-                    record_fields, record_lines)
+from .graph import Graph, degree_profile, is_connected, normalize_edge, parse_int, records
 from .matching import Matching, _covered, _is_matching_of, matching_from_pairs, nu
 from .spectrum import _pass
 
@@ -108,36 +107,33 @@ def sat_count(cnf: CnfInstance, alpha: Assignment) -> int:
 def parse_dimacs(text: str) -> CnfInstance:
     """Parse DIMACS CNF restricted to exactly three distinct variables per
     clause, with every declared variable used at least once; lines and
-    fields as `record_lines` and `record_fields` read them.  A header
-    declaring more than DIMACS_CLAUSE_LIMIT clauses is refused before any
-    line after it is read."""
-    num_vars: int | None = None
-    num_clauses: int | None = None
+    fields as `records` reads them, with 'c' comments.  The header is read
+    first: one declaring more than DIMACS_CLAUSE_LIMIT clauses is refused on
+    its line, and no line after it is read."""
+    rows = records(text, "c")
+    lineno, fields, line = next(rows, (0, None, ""))
+    if fields is None:
+        raise DimacsError("missing 'p cnf' header")
+    if line[0] != "p":
+        raise DimacsError(f"line {lineno}: clause data before header")
+    try:
+        _, kind, vars_text, clauses_text = fields
+        if kind != "cnf":
+            raise ValueError(kind)
+        num_vars, num_clauses = parse_int(vars_text), parse_int(clauses_text)
+    except ValueError:
+        raise DimacsError(f"line {lineno}: malformed header {line!r}") from None
+    if num_vars < 1 or num_clauses < 1:
+        raise DimacsError(f"line {lineno}: header counts must be positive")
+    if num_clauses > DIMACS_CLAUSE_LIMIT:
+        raise DimacsError(f"line {lineno}: header declares {num_clauses} clauses,"
+                          f" at most {DIMACS_CLAUSE_LIMIT} are accepted")
     clauses: list[tuple[int, ...]] = []
     current: list[int] = []
-    for lineno, raw in enumerate(record_lines(text), start=1):
-        line = raw.strip(BLANKS)
-        if not line or line.startswith("c"):
-            continue
-        if line.startswith("p"):
-            if num_vars is not None:
-                raise DimacsError(f"line {lineno}: duplicate header")
-            try:
-                _, kind, vars_text, clauses_text = record_fields(line)
-                if kind != "cnf":
-                    raise ValueError(kind)
-                num_vars, num_clauses = parse_int(vars_text), parse_int(clauses_text)
-            except ValueError:
-                raise DimacsError(f"line {lineno}: malformed header {line!r}") from None
-            if num_vars < 1 or num_clauses < 1:
-                raise DimacsError(f"line {lineno}: header counts must be positive")
-            if num_clauses > DIMACS_CLAUSE_LIMIT:
-                raise DimacsError(f"line {lineno}: header declares {num_clauses} clauses,"
-                                  f" at most {DIMACS_CLAUSE_LIMIT} are accepted")
-            continue
-        if num_vars is None:
-            raise DimacsError(f"line {lineno}: clause data before header")
-        for tok in record_fields(line):
+    for lineno, fields, line in rows:
+        if line[0] == "p":
+            raise DimacsError(f"line {lineno}: duplicate header")
+        for tok in fields:
             try:
                 lit = parse_int(tok)
             except ValueError:
@@ -147,8 +143,6 @@ def parse_dimacs(text: str) -> CnfInstance:
                 current.clear()
             else:
                 current.append(lit)
-    if num_vars is None:
-        raise DimacsError("missing 'p cnf' header")
     if current:
         raise DimacsError("unterminated clause (missing trailing 0)")
     if len(clauses) != num_clauses:

@@ -27,6 +27,8 @@ must do what this search alone does, its check for a short path included.
 `adjacency_by_sorted_edges` and `degree_profile_by_edges` are the references
 for `Graph.adjacency` and `degree_profile`: one walks the globally sorted edge
 list, the other counts edge endpoints.
+`record_lines_reference` is the reference for `graph.records`: it splits the
+whole text into lines at once, and each line into fields by `re.split`.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from __future__ import annotations
 import importlib
 import itertools
 import random
+import re
 
 from resmatch.graph import Graph, build_graph, delete_edges
 from resmatch.matching import Matching, nu, validate_matching
@@ -592,6 +595,19 @@ def adjacency_by_sorted_edges(g: Graph) -> list[list[int]]:
         adj[u].append(v)
         adj[v].append(u)
     return adj
+
+
+def record_lines_reference(text: str, comment: str) -> list[tuple[int, list[str], str]]:
+    """(line number, fields, line stripped of blanks) for each line with a
+    field whose first field does not start with comment: lines end at \\n,
+    \\r\\n or \\r, and fields part at runs of space, tab, form feed and
+    vertical tab."""
+    out = []
+    for lineno, raw in enumerate(text.replace("\r\n", "\n").replace("\r", "\n").split("\n"), 1):
+        fields = [f for f in re.split("[ \t\f\v]+", raw) if f]
+        if fields and not fields[0].startswith(comment):
+            out.append((lineno, fields, raw.strip(" \t\f\v")))
+    return out
 
 
 def degree_profile_by_edges(g: Graph) -> dict:

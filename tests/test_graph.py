@@ -2,7 +2,9 @@ import random
 import warnings
 
 import pytest
-from oracles import adjacency_by_sorted_edges, degree_profile_by_edges
+from oracles import adjacency_by_sorted_edges, degree_profile_by_edges, record_lines_reference
+
+from resmatch import graph
 
 from resmatch.graph import (
     Bipartition,
@@ -20,6 +22,7 @@ from resmatch.graph import (
     is_valid_bipartition,
     normalize_edge,
     parse_graph_file,
+    records,
 )
 from resmatch.reduction import build_artifact, parse_dimacs
 
@@ -338,6 +341,46 @@ def test_parse_reads_any_text_in_comments():
 def test_parse_ignores_blanks_tabs_and_carriage_returns():
     messy = "\r\n# c\r\n  p mg 3 2\r\n\tv 1 0 0\r\n v 2 1 0\nv 3 2 0 \r\n\n e 1 2\r\ne\t2 3\r\n"
     assert parse_graph_file(messy) == parse_graph_file(GOOD_FILE)
+
+
+# what a record line can hold: the three line ends, the ASCII blanks, a
+# separator and two line ends that str.split() and str.splitlines() would
+# read, both comment characters, digits and letters; the plain part is the
+# ASCII one less \x1c, which str.split() parts at BLANKS alone
+READER_ALPHABET = ["\n", "\r\n", "\r", " ", "\t", "\f", "\v", "\x1c", "\u2028", "\x85",
+                   "#", "c", "p", "e", "x", "0", "1", "7"]
+PLAIN_ALPHABET = [t for t in READER_ALPHABET if t.isascii() and t != "\x1c"]
+
+
+@pytest.mark.parametrize("block", [1, 2, 7, graph._BLOCK])
+def test_records_read_each_line_as_the_whole_text_rule_does(monkeypatch, block):
+    """300 seeded texts, every other one plain, read in blocks of 1, 2 and 7
+    characters, so that block edges fall inside lines and between the two
+    characters of a \\r\\n, and at the package's block size: each comment
+    character gives the same line numbers, fields and stripped lines as the
+    reference."""
+    monkeypatch.setattr(graph, "_BLOCK", block)
+    rng = random.Random("records")
+    for i in range(300):
+        text = "".join(rng.choices(READER_ALPHABET if i % 2 else PLAIN_ALPHABET,
+                                   k=rng.randint(0, 120)))
+        for comment in "#c":
+            assert list(records(text, comment)) == record_lines_reference(text, comment)
+
+
+@pytest.mark.parametrize("offset", range(-2, 3))
+@pytest.mark.parametrize("end", ["\r\n", "\r", "\n"])
+def test_records_across_a_block_edge(offset, end):
+    """A whole and a plain text of three blocks, with a line end inserted at
+    the edge of the first block or near it: at offset -1 a \\r\\n straddles
+    the edge."""
+    rng = random.Random(f"edge:{offset}:{end}")
+    edge = graph._BLOCK + offset
+    for alphabet in (READER_ALPHABET, PLAIN_ALPHABET):
+        text = "".join(rng.choices(alphabet, k=3 * graph._BLOCK))
+        text = text[:edge] + end + text[edge:]
+        for comment in "#c":
+            assert list(records(text, comment)) == record_lines_reference(text, comment)
 
 
 def _helper_graphs():
