@@ -528,8 +528,8 @@ def verify_artifact(art: ReductionArtifact, exhaustive: bool = False) -> Certifi
     matching that decodes to it.  A pure F is its assignment's encoding
     exactly when core <= F, core being the ENCODED_ROLES edges, so no
     encoding is built and no blossom runs beyond the structural nu.
-    residual_min and residual_max are ell and L of that same pass, the least
-    and greatest residual it read.
+    The census's count, truncation, residual_min and residual_max are the
+    enumerated, truncated, ell and L of the SpectrumReport that pass returns.
 
     The census stops after max(256, 8 * 2^n) matchings; the variable limit
     of EXHAUSTIVE_LIMITS does not bound it, as ell hybrid counts grow with m
@@ -579,11 +579,11 @@ def verify_artifact(art: ReductionArtifact, exhaustive: bool = False) -> Certifi
                 if isinstance(values, tuple):  # else a cycle carries neither side: a hybrid
                     pure.append((values, r, core <= f))
 
-        first, count, truncated = _pass(g, max(256, 8 * pure_expected), classify)
+        rep = _pass(g, max(256, 8 * pure_expected), classify)
         decoded = {values: (r, is_encoding) for values, r, is_encoding in pure}
         for alpha in all_assignments(n):
             if alpha.values not in decoded:
-                if not truncated:
+                if not rep.truncated:
                     discrepancies.append(f"residual({alpha.bits()}): no matching decodes to it")
                 continue
             actual, decode_ok = decoded[alpha.values]
@@ -599,12 +599,12 @@ def verify_artifact(art: ReductionArtifact, exhaustive: bool = False) -> Certifi
         encoded = [rc.actual for rc in residual_checks.values()]
         census = MatchingCensus(
             pure_expected=pure_expected,
-            count=count,
-            truncated=truncated,
+            count=rep.enumerated,
+            truncated=rep.truncated,
             pure_count=len(pure),
-            hybrid_count=count - len(pure),
-            residual_min=min(first),
-            residual_max=max(first),
+            hybrid_count=rep.enumerated - len(pure),
+            residual_min=rep.ell,
+            residual_max=rep.big_l,
             encoded_min=min(encoded, default=None),
             encoded_max=max(encoded, default=None),
             residuals_ok=all(r == residual_checks[values].expected for values, r, _ in pure),

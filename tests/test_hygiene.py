@@ -6,11 +6,18 @@ each once.  A deleted function or field that leaves its import or its
 export behind fails here.  Dead private code fails too: every top-level
 private function is read somewhere in the package outside its own body,
 and every private function reads each parameter it declares.  The only
-dataclasses are the three that a NamedTuple cannot stand in for.
+dataclasses are the two that a NamedTuple cannot stand in for.
+
+`code_lines` is the one definition of the package's code-only line count.
+Run this file as a script to print it per module and in total:
+
+    python tests/test_hygiene.py
 """
 
 import ast
+import io
 import os
+import tokenize
 from collections import Counter
 
 import pytest
@@ -100,6 +107,29 @@ def dataclass_names(tree: ast.Module) -> list[str]:
             and "dataclass" in map(_decorator_name, node.decorator_list)]
 
 
+# tokens that hold no code: comments and the layout of lines and blocks
+LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
+          tokenize.ENDMARKER}
+
+
+def code_lines(path: str) -> int:
+    """The number of lines of the Python file at path that hold a token other
+    than a comment, a docstring (the string that opens a module, class or
+    function body, found with `ast`) or layout."""
+    with open(path) as fh:
+        text = fh.read()
+    docstrings = {(node.body[0].lineno, node.body[0].col_offset)
+                  for node in ast.walk(ast.parse(text))
+                  if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                       ast.AsyncFunctionDef))
+                  and ast.get_docstring(node, clean=False) is not None}
+    lines = set()
+    for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+        if tok.type not in LAYOUT and not (tok.type == tokenize.STRING and tok.start in docstrings):
+            lines.update(range(tok.start[0], tok.end[0] + 1))
+    return len(lines)
+
+
 MODULES = sorted(f for f in os.listdir(PACKAGE) if f.endswith(".py") and f != "__init__.py")
 
 
@@ -134,7 +164,7 @@ def test_private_functions_read_every_parameter(name):
     assert unread_parameters(name, _tree(name)) == []
 
 
-def test_checks_catch_planted_faults():
+def test_checks_catch_planted_faults(tmp_path):
     planted = ast.parse("import os\nfrom re import sub, compile as c\nsub('a', 'b', c)\n")
     assert unused_imports(planted) == ["os"]
     stale = ast.parse("from .graph import Graph, nu\n__all__ = ['Graph', 'nu', 'nu', 'gone']\n")
@@ -155,3 +185,17 @@ def test_checks_catch_planted_faults():
     warning_hook = ast.parse("def _show_warning(message, category):\n    print(message)\n")
     assert unread_parameters("cli.py", warning_hook) == []
     assert unread_parameters("graph.py", warning_hook) == ["graph.py:_show_warning(category)"]
+    # counted: import, def, both lines of s, both lines of the return, class, y
+    source = tmp_path / "m.py"
+    source.write_text('"""Module\ndocstring."""\n\n# a comment\nimport os  # trailing\n\n\n'
+                      'def f(x):\n    """Doc."""\n    s = """not a\ndocstring"""\n'
+                      '    return (x +\n            1)\n\n\nclass K:\n    "doc"\n    y = 1\n')
+    assert code_lines(str(source)) == 8
+
+
+if __name__ == "__main__":
+    counts = {name: code_lines(os.path.join(PACKAGE, name))
+              for name in sorted(f for f in os.listdir(PACKAGE) if f.endswith(".py"))}
+    for name, count in counts.items():
+        print(f"{count:6} {name}")
+    print(f"{sum(counts.values()):6} total")

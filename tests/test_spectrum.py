@@ -141,6 +141,8 @@ def test_every_consumer_caps_the_same_way(monkeypatch, name):
         assert (len(res.matchings), res.truncated) == want
         census = verify_artifact(art, exhaustive=True).census
         assert (census.count, census.truncated) == want
+        # the census's extremes are the same pass's ell and L, truncated or not
+        assert (census.residual_min, census.residual_max) == (rep.ell, rep.big_l)
         for exact in (lambda: check_bounds(g, cap), lambda: approx_trial(g, range(5), cap)):
             if cap < total:
                 with pytest.raises(TruncatedSpectrumError):
