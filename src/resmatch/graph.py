@@ -25,13 +25,16 @@ class GraphFormatError(ValueError):
 
 # the one digit rule of every integer the package reads, in files and in CLI
 # fields: int() alone would also read 1_0 and non-ASCII digits and blanks
-_INTEGER = re.compile(r"\s*[-+]?\d+\s*", re.ASCII)
+_INT_BLANKS = " \t\n\r\f\v"
 
 
 def parse_int(text: str) -> int:
     """int(text) for an optional sign and ASCII digits with ASCII blanks
     around them; otherwise a ValueError that quotes the text."""
-    if not _INTEGER.fullmatch(text):
+    digits = text.strip(_INT_BLANKS)
+    if digits[:1] in ("+", "-"):
+        digits = digits[1:]
+    if not (digits.isascii() and digits.isdigit()):
         raise ValueError(f"{text[:40]!r} is not an integer")
     try:
         return int(text)

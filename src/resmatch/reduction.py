@@ -10,7 +10,8 @@ variable are joined into one even cycle; a spine path with one anchor edge
 per clause keeps everything connected.  The two perfect matchings of each
 variable cycle (all vertical edges / all horizontal edges) encode the truth
 value of that variable, and deleting an encoded perfect matching leaves a
-residual matching number that counts satisfied clauses exactly.
+residual matching number that counts satisfied clauses exactly.  No cycle
+is stored: the artifact reads each off its "port" and "join" edges.
 
 Two dials of the construction exist: the "L" variant (clause rails in
 column 0, residual 10m-1+sat, maximum degree four) drives the upper end of
@@ -54,6 +55,7 @@ EXHAUSTIVE_LIMITS = {"L": {"variables": 6, "clauses": 50},
 
 Point = tuple[int, int]
 Edge = tuple[int, int]
+Cycle = tuple[frozenset[Edge], frozenset[Edge]]  # a variable's (TRUE side, FALSE side)
 
 
 class DimacsError(ValueError):
@@ -202,17 +204,32 @@ class ReductionArtifact(NamedTuple):
     """An artifact graph and the record that encodes assignments into it.
 
     `roles` maps every edge of `graph` (an id pair) to its role.  `cycles[i - 1]`
-    holds variable i's cycle as its two perfect matchings: the edges its TRUE
-    encoding takes, then those its FALSE encoding takes.  Besides one side of
-    each cycle, every encoding takes exactly the edges of ENCODED_ROLES.  Its
-    closed-form counts are `expected_counts(cnf.num_clauses, variant)`.
+    is variable i's cycle as its two perfect matchings: the edges its TRUE
+    encoding takes, then those its FALSE encoding takes.  It is derived from
+    `roles` and the lattice coordinates on each access, at O(|E|).  Besides
+    one side of each cycle, every encoding takes exactly the edges of
+    ENCODED_ROLES.  Its closed-form counts are
+    `expected_counts(cnf.num_clauses, variant)`.
     """
 
     graph: Graph
     cnf: CnfInstance
     variant: str
     roles: dict[Edge, str]
-    cycles: tuple[tuple[frozenset[Edge], frozenset[Edge]], ...]
+
+    @property
+    def cycles(self) -> tuple[Cycle, ...]:
+        # variable i owns columns 4i-3..4i, and its cycle is its "port" and
+        # "join" edges; L takes the vertical ones (both ends in one column)
+        # for TRUE, ell the horizontal ones
+        xy = self.graph.coords
+        sides: list[tuple[list[Edge], list[Edge]]] = [([], []) for _ in range(self.cnf.num_vars)]
+        vertical_is_true = self.variant == "L"
+        for e, role in self.roles.items():
+            if role == "port" or role == "join":
+                x = xy[e[0]][0]
+                sides[(x + 3) // 4 - 1][(x == xy[e[1]][0]) != vertical_is_true].append(e)
+        return tuple((frozenset(t), frozenset(f)) for t, f in sides)
 
 
 def expected_counts(m: int, variant: str) -> dict:
@@ -243,7 +260,8 @@ def build_artifact(cnf: CnfInstance, variant: str) -> ReductionArtifact:
     keys are distinct (len(ids)), edges are distinct (len(roles)), every
     edge joins keys of both parities, and the counts are the closed-form
     ones.  A failed bulk check rescans the layout and names its first
-    offender by its (x, y) point.
+    offender by its (x, y) point.  It keeps no cycle bookkeeping: the
+    artifact reads its `cycles` off the roles.
     """
     _check_variant(variant)
     m, n = cnf.num_clauses, cnf.num_vars
@@ -287,21 +305,14 @@ def build_artifact(cnf: CnfInstance, variant: str) -> ReductionArtifact:
 
     # variable cycles: each port square contributes its three drawn edges;
     # consecutive occurrences (clause order, wrapping) are joined v11 -> v21
-    # along the square's left column.  L encodes TRUE as the vertical cycle
-    # matching, ell as the horizontal one; the two variants reward opposite
-    # orientations in the residual.
-    cycle_keys: list[tuple[list[tuple[int, int]], list[tuple[int, int]]]] = []
+    # along the square's left column.  `ReductionArtifact.cycles` reads each
+    # cycle's two sides back off these roles.
     for i in range(1, n + 1):
         occs = occurrences[i]
         if not occs:
             raise ConstructionError(f"variable {i} has no occurrences")
-        vertical: list[tuple[int, int]] = []
-        horizontal: list[tuple[int, int]] = []
-        for (v21, v22, v11, v12, *_), (nxt_v21, *_) in zip(occs, occs[1:] + occs[:1]):
-            horizontal += [(v21, v22), (v12, v11)]
-            vertical += [(v22, v12), (v11, nxt_v21)]
-            triples.append((v11, nxt_v21, "join"))
-        cycle_keys.append((vertical, horizontal) if variant == "L" else (horizontal, vertical))
+        triples += [(v11, nxt_v21, "join") for (_, _, v11, *_), (nxt_v21, *_)
+                    in zip(occs, occs[1:] + occs[:1])]
 
     # ids follow the key order, so the id pairs of an edge order like its keys;
     # a + b is odd exactly when the edge crosses the parity classes
@@ -322,16 +333,7 @@ def build_artifact(cnf: CnfInstance, variant: str) -> ReductionArtifact:
     coords = {v: (k // h - 1, k % h) for v, k in enumerate(order, start=1)}
     graph = Graph(len(keys), frozenset(roles), coords)
 
-    def id_edges(walk: list[tuple[int, int]]) -> frozenset[Edge]:
-        return frozenset((ids[a], ids[b]) if a < b else (ids[b], ids[a]) for a, b in walk)
-
-    return ReductionArtifact(
-        graph=graph,
-        cnf=cnf,
-        variant=variant,
-        roles=roles,
-        cycles=tuple((id_edges(t), id_edges(f)) for t, f in cycle_keys),
-    )
+    return ReductionArtifact(graph=graph, cnf=cnf, variant=variant, roles=roles)
 
 
 def _first_offender(keys: list[int], triples: list[tuple[int, int, str]], h: int):
@@ -359,7 +361,8 @@ def _first_offender(keys: list[int], triples: list[tuple[int, int, str]], h: int
 
 
 def encode_assignment(art: ReductionArtifact, alpha: Assignment) -> Matching:
-    """Perfect matching of the artifact realizing the assignment."""
+    """Perfect matching of the artifact realizing the assignment, from one
+    read of `art.cycles`."""
     if len(alpha.values) != art.cnf.num_vars:
         raise ValueError(f"assignment covers {len(alpha.values)} variables,"
                          f" need {art.cnf.num_vars}")
@@ -369,14 +372,14 @@ def encode_assignment(art: ReductionArtifact, alpha: Assignment) -> Matching:
     return matching_from_pairs(pairs, art.graph.vertex_count)
 
 
-def _orientation(art: ReductionArtifact, f: frozenset[Edge]) -> tuple[bool, ...] | int:
-    """The values tuple a perfect matching's edge set f encodes: per variable
-    cycle, TRUE if f holds its TRUE side, else FALSE if f holds its FALSE
-    side.  Each side is a perfect matching of the cycle's vertices, so
-    containment decides it.  Returns the number of the first variable whose
-    cycle carries neither side instead."""
+def _orientation(cycles: tuple[Cycle, ...], f: frozenset[Edge]) -> tuple[bool, ...] | int:
+    """The values tuple a perfect matching's edge set f encodes, given an
+    artifact's `cycles`: per variable cycle, TRUE if f holds its TRUE side,
+    else FALSE if f holds its FALSE side.  Each side is a perfect matching of
+    the cycle's vertices, so containment decides it.  Returns the number of
+    the first variable whose cycle carries neither side instead."""
     values = []
-    for i, (true_side, false_side) in enumerate(art.cycles, start=1):
+    for i, (true_side, false_side) in enumerate(cycles, start=1):
         if true_side <= f:
             values.append(True)
         elif false_side <= f:
@@ -389,15 +392,15 @@ def _orientation(art: ReductionArtifact, f: frozenset[Edge]) -> tuple[bool, ...]
 def decode_matching(art: ReductionArtifact, f: Matching) -> Assignment:
     """Read the assignment back out of a perfect matching.
 
-    Each variable takes the value `_orientation` reads off its cycle.
-    Raises ValueError when f is not a perfect matching of the artifact, and
-    StructuralDecodeError when some variable cycle carries neither side
-    purely.  Perfection is a size and subset test, so decoding runs no
-    blossom.
+    Each variable takes the value `_orientation` reads off its cycle, from
+    one read of `art.cycles`.  Raises ValueError when f is not a perfect
+    matching of the artifact, and StructuralDecodeError when some variable
+    cycle carries neither side purely.  Perfection is a size and subset
+    test, so decoding runs no blossom.
     """
     if 2 * len(f) != art.graph.vertex_count or not _is_matching_of(art.graph, f, _covered(f)):
         raise ValueError("decode requires a valid perfect matching of the artifact")
-    values = _orientation(art, f)
+    values = _orientation(art.cycles, f)
     if isinstance(values, int):
         raise StructuralDecodeError(f"cycle of variable {values} is not purely oriented"
                                     " in this matching")
@@ -522,12 +525,13 @@ def verify_artifact(art: ReductionArtifact, exhaustive: bool = False) -> Certifi
     `spectrum._pass`, the capped read every enumeration consumer shares,
     hands each maximum matching F to a classifier as the stream's edge tuple
     and re-validates none: F is pure when it is perfect (2|F| = |V|) and
-    `_orientation` reads a side off every cycle, as in `decode_matching`,
-    and a hybrid otherwise.  The pure matchings must be the 2^n encodings,
-    and each assignment's residual check reads the residual of the pure
-    matching that decodes to it.  A pure F is its assignment's encoding
-    exactly when core <= F, core being the ENCODED_ROLES edges, so no
-    encoding is built and no blossom runs beyond the structural nu.
+    `_orientation` reads a side off every cycle of one read of `art.cycles`,
+    as in `decode_matching`, and a hybrid otherwise.  The pure matchings
+    must be the 2^n encodings, and each assignment's residual check reads
+    the residual of the pure matching that decodes to it.  A pure F is its
+    assignment's encoding exactly when core <= F, core being the
+    ENCODED_ROLES edges, so no encoding is built and no blossom runs beyond
+    the structural nu.
     The census's count, truncation, residual_min and residual_max are the
     enumerated, truncated, ell and L of the SpectrumReport that pass returns.
 
@@ -570,12 +574,13 @@ def verify_artifact(art: ReductionArtifact, exhaustive: bool = False) -> Certifi
         pure_expected = 2**n
         # a pure matching is perfect with one side per cycle: an encoding iff it holds core
         core = frozenset(e for e, role in art.roles.items() if role in ENCODED_ROLES)
+        cycles = art.cycles
         pure: list[tuple[tuple[bool, ...], int, bool]] = []  # (values, residual, is their encoding)
 
         def classify(edges, r):
             if 2 * len(edges) == g.vertex_count:  # else a hybrid: leaves are maximum matchings
                 f = frozenset(edges)
-                values = _orientation(art, f)
+                values = _orientation(cycles, f)
                 if isinstance(values, tuple):  # else a cycle carries neither side: a hybrid
                     pure.append((values, r, core <= f))
 

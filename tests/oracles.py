@@ -10,8 +10,10 @@ reference for the exhaustive artifact census: it rebuilds every encoding
 with `encode_assignment` and compares it with the decoded matching;
 `expected_residual` restates the residual identity it checks, the reference
 for the package's `_residual_of_sat`.  `build_artifact_reference` lays the
-artifact out on (x, y) points, one dict of named corners per gadget: the
-reference for `build_artifact`, which lays out int keys.  `milp_big_l`
+artifact out on (x, y) points, one dict of named corners per gadget, and
+walks each variable cycle square by square: the reference for
+`build_artifact`, which lays out int keys, and for the cycles an artifact
+reads off its roles.  `milp_big_l`
 computes L(G), and `milp_ell` ell(G) of a bipartite G, by an integer
 program with nu(G) from networkx: references past brute-force sizes that
 need scipy.
@@ -449,10 +451,13 @@ def _gadget_cells(i: int, j: int, positive: bool) -> dict[str, tuple[int, int]]:
     return cells
 
 
-def build_artifact_reference(cnf: CnfInstance, variant: str) -> ReductionArtifact:
+def build_artifact_reference(cnf: CnfInstance, variant: str) -> tuple[ReductionArtifact, tuple]:
     """The artifact laid out on (x, y) lattice points, one dict of named
-    corners per gadget: the reference for `build_artifact`, which lays out
-    integer keys.  It makes none of the layout checks."""
+    corners per gadget, and its variable cycles as (TRUE side, FALSE side)
+    pairs walked port square by port square: the reference for
+    `build_artifact`, which lays out integer keys, and for the artifact's
+    `cycles`, which it reads off the roles.  It makes none of the layout
+    checks."""
     m, n = cnf.num_clauses, cnf.num_vars
     points = [(-1, y) for y in range(1, 4 * m + 1)]
     triples = [(a, b, "spine" if k % 2 else "path")
@@ -497,14 +502,14 @@ def build_artifact_reference(cnf: CnfInstance, variant: str) -> ReductionArtifac
         return (ids[a], ids[b]) if a < b else (ids[b], ids[a])
 
     roles = {id_edge(a, b): role for a, b, role in triples}
-    return ReductionArtifact(
+    art = ReductionArtifact(
         graph=Graph(len(points), frozenset(roles), dict(enumerate(order, start=1))),
         cnf=cnf,
         variant=variant,
         roles=roles,
-        cycles=tuple((frozenset(id_edge(*e) for e in t), frozenset(id_edge(*e) for e in f))
-                     for t, f in cycle_pts),
     )
+    return art, tuple((frozenset(id_edge(*e) for e in t), frozenset(id_edge(*e) for e in f))
+                      for t, f in cycle_pts)
 
 
 def expected_residual(art: ReductionArtifact, alpha: Assignment) -> int:

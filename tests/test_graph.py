@@ -1,4 +1,5 @@
 import random
+import re
 import warnings
 
 import pytest
@@ -331,6 +332,42 @@ def test_parse_reads_ascii_digits_only(token):
         with pytest.raises(GraphFormatError) as exc:
             parse_graph_file(text)
         assert str(exc.value) == f"line {len(lines)}: malformed {kind} {lines[-1]!r}"
+
+
+def _parse_int_by_regex(text):
+    """The digit rule as one regular expression: the reference for `parse_int`."""
+    if not re.fullmatch(r"\s*[-+]?\d+\s*", text, re.ASCII):
+        raise ValueError(f"{text[:40]!r} is not an integer")
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{text[:40]!r} has too many digits") from None
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_parse_int_follows_the_regex_digit_rule():
+    # ASCII digits and blanks, non-ASCII digits (Arabic-Indic, fullwidth, a
+    # superscript that str.isdigit() accepts), non-ASCII blanks, \x1c-\x1f,
+    # the digit separator, signs and letters
+    alphabet = list("0123456789 \t\n\r\f\v+-_xe") + [
+        "\u0662", "\uff13", "\u00b2", "\u00a0", "\u2003", "\u2028", "\x85",
+        "\x1c", "\x1d", "\x1e", "\x1f"]
+    rng = random.Random("parse-int")
+    corpus = ["", " ", "+", "-", "+-1", "--1", "1-", "0", "-0", "+7", " \t-12 \r\n", "1 2",
+              "1_0", "\u0662", "\uff13", "\u00b2", "\x1c5", "5\x1f", "\u00a05", "5\u2003",
+              "9" * 5000, "-" + "9" * 5000, " " + "1" * 4300 + " ", "1" * 4301]
+    corpus += ["".join(rng.choices(alphabet, k=rng.randint(1, 8))) for _ in range(20000)]
+    corpus += [rng.choice(["", " ", "\t"]) + rng.choice(["", "+", "-"])
+               + "".join(rng.choices("0123456789", k=rng.randint(1, 30)))
+               + rng.choice(["", " ", "\n", "\u00a0", "_1"]) for _ in range(5000)]
+    for text in corpus:
+        assert _outcome(graph.parse_int, text) == _outcome(_parse_int_by_regex, text), repr(text)
 
 
 def test_parse_reads_any_text_in_comments():

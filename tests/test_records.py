@@ -61,7 +61,7 @@ RECORDS = {
     "Assignment": (("values",),
                    lambda: decode_matching(_artifact(), spectrum(_artifact().graph).witness_min),
                    True),
-    "ReductionArtifact": (("graph", "cnf", "variant", "roles", "cycles"), _artifact,
+    "ReductionArtifact": (("graph", "cnf", "variant", "roles"), _artifact,
                           False),  # roles is a dict
     "ResidualCheck": (("assignment", "sat", "expected", "actual", "decode_ok"),
                       lambda: _certificate().residual_checks[0], True),

@@ -231,18 +231,18 @@ def test_l_variant_has_columns_no_links():
 
 
 def test_build_is_deterministic():
-    a = build_artifact(parse_dimacs(M2_MIXED), "L")
-    b = build_artifact(parse_dimacs(M2_MIXED), "L")
+    cnf = parse_dimacs(M2_MIXED)
+    a, b = build_artifact(cnf, "L"), build_artifact(cnf, "L")
     assert emit_graph_file(a.graph) == emit_graph_file(b.graph)
     assert list(a.roles.items()) == list(b.roles.items())
-    assert a.cycles == b.cycles
+    assert a.cycles == b.cycles == build_artifact_reference(cnf, "L")[1]
 
 
-def _assert_same_artifact(art, ref):
+def _assert_same_artifact(art, ref, ref_cycles):
     assert art.graph == ref.graph
     assert art.graph.coords == ref.graph.coords  # coords take no part in ==
     assert list(art.roles.items()) == list(ref.roles.items())
-    assert art.cycles == ref.cycles
+    assert art.cycles == ref_cycles
 
 
 # (variables, clauses): the smallest and largest of both, then seeded draws
@@ -256,7 +256,7 @@ BUILD_SHAPES = [(3, 1), (3, 400), (100, 34), (100, 400)] + [
 @pytest.mark.parametrize("num_vars, m", BUILD_SHAPES)
 def test_build_matches_the_point_reference(variant, num_vars, m):
     cnf = covering_cnf(num_vars * 1000 + m, num_vars, m)
-    _assert_same_artifact(build_artifact(cnf, variant), build_artifact_reference(cnf, variant))
+    _assert_same_artifact(build_artifact(cnf, variant), *build_artifact_reference(cnf, variant))
 
 
 @pytest.mark.parametrize("variant", ["L", "ell"])
@@ -264,7 +264,7 @@ def test_build_matches_the_point_reference(variant, num_vars, m):
 def test_build_matches_the_point_reference_on_fixtures(variant, name):
     with open(os.path.join(FIXTURES, name)) as fh:
         cnf = parse_dimacs(fh.read())
-    _assert_same_artifact(build_artifact(cnf, variant), build_artifact_reference(cnf, variant))
+    _assert_same_artifact(build_artifact(cnf, variant), *build_artifact_reference(cnf, variant))
 
 
 @pytest.mark.parametrize("variant", ["L", "ell"])
@@ -274,7 +274,7 @@ def test_build_does_not_depend_on_the_key_stride(monkeypatch, variant):
     cnf = parse_dimacs(M3)
     art = build_artifact(cnf, variant)
     monkeypatch.setattr(reduction, "_stride", lambda m: 4 * m + 2001)
-    _assert_same_artifact(build_artifact(cnf, variant), art)
+    _assert_same_artifact(build_artifact(cnf, variant), art, art.cycles)
 
 
 # --- layout invariants: each planted fault raises its ConstructionError ---
@@ -469,10 +469,10 @@ def test_verify_exhaustive_certificate(variant, text):
 
 @pytest.mark.parametrize("variant", ["L", "ell"])
 def test_hand_built_artifact_certifies(variant):
-    # the record stores no closed-form counts, so an artifact assembled from
-    # its parts certifies exactly as the compiled one does
+    # the record stores no closed-form counts and no cycles, so an artifact
+    # assembled from its four parts certifies exactly as the compiled one does
     art = build_artifact(parse_dimacs(M2_MIXED), variant)
-    hand = ReductionArtifact(art.graph, art.cnf, art.variant, art.roles, art.cycles)
+    hand = ReductionArtifact(art.graph, art.cnf, art.variant, art.roles)
     assert verify_artifact(hand, exhaustive=True) == verify_artifact(art, exhaustive=True)
 
 
@@ -565,6 +565,24 @@ def test_exhaustive_reports_artifact_without_perfect_matching():
     assert cert.census.encoded_min is None
     assert cert.to_json_dict()["ok"] is False
     assert any(msg.startswith("nu:") for msg in cert.discrepancies)
+
+
+@pytest.mark.parametrize("variant, m", [("L", 8), ("ell", 3)])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_census_catches_a_flipped_polarity(monkeypatch, variant, m, seed):
+    # clause 1's first gadget is laid out for the opposite literal: every
+    # count, parity and coordinate stays valid, so only the residual checks
+    # can see that the artifact encodes another formula
+    cnf = covering_cnf(seed, 5, m)
+    flipped = (abs(cnf.clauses[0][0]), 1)
+    real = reduction._gadget
+    monkeypatch.setattr(reduction, "_gadget", lambda i, j, positive, h:
+                        real(i, j, positive != ((i, j) == flipped), h))
+    art = build_artifact(cnf, variant)
+    assert verify_artifact(art).ok
+    cert = verify_artifact(art, exhaustive=True)
+    assert not cert.ok
+    assert any(d.startswith("residual(") for d in cert.discrepancies)
 
 
 def test_verify_reports_coordinates_that_do_not_two_color():
