@@ -7,11 +7,7 @@ methods.  Each is a tuple, equal to a plain tuple of its items, with `_replace`,
 `Matching` is a frozenset of edges (u, v), u < v.  `Graph` and `ToleranceFunction`
 stay frozen dataclasses; each docstring says why."""
 
-from .colorable import (
-    ColorableResult,
-    nu2_bipartite,
-    upper_bound_L,
-)
+from .colorable import ColorableResult, nu2_bipartite
 from .graph import (
     Bipartition,
     DuplicateEdgeWarning,
@@ -20,21 +16,16 @@ from .graph import (
     bipartition,
     build_graph,
     degree_profile,
-    delete_edges,
     emit_graph_file,
     is_connected,
-    is_valid_bipartition,
     normalize_edge,
     parse_graph_file,
 )
 from .matching import (
     Matching,
-    MatchingFlags,
     matching_from_pairs,
     max_matching,
-    max_matching_bipartite,
     nu,
-    validate_matching,
 )
 from .reduction import (
     Assignment,
@@ -56,7 +47,6 @@ from .reduction import (
 from .spectrum import (
     ApproxTrialReport,
     BoundsReport,
-    EnumerationResult,
     Problem1Result,
     SpectrumReport,
     ToleranceFunction,
@@ -64,7 +54,6 @@ from .spectrum import (
     approx_trial,
     check_bounds,
     decide_problem1,
-    enumerate_maximum_matchings,
     parse_tolerance,
     spectrum,
 )
@@ -81,11 +70,9 @@ __all__ = [
     "ColorableResult",
     "DimacsError",
     "DuplicateEdgeWarning",
-    "EnumerationResult",
     "Graph",
     "GraphFormatError",
     "Matching",
-    "MatchingFlags",
     "Problem1Result",
     "ReductionArtifact",
     "SpectrumReport",
@@ -103,15 +90,11 @@ __all__ = [
     "decide_problem1",
     "decode_matching",
     "degree_profile",
-    "delete_edges",
     "emit_graph_file",
     "encode_assignment",
-    "enumerate_maximum_matchings",
     "is_connected",
-    "is_valid_bipartition",
     "matching_from_pairs",
     "max_matching",
-    "max_matching_bipartite",
     "normalize_edge",
     "nu",
     "nu2_bipartite",
@@ -120,7 +103,5 @@ __all__ = [
     "parse_tolerance",
     "sat_count",
     "spectrum",
-    "upper_bound_L",
-    "validate_matching",
     "verify_artifact",
 ]

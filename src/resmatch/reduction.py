@@ -36,7 +36,7 @@ from typing import NamedTuple
 
 from .graph import Graph, degree_profile, is_connected, normalize_edge, parse_int, records
 from .matching import Matching, _covered, _is_matching_of, matching_from_pairs, nu
-from .spectrum import _pass
+from .spectrum import spectrum
 
 VARIANTS = ("L", "ell")
 
@@ -522,18 +522,18 @@ def verify_artifact(art: ReductionArtifact, exhaustive: bool = False) -> Certifi
     Structural: vertex/edge census against the closed-form expectations,
     parity bipartiteness, connectivity, maximum degree, and nu = |V|/2 via
     the matching engine.  Exhaustive (check_exhaustive_limits first): one
-    `spectrum._pass`, the capped read every enumeration consumer shares,
-    hands each maximum matching F to a classifier as the stream's edge tuple
-    and re-validates none: F is pure when it is perfect (2|F| = |V|) and
-    `_orientation` reads a side off every cycle of one read of `art.cycles`,
-    as in `decode_matching`, and a hybrid otherwise.  The pure matchings
-    must be the 2^n encodings, and each assignment's residual check reads
-    the residual of the pure matching that decodes to it.  A pure F is its
-    assignment's encoding exactly when core <= F, core being the
+    capped `spectrum(g, cap, visit=...)`, the read every enumeration
+    consumer shares, hands each maximum matching F to a classifier as the
+    stream's edge tuple and re-validates none: F is pure when it is perfect
+    (2|F| = |V|) and `_orientation` reads a side off every cycle of one read
+    of `art.cycles`, as in `decode_matching`, and a hybrid otherwise.  The
+    pure matchings must be the 2^n encodings, and each assignment's residual
+    check reads the residual of the pure matching that decodes to it.  A pure
+    F is its assignment's encoding exactly when core <= F, core being the
     ENCODED_ROLES edges, so no encoding is built and no blossom runs beyond
     the structural nu.
     The census's count, truncation, residual_min and residual_max are the
-    enumerated, truncated, ell and L of the SpectrumReport that pass returns.
+    enumerated, truncated, ell and L of the SpectrumReport it returns.
 
     The census stops after max(256, 8 * 2^n) matchings; the variable limit
     of EXHAUSTIVE_LIMITS does not bound it, as ell hybrid counts grow with m
@@ -584,7 +584,7 @@ def verify_artifact(art: ReductionArtifact, exhaustive: bool = False) -> Certifi
                 if isinstance(values, tuple):  # else a cycle carries neither side: a hybrid
                     pure.append((values, r, core <= f))
 
-        rep = _pass(g, max(256, 8 * pure_expected), classify)
+        rep = spectrum(g, max(256, 8 * pure_expected), visit=classify)
         decoded = {values: (r, is_encoding) for values, r, is_encoding in pure}
         for alpha in all_assignments(n):
             if alpha.values not in decoded:

@@ -4,11 +4,11 @@ For a maximum matching F of G, deleting the edges of F (keeping all
 vertices) leaves a residual graph G - F.  The spectrum of G is the set of
 residual matching numbers nu(G - F) over every maximum matching F; its
 minimum and maximum are written ell(G) and L(G).  Every consumer reads
-one (maximum matching, residual) stream through `_pass`, which alone
-refuses a cap below 1 and returns the SpectrumReport of its read, so
-results are exact whenever the enumeration finishes under its cap;
-witnesses are first occurrences in that order, and ell and L are the least
-and greatest residual read.  The enumerator
+one (maximum matching, residual) stream through `spectrum(g, cap,
+visit=...)`, which alone refuses a cap below 1 and returns the
+SpectrumReport of its read, so results are exact whenever the enumeration
+finishes under its cap; witnesses are first occurrences in that order, and
+ell and L are the least and greatest residual read.  The enumerator
 branches on vertices.  A child is pushed with no search, holding its
 parent's maximum matching of the remaining graph, and is decided when it
 pops by at most two single-root augmenting searches.  One count skips
@@ -284,45 +284,10 @@ def _iter_maximum_matchings(g: Graph):
                 stack.append((len(chosen), u, v, res, r, free))
 
 
-def _pass(g: Graph, cap: int, visit: Callable[[tuple, int], None] | None = None
-          ) -> SpectrumReport:
-    """The SpectrumReport of one read of g's (edges, residual) stream, cut
-    after cap items (ValueError unless cap is positive): the one summary of
-    the stream that every consumer reads.  enumerated is the number read,
-    truncated says whether the stream held more, each residual's witness is
-    its first leaf (the only one made a matching's edge set), and ell and L
-    are the least and greatest residual read.  visit, if given, gets each
-    (edges, residual) read."""
-    if cap < 1:
-        raise ValueError("cap must be positive")
-    first: dict[int, tuple[int, Matching]] = {}  # residual -> its first position and leaf
-    count = 0
-    stream = _iter_maximum_matchings(g)
-    for edges, r in islice(stream, cap):
-        count += 1
-        if r not in first:
-            first[r] = (count, frozenset(edges))
-        if visit is not None:
-            visit(edges, r)
-    truncated = next(stream, None) is not None
-    ell, big_l = min(first), max(first)
-    return SpectrumReport(
-        nu=len(first[ell][1]),
-        ell=ell,
-        big_l=big_l,
-        achieved=frozenset(first),
-        witness_min=first[ell][1],
-        witness_max=first[big_l][1],
-        enumerated=count,
-        truncated=truncated,
-        first_seen=tuple((r, pos, m) for r, (pos, m) in first.items()),
-    )
-
-
 def enumerate_maximum_matchings(g: Graph, cap: int = DEFAULT_CAP) -> EnumerationResult:
     """All maximum matchings of g, stopping (and flagging) after cap of them."""
     kept: list[Matching] = []
-    rep = _pass(g, cap, lambda edges, r: kept.append(frozenset(edges)))
+    rep = spectrum(g, cap, visit=lambda edges, r: kept.append(frozenset(edges)))
     return EnumerationResult(tuple(kept), rep.truncated)
 
 
@@ -352,15 +317,45 @@ class SpectrumReport(NamedTuple):
         }
 
 
-def spectrum(g: Graph, cap: int = DEFAULT_CAP) -> SpectrumReport:
-    """Residual matching numbers over all maximum matchings of g.
+def spectrum(g: Graph, cap: int = DEFAULT_CAP, *,
+             visit: Callable[[tuple, int], None] | None = None) -> SpectrumReport:
+    """Residual matching numbers over all maximum matchings of g: the
+    SpectrumReport of one read of g's (edges, residual) stream, cut after
+    cap items (ValueError unless cap is positive), the one summary of the
+    stream that every consumer reads.
 
-    One pass over the enumeration; each witness is the first matching that
-    reaches its value.  When truncated, the reported values cover only the
-    enumerated prefix and are upper/lower estimates rather than exact
-    extremes.
+    enumerated is the number read, truncated says whether the stream held
+    more, each residual's witness is its first leaf (the only one made a
+    matching's edge set), and ell and L are the least and greatest residual
+    read.  When truncated, the reported values cover only the enumerated
+    prefix and are upper/lower estimates rather than exact extremes.
+    visit, if given, gets each (edges, residual) read, and not the item read
+    to flag truncation.
     """
-    return _pass(g, cap)
+    if cap < 1:
+        raise ValueError("cap must be positive")
+    first: dict[int, tuple[int, Matching]] = {}  # residual -> its first position and leaf
+    count = 0
+    stream = _iter_maximum_matchings(g)
+    for edges, r in islice(stream, cap):
+        count += 1
+        if r not in first:
+            first[r] = (count, frozenset(edges))
+        if visit is not None:
+            visit(edges, r)
+    truncated = next(stream, None) is not None
+    ell, big_l = min(first), max(first)
+    return SpectrumReport(
+        nu=len(first[ell][1]),
+        ell=ell,
+        big_l=big_l,
+        achieved=frozenset(first),
+        witness_min=first[ell][1],
+        witness_max=first[big_l][1],
+        enumerated=count,
+        truncated=truncated,
+        first_seen=tuple((r, pos, m) for r, (pos, m) in first.items()),
+    )
 
 
 class Problem1Result(NamedTuple):
@@ -483,7 +478,7 @@ def approx_trial(g: Graph, seeds, cap: int = DEFAULT_CAP) -> ApproxTrialReport:
         if edges in slots:
             residuals[slots[edges]] = r
 
-    bounds = _check_bounds(g, _pass(g, cap, record))
+    bounds = _check_bounds(g, spectrum(g, cap, visit=record))
     ell, big_l = bounds.ell, bounds.big_l
     verdicts = {r: (Fraction(r, ell) if ell else None, Fraction(r, big_l) if ell else None,
                     bounds.ok and ell <= r <= big_l)

@@ -468,7 +468,7 @@ def test_verify_exhaustive_refuses_a_malformed_edge_record_before_the_census(
     def refuse(*args, **kwargs):
         raise AssertionError("the census started")
 
-    monkeypatch.setattr("resmatch.reduction._pass", refuse)
+    monkeypatch.setattr("resmatch.reduction.spectrum", refuse)
     code, out, err = run(capsys, "verify", str(graph_path), CNF1, "--variant", "L", "--exhaustive")
     assert (code, out, err) == (2, "", f"error: line {at + 1}: malformed edge record 'e 3 y'\n")
 

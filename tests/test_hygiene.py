@@ -2,14 +2,17 @@
 
 Every module but `__init__.py` reads each name it imports, and
 `resmatch.__all__` lists exactly the public names `__init__.py` imports,
-each once.  A deleted function or field that leaves its import or its
-export behind fails here.  Dead private code fails too: every top-level
-private function is read somewhere in the package outside its own body,
-and every private function reads each parameter it declares.  The only
-dataclasses are the two that a NamedTuple cannot stand in for.
+each once, and each of them is read by some module of the package or
+named in README.md, so the package exports nothing that only tests call.
+A deleted function or field that leaves its import or its export behind
+fails here.  Dead private code fails too: every top-level private
+function is read somewhere in the package outside its own body, and every
+private function reads each parameter it declares.  The only dataclasses
+are the two that a NamedTuple cannot stand in for.
 
 `code_lines` is the one definition of the package's code-only line count.
-Run this file as a script to print it per module and in total:
+Run this file as a script to print it per module and in total, with the
+number of names `resmatch.__all__` exports:
 
     python tests/test_hygiene.py
 """
@@ -17,12 +20,14 @@ Run this file as a script to print it per module and in total:
 import ast
 import io
 import os
+import re
 import tokenize
 from collections import Counter
 
 import pytest
 
 PACKAGE = os.path.join(os.path.dirname(__file__), os.pardir, "src", "resmatch")
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 
 def _tree(name: str) -> ast.Module:
@@ -49,12 +54,25 @@ def unused_imports(tree: ast.Module) -> list[str]:
 def export_faults(tree: ast.Module) -> list[str]:
     """Duplicates in __all__, then the names that __all__ and the public
     imports do not share."""
-    (exported,) = [ast.literal_eval(node.value) for node in tree.body
-                   if isinstance(node, ast.Assign)
-                   and [getattr(t, "id", None) for t in node.targets] == ["__all__"]]
+    exported = _exported(tree)
     public = {name for name in _imported(tree) if not name.startswith("_")}
     dupes = sorted({name for name in exported if exported.count(name) > 1})
     return dupes + sorted(public.symmetric_difference(exported))
+
+
+def _exported(tree: ast.Module) -> list[str]:
+    (exported,) = [ast.literal_eval(node.value) for node in tree.body
+                   if isinstance(node, ast.Assign)
+                   and [getattr(t, "id", None) for t in node.targets] == ["__all__"]]
+    return exported
+
+
+def unused_exports(init: ast.Module, trees: dict[str, ast.Module], readme: str) -> list[str]:
+    """The names __all__ exports that no module in trees reads and that the
+    readme text never opens a code span with."""
+    read = {name for tree in trees.values() for name in _reads(tree)}
+    return [name for name in _exported(init)
+            if name not in read and not re.search(rf"`{re.escape(name)}\b", readme)]
 
 
 def _private(node: ast.AST) -> bool:
@@ -142,6 +160,13 @@ def test_all_lists_each_public_import_once():
     assert export_faults(_tree("__init__.py")) == []
 
 
+def test_every_export_is_used_by_the_package_or_documented():
+    with open(README) as fh:
+        readme = fh.read()
+    trees = {name: _tree(name) for name in MODULES}
+    assert unused_exports(_tree("__init__.py"), trees, readme) == []
+
+
 def test_every_private_function_is_referenced():
     trees = {name: _tree(name) for name in [*MODULES, "__init__.py"]}
     assert unreferenced_private_functions(trees) == []
@@ -169,6 +194,12 @@ def test_checks_catch_planted_faults(tmp_path):
     assert unused_imports(planted) == ["os"]
     stale = ast.parse("from .graph import Graph, nu\n__all__ = ['Graph', 'nu', 'nu', 'gone']\n")
     assert export_faults(stale) == ["nu", "gone"]
+    # exported but read by no module and named in no code span of the readme
+    unused = ast.parse("from .m import Graph, nu, spare\n__all__ = ['Graph', 'nu', 'spare']\n")
+    reader = ast.parse("def f(g: Graph):\n    return g\n")
+    readme = "`nu(g)` is the matching number; a spare edge is not `spared`.\n"
+    assert export_faults(unused) == []
+    assert unused_exports(unused, {"m.py": reader}, readme) == ["spare"]
     dead = ast.parse("def _gone():\n    return _gone()\n\ndef _kept(x):\n    return x\n")
     caller = ast.parse("from .m import _kept\nobj._kept(1)\n")
     assert unreferenced_private_functions({"m.py": dead, "n.py": caller}) == ["m.py:_gone"]
@@ -198,4 +229,4 @@ if __name__ == "__main__":
               for name in sorted(f for f in os.listdir(PACKAGE) if f.endswith(".py"))}
     for name, count in counts.items():
         print(f"{count:6} {name}")
-    print(f"{sum(counts.values()):6} total")
+    print(f"{sum(counts.values()):6} total, {len(_exported(_tree('__init__.py')))} names exported")

@@ -33,7 +33,7 @@ from resmatch.spectrum import (
     ToleranceFunction,
     TruncatedSpectrumError,
     _check_bounds,
-    _pass,
+    _iter_maximum_matchings,
     approx_trial,
     check_bounds,
     decide_problem1,
@@ -134,7 +134,8 @@ def test_every_consumer_caps_the_same_way(monkeypatch, name):
     monkeypatch.setattr(spectrum_module, "_iter_maximum_matchings", counted)
     for cap in range(1, total + 2):
         # the census's own cap is max(256, 8 * 2^n): the same seam as the truncated census test
-        monkeypatch.setattr(reduction, "_pass", lambda h, _, visit: _pass(h, cap, visit))
+        monkeypatch.setattr(reduction, "spectrum",
+                            lambda h, _, visit: spectrum(h, cap, visit=visit))
         entered.clear()
         want = (min(cap, total), cap < total)
         rep = spectrum(g, cap)
@@ -152,6 +153,20 @@ def test_every_consumer_caps_the_same_way(monkeypatch, name):
             else:
                 exact()
         assert entered == [g] * 5, cap  # one pass per call
+
+
+@pytest.mark.parametrize("name", ["P5", "C6", "twin spider"])
+def test_visit_sees_exactly_the_items_the_report_counts(name):
+    g = {"P5": path(5), "C6": cycle(6), "twin spider": TWIN_SPIDER}[name]
+    stream = list(_iter_maximum_matchings(g))
+    for cap in range(1, len(stream) + 2):
+        seen = []
+        rep = spectrum(g, cap, visit=lambda edges, r: seen.append((edges, r)))
+        # the item read to flag truncation reaches no visit
+        assert seen == stream[:rep.enumerated] and len(seen) == min(cap, len(stream)), cap
+        assert rep == spectrum(g, cap)
+    with pytest.raises(TypeError):
+        spectrum(g, 1, seen.append)  # visit is keyword-only
 
 
 def test_enumerate_counts_match_oracle():
