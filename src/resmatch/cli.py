@@ -5,6 +5,10 @@ JSON with sorted keys (bench emits CSV), rationals travel as "p/q" strings,
 and identical invocations produce byte-identical output.  Exit status is 0
 only when every check passed and nothing was truncated; input and usage
 problems exit with status 2.
+
+Reports are written with sorted keys and an indent of 2.  Before Python
+3.13, where that indent sends json.dumps to its pure-Python encoder,
+`_json_text` writes them, byte for byte the text json.dumps would give.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import sys
 import tempfile
 import warnings
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .colorable import nu2_bipartite
 from .graph import (
@@ -93,8 +98,92 @@ def _output(path: str | None):
         raise
 
 
+# The text of each JSON scalar a report may hold, by exact type.  A float
+# has none: no report holds one, and an unlisted type is refused.
+_SCALARS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: {False: "false", True: "true"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
+
+
+def _json_text(obj) -> str:
+    """json.dumps(obj, indent=2, sort_keys=True) for what reports hold:
+    str-keyed dicts, lists, tuples, str, int, bool and None, without the
+    recursion or the per-value generators of json's Python encoder.  A
+    container of scalars only is one join; any other container is opened on
+    an explicit stack.  Another type, or a key that is not a str, raises
+    TypeError, and a container that holds itself raises ValueError."""
+    out = []
+    # the open containers, outermost first, each with the level around it
+    # (its members left, their indent, the separator of their own members),
+    # the container's closing bracket and its id
+    stack = []
+    opened = set()  # the ids on the stack
+    members, indent = iter((("", obj),)), "\n"
+    inner = indent + "  "  # the indent of a member's members
+    sep = "," + inner
+    while True:
+        for prefix, value in members:
+            kind = type(value)
+            scalar = _SCALARS.get(kind)
+            if scalar is not None:
+                out.append(prefix + scalar(value))
+                continue
+            if kind is dict:
+                keys, opener, closer = sorted(value), "{", "}"
+            elif kind is list or kind is tuple:
+                keys, opener, closer = None, "[", "]"
+            else:
+                raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+            if not value:
+                out.append(prefix + opener + closer)
+                continue
+            try:  # KeyError: a member is not a scalar
+                if keys is None:
+                    texts = [_SCALARS[type(v)](v) for v in value]
+                else:  # encode_basestring_ascii raises TypeError for a key that is not a str
+                    texts = [encode_basestring_ascii(k) + ": " + _SCALARS[type(value[k])](value[k])
+                             for k in keys]
+            except KeyError:
+                pass
+            else:
+                out.append(f"{prefix}{opener}{inner}{sep.join(texts)}{indent}{closer}")
+                continue
+            if id(value) in opened:
+                raise ValueError("Circular reference detected")
+            opened.add(id(value))
+            out += prefix, opener
+            stack.append((members, indent, sep, closer, id(value)))
+            if keys is None:
+                prefixes, values = [sep] * len(value), value
+                prefixes[0] = inner  # no comma before the first member
+            else:
+                prefixes = [sep + encode_basestring_ascii(k) + ": " for k in keys]
+                prefixes[0] = prefixes[0][1:]
+                values = [value[k] for k in keys]
+            members, indent = zip(prefixes, values), inner
+            inner = indent + "  "
+            sep = "," + inner
+            break
+        else:
+            if not stack:
+                return "".join(out)
+            inner = indent  # a member's indent is the inner indent of the level around it
+            members, indent, sep, closer, ident = stack.pop()
+            out += indent, closer
+            opened.discard(ident)
+
+
+# From Python 3.13 json.dumps runs its indent in C and outruns the writer
+# about twice over; before, the writer outruns json.dumps by as much
+_report_text = (_json_text if sys.version_info < (3, 13)
+                else functools.partial(json.dumps, indent=2, sort_keys=True))
+
+
 def _emit_json(obj: dict, path: str | None):
-    _emit_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", path)
+    _emit_text(_report_text(obj) + "\n", path)
 
 
 def _emit_text(text: str, path: str | None):

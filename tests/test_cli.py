@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 from oracles import path, random_bipartite, random_cnf
 
-from resmatch.cli import build_parser, main
+from resmatch.cli import _json_text, build_parser, main
 from resmatch.colorable import upper_bound_L
 from resmatch.graph import GRAPH_VERTEX_LIMIT, emit_graph_file, parse_graph_file
 from resmatch.reduction import DIMACS_CLAUSE_LIMIT, VARIANTS
@@ -128,6 +128,35 @@ def test_output_files_get_the_umask_mode(tmp_path, capsys, umask, mode):
     finally:
         os.umask(old)
     assert [os.stat(p).st_mode & 0o777 for p in (report, cert)] == [mode, mode]
+
+
+SELF_LIST: list = []
+SELF_LIST.append(SELF_LIST)
+SELF_DICT: dict = {}
+SELF_DICT["d"] = SELF_DICT
+NESTINGS = {"alone": lambda v: v, "nested": lambda v: {"a": [1, {"b": v}]}}
+
+
+@pytest.mark.parametrize("nest", NESTINGS.values(), ids=NESTINGS)
+@pytest.mark.parametrize("value, error", [
+    ({1}, TypeError), (b"x", TypeError), ({(1, 2): 0}, TypeError),
+    (SELF_LIST, ValueError), (SELF_DICT, ValueError),
+], ids=["set", "bytes", "tuple key", "list holding itself", "dict holding itself"])
+def test_the_json_writer_refuses_what_json_dumps_refuses(value, error, nest):
+    for write in (_json_text, lambda v: json.dumps(v, indent=2, sort_keys=True)):
+        with pytest.raises(error):
+            write(nest(value))
+
+
+@pytest.mark.parametrize("nest", NESTINGS.values(), ids=NESTINGS)
+@pytest.mark.parametrize("value", [1.5, {1: 0}], ids=["float", "int key"])
+def test_the_json_writer_refuses_a_float_and_a_key_that_is_not_a_str(value, nest):
+    """json.dumps writes both, but no report holds either: a report that
+    came to hold one fails with TypeError instead of being written by rules
+    that no test compares."""
+    json.dumps(nest(value))
+    with pytest.raises(TypeError):
+        _json_text(nest(value))
 
 
 def test_compute_problem1_identity(capsys):

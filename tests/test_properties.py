@@ -2,11 +2,15 @@
 draws: two metamorphic ones (disjoint union, relabelling), the paper's
 bounds (ell <= L <= 2*ell, 2L <= 3*ell with a perfect matching, and
 L <= nu2 - nu on bipartite graphs), and decoding an encoded assignment.
+The CLI's JSON writer gives the text `json.dumps` gives on the values a
+report may hold.
 
 No property assumes that the achieved set is an interval: the sumset is
 built exactly.  `conftest.py` loads a derandomized profile, so every run
 tries the same examples.
 """
+
+import json
 
 import pytest
 
@@ -15,6 +19,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from resmatch.cli import _json_text
 from resmatch.colorable import nu2_bipartite
 from resmatch.graph import Graph, build_graph
 from resmatch.reduction import (
@@ -144,3 +149,23 @@ def test_decoding_an_encoding_gives_back_its_assignment(data, text, variant):
                               max_size=art.cnf.num_vars))
     alpha = Assignment(tuple(bits))
     assert decode_matching(art, encode_assignment(art, alpha)) == alpha
+
+
+# text with every code point, lone surrogates included, and more often the
+# ones json escapes: control characters, quote, backslash, non-ASCII
+JSON_TEXT = st.text(st.characters(exclude_categories=())
+                    | st.sampled_from("\x00\x1f\x7f\"\\/\u00e9\u2028\ud800\udfff"), max_size=6)
+JSON_LEAVES = (st.none() | st.booleans() | JSON_TEXT | st.integers()
+               | st.integers(min_value=2**64) | st.integers(max_value=-2**64))
+# containers of every kind a report holds, empty ones at any depth
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(JSON_TEXT, inner, max_size=4)),
+    max_leaves=40)
+
+
+@settings(max_examples=500)
+@given(JSON_VALUES)
+def test_the_json_writer_gives_the_text_of_json_dumps(value):
+    assert _json_text(value) == json.dumps(value, indent=2, sort_keys=True)
